@@ -456,7 +456,11 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
         elif key == "hedge":
             parts = rest.split()
             opts = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-            if len(parts) < 3 or set(opts) != {"class", "rank"} or opts["class"] not in "+-":
+            if (
+                len(parts) != 3
+                or set(opts) != {"class", "rank"}
+                or opts["class"] not in ("+", "-")
+            ):
                 problems.append(
                     f"line {lineno}: expected 'hedge: <name> class=<+|-> rank=<int>'"
                 )

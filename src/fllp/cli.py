@@ -116,20 +116,23 @@ def _errors(exc) -> int:
     return 1
 
 
+def _fallback_config() -> str:
+    """Algebra for runs where neither ``--algebra`` nor a program directive
+    names one: the file in ``FLLP_ALGEBRA``, else the built-in default."""
+    env = os.environ.get(ENV_ALGEBRA)
+    return Path(env).read_text(encoding="utf-8") if env else DEFAULT_ALGEBRA_CONFIG
+
+
 def _config_text(algebra: str | None) -> str:
+    """Algebra config for subcommands that read no program."""
     if algebra:
         return Path(algebra).read_text(encoding="utf-8")
-    env = os.environ.get(ENV_ALGEBRA)
-    if env:
-        return Path(env).read_text(encoding="utf-8")
-    return DEFAULT_ALGEBRA_CONFIG
+    return _fallback_config()
 
 
 def _load(args) -> tuple:
     """Program plus inverse table for subcommands that read a program."""
-    env = os.environ.get(ENV_ALGEBRA)
-    default = Path(env).read_text(encoding="utf-8") if env else None
-    return load_program(args.program, args.algebra, default_config=default)
+    return load_program(args.program, args.algebra, default_config=_fallback_config())
 
 
 def _parse_grade(domain: TruthDomain, text: str) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import TruthDomain
 from .connectives import GODEL
-from .fixpoint import Interpretation, ground, tp_apply
+from .fixpoint import least_model
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -222,22 +222,13 @@ def goodness_surface(
     table: InverseMappingTable,
     program: Program | None = None,
 ) -> dict[tuple[str, str], int]:
-    """Grade of ``good(x, y)`` for every input point x and output point y.
-
-    The compiled program is facts plus one rule layer, so two rounds of the
-    consequence operator reach the least model; a third round is applied
-    and checked to stay put.
-    """
+    """Grade of ``good(x, y)`` for every input point x and output point y,
+    read off the least model of the compiled program."""
     if program is None:
         program = compile_control(cs)
-    gp = ground(program)
-    f1 = tp_apply(gp, table, Interpretation())
-    f2 = tp_apply(gp, table, f1)
-    f3 = tp_apply(gp, table, f2)
-    if f3 != f2:
-        raise RuntimeError("control program did not settle in two rounds")
+    model, _ = least_model(program, table)
     return {
-        (x, y): f2[Atom(GOOD, (Const(x), Const(y)))]
+        (x, y): model[Atom(GOOD, (Const(x), Const(y)))]
         for x in cs.input_points
         for y in cs.output_points
     }

@@ -26,8 +26,8 @@ from .lang import (
     Body,
     Conj,
     Const,
-    Disj,
     Fact,
+    Grade,
     HedgeApp,
     Program,
     Var,
@@ -35,6 +35,7 @@ from .lang import (
     format_atom,
     format_value,
     free_vars,
+    map_atoms,
 )
 
 GROUND_LIMIT = 10**6
@@ -81,17 +82,16 @@ class GroundProgram:
     universe: tuple[str, ...]
 
 
-def _instantiate(body: Body, env: dict[str, Const]) -> Body:
-    if isinstance(body, Atom):
+def _binder(env: dict[str, Const]):
+    """Atom mapper that puts the constants of ``env`` in place of variables."""
+
+    def bind(atom: Atom) -> Atom:
         return Atom(
-            body.pred,
-            tuple(env[a.name] if isinstance(a, Var) else a for a in body.args),
+            atom.pred,
+            tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args),
         )
-    if isinstance(body, HedgeApp):
-        return HedgeApp(body.hedge, _instantiate(body.body, env))
-    if isinstance(body, Conj):
-        return Conj(body.kind, tuple(_instantiate(p, env) for p in body.parts))
-    return Disj(tuple(_instantiate(p, env) for p in body.parts))
+
+    return bind
 
 
 def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
@@ -119,19 +119,14 @@ def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
         if isinstance(st, Fact):
             names = free_vars(st.atom)
             for combo in itertools.product(consts, repeat=len(names)):
-                env = dict(zip(names, combo))
-                facts.append((_instantiate(st.atom, env), st.tv))
+                bind = _binder(dict(zip(names, combo)))
+                facts.append((bind(st.atom), st.tv))
         else:
             names = tuple(dict.fromkeys(free_vars(st.head) + free_vars(st.body)))
             for combo in itertools.product(consts, repeat=len(names)):
-                env = dict(zip(names, combo))
+                bind = _binder(dict(zip(names, combo)))
                 rules.append(
-                    GroundRule(
-                        _instantiate(st.head, env),
-                        st.kind,
-                        _instantiate(st.body, env),
-                        st.tv,
-                    )
+                    GroundRule(bind(st.head), st.kind, map_atoms(st.body, bind), st.tv)
                 )
 
     base: list[Atom] = []
@@ -142,6 +137,7 @@ def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
 
 
 def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTable) -> int:
+    """Value of a ground body, its atoms read from ``interp``."""
     n = table.domain.n
     if isinstance(body, Atom):
         return interp[body]
@@ -152,6 +148,8 @@ def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTa
         for p in body.parts[1:]:
             acc = t_norm(body.kind, acc, eval_ground_body(p, interp, table), n)
         return acc
+    if isinstance(body, Grade):
+        return body.value
     return max(eval_ground_body(p, interp, table) for p in body.parts)
 
 

@@ -81,7 +81,14 @@ class HedgeApp:
     body: "Body"
 
 
-Body = Union[Atom, Conj, Disj, HedgeApp]
+@dataclass(frozen=True)
+class Grade:
+    """A truth value standing in for a resolved atom; never parsed."""
+
+    value: int
+
+
+Body = Union[Atom, Conj, Disj, HedgeApp, Grade]
 
 
 @dataclass(frozen=True)
@@ -143,9 +150,20 @@ def atoms_of(body: Body) -> Iterator[Atom]:
         yield body
     elif isinstance(body, HedgeApp):
         yield from atoms_of(body.body)
-    else:
+    elif not isinstance(body, Grade):
         for part in body.parts:
             yield from atoms_of(part)
+
+
+def map_atoms(body: Body, f) -> Body:
+    """Copy of ``body`` with every atom leaf replaced by ``f(leaf)``."""
+    if isinstance(body, Conj):
+        return Conj(body.kind, tuple(map_atoms(p, f) for p in body.parts))
+    if isinstance(body, Disj):
+        return Disj(tuple(map_atoms(p, f) for p in body.parts))
+    if isinstance(body, HedgeApp):
+        return HedgeApp(body.hedge, map_atoms(body.body, f))
+    return body if isinstance(body, Grade) else f(body)
 
 
 def free_vars(node: Body | Atom) -> tuple[str, ...]:
@@ -413,27 +431,19 @@ def parse_query(text: str, domain: TruthDomain) -> Body:
 # ---------------------------------------------------------------------------
 # validation
 
-def _canonical(st: Statement) -> tuple:
-    """Statement shape with variables renamed by first occurrence."""
-    names: dict[str, str] = {}
+def _canonical(st: Statement) -> Statement:
+    """The statement with variables renamed by first occurrence, grade dropped."""
+    names: dict[str, Var] = {}
 
-    def term(t: Term):
-        if isinstance(t, Const):
-            return ("c", t.name)
-        return ("v", names.setdefault(t.name, f"V{len(names)}"))
-
-    def node(b: Body) -> tuple:
-        if isinstance(b, Atom):
-            return ("atom", b.pred, tuple(term(a) for a in b.args))
-        if isinstance(b, HedgeApp):
-            return ("hedge", b.hedge, node(b.body))
-        if isinstance(b, Conj):
-            return ("conj", b.kind, tuple(node(p) for p in b.parts))
-        return ("disj", tuple(node(p) for p in b.parts))
+    def rename(atom: Atom) -> Atom:
+        return Atom(atom.pred, tuple(
+            names.setdefault(a.name, Var(f"V{len(names)}")) if isinstance(a, Var) else a
+            for a in atom.args
+        ))
 
     if isinstance(st, Fact):
-        return ("fact", node(st.atom))
-    return ("rule", node(st.head), st.kind, node(st.body))
+        return Fact(rename(st.atom), 0)
+    return Rule(rename(st.head), st.kind, map_atoms(st.body, rename), 0)
 
 
 def validate_program(
@@ -451,7 +461,7 @@ def validate_program(
                     f"but line {prev[1]} uses arity {prev[0]}"
                 )
 
-    grades: dict[tuple, tuple[int, int]] = {}
+    grades: dict[Statement, tuple[int, int]] = {}
     for st in program.statements:
         key = _canonical(st)
         prev = grades.setdefault(key, (st.tv, st.line))
@@ -498,6 +508,8 @@ def format_body(body: Body) -> str:
     if isinstance(body, Conj):
         name = "and_g" if body.kind == GODEL else "and_l"
         return f"{name}({','.join(format_body(p) for p in body.parts)})"
+    if isinstance(body, Grade):
+        return f"v{body.value}"
     return f"or({','.join(format_body(p) for p in body.parts)})"
 
 

@@ -1,14 +1,14 @@
 """Top-down resolution for graded logic programs.
 
-A query is turned into a goal word: a tree of connectives over atoms that
-is rewritten step by step.  Each step picks the leftmost unresolved atom
-and either replaces it with a matching fact's grade, unfolds it through a
-matching rule (wrapping the rule body in the rule's own conjunction with
-the rule grade), or grades it bottom when nothing in the program matches.
-Hedge connectives wait until their argument is a plain value and then go
-through the inverse mapping.  When no atoms remain the word collapses to a
-single value, yielding a computed answer together with the bindings of the
-query variables.
+A query is turned into a goal word: a body of the program language whose
+atoms are open (:class:`WAtom`) or resolved to truth values (``Grade``),
+rewritten step by step.  Each step picks the leftmost open atom and either
+replaces it with a matching fact's grade, unfolds it through a matching
+rule (the rule body joined with the rule grade under the rule's own
+conjunction), or grades it bottom when nothing in the program matches.
+When no atoms remain the word is evaluated like a ground rule body,
+hedges going through the inverse mapping, yielding a computed answer
+together with the bindings of the query variables.
 
 Threshold mode pushes a lower bound down the goal tree.  Every connective
 is monotone, so a bound on a node induces a least useful value for each
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
 
-from .connectives import GODEL, t_norm
+from .connectives import GODEL
+from .fixpoint import eval_ground_body
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -33,15 +33,17 @@ from .lang import (
     Const,
     Disj,
     Fact,
+    Grade,
     HedgeApp,
     Program,
-    Rule,
     Statement,
     Term,
     Var,
     format_atom,
+    format_body,
     format_value,
     free_vars,
+    map_atoms,
 )
 
 
@@ -51,41 +53,11 @@ class BranchCut(Exception):
 
 @dataclass(frozen=True)
 class WAtom:
+    """An open atom of a goal word, with the least value worth finding for it."""
+
     atom: Atom
     bound: int | None
     in_disj: bool = False  # some ancestor is a disjunction
-
-
-@dataclass(frozen=True)
-class WValue:
-    value: int
-
-
-@dataclass(frozen=True)
-class WConj:
-    kind: str
-    parts: tuple["Word", ...]
-
-
-@dataclass(frozen=True)
-class WDisj:
-    parts: tuple["Word", ...]
-
-
-@dataclass(frozen=True)
-class WHedge:
-    hedge: str
-    child: "Word"
-
-
-@dataclass(frozen=True)
-class WTNorm:
-    kind: str
-    child: "Word"
-    grade: int
-
-
-Word = Union[WAtom, WValue, WConj, WDisj, WHedge, WTNorm]
 
 
 @dataclass(frozen=True)
@@ -176,20 +148,21 @@ def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
 
 def _word(
     body: Body, bound: int | None, table, below_top: bool, in_disj: bool = False
-) -> Word:
+) -> Body:
+    """The goal word for ``body``: its atoms opened with their bounds."""
     if isinstance(body, Atom):
         return WAtom(body, bound, in_disj)
     if isinstance(body, HedgeApp):
         b = next_threshold(table, bound, ("hedge", body.hedge))
-        return WHedge(body.hedge, _word(body.body, b, table, below_top, in_disj))
+        return HedgeApp(body.hedge, _word(body.body, b, table, below_top, in_disj))
     if isinstance(body, Conj):
         if body.kind == GODEL:
             b = next_threshold(table, bound, ("conjg",))
         else:
             b = next_threshold(table, bound, ("conjl", len(body.parts), below_top))
         parts = tuple(_word(p, b, table, below_top, in_disj) for p in body.parts)
-        return WConj(body.kind, parts)
-    return WDisj(tuple(_word(p, None, table, below_top, True) for p in body.parts))
+        return Conj(body.kind, parts)
+    return Disj(tuple(_word(p, None, table, below_top, True) for p in body.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -232,89 +205,34 @@ def _rename_atom(atom: Atom, tag: str) -> Atom:
     return Atom(atom.pred, tuple(_rename_term(a, tag) for a in atom.args))
 
 
-def _rename_body(body: Body, tag: str) -> Body:
-    if isinstance(body, Atom):
-        return _rename_atom(body, tag)
-    if isinstance(body, HedgeApp):
-        return HedgeApp(body.hedge, _rename_body(body.body, tag))
-    if isinstance(body, Conj):
-        return Conj(body.kind, tuple(_rename_body(p, tag) for p in body.parts))
-    return Disj(tuple(_rename_body(p, tag) for p in body.parts))
-
-
 # ---------------------------------------------------------------------------
 # word traversal
 
-def _leftmost(word: Word) -> WAtom | None:
+def _select(word: Body):
+    """The leftmost open atom of ``word`` and a function that puts a
+    replacement in its place; ``(None, None)`` when no atom is open."""
     if isinstance(word, WAtom):
-        return word
-    if isinstance(word, WValue):
-        return None
-    if isinstance(word, (WConj, WDisj)):
-        for p in word.parts:
-            found = _leftmost(p)
-            if found is not None:
-                return found
-        return None
-    return _leftmost(word.child)
+        return word, lambda new: new
+    if isinstance(word, HedgeApp):
+        sel, plug = _select(word.body)
+        if sel is not None:
+            return sel, lambda new: HedgeApp(word.hedge, plug(new))
+    elif isinstance(word, (Conj, Disj)):
+        for i, part in enumerate(word.parts):
+            sel, plug = _select(part)
+            if sel is not None:
+                return sel, lambda new: _with_part(word, i, plug(new))
+    return None, None
 
 
-def _replace_leftmost(word: Word, new: Word) -> tuple[Word, bool]:
-    if isinstance(word, WAtom):
-        return new, True
-    if isinstance(word, WValue):
-        return word, False
-    if isinstance(word, (WConj, WDisj)):
-        parts = list(word.parts)
-        for i, p in enumerate(parts):
-            repl, done = _replace_leftmost(p, new)
-            if done:
-                parts[i] = repl
-                if isinstance(word, WConj):
-                    return WConj(word.kind, tuple(parts)), True
-                return WDisj(tuple(parts)), True
-        return word, False
-    repl, done = _replace_leftmost(word.child, new)
-    if not done:
-        return word, False
-    if isinstance(word, WHedge):
-        return WHedge(word.hedge, repl), True
-    return WTNorm(word.kind, repl, word.grade), True
+def _with_part(word: Conj | Disj, i: int, part: Body) -> Body:
+    parts = word.parts[:i] + (part,) + word.parts[i + 1:]
+    return Conj(word.kind, parts) if isinstance(word, Conj) else Disj(parts)
 
 
-def _eval(word: Word, table: InverseMappingTable) -> int:
-    n = table.domain.n
-    if isinstance(word, WValue):
-        return word.value
-    if isinstance(word, WConj):
-        acc = _eval(word.parts[0], table)
-        for p in word.parts[1:]:
-            acc = t_norm(word.kind, acc, _eval(p, table), n)
-        return acc
-    if isinstance(word, WDisj):
-        return max(_eval(p, table) for p in word.parts)
-    if isinstance(word, WHedge):
-        return table.apply(word.hedge, _eval(word.child, table))
-    if isinstance(word, WTNorm):
-        return t_norm(word.kind, _eval(word.child, table), word.grade, n)
-    raise ValueError("cannot evaluate a word that still contains atoms")
-
-
-def format_word(word: Word, subst: dict[str, Term] | None = None) -> str:
+def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
     s = subst or {}
-    if isinstance(word, WAtom):
-        return format_atom(subst_atom(word.atom, s))
-    if isinstance(word, WValue):
-        return f"v{word.value}"
-    if isinstance(word, WConj):
-        name = "and_g" if word.kind == GODEL else "and_l"
-        return f"{name}({','.join(format_word(p, s) for p in word.parts)})"
-    if isinstance(word, WDisj):
-        return f"or({','.join(format_word(p, s) for p in word.parts)})"
-    if isinstance(word, WHedge):
-        return f"#{word.hedge}({format_word(word.child, s)})"
-    name = "c_g" if word.kind == GODEL else "c_l"
-    return f"{name}({format_word(word.child, s)},v{word.grade})"
+    return format_body(map_atoms(word, lambda w: subst_atom(w.atom, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +264,15 @@ def solve(
     fresh = itertools.count(1)
     answers: list[ComputedAnswer] = []
     exhausted = False
-    stack: list[tuple[Word, dict[str, Term], int, str | None]] = [(goal, {}, 0, None)]
+    stack: list[tuple[Body, dict[str, Term], int, str | None]] = [(goal, {}, 0, None)]
 
     while stack:
         word, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
-        sel = _leftmost(word)
+        sel, plug = _select(word)
         if sel is None:
-            value = _eval(word, table)
+            value = eval_ground_body(word, {}, table)
             bindings = tuple((v, walk(Var(v), subst)) for v in qvars)
             answers.append(ComputedAnswer(value, bindings, depth))
             if opts.trace:
@@ -363,7 +281,7 @@ def solve(
 
         atom = subst_atom(sel.atom, subst)
         unifiable = False
-        branches: list[tuple[tuple, Word, dict[str, Term]]] = []
+        branches: list[tuple[tuple, Body, dict[str, Term]]] = []
         for pos, st in by_pred.get(atom.pred, ()):
             tag = str(next(fresh))
             if isinstance(st, Fact):
@@ -373,7 +291,7 @@ def solve(
                 unifiable = True
                 if sel.bound is not None and st.tv < sel.bound:
                     continue
-                replacement: Word = WValue(st.tv)
+                replacement: Body = Grade(st.tv)
                 key = (-st.tv, 0, 0, pos)
             else:
                 s2 = unify(atom, _rename_atom(st.head, tag), subst)
@@ -382,12 +300,11 @@ def solve(
                 unifiable = True
                 try:
                     b = next_threshold(table, sel.bound, ("rule", st.kind, st.tv))
-                    child = _word(
-                        _rename_body(st.body, tag), b, table, below_top, sel.in_disj
-                    )
+                    body = map_atoms(st.body, lambda a: _rename_atom(a, tag))
+                    child = _word(body, b, table, below_top, sel.in_disj)
                 except BranchCut:
                     continue
-                replacement = WTNorm(st.kind, child, st.tv)
+                replacement = Conj(st.kind, (child, Grade(st.tv)))
                 key = (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
             if opts.exhaustive:
                 key = (pos,)
@@ -400,8 +317,7 @@ def solve(
                 continue
             if opts.trace:
                 trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
-            word2, _ = _replace_leftmost(word, WValue(0))
-            stack.append((word2, subst, depth, None))
+            stack.append((plug(Grade(0)), subst, depth, None))
             continue
         if not branches:
             if opts.trace:
@@ -419,21 +335,19 @@ def solve(
         # else a bottom grade annihilates the whole branch and is never worth
         # a detour.
         if sel.in_disj and any(isinstance(a, Var) for a in atom.args):
-            word2, _ = _replace_leftmost(word, WValue(0))
             note0 = None
             if opts.trace:
                 note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
-            stack.append((word2, subst, depth, note0))
+            stack.append((plug(Grade(0)), subst, depth, note0))
         elif not branches:
             continue
 
         branches.sort(key=lambda b: b[0])
         for key, replacement, s2 in reversed(branches):
-            word2, _ = _replace_leftmost(word, replacement)
             note = None
             if opts.trace:
                 note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
-            stack.append((word2, s2, depth + 1, note))
+            stack.append((plug(replacement), s2, depth + 1, note))
 
     if opts.threshold is not None:
         answers = [a for a in answers if a.value >= opts.threshold]

@@ -114,6 +114,22 @@ def test_config_problems_are_collected():
     assert "primary" in text and "hedge" in text and "limit" in text
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "hedge: very class= rank=2",
+        "hedge: very class=+- rank=2",
+        "hedge: very class=+ rank=1 rank=2",
+        "hedge: very class=+ class=- rank=2",
+        "hedge: very strong class=+ rank=2",
+    ],
+)
+def test_config_rejects_misread_hedge_lines(line):
+    config = DEFAULT_ALGEBRA_CONFIG.replace("hedge: very class=+ rank=2", line)
+    with pytest.raises(AlgebraError, match="line 4: expected 'hedge: <name>"):
+        parse_algebra_config(config)
+
+
 def test_config_rejects_conflicting_positivity():
     config = DEFAULT_ALGEBRA_CONFIG + "negative: very -> very\n"
     with pytest.raises(AlgebraError, match="already declared"):

@@ -9,6 +9,7 @@ from fllp.lang import (
     Const,
     Disj,
     Fact,
+    Grade,
     HedgeApp,
     Rule,
     Var,
@@ -19,6 +20,7 @@ from fllp.lang import (
     format_value,
     free_vars,
     load_program,
+    map_atoms,
     parse_program,
     parse_query,
     pretty_print,
@@ -60,6 +62,24 @@ def test_all_body_forms(domain):
     assert isinstance(hedged.body, HedgeApp) and hedged.body.hedge == "very"
     assert body.parts[2] == Atom("t", ())
     assert format_body(body) == "or(and_l(q(X),r(X)),#little(#very(s(X))),t)"
+
+
+def test_map_atoms_reaches_every_atom_and_keeps_grades(domain):
+    src = "p(X) <-l or(and_l(q(X), r(X)), #little(#very(s(X))), t) : probably true.\n"
+    body = parse_program(src, domain).rules[0].body
+    primed = map_atoms(body, lambda a: Atom(a.pred + "1", a.args))
+    assert format_body(primed) == "or(and_l(q1(X),r1(X)),#little(#very(s1(X))),t1)"
+    word = Conj("godel", (body, Grade(7)))
+    assert map_atoms(word, lambda a: a) == word
+    assert map_atoms(word, lambda a: Atom("z", a.args)).parts[1] == Grade(7)
+
+
+def test_grades_print_as_indices_and_hold_no_atoms():
+    word = Conj("luka", (Atom("q", (Var("X"),)), Grade(7)))
+    assert format_body(Grade(7)) == "v7"
+    assert format_body(word) == "and_l(q(X),v7)"
+    assert list(atoms_of(word)) == [Atom("q", (Var("X"),))]
+    assert list(atoms_of(Grade(7))) == []
 
 
 def test_errors_are_collected_not_just_the_first(domain):
