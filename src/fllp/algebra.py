@@ -26,6 +26,10 @@ MIDDLE_NAME = "middle"
 TOP_NAME = "abstrue"
 RESERVED_NAMES = frozenset({BOTTOM_NAME, MIDDLE_NAME, TOP_NAME})
 
+# Largest truth domain an algebra may enumerate.  The default hedges give
+# 43,693 values at ``limit: 7`` and 174,765 at ``limit: 8``.
+DOMAIN_LIMIT = 10**5
+
 
 class AlgebraError(ValueError):
     """Invalid algebra description or operation; carries every violation found."""
@@ -33,6 +37,15 @@ class AlgebraError(ValueError):
     def __init__(self, violations: Iterable[str]):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations))
+
+
+class DomainLimitError(RuntimeError):
+    def __init__(self, needed: int, limit: int):
+        self.needed = needed
+        self.limit = limit
+        super().__init__(
+            f"the truth domain needs at least {needed} values, over the limit of {limit}"
+        )
 
 
 @dataclass(frozen=True)
@@ -306,7 +319,23 @@ def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
 
     if problems:
         raise AlgebraError(sorted(set(problems)))
+    size = domain_size(spec)
+    if size > DOMAIN_LIMIT:
+        raise DomainLimitError(size, DOMAIN_LIMIT)
     return HedgeAlgebra(spec)
+
+
+def domain_size(spec: HedgeAlgebraSpec) -> int:
+    """Number of values ``enumerate_domain`` yields: 2·Σ_{k≤limit} h^k + 3
+    for h hedges.  Counting stops early once past ``DOMAIN_LIMIT``."""
+    h = len(spec.hedges)
+    size, layer = 3, 2
+    for _ in range(spec.limit + 1):
+        size += layer
+        layer *= h
+        if layer == 0 or size > DOMAIN_LIMIT:
+            break
+    return size
 
 
 def enumerate_domain(algebra: HedgeAlgebra) -> TruthDomain:

@@ -11,8 +11,8 @@ The algebra is taken from ``--algebra``, else from the program's own
 ``FLLP_ALGEBRA`` environment variable, else the built-in default.
 
 Exit codes: 0 on success, 1 for usage, parse or validation problems, 2
-when resources ran out (grounding cap, or a depth-limited search that may
-have missed answers).
+when resources ran out (truth-domain or grounding cap, or a depth-limited
+search that may have missed answers).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 from .algebra import (
     DEFAULT_ALGEBRA_CONFIG,
     AlgebraError,
+    DomainLimitError,
     TruthDomain,
     load_algebra_config,
 )
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GroundingLimitError as exc:
+    except (DomainLimitError, GroundingLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AlgebraError, InverseTableError, ParseError) as exc:

@@ -7,15 +7,25 @@ grade, or the rule conjunction of the body value under the current
 interpretation with the rule grade.  The operator is monotone over a
 finite lattice, so iterating from the empty interpretation reaches the
 least model; iteration stops on the first round that changes nothing, and
-that confirming round is included in the reported count.
+that confirming round is included in the reported count.  Delta mode
+raises atoms in place, in a fixed order, so its count can be lower but is
+the same on every run.
 
 Grounding instantiates variables over the constants appearing in the
-program (a single fallback constant when there are none).  The number of
-instances is counted before anything is built and capped.
+program (a single fallback constant when there are none).  ``ground``
+builds every instance and is the reference; ``least_model`` builds only
+the rule instances whose bodies can be nonzero (``ground_relevant``).
+Every conjunction and every hedge keeps bottom at bottom, so the other
+instances add nothing to any round, and the model and the naive round
+count are the same.  Both count the Herbrand base and the fact instances
+before building anything; ``ground`` adds every rule instance to that
+count up front, ``ground_relevant`` each instance as it is found.  Either
+stops at ``GROUND_LIMIT``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,10 +36,10 @@ from .lang import (
     Body,
     Conj,
     Const,
-    Fact,
     Grade,
     HedgeApp,
     Program,
+    Rule,
     Var,
     atoms_of,
     format_atom,
@@ -46,7 +56,7 @@ class GroundingLimitError(RuntimeError):
         self.needed = needed
         self.limit = limit
         super().__init__(
-            f"grounding needs {needed} instances, over the limit of {limit}"
+            f"grounding needs at least {needed} instances, over the limit of {limit}"
         )
 
 
@@ -94,46 +104,222 @@ def _binder(env: dict[str, Const]):
     return bind
 
 
-def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
-    universe = program.constants() or ("a",)
-    u = len(universe)
+def _rule_vars(rule: Rule) -> tuple[str, ...]:
+    """The variables a rule instance binds: head first, by first occurrence."""
+    return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
-    needed = 0
-    for pred, arity in program.predicates().items():
-        needed += u**arity
-    for st in program.statements:
-        if isinstance(st, Fact):
-            needed += u ** len(free_vars(st.atom))
-        else:
-            head_vars = free_vars(st.head)
-            body_vars = free_vars(st.body)
-            joint = tuple(dict.fromkeys(head_vars + body_vars))
-            needed += u ** len(joint)
+
+def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[Const, ...]) -> GroundRule:
+    bind = _binder(dict(zip(names, combo)))
+    return GroundRule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
+
+
+def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int]:
+    """The universe, and the count of base atoms plus fact instances, which
+    every grounding builds; refused up front when over ``limit``."""
+    consts = tuple(Const(c) for c in program.constants() or ("a",))
+    u = len(consts)
+    needed = sum(u**arity for arity in program.predicates().values())
+    needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
     if needed > limit:
         raise GroundingLimitError(needed, limit)
+    return consts, needed
 
-    consts = tuple(Const(c) for c in universe)
+
+def _ground_facts(program: Program, consts: tuple[Const, ...]) -> list[tuple[Atom, int]]:
     facts: list[tuple[Atom, int]] = []
-    rules: list[GroundRule] = []
-    for st in program.statements:
-        if isinstance(st, Fact):
-            names = free_vars(st.atom)
-            for combo in itertools.product(consts, repeat=len(names)):
-                bind = _binder(dict(zip(names, combo)))
-                facts.append((bind(st.atom), st.tv))
-        else:
-            names = tuple(dict.fromkeys(free_vars(st.head) + free_vars(st.body)))
-            for combo in itertools.product(consts, repeat=len(names)):
-                bind = _binder(dict(zip(names, combo)))
-                rules.append(
-                    GroundRule(bind(st.head), st.kind, map_atoms(st.body, bind), st.tv)
-                )
+    for st in program.facts:
+        names = free_vars(st.atom)
+        for combo in itertools.product(consts, repeat=len(names)):
+            facts.append((_binder(dict(zip(names, combo)))(st.atom), st.tv))
+    return facts
 
+
+def _ground_program(program, consts, facts, rules) -> GroundProgram:
     base: list[Atom] = []
     for pred, arity in sorted(program.predicates().items()):
         for combo in itertools.product(consts, repeat=arity):
             base.append(Atom(pred, combo))
+    universe = tuple(c.name for c in consts)
     return GroundProgram(tuple(facts), tuple(rules), tuple(base), universe)
+
+
+def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
+    """Every instance of every statement over the program's constants."""
+    consts, needed = _frame(program, limit)
+    u = len(consts)
+    needed += sum(u ** len(_rule_vars(r)) for r in program.rules)
+    if needed > limit:
+        raise GroundingLimitError(needed, limit)
+    rules: list[GroundRule] = []
+    for rule in program.rules:
+        names = _rule_vars(rule)
+        for combo in itertools.product(consts, repeat=len(names)):
+            rules.append(_instance(rule, names, combo))
+    return _ground_program(program, consts, _ground_facts(program, consts), rules)
+
+
+def ground_relevant(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
+    """The rule instances of ``ground(program)`` whose bodies can be nonzero
+    in the least model, in the same order; facts and base are the same.
+
+    An instance is built once every atom of one of its body's alternatives
+    (see ``_alternatives``) is derivable: a fact above bottom or the head of
+    an instance built before.  Rule instances are counted as they are found
+    and refused as soon as they would take the total over ``limit``.
+    """
+    consts, needed = _frame(program, limit)
+    facts = _ground_facts(program, consts)
+    seeds = [(a.pred, tuple(c.name for c in a.args)) for a, tv in facts if tv > 0]
+    found = _relevant_bindings(
+        program.rules, tuple(c.name for c in consts), seeds, needed, limit
+    )
+    by_name = {c.name: c for c in consts}
+    rules: list[GroundRule] = []
+    for rule, bindings in zip(program.rules, found):
+        names = _rule_vars(rule)
+        # sorted name tuples are itertools.product order over the sorted universe
+        for binding in sorted(bindings):
+            rules.append(_instance(rule, names, tuple(by_name[c] for c in binding)))
+    return _ground_program(program, consts, facts, rules)
+
+
+def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
+    """Atom sets such that ``body`` is nonzero only if all atoms of one of
+    them are: conjunctions and hedges keep bottom at bottom, a disjunction
+    is its highest part."""
+    if isinstance(body, Atom):
+        return [(body,)]
+    if isinstance(body, HedgeApp):
+        return _alternatives(body.body)
+    if isinstance(body, Grade):
+        return [()] if body.value > 0 else []
+    if isinstance(body, Conj):
+        alts: list[tuple[Atom, ...]] = [()]
+        for part in body.parts:
+            alts = [tuple(dict.fromkeys(a + b)) for a in alts for b in _alternatives(part)]
+        return alts
+    return [alt for part in body.parts for alt in _alternatives(part)]
+
+
+def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[str, ...]]]:
+    """Per rule, the bindings of its ``_rule_vars`` (constant names) whose
+    body has an alternative made of derivable atoms.
+
+    Semi-naive worklist join: each ground atom, once derivable, is matched
+    against every alternative atom with its predicate, and the rest of that
+    alternative is joined against the atoms made derivable before it,
+    through indexes keyed on the argument positions already bound.
+    Variables no atom of the alternative binds range over the universe.
+    Ground atoms are ``(pred, names)`` tuples; a binding under construction
+    is a list of variable slots followed by the rule's constants.
+    """
+    found: list[set[tuple[str, ...]]] = [set() for _ in rules]
+    queue = list(dict.fromkeys(seeds))
+    derivable = set(queue)
+    # pred -> bound argument positions -> their values -> ground args
+    indexes: dict[str, dict[tuple[int, ...], dict]] = {}
+    triggers: dict[str, list] = {}
+
+    def emit(r: int, env: list, free: tuple[int, ...], nvars: int, head) -> None:
+        nonlocal needed
+        for combo in itertools.product(universe, repeat=len(free)):
+            for s, c in zip(free, combo):
+                env[s] = c
+            binding = tuple(env[:nvars])
+            if binding in found[r]:
+                continue
+            needed += 1
+            if needed > limit:
+                raise GroundingLimitError(needed, limit)
+            found[r].add(binding)
+            atom = (head[0], tuple(env[s] for s in head[1]))
+            if atom not in derivable:
+                derivable.add(atom)
+                queue.append(atom)
+
+    def join(steps, k: int, env: list, done) -> None:
+        if k == len(steps):
+            done(env)
+            return
+        idx, key, assign, check = steps[k]
+        for args in idx.get(tuple([env[s] for s in key]), ()):
+            for p, s in assign:
+                env[s] = args[p]
+            if all(args[p] == env[s] for p, s in check):
+                join(steps, k + 1, env, done)
+
+    for r, rule in enumerate(rules):
+        names = _rule_vars(rule)
+        slots = {name: i for i, name in enumerate(names)}
+        template: list = [None] * len(names)
+
+        def slot(term) -> int:
+            if isinstance(term, Var):
+                return slots[term.name]
+            key = ("const", term.name)
+            if key not in slots:
+                slots[key] = len(template)
+                template.append(term.name)
+            return slots[key]
+
+        head = (rule.head.pred, tuple(slot(a) for a in rule.head.args))
+        for alt in _alternatives(rule.body):
+            consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, Const)}
+            bound = {slot(a) for atom in alt for a in atom.args}
+            free = tuple(s for s in range(len(names)) if s not in bound)
+            done = functools.partial(emit, r, free=free, nvars=len(names), head=head)
+            if not alt:
+                done(list(template))
+            for i, first in enumerate(alt):
+                seen = set(consts)
+                plan = [_step(first, slot, seen)]
+                rest = list(alt[:i] + alt[i + 1 :])
+                while rest:
+                    best = max(rest, key=lambda a: sum(slot(t) in seen for t in a.args))
+                    rest.remove(best)
+                    plan.append(_step(best, slot, seen))
+                steps = [
+                    (indexes.setdefault(pred, {}).setdefault(pos, {}), *match)
+                    for pred, pos, *match in plan[1:]
+                ]
+                triggers.setdefault(first.pred, []).append(
+                    (template, *plan[0][1:], steps, done)
+                )
+
+    for pred, args in queue:  # grows while it is walked
+        for positions, idx in indexes.get(pred, {}).items():
+            idx.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        for template, positions, key, assign, check, steps, done in triggers.get(pred, ()):
+            env = list(template)
+            if any(args[p] != env[s] for p, s in zip(positions, key)):
+                continue
+            for p, s in assign:
+                env[s] = args[p]
+            if all(args[p] == env[s] for p, s in check):
+                join(steps, 0, env, done)
+    return found
+
+
+def _step(atom: Atom, slot, bound: set[int]) -> tuple:
+    """How to match ``atom`` once the slots in ``bound`` hold values: the
+    argument positions that must equal those slots, the slots the other
+    positions fill, and repeated fresh variables to compare; ``bound`` then
+    gains the filled slots."""
+    positions, key, assign, check = [], [], [], []
+    fresh: set[int] = set()
+    for p, arg in enumerate(atom.args):
+        s = slot(arg)
+        if s in bound:
+            positions.append(p)
+            key.append(s)
+        elif s in fresh:
+            check.append((p, s))
+        else:
+            fresh.add(s)
+            assign.append((p, s))
+    bound |= fresh
+    return atom.pred, tuple(positions), tuple(key), tuple(assign), tuple(check)
 
 
 def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTable) -> int:
@@ -174,9 +360,10 @@ def least_model(
     limit: int = GROUND_LIMIT,
     gp: GroundProgram | None = None,
 ) -> tuple[Interpretation, int]:
-    """Least model and the number of rounds taken to settle on it."""
+    """Least model and the number of rounds taken to settle on it, over
+    ``gp`` when given, else over the relevant instances of ``program``."""
     if gp is None:
-        gp = ground(program, limit)
+        gp = ground_relevant(program, limit)
     if mode == "naive":
         return _naive(gp, table)
     if mode == "delta":
@@ -213,14 +400,15 @@ def _delta(gp: GroundProgram, table: InverseMappingTable) -> tuple[Interpretatio
 
     interp = Interpretation()
     bottom = Interpretation()
-    changed: set[Atom] = set()
+    # insertion-ordered, so the rules fire in the same order on every run
+    changed: dict[Atom, None] = {}
     for atom, tv in gp.facts:
         if interp.raise_to(atom, tv):
-            changed.add(atom)
+            changed[atom] = None
     for rule in gp.rules:
         body = eval_ground_body(rule.body, bottom, table)
         if interp.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n)):
-            changed.add(rule.head)
+            changed[rule.head] = None
     rounds = 1
 
     while changed:
@@ -231,11 +419,11 @@ def _delta(gp: GroundProgram, table: InverseMappingTable) -> tuple[Interpretatio
                 if id(rule) not in seen:
                     seen.add(id(rule))
                     pending.append(rule)
-        changed = set()
+        changed = {}
         for rule in pending:
             body = eval_ground_body(rule.body, interp, table)
             if interp.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n)):
-                changed.add(rule.head)
+                changed[rule.head] = None
         rounds += 1
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")

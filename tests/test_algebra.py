@@ -13,9 +13,18 @@ from fllp import (
     load_algebra_config,
     term,
 )
-from fllp.algebra import HedgeAlgebraSpec, HedgeDecl, parse_algebra_config
+from fllp.algebra import (
+    DOMAIN_LIMIT,
+    DomainLimitError,
+    HedgeAlgebraSpec,
+    HedgeDecl,
+    domain_size,
+    parse_algebra_config,
+)
 
+from conftest import ASYM_CONFIG
 from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
+from randprog import random_algebra
 
 
 def test_default_domain_enumeration(domain):
@@ -162,3 +171,29 @@ def test_enumerate_domain_is_deterministic(algebra):
     a = enumerate_domain(algebra)
     b = enumerate_domain(algebra)
     assert a.values == b.values
+
+
+@pytest.mark.parametrize("config", [DEFAULT_ALGEBRA_CONFIG, ASYM_CONFIG])
+@pytest.mark.parametrize("limit", range(5))
+def test_domain_size_counts_the_enumeration(config, limit):
+    spec, _ = parse_algebra_config(config.replace("limit: 2", f"limit: {limit}"))
+    assert domain_size(spec) == len(enumerate_domain(build_algebra(spec)))
+
+
+def test_domain_size_on_random_algebras():
+    for seed in range(10):
+        algebra, domain = random_algebra(seed)
+        assert domain_size(algebra.spec) == len(domain)
+
+
+def test_build_algebra_refuses_a_domain_over_the_cap():
+    spec, _ = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 99"))
+    with pytest.raises(DomainLimitError) as err:
+        build_algebra(spec)  # refused before anything is enumerated
+    assert err.value.needed > DOMAIN_LIMIT == err.value.limit
+    one = HedgeAlgebraSpec("false", "true", (HedgeDecl("very", True, 1),),
+                           {("very", "very"): True}, 10**9)
+    with pytest.raises(DomainLimitError):
+        build_algebra(one)
+    none = HedgeAlgebraSpec("false", "true", (), {}, 10**9)
+    assert domain_size(none) == 5

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,13 @@ from fllp.cli import main
 from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
 
 RECURSIVE = "p(a) : little true.\np(X) <-g #very(p(X)) : abstrue.\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# six chained q atoms over eleven constants: 1,771,572 base atoms
+CAPPED = "\n".join(
+    [f"q(c{i}) : true." for i in range(11)]
+    + ["p(A,B,C,D,E,F) <-g and_g(q(A), q(B), q(C), q(D), q(E), q(F)) : true."]
+) + "\n"
 
 
 def run(capsys, *argv):
@@ -155,12 +166,44 @@ def test_model_naive_and_delta(capsys, samples_dir):
 
 
 def test_model_grounding_cap(capsys, tmp_path):
-    lines = [f"q(c{i}) : true." for i in range(11)]
-    lines.append("p(A,B,C,D,E,F) <-g and_g(q(A), q(B), q(C), q(D), q(E), q(F)) : true.")
     prog = tmp_path / "big.fllp"
-    prog.write_text("\n".join(lines) + "\n")
+    prog.write_text(CAPPED)
     code, out, err = run(capsys, "model", str(prog))
     assert code == 2 and "error:" in err
+
+
+def _fllp(*argv, hash_seed="0", timeout=60):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, "-m", "fllp", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_model_grounding_cap_is_refused_without_building(tmp_path):
+    prog = tmp_path / "big.fllp"
+    prog.write_text(CAPPED)
+    proc = _fllp("model", str(prog), timeout=20)
+    assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+def test_model_delta_iterations_do_not_depend_on_hashing(tmp_path):
+    prog = tmp_path / "chain.fllp"
+    prog.write_text(
+        "".join(f"edge(n{i},n{i + 1}) : more true.\n" for i in range(10))
+        + "path(X,Y) <-g edge(X,Y) : abstrue.\n"
+        + "path(X,Y) <-g and_g(edge(X,Z), #more(path(Z,Y))) : abstrue.\n"
+    )
+    runs = [_fllp("model", "--mode", "delta", str(prog), hash_seed=s) for s in ("1", "3")]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_domain_cap_exit_code(capsys, tmp_path):
+    huge = tmp_path / "huge.alg"
+    huge.write_text(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 99"))
+    code, out, err = run(capsys, "domain", "--algebra", str(huge))
+    assert code == 2 and out == "" and "truth domain" in err
 
 
 def test_surface(capsys, samples_dir):

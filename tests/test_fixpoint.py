@@ -4,12 +4,35 @@ import random
 
 import pytest
 
-from fllp import GroundingLimitError, Interpretation, least_model
-from fllp.fixpoint import dump_model, eval_ground_body, ground, tp_apply
-from fllp.lang import Atom, Const, load_program, parse_program, parse_query
+from fllp import GODEL, GroundingLimitError, Interpretation, build_inverse_table, least_model
+from fllp.fixpoint import (
+    dump_model,
+    eval_ground_body,
+    ground,
+    ground_relevant,
+    tp_apply,
+)
+from fllp.lang import (
+    Atom,
+    Const,
+    Disj,
+    Fact,
+    Grade,
+    Program,
+    Rule,
+    Var,
+    load_program,
+    parse_program,
+    parse_query,
+)
 
 from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS
-from randprog import random_program
+from randprog import random_algebra, random_program
+
+CHAIN10 = "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in range(10)) + (
+    "path(X,Y) <-g edge(X,Y) : abstrue.\n"
+    "path(X,Y) <-g and_g(edge(X,Z), #more(path(Z,Y))) : abstrue.\n"
+)
 
 
 def test_employee_least_model(samples_dir):
@@ -134,3 +157,59 @@ def test_model_agrees_with_the_solver_on_the_samples(samples_dir):
         model, _ = least_model(program, table)
         pred = query.split("(")[0]
         assert model[Atom(pred, (Const(const),))] == want
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+@pytest.mark.parametrize("algebra", ["default", "random"])
+@pytest.mark.parametrize("seed", range(40))
+def test_relevant_grounding_agrees_with_full_grounding(seed, algebra, domain, table):
+    if algebra == "random":
+        _, domain = random_algebra(seed)
+        table = build_inverse_table(domain)
+    program = random_program(seed, domain, recursive=seed % 2 == 1)
+    full = ground(program)
+    relevant = ground_relevant(program)
+    assert (relevant.facts, relevant.base) == (full.facts, full.base)
+    assert _is_subsequence(relevant.rules, full.rules)
+    for mode in ("naive", "delta"):
+        model, rounds = least_model(program, table, mode=mode)
+        assert (model, rounds) == least_model(program, table, mode=mode, gp=full)
+    kept = set(relevant.rules)
+    for rule in full.rules:
+        if eval_ground_body(rule.body, model, table) > 0:
+            assert rule in kept
+
+
+def test_relevant_grounding_counts_only_instances_built(domain, table):
+    program = parse_program(CHAIN10, domain)
+    with pytest.raises(GroundingLimitError):
+        ground(program, limit=1000)  # 242 base atoms, 10 facts, 1,452 rules
+    model, _ = least_model(program, table, limit=1000)
+    assert sum(1 for atom, v in model.items() if v and atom.pred == "path") == 55
+    # the base and the facts fit under 300, the 55 relevant instances do not
+    with pytest.raises(GroundingLimitError) as err:
+        least_model(program, table, limit=300)
+    assert err.value.needed > 300 and err.value.limit == 300
+
+
+def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
+    a, b = Const("a"), Const("b")
+    x = Var("X")
+    statements = (
+        Fact(Atom("q", (a,)), 20),
+        # X occurs only in the head: it ranges over the whole universe
+        Rule(Atom("p", (x,)), GODEL, Atom("q", (a,)), 30),
+        # the grade part alone can make the body nonzero
+        Rule(Atom("r", (x,)), GODEL, Disj((Atom("s", (x,)), Grade(10))), 30),
+        Rule(Atom("s", (b,)), GODEL, Disj((Atom("s", (b,)), Grade(0))), 30),
+    )
+    program = Program(statements)
+    relevant = ground_relevant(program)
+    assert [f"{r.head.pred}({r.head.args[0].name})" for r in relevant.rules] == [
+        "p(a)", "p(b)", "r(a)", "r(b)",
+    ]
+    assert least_model(program, table) == least_model(program, table, gp=ground(program))
