@@ -160,10 +160,6 @@ class HedgeAlgebra:
         """All hedges, ascending by the extended order (identity omitted)."""
         return tuple(reversed(self.minus_hedges)) + self.plus_hedges
 
-    def hedge_class(self, name: str) -> bool:
-        self.e_index(name)
-        return self._class[name]
-
     def positive_wrt(self, modifier: str, target: str) -> bool:
         try:
             return self._positivity[(modifier, target)]

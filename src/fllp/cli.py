@@ -52,6 +52,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer, 0 or more, not {text!r}")
+    return depth
+
+
 def _build_parser() -> _ArgumentParser:
     top = _ArgumentParser(prog="fllp", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -73,7 +83,7 @@ def _build_parser() -> _ArgumentParser:
     algebra_opt(p)
     p.add_argument("program", help="program file")
     p.add_argument("-q", "--query", help="query; omit for a REPL on stdin")
-    p.add_argument("--depth", type=int, default=64, metavar="N",
+    p.add_argument("--depth", type=_depth, default=64, metavar="N",
                    help="resolution depth limit, 0 for unlimited (default 64)")
     p.add_argument("--threshold", metavar="GRADE",
                    help="only answers at or above this grade ('probably true' or v30)")
@@ -87,7 +97,7 @@ def _build_parser() -> _ArgumentParser:
     algebra_opt(p)
     p.add_argument("program", help="program file")
     p.add_argument("--mode", choices=("naive", "delta"), default="naive",
-                   help="iteration strategy (default naive)")
+                   help="accepted for compatibility; both run the same engine")
     p.add_argument("--out", metavar="FILE", help="write the model to a file")
 
     p = sub.add_parser("surface", help="evaluate a control file")

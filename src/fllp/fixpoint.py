@@ -7,17 +7,21 @@ grade, or the rule conjunction of the body value under the current
 interpretation with the rule grade.  The operator is monotone over a
 finite lattice, so iterating from the empty interpretation reaches the
 least model; iteration stops on the first round that changes nothing, and
-that confirming round is included in the reported count.  Delta mode
-raises atoms in place, in a fixed order, so its count can be lower but is
-the same on every run.
+that confirming round is included in the reported count.  ``least_model``
+iterates semi-naively: the first round fires every instance, each later
+round only the instances with a body atom that rose in the round before,
+reading the interpretation the previous round left.  The iterates ascend,
+so any other instance gives what it gave last round, at most its head's
+current value; every round equals a full application, and the count is
+the number of operator rounds.
 
 Grounding instantiates variables over the constants appearing in the
 program (a single fallback constant when there are none).  ``ground``
 builds every instance and is the reference; ``least_model`` builds only
 the rule instances whose bodies can be nonzero (``ground_relevant``).
 Every conjunction and every hedge keeps bottom at bottom, so the other
-instances add nothing to any round, and the model and the naive round
-count are the same.  Both count the Herbrand base and the fact instances
+instances add nothing to any round, and the model and the round count
+are the same.  Both count the Herbrand base and the fact instances
 before building anything; ``ground`` adds every rule instance to that
 count up front, ``ground_relevant`` each instance as it is found.  Either
 stops at ``GROUND_LIMIT``.
@@ -360,73 +364,34 @@ def least_model(
     limit: int = GROUND_LIMIT,
     gp: GroundProgram | None = None,
 ) -> tuple[Interpretation, int]:
-    """Least model and the number of rounds taken to settle on it, over
-    ``gp`` when given, else over the relevant instances of ``program``."""
+    """Least model and the number of consequence-operator rounds taken to
+    settle on it, over ``gp`` when given, else over the relevant instances
+    of ``program``.  Both modes run the same engine."""
+    if mode not in ("naive", "delta"):
+        raise ValueError(f"unknown evaluation mode: {mode!r}")
     if gp is None:
         gp = ground_relevant(program, limit)
-    if mode == "naive":
-        return _naive(gp, table)
-    if mode == "delta":
-        return _delta(gp, table)
-    raise ValueError(f"unknown evaluation mode: {mode!r}")
-
-
-def _round_cap(gp: GroundProgram, table: InverseMappingTable) -> int:
-    return len(gp.base) * (table.domain.n + 1) + 1
-
-
-def _naive(gp: GroundProgram, table: InverseMappingTable) -> tuple[Interpretation, int]:
-    cap = _round_cap(gp, table)
-    interp = Interpretation()
-    rounds = 0
-    while True:
-        nxt = tp_apply(gp, table, interp)
-        rounds += 1
-        if nxt == interp:
-            return interp, rounds
-        if rounds > cap:
-            raise RuntimeError("consequence operator failed to settle")
-        interp = nxt
-
-
-def _delta(gp: GroundProgram, table: InverseMappingTable) -> tuple[Interpretation, int]:
-    """Same fixpoint, recomputing only rules whose bodies saw a change."""
-    cap = _round_cap(gp, table)
     n = table.domain.n
-    triggers: dict[Atom, list[GroundRule]] = {}
-    for rule in gp.rules:
+    cap = len(gp.base) * (n + 1) + 1
+    triggers: dict[Atom, list[int]] = {}
+    for i, rule in enumerate(gp.rules):
         for atom in atoms_of(rule.body):
-            triggers.setdefault(atom, []).append(rule)
+            triggers.setdefault(atom, []).append(i)
 
-    interp = Interpretation()
-    bottom = Interpretation()
-    # insertion-ordered, so the rules fire in the same order on every run
-    changed: dict[Atom, None] = {}
-    for atom, tv in gp.facts:
-        if interp.raise_to(atom, tv):
-            changed[atom] = None
-    for rule in gp.rules:
-        body = eval_ground_body(rule.body, bottom, table)
-        if interp.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n)):
-            changed[rule.head] = None
-    rounds = 1
-
+    interp = tp_apply(gp, table, Interpretation())
+    rounds, changed = 1, list(interp)
     while changed:
-        pending: list[GroundRule] = []
-        seen: set[int] = set()
-        for atom in changed:
-            for rule in triggers.get(atom, ()):
-                if id(rule) not in seen:
-                    seen.add(id(rule))
-                    pending.append(rule)
-        changed = {}
-        for rule in pending:
-            body = eval_ground_body(rule.body, interp, table)
-            if interp.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n)):
-                changed[rule.head] = None
-        rounds += 1
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
+        raised = Interpretation()
+        for i in {i for atom in changed for i in triggers.get(atom, ())}:
+            rule = gp.rules[i]
+            body = eval_ground_body(rule.body, interp, table)
+            value = t_norm(rule.kind, body, rule.tv, n)
+            if value > interp[rule.head]:
+                raised.raise_to(rule.head, value)
+        interp.update(raised)
+        rounds, changed = rounds + 1, list(raised)
     return interp, rounds
 
 

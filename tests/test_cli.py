@@ -123,6 +123,16 @@ def test_query_unbounded_depth(capsys, samples_dir):
     assert out == "answer: X=ritz ; tv=little probably true (v28)\n"
 
 
+@pytest.mark.parametrize("depth", ["-3", "-1", "x"])
+def test_query_rejects_a_malformed_depth(capsys, samples_dir, depth):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", str(samples_dir / "good_employee_luka.fllp"),
+              "-q", "gd_em(X)", "--depth", depth])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--depth" in captured.err
+
+
 def test_query_trace_goes_to_the_answer_stream(capsys, samples_dir):
     code, out, _ = run(
         capsys, "query", str(samples_dir / "good_employee_luka.fllp"),
@@ -163,6 +173,18 @@ def test_model_naive_and_delta(capsys, samples_dir):
     assert code == 0 and out == want
     code, out, _ = run(capsys, "model", prog, "--mode", "delta")
     assert code == 0 and out == want
+
+
+def test_model_counts_operator_rounds_in_both_modes(capsys, tmp_path):
+    prog = tmp_path / "chain.fllp"
+    prog.write_text(
+        "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in reversed(range(3)))
+        + "path(X,Y) <-g edge(X,Y) : abstrue.\n"
+        + "path(X,Y) <-g and_g(edge(X,Z), #more(path(Z,Y))) : abstrue.\n"
+    )
+    for mode in ((), ("--mode", "delta")):
+        code, out, _ = run(capsys, "model", str(prog), *mode)
+        assert code == 0 and out.splitlines()[-1] == "iterations: 5"
 
 
 def test_model_grounding_cap(capsys, tmp_path):

@@ -52,12 +52,27 @@ def test_delta_mode_matches_naive(samples_dir):
         least_model(program, table, mode="eager")
 
 
+def _iterate_tp(gp, table):
+    """The least model by plain iteration of the consequence operator from
+    the empty interpretation, with the number of rounds, the repeat included."""
+    interp, rounds = Interpretation(), 0
+    while True:
+        nxt = tp_apply(gp, table, interp)
+        rounds += 1
+        if nxt == interp:
+            return interp, rounds
+        interp = nxt
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_delta_mode_matches_naive_on_random_programs(seed, domain, table):
-    program = random_program(seed, domain)
-    naive, _ = least_model(program, table, mode="naive")
-    delta, _ = least_model(program, table, mode="delta")
-    assert naive == delta
+    _, other = random_algebra(seed)
+    for domain, table in ((domain, table), (other, build_inverse_table(other))):
+        for recursive in (False, True):
+            program = random_program(seed, domain, recursive=recursive)
+            want = _iterate_tp(ground(program), table)
+            for mode in ("naive", "delta"):
+                assert least_model(program, table, mode=mode) == want
 
 
 @pytest.mark.parametrize("seed", range(10))
