@@ -1,148 +1,26 @@
 """Logic programming with linguistic truth values and hedge connectives.
 
-Programs state graded facts and rules over a finite, totally ordered
-domain of truth literals ("very true", "little probably false", ...)
-derived from a hedge algebra.  The package answers queries top-down with
-threshold pruning, computes least models bottom-up, reduces rule-based
-control tables to such programs, and compiles everything to plain clause
-text.  See the README for the file formats and the command line.
+Each layer is its own module: ``algebra`` (hedge algebras, truth domains
+and their configs), ``inverse`` (hedge mapping tables), ``connectives``,
+``lang`` (programs), ``solver`` (top-down queries), ``fixpoint`` (least
+models), ``control`` (controller tables), ``prolog`` (clause text) and
+``cli``, the one place that combines them.  Import names from the module
+that defines them; the root re-exports only the algebra and table
+builders, so ``import fllp`` loads no program layer.
 """
 
-from __future__ import annotations
-
 from .algebra import (
-    BOTTOM,
     DEFAULT_ALGEBRA_CONFIG,
-    MIDDLE,
-    TOP,
-    AlgebraError,
-    HedgeAlgebra,
     HedgeAlgebraSpec,
     HedgeDecl,
-    TruthDomain,
-    TruthValue,
     build_algebra,
     enumerate_domain,
     load_algebra_config,
-    term,
 )
-from .connectives import GODEL, LUKA, implicator, s_norm, t_norm
-from .control import (
-    ControlRule,
-    ControlSystem,
-    compile_control,
-    format_surface,
-    goodness_surface,
-    parse_control_file,
-    recommend,
-)
-from .fixpoint import (
-    GroundingLimitError,
-    Interpretation,
-    dump_model,
-    eval_ground_body,
-    ground,
-    least_model,
-    tp_apply,
-)
-from .inverse import (
-    InverseMappingTable,
-    InverseTableError,
-    build_inverse_table,
-    validate_inverse_table,
-)
-from .lang import (
-    Atom,
-    Conj,
-    Const,
-    Disj,
-    Fact,
-    HedgeApp,
-    ParseError,
-    Program,
-    Rule,
-    Var,
-    format_atom,
-    format_value,
-    load_program,
-    parse_program,
-    parse_query,
-    pretty_print,
-    validate_program,
-)
-from .prolog import compile_program, compile_query
-from .solver import (
-    ComputedAnswer,
-    SolveOptions,
-    SolveResult,
-    format_answer,
-    next_threshold,
-    solve,
-)
-
-__version__ = "0.1.0"
+from .connectives import GODEL, LUKA
+from .inverse import build_inverse_table
 
 __all__ = [
-    "AlgebraError",
-    "Atom",
-    "BOTTOM",
-    "ComputedAnswer",
-    "Conj",
-    "Const",
-    "ControlRule",
-    "ControlSystem",
-    "DEFAULT_ALGEBRA_CONFIG",
-    "Disj",
-    "Fact",
-    "GODEL",
-    "GroundingLimitError",
-    "HedgeAlgebra",
-    "HedgeAlgebraSpec",
-    "HedgeApp",
-    "HedgeDecl",
-    "Interpretation",
-    "InverseMappingTable",
-    "InverseTableError",
-    "LUKA",
-    "MIDDLE",
-    "ParseError",
-    "Program",
-    "Rule",
-    "SolveOptions",
-    "SolveResult",
-    "TOP",
-    "TruthDomain",
-    "TruthValue",
-    "Var",
-    "build_algebra",
-    "build_inverse_table",
-    "compile_control",
-    "compile_program",
-    "compile_query",
-    "dump_model",
-    "enumerate_domain",
-    "eval_ground_body",
-    "format_atom",
-    "format_answer",
-    "format_surface",
-    "format_value",
-    "goodness_surface",
-    "ground",
-    "implicator",
-    "least_model",
-    "load_algebra_config",
-    "load_program",
-    "next_threshold",
-    "parse_control_file",
-    "parse_program",
-    "parse_query",
-    "pretty_print",
-    "recommend",
-    "s_norm",
-    "solve",
-    "t_norm",
-    "term",
-    "tp_apply",
-    "validate_inverse_table",
-    "validate_program",
+    "DEFAULT_ALGEBRA_CONFIG", "GODEL", "LUKA", "HedgeAlgebraSpec", "HedgeDecl",
+    "build_algebra", "build_inverse_table", "enumerate_domain", "load_algebra_config",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 LT, EQ, GT = -1, 0, 1
@@ -31,21 +32,34 @@ RESERVED_NAMES = frozenset({BOTTOM_NAME, MIDDLE_NAME, TOP_NAME})
 DOMAIN_LIMIT = 10**5
 
 
-class AlgebraError(ValueError):
-    """Invalid algebra description or operation; carries every violation found."""
+class InputError(ValueError):
+    """Malformed input (an algebra config, inverse table, program or control
+    file); carries every violation found."""
 
     def __init__(self, violations: Iterable[str]):
         self.violations = tuple(violations)
         super().__init__("; ".join(self.violations))
 
 
-class DomainLimitError(RuntimeError):
+class AlgebraError(InputError):
+    """Invalid algebra description or operation."""
+
+
+class LimitError(RuntimeError):
+    """A run would need more of a bounded resource than its limit allows."""
+
+    subject = unit = ""
+
     def __init__(self, needed: int, limit: int):
         self.needed = needed
         self.limit = limit
         super().__init__(
-            f"the truth domain needs at least {needed} values, over the limit of {limit}"
+            f"{self.subject} needs at least {needed} {self.unit}, over the limit of {limit}"
         )
+
+
+class DomainLimitError(LimitError):
+    subject, unit = "the truth domain", "values"
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,6 @@ class HedgeAlgebra:
         self.minus_hedges = tuple(d.name for d in minus)
         self._e_index = {name: i + 1 for i, name in enumerate(self.plus_hedges)}
         self._e_index.update({name: -(i + 1) for i, name in enumerate(self.minus_hedges)})
-        self.hedge_names = frozenset(self._e_index)
         # Greatest hedge under the extended order, used to probe chain direction.
         if self.plus_hedges:
             self._top_hedge = self.plus_hedges[-1]
@@ -542,6 +555,15 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
     assert primaries is not None and limit is not None
     spec = HedgeAlgebraSpec(primaries[0], primaries[1], tuple(hedges), positivity, limit)
     return spec, tuple(overrides)
+
+
+def read_algebra_config(*paths: str | Path | None) -> str:
+    """Text of the first config file named (``None`` names none), else the
+    built-in default."""
+    for path in paths:
+        if path is not None:
+            return Path(path).read_text(encoding="utf-8")
+    return DEFAULT_ALGEBRA_CONFIG
 
 
 def load_algebra_config(text: str):

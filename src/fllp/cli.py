@@ -23,23 +23,11 @@ import re
 import sys
 from pathlib import Path
 
-from .algebra import (
-    DEFAULT_ALGEBRA_CONFIG,
-    AlgebraError,
-    DomainLimitError,
-    TruthDomain,
-    load_algebra_config,
-)
+from .algebra import LimitError, TruthDomain, load_algebra_config, read_algebra_config
 from .control import format_surface, goodness_surface, parse_control_file
-from .fixpoint import GroundingLimitError, dump_model, least_model
-from .inverse import InverseTableError, build_inverse_table
-from .lang import (
-    ParseError,
-    format_value,
-    load_program,
-    parse_query,
-    validate_program,
-)
+from .fixpoint import dump_model, least_model
+from .inverse import build_inverse_table
+from .lang import format_value, load_program, parse_query, validate_program
 from .prolog import compile_program, compile_query
 from .solver import SolveOptions, format_answer, solve
 
@@ -127,23 +115,19 @@ def _errors(exc) -> int:
     return 1
 
 
-def _fallback_config() -> str:
-    """Algebra for runs where neither ``--algebra`` nor a program directive
-    names one: the file in ``FLLP_ALGEBRA``, else the built-in default."""
-    env = os.environ.get(ENV_ALGEBRA)
-    return Path(env).read_text(encoding="utf-8") if env else DEFAULT_ALGEBRA_CONFIG
+def _env_algebra() -> str | None:
+    """The file in ``FLLP_ALGEBRA``, read only when nothing else names one."""
+    return os.environ.get(ENV_ALGEBRA) or None
 
 
-def _config_text(algebra: str | None) -> str:
-    """Algebra config for subcommands that read no program."""
-    if algebra:
-        return Path(algebra).read_text(encoding="utf-8")
-    return _fallback_config()
+def _load_algebra(args) -> tuple:
+    """Algebra, domain and overrides for subcommands that read no program."""
+    return load_algebra_config(read_algebra_config(args.algebra, _env_algebra()))
 
 
 def _load(args) -> tuple:
     """Program plus inverse table for subcommands that read a program."""
-    return load_program(args.program, args.algebra, default_config=_fallback_config())
+    return load_program(args.program, args.algebra, _env_algebra())
 
 
 def _parse_grade(domain: TruthDomain, text: str) -> int:
@@ -159,7 +143,7 @@ def _parse_grade(domain: TruthDomain, text: str) -> int:
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_domain(args) -> int:
-    algebra, domain, overrides = load_algebra_config(_config_text(args.algebra))
+    algebra, domain, overrides = _load_algebra(args)
     lines = [format_value(domain, i) for i in range(len(domain))]
     if args.inverse:
         table = build_inverse_table(domain, overrides)
@@ -237,7 +221,7 @@ def _cmd_query(args) -> int:
         lines = []
         try:
             code = max(code, _run_query(program, table, line, opts, lines))
-        except (ParseError, ValueError) as exc:
+        except ValueError as exc:
             _errors(exc)
             continue
         print("\n".join(lines))
@@ -254,7 +238,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    algebra, domain, overrides = load_algebra_config(_config_text(args.algebra))
+    algebra, domain, overrides = _load_algebra(args)
     table = build_inverse_table(domain, overrides)
     cs = parse_control_file(Path(args.control).read_text(encoding="utf-8"), domain)
     surface = goodness_surface(cs, table)
@@ -285,11 +269,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainLimitError, GroundingLimitError) as exc:
+    except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraError, InverseTableError, ParseError) as exc:
-        return _errors(exc)
     except (OSError, ValueError) as exc:
         return _errors(exc)
 

@@ -27,6 +27,7 @@ from .connectives import GODEL
 from .fixpoint import least_model
 from .inverse import InverseMappingTable
 from .lang import (
+    RESERVED_PREDICATES,
     Atom,
     Conj,
     Const,
@@ -40,7 +41,7 @@ from .lang import (
 )
 
 GOOD = "good"
-_RESERVED = (GOOD, "and_g", "and_l", "or")
+_RESERVED = (GOOD, *RESERVED_PREDICATES)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .algebra import LimitError
 from .connectives import t_norm
 from .inverse import InverseMappingTable
 from .lang import (
@@ -55,13 +56,8 @@ from .lang import (
 GROUND_LIMIT = 10**6
 
 
-class GroundingLimitError(RuntimeError):
-    def __init__(self, needed: int, limit: int):
-        self.needed = needed
-        self.limit = limit
-        super().__init__(
-            f"grounding needs at least {needed} instances, over the limit of {limit}"
-        )
+class GroundingLimitError(LimitError):
+    subject, unit = "grounding", "instances"
 
 
 class Interpretation(dict):

@@ -30,6 +30,7 @@ from .algebra import (
     BOTTOM,
     MIDDLE,
     TOP,
+    InputError,
     InverseOverride,
     TruthDomain,
     TruthValue,
@@ -37,10 +38,8 @@ from .algebra import (
 )
 
 
-class InverseTableError(ValueError):
-    def __init__(self, violations: Iterable[str]):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(self.violations))
+class InverseTableError(InputError):
+    """An inverse table that breaks the mapping conditions."""
 
 
 @dataclass(frozen=True)

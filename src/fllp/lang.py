@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Union
 
 from .algebra import (
-    DEFAULT_ALGEBRA_CONFIG,
+    InputError,
     TruthDomain,
     TruthValue,
     load_algebra_config,
+    read_algebra_config,
 )
 from .connectives import GODEL, LUKA
 from .inverse import InverseMappingTable, build_inverse_table
@@ -33,10 +35,8 @@ from .inverse import InverseMappingTable, build_inverse_table
 RESERVED_PREDICATES = ("and_g", "and_l", "or")
 
 
-class ParseError(ValueError):
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(self.violations))
+class ParseError(InputError):
+    """A program, query or control file that does not parse or validate."""
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ class _Token:
     line: int
 
 
-def _tokenize(text: str, errors: list[str]) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, errors: list[str]) -> Iterator[_Token]:
     pos = 0
     line = 1
     while pos < len(text):
@@ -214,10 +213,9 @@ def _tokenize(text: str, errors: list[str]) -> list[_Token]:
         kind = m.lastgroup or ""
         chunk = m.group()
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line))
+            yield _Token(kind, chunk, line)
         line += chunk.count("\n")
         pos = m.end()
-    return tokens
 
 
 class _Parser:
@@ -358,9 +356,11 @@ class _Bail(Exception):
 
 
 def algebra_directive(text: str) -> str | None:
-    """Path from a leading ``use algebra "..."`` statement, if present."""
-    errors: list[str] = []
-    toks = _tokenize(text, errors)
+    """Path from a leading ``use algebra "..."`` statement, if present.
+
+    Only the first four tokens are read, so the scan costs the same on any
+    program size."""
+    toks = list(islice(_tokenize(text, []), 4))
     if (
         len(toks) >= 4
         and toks[0].text == "use"
@@ -374,8 +374,7 @@ def algebra_directive(text: str) -> str | None:
 
 def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> Program:
     errors: list[str] = []
-    tokens = _tokenize(text, errors)
-    parser = _Parser(tokens, domain, errors)
+    parser = _Parser(list(_tokenize(text, errors)), domain, errors)
 
     algebra_path: str | None = None
     if (
@@ -411,7 +410,7 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
 def parse_query(text: str, domain: TruthDomain) -> Body:
     """A query is a body with an optional ``?-`` prefix and trailing dot."""
     errors: list[str] = []
-    tokens = _tokenize(text, errors)
+    tokens = list(_tokenize(text, errors))
     if errors:
         raise ParseError(errors)
     parser = _Parser(tokens, domain, errors)
@@ -540,27 +539,21 @@ def pretty_print(program: Program, domain: TruthDomain) -> str:
 def load_program(
     path: str | Path,
     algebra_file: str | Path | None = None,
-    default_config: str | None = None,
+    fallback: str | Path | None = None,
 ) -> tuple[Program, InverseMappingTable]:
     """Read a program file and the algebra it runs on.
 
     An explicit ``algebra_file`` wins over the program's own directive,
     which is resolved relative to the program's location; without either,
-    ``default_config`` (falling back to the built-in algebra) applies.
+    the ``fallback`` file applies, and without that the built-in algebra.
+    Only the file that applies is read.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-
-    config: str
-    if algebra_file is not None:
-        config = Path(algebra_file).read_text(encoding="utf-8")
-    else:
-        directive = algebra_directive(text)
-        if directive is not None:
-            config = (path.parent / directive).read_text(encoding="utf-8")
-        else:
-            config = default_config if default_config is not None else DEFAULT_ALGEBRA_CONFIG
-
+    directive = algebra_directive(text)
+    config = read_algebra_config(
+        algebra_file, None if directive is None else path.parent / directive, fallback
+    )
     algebra, domain, overrides = load_algebra_config(config)
     table = build_inverse_table(domain, overrides)
     program = parse_program(text, domain, source=str(path))

@@ -68,6 +68,10 @@ class SolveOptions:
     exhaustive: bool = False
     trace: bool = False
 
+    def __post_init__(self):
+        if self.depth is not None and self.depth < 0:
+            raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
+
 
 @dataclass(frozen=True)
 class ComputedAnswer:

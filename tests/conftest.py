@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fllp import DEFAULT_ALGEBRA_CONFIG, build_inverse_table, load_algebra_config
+from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
+from fllp.inverse import build_inverse_table
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 

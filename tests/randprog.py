@@ -9,14 +9,8 @@ from __future__ import annotations
 
 import random
 
-from fllp import (
-    GODEL,
-    LUKA,
-    HedgeAlgebraSpec,
-    HedgeDecl,
-    build_algebra,
-    enumerate_domain,
-)
+from fllp.algebra import HedgeAlgebraSpec, HedgeDecl, build_algebra, enumerate_domain
+from fllp.connectives import GODEL, LUKA
 from fllp.lang import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
 
 CONSTS = ("a", "b", "c")

@@ -12,19 +12,12 @@ import contextlib
 import random
 import time
 
-from fllp import (
-    GODEL,
-    LUKA,
-    build_inverse_table,
-    implicator,
-    least_model,
-    load_algebra_config,
-    t_norm,
-    validate_inverse_table,
-)
+from fllp.algebra import load_algebra_config
 from fllp.cli import main
+from fllp.connectives import GODEL, LUKA, implicator, t_norm
 from fllp.control import compile_control, goodness_surface, parse_control_file
-from fllp.fixpoint import ground
+from fllp.fixpoint import ground, least_model
+from fllp.inverse import build_inverse_table, validate_inverse_table
 from fllp.lang import Atom, Const, load_program, parse_query
 from fllp.prolog import compile_program, compile_query
 from fllp.solver import SolveOptions, solve
@@ -151,7 +144,7 @@ def test_06_adjointness(capsys):
 
 def test_07_inverse_conditions_hold_widely(capsys, vmpl):
     with criterion(capsys, 7, "mapping conditions on many algebras"):
-        from fllp import DEFAULT_ALGEBRA_CONFIG
+        from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 
         for limit in (1, 2, 3):
             config = DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", f"limit: {limit}")
@@ -201,8 +194,7 @@ def test_09_completeness_without_recursion(capsys, table):
 
 def test_10_consequence_operator_behaves(capsys, table):
     with criterion(capsys, 10, "consequence operator"):
-        from fllp import Interpretation
-        from fllp.fixpoint import tp_apply
+        from fllp.fixpoint import Interpretation, tp_apply
 
         domain = table.domain
         rng = random.Random(7)

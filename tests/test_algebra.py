@@ -2,24 +2,22 @@ from __future__ import annotations
 
 import pytest
 
-from fllp import (
+from fllp.algebra import (
     BOTTOM,
     DEFAULT_ALGEBRA_CONFIG,
+    DOMAIN_LIMIT,
     MIDDLE,
     TOP,
     AlgebraError,
-    build_algebra,
-    enumerate_domain,
-    load_algebra_config,
-    term,
-)
-from fllp.algebra import (
-    DOMAIN_LIMIT,
     DomainLimitError,
     HedgeAlgebraSpec,
     HedgeDecl,
+    build_algebra,
     domain_size,
+    enumerate_domain,
+    load_algebra_config,
     parse_algebra_config,
+    term,
 )
 
 from conftest import ASYM_CONFIG

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fllp import DEFAULT_ALGEBRA_CONFIG
+from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.cli import main
 
 from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
@@ -61,6 +61,22 @@ def test_domain_algebra_flag_and_env(capsys, tmp_path, monkeypatch):
     vmpl.write_text(DEFAULT_ALGEBRA_CONFIG)
     code, out, _ = run(capsys, "domain", "--algebra", str(vmpl))
     assert len(out.splitlines()) == 45  # the flag beats the env var
+
+
+def test_env_algebra_is_read_only_when_nothing_else_names_one(
+    capsys, samples_dir, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("FLLP_ALGEBRA", str(tmp_path / "missing.alg"))
+    hotel = str(samples_dir / "hotel.fllp")
+    code, out, err = run(capsys, "check", hotel)  # the directive applies
+    assert (code, out, err) == (0, "ok: 4 fact(s), 2 rule(s)\n", "")
+    code, _, err = run(capsys, "check", hotel, "--algebra", str(samples_dir / "vmpl.alg"))
+    assert code == 0 and err == ""
+
+    plain = tmp_path / "plain.fllp"
+    plain.write_text("p : true.\n")
+    code, out, err = run(capsys, "check", str(plain))
+    assert code == 1 and out == "" and "missing.alg" in err
 
 
 def test_check_reports_ok(capsys, samples_dir):
@@ -200,6 +216,25 @@ def _fllp(*argv, hash_seed="0", timeout=60):
         [sys.executable, "-m", "fllp", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_package_root_loads_only_the_algebra_layers():
+    code = (
+        "import sys, fllp\n"
+        "print(sorted(m for m in sys.modules if m.startswith('fllp.')))\n"
+        "print(sorted(n for n in fllp.__all__ if hasattr(fllp, n)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, names = proc.stdout.splitlines()
+    assert loaded == str(["fllp.algebra", "fllp.connectives", "fllp.inverse"])
+    assert names == str(sorted([
+        "DEFAULT_ALGEBRA_CONFIG", "GODEL", "LUKA", "HedgeAlgebraSpec", "HedgeDecl",
+        "build_algebra", "build_inverse_table", "enumerate_domain", "load_algebra_config",
+    ]))
 
 
 def test_model_grounding_cap_is_refused_without_building(tmp_path):

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fllp import GODEL, LUKA, implicator, s_norm, t_norm
-from fllp.connectives import KINDS
+from fllp.connectives import GODEL, KINDS, LUKA, implicator, s_norm, t_norm
 
 N = 44
 GRID = range(0, N + 1, 4)

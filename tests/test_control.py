@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fllp import GODEL, LUKA, ParseError, least_model
+from fllp.connectives import GODEL, LUKA
 from fllp.control import (
     compile_control,
     format_surface,
@@ -12,7 +12,8 @@ from fllp.control import (
     parse_control_file,
     recommend,
 )
-from fllp.lang import Atom, Const, Fact, Rule
+from fllp.fixpoint import least_model
+from fllp.lang import Atom, Const, Fact, ParseError, Rule
 
 from expected import HEATER_PICKS, HEATER_SURFACE
 

@@ -2,13 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from fllp import (
-    DEFAULT_ALGEBRA_CONFIG,
-    InverseTableError,
-    build_inverse_table,
-    load_algebra_config,
-    validate_inverse_table,
-)
+from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
+from fllp.inverse import InverseTableError, build_inverse_table, validate_inverse_table
 
 from expected import HEDGE_COLUMNS, expand_inverse_rows
 from randprog import random_algebra
@@ -47,7 +42,7 @@ def test_primary_cells_cancel(algebra, domain, table):
     # The defining cell of each column: mapping "h true" back through h
     # recovers "true".  The negative side comes from negation transfer and
     # deeper values only owe monotonicity, so no such law holds for them.
-    from fllp import term
+    from fllp.algebra import term
 
     true = term((), True)
     for h in algebra.extended_order():
@@ -88,7 +83,7 @@ def test_random_shapes_yield_valid_tables(seed):
 def test_interpolation_fallback_still_cancels(seed):
     # These shapes defeat the shift construction, so the builder falls back
     # to anchored interpolation; the cancellation property must survive.
-    from fllp import term
+    from fllp.algebra import term
 
     algebra, domain = random_algebra(seed)
     table = build_inverse_table(domain)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fllp import DEFAULT_ALGEBRA_CONFIG, ParseError
+from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.lang import (
     Atom,
     Conj,
@@ -11,6 +11,7 @@ from fllp.lang import (
     Fact,
     Grade,
     HedgeApp,
+    ParseError,
     Rule,
     Var,
     algebra_directive,
@@ -176,8 +177,11 @@ def test_load_program_precedence(tmp_path):
     program, table = load_program(tmp_path / "prog.fllp", algebra_file=tmp_path / "two.alg")
     assert len(table.domain) == 45  # explicit file wins over the directive
 
+    program, table = load_program(tmp_path / "prog.fllp", fallback=tmp_path / "two.alg")
+    assert len(table.domain) == 13  # the directive wins over the fallback
+
     (tmp_path / "plain.fllp").write_text("p : more true.\n")
-    program, table = load_program(tmp_path / "plain.fllp", default_config=alg)
+    program, table = load_program(tmp_path / "plain.fllp", fallback=tmp_path / "one.alg")
     assert len(table.domain) == 13
 
     program, table = load_program(tmp_path / "plain.fllp")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from fllp import build_inverse_table, load_algebra_config
+from fllp.algebra import load_algebra_config
+from fllp.inverse import build_inverse_table
 from fllp.lang import load_program, parse_program, parse_query
 from fllp.prolog import compile_program, compile_query
 

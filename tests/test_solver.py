@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from fllp import GODEL, LUKA, least_model
+from fllp.connectives import GODEL, LUKA
+from fllp.fixpoint import least_model
 from fllp.lang import Atom, Const, load_program, parse_program, parse_query
 from fllp.solver import (
     BranchCut,
@@ -84,6 +85,12 @@ def test_depth_limit_reports_exhaustion(domain, table):
     flat = parse_program("q(b) : true.\n", domain)
     done = solve(flat, table, parse_query("q(b)", domain), SolveOptions())
     assert not done.depth_exhausted
+
+
+def test_negative_depth_is_rejected():
+    with pytest.raises(ValueError, match="depth"):
+        SolveOptions(depth=-3)
+    assert SolveOptions(depth=0).depth == 0 and SolveOptions(depth=None).depth is None
 
 
 def test_threshold_filters_final_answers(samples_dir):
