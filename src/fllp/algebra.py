@@ -260,12 +260,11 @@ class HedgeAlgebra:
         self._check_value(v)
         return TruthValue("term", not v.positive, v.hedges)
 
-    def apply_hedge(self, h: str, v: TruthValue, strict: bool = False) -> TruthValue:
+    def apply_hedge(self, h: str, v: TruthValue) -> TruthValue:
         """Prepend ``h`` as the new outermost hedge.
 
         The constants are fixed points.  A term already at the length limit
-        is returned unchanged, unless ``strict`` is set, in which case the
-        over-long application is an error.
+        is returned unchanged.
         """
         if not self.has_hedge(h):
             raise AlgebraError([f"undeclared hedge: {h!r}"])
@@ -273,10 +272,6 @@ class HedgeAlgebra:
             return v
         self._check_value(v)
         if len(v.hedges) >= self.limit:
-            if strict:
-                raise AlgebraError(
-                    [f"applying {h!r} exceeds the hedge-string limit {self.limit}"]
-                )
             return v
         return TruthValue("term", v.positive, (h,) + v.hedges)
 

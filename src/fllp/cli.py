@@ -153,7 +153,7 @@ def _cmd_domain(args) -> int:
             col = table.columns[decl.name]
             for i in range(len(domain)):
                 lines.append(f"  {format_value(domain, i)} -> {format_value(domain, col[i])}")
-    _emit("\n".join(lines) + "\n", getattr(args, "out", None))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -193,7 +193,7 @@ def _cmd_query(args) -> int:
     if args.threshold:
         threshold = _parse_grade(table.domain, args.threshold)
     opts = SolveOptions(
-        depth=None if args.depth == 0 else args.depth,
+        depth=args.depth,
         threshold=threshold,
         best=args.best,
         exhaustive=args.exhaustive,
@@ -206,7 +206,9 @@ def _cmd_query(args) -> int:
         return code
 
     # REPL: one query per line, empty lines skipped, quit/exit to leave.
+    # Answers go to stdout as each query is read, or to --out at the end.
     code = 0
+    written: list[str] = []
     interactive = sys.stdin.isatty()
     while True:
         try:
@@ -224,7 +226,13 @@ def _cmd_query(args) -> int:
         except ValueError as exc:
             _errors(exc)
             continue
-        print("\n".join(lines))
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            written.append(text)
+        else:
+            _emit(text, None)
+    if args.out:
+        _emit("".join(written), args.out)
     return code
 
 

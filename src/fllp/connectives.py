@@ -26,11 +26,6 @@ def t_norm(kind: str, i: int, j: int, n: int) -> int:
     raise ValueError(f"unknown connective kind: {kind!r}")
 
 
-def s_norm(i: int, j: int) -> int:
-    """The only disjunction in play; dual to the minimum conjunction."""
-    return max(i, j)
-
-
 def implicator(kind: str, head: int, body: int, n: int) -> int:
     """Largest r with t_norm(kind, body, r) <= head."""
     if kind == GODEL:

@@ -77,17 +77,9 @@ class Interpretation(dict):
 
 
 @dataclass(frozen=True)
-class GroundRule:
-    head: Atom
-    kind: str
-    body: Body
-    tv: int
-
-
-@dataclass(frozen=True)
 class GroundProgram:
     facts: tuple[tuple[Atom, int], ...]
-    rules: tuple[GroundRule, ...]
+    rules: tuple[Rule, ...]  # ground instances, line 0
     base: tuple[Atom, ...]
     universe: tuple[str, ...]
 
@@ -109,9 +101,9 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
     return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
 
-def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[Const, ...]) -> GroundRule:
+def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[Const, ...]) -> Rule:
     bind = _binder(dict(zip(names, combo)))
-    return GroundRule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
+    return Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
 
 
 def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int]:
@@ -151,7 +143,7 @@ def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
     needed += sum(u ** len(_rule_vars(r)) for r in program.rules)
     if needed > limit:
         raise GroundingLimitError(needed, limit)
-    rules: list[GroundRule] = []
+    rules: list[Rule] = []
     for rule in program.rules:
         names = _rule_vars(rule)
         for combo in itertools.product(consts, repeat=len(names)):
@@ -175,7 +167,7 @@ def ground_relevant(program: Program, limit: int = GROUND_LIMIT) -> GroundProgra
         program.rules, tuple(c.name for c in consts), seeds, needed, limit
     )
     by_name = {c.name: c for c in consts}
-    rules: list[GroundRule] = []
+    rules: list[Rule] = []
     for rule, bindings in zip(program.rules, found):
         names = _rule_vars(rule)
         # sorted name tuples are itertools.product order over the sorted universe

@@ -59,9 +59,6 @@ class InverseMappingTable:
             raise InverseTableError([f"undeclared hedge: {hedge!r}"]) from None
         return col[index]
 
-    def apply_value(self, hedge: str | None, v: TruthValue) -> TruthValue:
-        return self.domain[self.apply(hedge, self.domain.index_of(v))]
-
 
 # Cells where a weakening hedge cancels the value's innermost hedge while
 # outer hedges remain would collapse to the bare positive primary under the

@@ -17,6 +17,7 @@ constant, which would make the statement vacuous.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -189,127 +190,110 @@ _TOKEN_RE = re.compile(
     | (?P<var>[A-Z][A-Za-z0-9_]*)
     | (?P<ident>[a-z][a-z0-9_]*)
     | (?P<punct>[(),:.\#])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
+_Token = namedtuple("_Token", "kind text line")
 
 
 def _tokenize(text: str, errors: list[str]) -> Iterator[_Token]:
-    pos = 0
     line = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            errors.append(f"line {line}: unexpected character {text[pos]!r}")
-            pos += 1
-            continue
-        kind = m.lastgroup or ""
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
         chunk = m.group()
-        if kind not in ("ws", "comment"):
+        if kind == "ws":
+            line += chunk.count("\n")
+        elif kind == "bad":
+            errors.append(f"line {line}: unexpected character {chunk!r}")
+        elif kind != "comment":
             yield _Token(kind, chunk, line)
-        line += chunk.count("\n")
-        pos = m.end()
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], domain: TruthDomain, errors: list[str]):
+    """Recursive descent over a token list closed by an ``end`` token, so
+    the current token ``tok`` always exists."""
+
+    def __init__(self, tokens: list[_Token], domain: TruthDomain):
+        tokens.append(_Token("end", "", tokens[-1].line if tokens else 1))
         self.tokens = tokens
         self.domain = domain
-        self.errors = errors
         self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+        self.tok = tokens[0]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
+    def skip(self, text: str) -> bool:
+        if self.tok.text == text:
+            self.advance()
+            return True
+        return False
+
     def _fail(self, wanted: str) -> None:
-        tok = self.peek()
-        found = f"{tok.text!r}" if tok else "end of input"
-        line = tok.line if tok else self.tokens[-1].line if self.tokens else 1
-        raise _Bail(f"line {line}: expected {wanted}, found {found}")
+        tok = self.tok
+        found = "end of input" if tok.kind == "end" else repr(tok.text)
+        raise _Bail(f"line {tok.line}: expected {wanted}, found {found}")
 
     def expect(self, kind: str, text: str | None = None, wanted: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+        if self.tok.kind != kind or (text is not None and self.tok.text != text):
             self._fail(wanted or text or kind)
         return self.advance()
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def sync_to_dot(self) -> None:
-        while not self.at_end():
+        while self.tok.kind != "end":
             if self.advance().text == ".":
                 return
 
     # statements ----------------------------------------------------------
 
-    def statement(self) -> Statement | None:
-        start = self.peek().line
-        try:
-            atom = self.atom(head=True)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "arrow":
-                kind = GODEL if self.advance().text == "<-g" else LUKA
-                body = self.body()
-                self.expect("punct", ":")
-                tv = self.grade()
-                self.expect("punct", ".")
-                return Rule(atom, kind, body, tv, line=start)
-            self.expect("punct", ":")
-            tv = self.grade()
-            self.expect("punct", ".")
-            return Fact(atom, tv, line=start)
-        except _Bail as exc:
-            self.errors.append(str(exc))
-            self.sync_to_dot()
-            return None
+    def statement(self) -> Statement:
+        start = self.tok.line
+        atom = self.atom(head=True)
+        arrow = self.tok.kind == "arrow"
+        if arrow:
+            kind = GODEL if self.advance().text == "<-g" else LUKA
+            body = self.body()
+        self.expect("punct", ":")
+        tv = self.grade()
+        self.expect("punct", ".")
+        if arrow:
+            return Rule(atom, kind, body, tv, line=start)
+        return Fact(atom, tv, line=start)
 
     def atom(self, head: bool = False) -> Atom:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
+        tok = self.tok
+        if tok.kind != "ident":
             self._fail("a predicate name")
         if head and tok.text in RESERVED_PREDICATES:
             raise _Bail(
                 f"line {tok.line}: {tok.text!r} is a connective, not a predicate"
             )
-        name = self.advance().text
+        self.advance()
         args: list[Term] = []
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "(":
-            self.advance()
+        if self.skip("("):
             args.append(self.term())
-            while self.peek() is not None and self.peek().text == ",":
-                self.advance()
+            while self.skip(","):
                 args.append(self.term())
             self.expect("punct", ")")
-        return Atom(name, tuple(args))
+        return Atom(tok.text, tuple(args))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok is None or tok.kind not in ("ident", "var"):
+        tok = self.tok
+        if tok.kind not in ("ident", "var"):
             self._fail("a constant or variable")
         self.advance()
         return Var(tok.text) if tok.kind == "var" else Const(tok.text)
 
     def body(self) -> Body:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tok
+        if tok.kind == "end":
             self._fail("a body")
-        if tok.text == "#":
-            self.advance()
+        if self.skip("#"):
             hedge = self.expect("ident", wanted="a hedge name").text
             if not self.domain.algebra.has_hedge(hedge):
                 raise _Bail(f"line {tok.line}: unknown hedge {hedge!r}")
@@ -321,8 +305,7 @@ class _Parser:
             self.advance()
             self.expect("punct", "(")
             parts = [self.body()]
-            while self.peek() is not None and self.peek().text == ",":
-                self.advance()
+            while self.skip(","):
                 parts.append(self.body())
             self.expect("punct", ")")
             if len(parts) < 2:
@@ -333,13 +316,12 @@ class _Parser:
         return self.atom()
 
     def grade(self) -> int:
+        line = self.tok.line
         words: list[str] = []
-        first = self.peek()
-        while self.peek() is not None and self.peek().kind == "ident":
+        while self.tok.kind == "ident":
             words.append(self.advance().text)
         if not words:
             self._fail("a truth literal")
-        line = first.line
         try:
             idx = self.domain.parse_literal(" ".join(words))
         except ValueError as exc:
@@ -374,34 +356,26 @@ def algebra_directive(text: str) -> str | None:
 
 def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> Program:
     errors: list[str] = []
-    parser = _Parser(list(_tokenize(text, errors)), domain, errors)
-
+    parser = _Parser(list(_tokenize(text, errors)), domain)
     algebra_path: str | None = None
-    if (
-        parser.peek() is not None
-        and parser.peek().text == "use"
-        and parser.peek(1) is not None
-        and parser.peek(1).text == "algebra"
-    ):
-        parser.advance()
-        parser.advance()
+    statements: list[Statement] = []
+    while parser.tok.kind != "end":
+        tok = parser.tok
         try:
-            algebra_path = parser.expect("string", wanted="a quoted path").text[1:-1]
-            parser.expect("punct", ".")
+            if tok.text == "use" and parser.tokens[parser.pos + 1].text == "algebra":
+                if parser.pos:
+                    raise _Bail(
+                        f"line {tok.line}: algebra directive must precede all statements"
+                    )
+                parser.advance()
+                parser.advance()
+                algebra_path = parser.expect("string", wanted="a quoted path").text[1:-1]
+                parser.expect("punct", ".")
+            else:
+                statements.append(parser.statement())
         except _Bail as exc:
             errors.append(str(exc))
             parser.sync_to_dot()
-
-    statements: list[Statement] = []
-    while not parser.at_end():
-        tok = parser.peek()
-        if tok.text == "use" and parser.peek(1) is not None and parser.peek(1).text == "algebra":
-            errors.append(f"line {tok.line}: algebra directive must precede all statements")
-            parser.sync_to_dot()
-            continue
-        st = parser.statement()
-        if st is not None:
-            statements.append(st)
     if errors:
         raise ParseError(errors)
     return Program(tuple(statements), algebra_path, source)
@@ -413,14 +387,12 @@ def parse_query(text: str, domain: TruthDomain) -> Body:
     tokens = list(_tokenize(text, errors))
     if errors:
         raise ParseError(errors)
-    parser = _Parser(tokens, domain, errors)
-    if parser.peek() is not None and parser.peek().kind == "query":
-        parser.advance()
+    parser = _Parser(tokens, domain)
+    parser.skip("?-")
     try:
         body = parser.body()
-        if parser.peek() is not None and parser.peek().text == ".":
-            parser.advance()
-        if not parser.at_end():
+        parser.skip(".")
+        if parser.tok.kind != "end":
             parser._fail("end of query")
     except _Bail as exc:
         raise ParseError([str(exc)]) from None

@@ -21,7 +21,7 @@ the threshold, in the same order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .connectives import GODEL
 from .fixpoint import eval_ground_body
@@ -62,7 +62,7 @@ class WAtom:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    depth: int | None = 64
+    depth: int | None = 64  # None or 0: unlimited
     threshold: int | None = None
     best: bool = False
     exhaustive: bool = False
@@ -77,15 +77,7 @@ class SolveOptions:
 class ComputedAnswer:
     value: int
     bindings: tuple[tuple[str, Term], ...]
-    length: int = 0
-
-    def __eq__(self, other) -> bool:  # length is bookkeeping, not identity
-        if not isinstance(other, ComputedAnswer):
-            return NotImplemented
-        return self.value == other.value and self.bindings == other.bindings
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.bindings))
+    length: int = field(default=0, compare=False)  # bookkeeping, not identity
 
 
 @dataclass(frozen=True)
@@ -327,7 +319,7 @@ def solve(
             if opts.trace:
                 trace.append(f"[{depth}] cut {format_atom(atom)} (below bound)")
             continue
-        if opts.depth is not None and depth >= opts.depth:
+        if opts.depth and depth >= opts.depth:
             exhausted = True
             if opts.trace:
                 trace.append(f"[{depth}] depth limit at {format_atom(atom)}")

@@ -177,6 +177,18 @@ def test_query_repl(capsys, samples_dir, monkeypatch):
     assert "error:" in err  # the bad line is reported and the loop continues
 
 
+def test_query_repl_writes_out_file(capsys, samples_dir, monkeypatch, tmp_path):
+    prog = str(samples_dir / "hotel.fllp")
+    monkeypatch.setattr("sys.stdin", io.StringIO("su_ho(X)\nnot a query !\nsu_ho(X)\n"))
+    code, shown, _ = run(capsys, "query", prog)
+    assert code == 0 and "answer:" in shown
+    monkeypatch.setattr("sys.stdin", io.StringIO("su_ho(X)\nnot a query !\nsu_ho(X)\n"))
+    dest = tmp_path / "answers.txt"
+    code, out, err = run(capsys, "query", prog, "--out", str(dest))
+    assert code == 0 and out == "" and "error:" in err
+    assert dest.read_text(encoding="utf-8") == shown
+
+
 def test_model_naive_and_delta(capsys, samples_dir):
     want = (
         "gd_em(ann) : probably probably true (v29)\n"

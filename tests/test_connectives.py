@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fllp.connectives import GODEL, KINDS, LUKA, implicator, s_norm, t_norm
+from fllp.connectives import GODEL, KINDS, LUKA, implicator, t_norm
 
 N = 44
 GRID = range(0, N + 1, 4)
@@ -40,12 +40,6 @@ def test_the_two_t_norms_bracket_each_other():
     for i in range(N + 1):
         for j in range(N + 1):
             assert t_norm(LUKA, i, j, N) <= t_norm(GODEL, i, j, N)
-
-
-def test_s_norm_is_max():
-    for i in GRID:
-        for j in GRID:
-            assert s_norm(i, j) == max(i, j)
 
 
 @pytest.mark.parametrize("kind", KINDS)

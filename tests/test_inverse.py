@@ -50,12 +50,6 @@ def test_primary_cells_cancel(algebra, domain, table):
         assert table.apply(h, domain.index_of(hv)) == domain.index_of(true), h
 
 
-def test_apply_value_wraps_indices(domain, table):
-    true = domain[33]
-    assert domain.literal_of_value(table.apply_value("very", true)) == "little true"
-    assert table.apply_value(None, true) == true
-
-
 def test_validators_pass_on_default_at_other_limits():
     for limit in (1, 2, 3):
         config = DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", f"limit: {limit}")

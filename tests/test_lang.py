@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.lang import (
@@ -27,6 +28,8 @@ from fllp.lang import (
     pretty_print,
     validate_program,
 )
+
+from randprog import random_program
 
 GOOD = """\
 % staff appraisal
@@ -118,6 +121,61 @@ def test_directive_is_captured_and_must_lead(domain):
     late = 'p : true.\nuse algebra "my.alg".\n'
     with pytest.raises(ParseError, match="must precede"):
         parse_program(late, domain)
+
+
+@pytest.mark.parametrize("text, violations", [
+    (
+        "p : true.\n% c\nq(a) @ : true.\n$",
+        ["line 3: unexpected character '@'", "line 4: unexpected character '$'"],
+    ),
+    ("p(a) <-g q(", ["line 1: expected a constant or variable, found end of input"]),
+    ("use algebra foo.", ["line 1: expected a quoted path, found 'foo'"]),
+    (
+        'use algebra "a.alg".\nuse algebra "b.alg".\np : true.\n',
+        ["line 2: algebra directive must precede all statements"],
+    ),
+])
+def test_program_violations_are_exact(domain, text, violations):
+    with pytest.raises(ParseError) as err:
+        parse_program(text, domain)
+    assert list(err.value.violations) == violations
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("", "line 1: expected a body, found end of input"),
+    ("p(X) q", "line 1: expected end of query, found 'q'"),
+])
+def test_query_violations_are_exact(domain, text, violation):
+    with pytest.raises(ParseError) as err:
+        parse_query(text, domain)
+    assert list(err.value.violations) == [violation]
+
+
+# Token spellings, fragments and stray characters the fuzzed texts are built from.
+ALPHABET = (
+    "use", "algebra", '"a.alg"', '"', "p", "q(a)", "X", "and_g", "and_l", "or",
+    "#", "very", "true", "false", "(", ")", ",", ":", ".", "<-g", "<-l", "<-",
+    "?-", "?", " ", "\n", "%", "$", "_", "é",
+)
+SHORT_RUN = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@SHORT_RUN
+@given(st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join))
+def test_parsers_return_or_raise_parse_error_only(domain, text):
+    for parse in (parse_program, parse_query):
+        try:
+            parse(text, domain)
+        except ParseError as exc:
+            assert exc.violations
+
+
+@SHORT_RUN
+@given(st.integers(0, 2**32))
+def test_pretty_print_round_trips_random_programs(vmpl, asym, seed):
+    for _, domain, _ in (vmpl, asym):
+        program = random_program(seed, domain, recursive=True)
+        assert parse_program(pretty_print(program, domain), domain) == program
 
 
 def test_parse_query_forms(domain):

@@ -93,6 +93,14 @@ def test_negative_depth_is_rejected():
     assert SolveOptions(depth=0).depth == 0 and SolveOptions(depth=None).depth is None
 
 
+def test_depth_zero_means_unlimited(samples_dir):
+    program, table = load_program(samples_dir / "hotel.fllp")
+    query = parse_query("su_ho(X)", table.domain)
+    zero = solve(program, table, query, SolveOptions(depth=0))
+    unlimited = solve(program, table, query, SolveOptions(depth=None))
+    assert zero == unlimited and len(zero.answers) == 1
+
+
 def test_threshold_filters_final_answers(samples_dir):
     program, table = load_program(samples_dir / "hotel.fllp")
     query = parse_query("su_ho(X)", table.domain)
