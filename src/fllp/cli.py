@@ -24,12 +24,9 @@ import sys
 from pathlib import Path
 
 from .algebra import LimitError, TruthDomain, load_algebra_config, read_algebra_config
-from .control import format_surface, goodness_surface, parse_control_file
-from .fixpoint import dump_model, least_model
 from .inverse import build_inverse_table
 from .lang import format_value, load_program, parse_query, validate_program
-from .prolog import compile_program, compile_query
-from .solver import SolveOptions, format_answer, solve
+# fixpoint, solver, prolog and control load only in the subcommand that runs each.
 
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
@@ -170,7 +167,8 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _run_query(program, table, text: str, opts: SolveOptions, out_lines: list[str]) -> int:
+def _run_query(program, table, text: str, opts, out_lines: list[str]) -> int:
+    from .solver import format_answer, solve
     query = parse_query(text, table.domain)
     result = solve(program, table, query, opts)
     out_lines.extend(result.trace)
@@ -188,6 +186,7 @@ def _run_query(program, table, text: str, opts: SolveOptions, out_lines: list[st
 
 
 def _cmd_query(args) -> int:
+    from .solver import SolveOptions
     program, table = _load(args)
     threshold = None
     if args.threshold:
@@ -237,6 +236,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    from .fixpoint import dump_model, least_model
     program, table = _load(args)
     model, rounds = least_model(program, table, mode=args.mode)
     lines = dump_model(model, table.domain)
@@ -246,6 +246,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from .control import format_surface, goodness_surface, parse_control_file
     algebra, domain, overrides = _load_algebra(args)
     table = build_inverse_table(domain, overrides)
     cs = parse_control_file(Path(args.control).read_text(encoding="utf-8"), domain)
@@ -255,6 +256,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .prolog import compile_program, compile_query
     program, table = _load(args)
     text = compile_program(program, table)
     if args.query:

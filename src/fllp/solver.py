@@ -10,6 +10,11 @@ When no atoms remain the word is evaluated like a ground rule body,
 hedges going through the inverse mapping, yielding a computed answer
 together with the bindings of the query variables.
 
+A word valued with its open atoms at top bounds every answer below it;
+a word whose bound cannot reach ``max(threshold, 1)`` is cut.  Without a
+threshold it ends in one bottom answer with the bindings made so far, so
+recursion through an unmatched atom ends.
+
 Threshold mode pushes a lower bound down the goal tree.  Every connective
 is monotone, so a bound on a node induces a least useful value for each
 child; branches that cannot reach their bound are cut.  Bounds do not
@@ -24,7 +29,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .connectives import GODEL
-from .fixpoint import eval_ground_body
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -36,7 +40,6 @@ from .lang import (
     Grade,
     HedgeApp,
     Program,
-    Statement,
     Term,
     Var,
     format_atom,
@@ -142,6 +145,31 @@ def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
     )
 
 
+# (program, table, prepared) for the last program solved, so that a REPL
+# session, which passes one program to every query, prepares it once.
+_last: tuple = (None, None, None)
+
+
+def _prepare(program: Program, table: InverseMappingTable) -> tuple[bool, dict]:
+    """:func:`_all_below_top` and the statements by head.  An entry
+    ``(pos, statement, head, rename)`` is filed under the head's predicate,
+    and under ``(pred, c)`` when the head's first argument is the constant
+    ``c``, else under ``(pred, None)``.  Ground facts are never renamed."""
+    global _last
+    last_program, last_table, prepared = _last
+    if last_program is not program or last_table is not table:
+        by_head: dict = {}
+        for pos, st in enumerate(program.statements):
+            head = st.atom if isinstance(st, Fact) else st.head
+            rename = not isinstance(st, Fact) or any(isinstance(a, Var) for a in head.args)
+            first = head.args[0] if head.args else None
+            for key in (head.pred, (head.pred, first.name if isinstance(first, Const) else None)):
+                by_head.setdefault(key, []).append((pos, st, head, rename))
+        prepared = (_all_below_top(program, table), by_head)
+        _last = (program, table, prepared)
+    return prepared
+
+
 def _word(
     body: Body, bound: int | None, table, below_top: bool, in_disj: bool = False
 ) -> Body:
@@ -226,6 +254,27 @@ def _with_part(word: Conj | Disj, i: int, part: Body) -> Body:
     return Conj(word.kind, parts) if isinstance(word, Conj) else Disj(parts)
 
 
+def _value(word: Body, columns, n: int) -> int:
+    """Value of ``word`` with every open atom at the top value ``n``: a
+    bound on every answer below it, and the answer once no atom is open."""
+    if isinstance(word, WAtom):
+        return n
+    if isinstance(word, Grade):
+        return word.value
+    if isinstance(word, Conj):
+        acc = n
+        for part in word.parts:
+            v = _value(part, columns, n)
+            acc = (v if v < acc else acc) if word.kind == GODEL else max(acc + v - n, 0)
+        return acc
+    if isinstance(word, HedgeApp):
+        return columns[word.hedge][_value(word.body, columns, n)]
+    acc = 0
+    for part in word.parts:
+        acc = max(acc, _value(part, columns, n))
+    return acc
+
+
 def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
     s = subst or {}
     return format_body(map_atoms(word, lambda w: subst_atom(w.atom, s)))
@@ -241,7 +290,9 @@ def solve(
     options: SolveOptions | None = None,
 ) -> SolveResult:
     opts = options or SolveOptions()
-    below_top = _all_below_top(program, table)
+    below_top, by_head = _prepare(program, table)
+    columns, n = table.columns, table.domain.n
+    floor = max(opts.threshold or 0, 1)
     trace: list[str] = []
     qvars = free_vars(query)
 
@@ -252,11 +303,6 @@ def solve(
     if opts.trace:
         trace.append(f"goal {format_word(goal)}")
 
-    by_pred: dict[str, list[tuple[int, Statement]]] = {}
-    for pos, st in enumerate(program.statements):
-        head = st.atom if isinstance(st, Fact) else st.head
-        by_pred.setdefault(head.pred, []).append((pos, st))
-
     fresh = itertools.count(1)
     answers: list[ComputedAnswer] = []
     exhausted = False
@@ -266,9 +312,16 @@ def solve(
         word, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
-        sel, plug = _select(word)
+        value = _value(word, columns, n)
+        if value < floor:
+            if opts.trace:
+                trace.append(f"[{depth}] cut {format_word(word, subst)} (below bound)")
+            if opts.threshold:
+                continue
+            sel = None  # without a threshold the cut word ends in one bottom answer
+        else:
+            sel, plug = _select(word)
         if sel is None:
-            value = eval_ground_body(word, {}, table)
             bindings = tuple((v, walk(Var(v), subst)) for v in qvars)
             answers.append(ComputedAnswer(value, bindings, depth))
             if opts.trace:
@@ -278,22 +331,27 @@ def solve(
         atom = subst_atom(sel.atom, subst)
         unifiable = False
         branches: list[tuple[tuple, Body, dict[str, Term]]] = []
-        for pos, st in by_pred.get(atom.pred, ()):
-            tag = str(next(fresh))
+        first = atom.args[0] if atom.args else None
+        if isinstance(first, Const):  # heads with this constant or a variable first
+            candidates = itertools.chain(
+                by_head.get((atom.pred, first.name), ()), by_head.get((atom.pred, None), ())
+            )
+        else:
+            candidates = by_head.get(atom.pred, ())
+        for pos, st, head, rename in candidates:
+            if rename:
+                tag = str(next(fresh))
+                head = _rename_atom(head, tag)
+            s2 = unify(atom, head, subst)
+            if s2 is None:
+                continue
+            unifiable = True
             if isinstance(st, Fact):
-                s2 = unify(atom, _rename_atom(st.atom, tag), subst)
-                if s2 is None:
-                    continue
-                unifiable = True
                 if sel.bound is not None and st.tv < sel.bound:
                     continue
                 replacement: Body = Grade(st.tv)
                 key = (-st.tv, 0, 0, pos)
             else:
-                s2 = unify(atom, _rename_atom(st.head, tag), subst)
-                if s2 is None:
-                    continue
-                unifiable = True
                 try:
                     b = next_threshold(table, sel.bound, ("rule", st.kind, st.tv))
                     body = map_atoms(st.body, lambda a: _rename_atom(a, tag))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import io
+import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,10 @@ import pytest
 
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.cli import main
+from fllp.fixpoint import least_model
+from fllp.lang import parse_program
 
+from conftest import ASYM_CONFIG
 from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
 
 RECURSIVE = "p(a) : little true.\np(X) <-g #very(p(X)) : abstrue.\n"
@@ -222,11 +228,11 @@ def test_model_grounding_cap(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
-def _fllp(*argv, hash_seed="0", timeout=60):
+def _fllp(*argv, hash_seed="0", timeout=60, stdin=None):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     return subprocess.run(
         [sys.executable, "-m", "fllp", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=env, timeout=timeout, input=stdin,
     )
 
 
@@ -247,6 +253,80 @@ def test_package_root_loads_only_the_algebra_layers():
         "DEFAULT_ALGEBRA_CONFIG", "GODEL", "LUKA", "HedgeAlgebraSpec", "HedgeDecl",
         "build_algebra", "build_inverse_table", "enumerate_domain", "load_algebra_config",
     ]))
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver"]),
+    (["query", "hotel.fllp", "-q", "su_ho(X)"], ["fllp.control", "fllp.fixpoint", "fllp.prolog"]),
+])
+def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
+    argv = [argv[0], str(samples_dir / argv[1]), *argv[2:]]
+    code = (
+        "import json, sys\n"
+        "from fllp.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('fllp.')]]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = json.loads(proc.stderr)
+    assert exit_code == 0 and proc.stdout
+    assert sorted(set(unused) & set(loaded)) == []
+
+
+def _closure_text(domain) -> tuple[str, list[str]]:
+    """Transitive closure over chains of 1 to 10 edges and 2x2 to 4x4
+    grids (edges right and down), as one program with its statements
+    shuffled, and the nodes of every graph."""
+    graphs = []
+    for k in range(1, 11):
+        graphs.append(([f"c{k}_{i}" for i in range(k + 1)], [(i, i + 1) for i in range(k)]))
+    for k in (2, 3, 4):
+        edges = [(i, i + 1) for i in range(k * k) if (i + 1) % k]
+        edges += [(i, i + k) for i in range(k * k - k)]
+        graphs.append(([f"g{k}_{i}" for i in range(k * k)], edges))
+    n = domain.n
+    lines = [
+        f"edge({nodes[a]},{nodes[b]}) : {domain.literal(n - 1 - i % 5)}."
+        for nodes, edges in graphs for i, (a, b) in enumerate(edges)
+    ]
+    top = domain.literal(n)
+    lines += [
+        f"path(X,Y) <-g edge(X,Y) : {top}.",
+        f"path(X,Y) <-g and_g(edge(X,Z), #more(path(Z,Y))) : {top}.",
+    ]
+    random.Random(7).shuffle(lines)
+    return "\n".join(lines) + "\n", [node for nodes, _ in graphs for node in nodes]
+
+
+@pytest.mark.parametrize("which", ["vmpl", "asym"])
+def test_default_recursive_queries_finish_at_the_least_model(request, tmp_path, which):
+    _, domain, table = request.getfixturevalue(which)
+    text, starts = _closure_text(domain)
+    config = {"vmpl": DEFAULT_ALGEBRA_CONFIG, "asym": ASYM_CONFIG}[which]
+    (tmp_path / "closure.alg").write_text(config)
+    (tmp_path / "closure.fllp").write_text(text)
+    queries = "".join(f"path({s},Y{j})\n" for j, s in enumerate(starts))
+    proc = _fllp("query", str(tmp_path / "closure.fllp"), "--algebra",
+                 str(tmp_path / "closure.alg"), timeout=10, stdin=queries)
+    assert (proc.returncode, proc.stderr) == (0, "")  # no depth warning
+    best: dict[tuple[str, str], int] = {}
+    for line in proc.stdout.splitlines():
+        m = re.fullmatch(r"answer: (Y\d+)=(\w+) ; tv=.*\(v(\d+)\)", line)
+        if m and int(m.group(3)) > 0:
+            key = (m.group(1), m.group(2))
+            best[key] = max(best.get(key, 0), int(m.group(3)))
+    model, _ = least_model(parse_program(text, domain), table)
+    want = {
+        (f"Y{j}", atom.args[1].name): value
+        for j, s in enumerate(starts)
+        for atom, value in model.items()
+        if atom.pred == "path" and atom.args[0].name == s and value > 0
+    }
+    assert best == want and want
 
 
 def test_model_grounding_cap_is_refused_without_building(tmp_path):

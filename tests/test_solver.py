@@ -164,3 +164,61 @@ def test_computed_answers_compare_without_the_depth(domain):
     a = ComputedAnswer(5, (("X", Const("a")),), 3)
     b = ComputedAnswer(5, (("X", Const("a")),), 9)
     assert a == b and len({a, b}) == 1
+
+
+def test_trace_reports_the_bound_cut(domain, table):
+    src = """\
+    edge(a,b) : true.
+    path(X,Y) <-g edge(X,Y) : abstrue.
+    path(X,Y) <-g and_g(edge(X,Z), #more(path(Z,Y))) : abstrue.
+    """
+    program = parse_program(src, domain)
+    result = solve(program, table, parse_query("path(a,Y)", domain), SolveOptions(trace=True))
+    cuts = [i for i, line in enumerate(result.trace) if line.endswith("(below bound)")]
+    assert [result.trace[i] for i in cuts] == [
+        "[3] cut and_g(and_g(v33,#more(and_g(v0,v44))),v44) (below bound)",
+        "[3] cut and_g(and_g(v33,#more(and_g(and_g(v0,#more(path(Z~4,Y~4))),v44))),v44)"
+        " (below bound)",
+    ]
+    # each cut word ends in one bottom answer instead of unfolding path(b,Y~4)
+    assert all(result.trace[i + 1] == "[3] computed v0" for i in cuts)
+    shown = [format_answer(domain, a) for a in result.answers]
+    assert shown == ["answer: Y=b ; tv=true (v33)"] + ["answer: Y=_ ; tv=absfalse (v0)"] * 2
+    assert not result.depth_exhausted
+
+
+# One predicate with facts and rules whose heads start with a constant, a
+# different constant, or a variable: the statement index must offer every
+# head that can unify, and the answers keep the best-first order.
+INDEXED = """\
+p(a,b) : true.
+p(X,c) : very true.
+p(b,d) : more true.
+p(a,e) : little true.
+p(X,Y) <-g q(X,Y) : very true.
+p(a,Y) <-l #very(q(Y,a)) : true.
+p(X,X) : probably true.
+q(a,f) : probably true.
+q(g,a) : true.
+q(b,h) : very true.
+"""
+
+
+@pytest.mark.parametrize("query, opts, want", [
+    ("p(a,Y)", SolveOptions(), ["c v41", "f v30", "b v33", "g v14", "a v30", "e v25"]),
+    ("p(a,Y)", SolveOptions(exhaustive=True),
+     ["b v33", "c v41", "e v25", "f v30", "g v14", "a v30"]),
+    ("p(a,Y)", SolveOptions(threshold=30), ["c v41", "f v30", "b v33", "a v30"]),
+    ("p(b,Y)", SolveOptions(), ["c v41", "h v41", "d v36", "b v30"]),
+    ("p(g,Y)", SolveOptions(), ["c v41", "a v33", "g v30"]),
+    ("p(X,Y)", SolveOptions(threshold=33),
+     ["_,c v41", "b,h v41", "g,a v33", "b,d v36", "a,b v33"]),
+])
+def test_indexed_candidates_keep_every_answer_in_order(domain, table, query, opts, want):
+    program = parse_program(INDEXED, domain)
+    result = solve(program, table, parse_query(query, domain), opts)
+    shown = [
+        ",".join(t.name if isinstance(t, Const) else "_" for _, t in a.bindings) + f" v{a.value}"
+        for a in result.answers
+    ]
+    assert shown == want
