@@ -23,10 +23,16 @@ import re
 import sys
 from pathlib import Path
 
-from .algebra import LimitError, TruthDomain, load_algebra_config, read_algebra_config
+from .algebra import (
+    LimitError,
+    TruthDomain,
+    format_value,
+    load_algebra_config,
+    read_algebra_config,
+)
 from .inverse import build_inverse_table
-from .lang import format_value, load_program, parse_query, validate_program
-# fixpoint, solver, prolog and control load only in the subcommand that runs each.
+# lang, fixpoint, solver, prolog and control load only in the subcommands
+# that run them.
 
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
@@ -124,6 +130,7 @@ def _load_algebra(args) -> tuple:
 
 def _load(args) -> tuple:
     """Program plus inverse table for subcommands that read a program."""
+    from .lang import load_program
     return load_program(args.program, args.algebra, _env_algebra())
 
 
@@ -155,6 +162,7 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .lang import validate_program
     program, table = _load(args)
     problems = validate_program(program, table.domain, safe=args.safe)
     if problems:
@@ -168,6 +176,7 @@ def _cmd_check(args) -> int:
 
 
 def _run_query(program, table, text: str, opts, out_lines: list[str]) -> int:
+    from .lang import parse_query
     from .solver import format_answer, solve
     query = parse_query(text, table.domain)
     result = solve(program, table, query, opts)
@@ -256,6 +265,7 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .lang import parse_query
     from .prolog import compile_program, compile_query
     program, table = _load(args)
     text = compile_program(program, table)

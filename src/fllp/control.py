@@ -20,9 +20,7 @@ the best output per input off that surface gives the controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import TruthDomain
+from .algebra import TruthDomain, format_value, record
 from .connectives import GODEL
 from .fixpoint import least_model
 from .inverse import InverseMappingTable
@@ -37,29 +35,22 @@ from .lang import (
     Program,
     Rule,
     Var,
-    format_value,
 )
 
 GOOD = "good"
 _RESERVED = (GOOD, *RESERVED_PREDICATES)
 
 
-@dataclass(frozen=True)
-class ControlRule:
-    in_hedges: tuple[str, ...]
-    in_pred: str
-    out_hedges: tuple[str, ...]
-    out_pred: str
-    conf: int
-    line: int = 0
+class ControlRule(record(
+    "ControlRule", "in_hedges in_pred out_hedges out_pred conf line", defaults=(0,)
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ControlSystem:
-    input_points: tuple[str, ...]
-    output_points: tuple[str, ...]
-    rules: tuple[ControlRule, ...]
-    sat: tuple[tuple[str, str, int], ...]  # (pred, point, grade), file order
+class ControlSystem(record("ControlSystem", "input_points output_points rules sat")):
+    """``sat`` holds ``(pred, point, grade)`` rows in file order."""
+
+    __slots__ = ()
 
     @property
     def input_preds(self) -> tuple[str, ...]:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .algebra import LimitError
+from .algebra import LimitError, format_value, record
 from .connectives import t_norm
 from .inverse import InverseMappingTable
 from .lang import (
@@ -48,7 +47,6 @@ from .lang import (
     Var,
     atoms_of,
     format_atom,
-    format_value,
     free_vars,
     map_atoms,
 )
@@ -76,12 +74,11 @@ class Interpretation(dict):
         return all(v <= other[a] for a, v in self.items())
 
 
-@dataclass(frozen=True)
-class GroundProgram:
-    facts: tuple[tuple[Atom, int], ...]
-    rules: tuple[Rule, ...]  # ground instances, line 0
-    base: tuple[Atom, ...]
-    universe: tuple[str, ...]
+class GroundProgram(record("GroundProgram", "facts rules base universe")):
+    """``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances
+    (line 0), ``base`` the Herbrand base and ``universe`` constant names."""
+
+    __slots__ = ()
 
 
 def _binder(env: dict[str, Const]):

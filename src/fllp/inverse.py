@@ -23,8 +23,7 @@ override rows in the algebra config; the merged table is re-validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .algebra import (
     BOTTOM,
@@ -34,6 +33,7 @@ from .algebra import (
     InverseOverride,
     TruthDomain,
     TruthValue,
+    record,
     term,
 )
 
@@ -42,12 +42,11 @@ class InverseTableError(InputError):
     """An inverse table that breaks the mapping conditions."""
 
 
-@dataclass(frozen=True)
-class InverseMappingTable:
-    """One monotone index map per hedge, aligned with the domain order."""
+class InverseMappingTable(record("InverseMappingTable", "domain columns")):
+    """One monotone index map per hedge, aligned with the domain order:
+    ``columns`` maps each hedge name to a tuple of domain indices."""
 
-    domain: TruthDomain
-    columns: Mapping[str, tuple[int, ...]]
+    __slots__ = ()
 
     def apply(self, hedge: str | None, index: int) -> int:
         """Image of a domain index; ``None`` is the identity hedge."""

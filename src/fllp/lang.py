@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, Union
@@ -26,9 +25,10 @@ from typing import Iterator, Union
 from .algebra import (
     InputError,
     TruthDomain,
-    TruthValue,
+    format_value,  # re-exported
     load_algebra_config,
     read_algebra_config,
+    record,
 )
 from .connectives import GODEL, LUKA
 from .inverse import InverseMappingTable, build_inverse_table
@@ -40,17 +40,15 @@ class ParseError(InputError):
     """A program, query or control file that does not parse or validate."""
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(record("Var", "name")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(record("Const", "name")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
@@ -59,63 +57,55 @@ class Const:
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Atom(record("Atom", "pred args", defaults=((),))):
+    """``args`` is a tuple of terms."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conj:
-    kind: str  # GODEL or LUKA
-    parts: tuple["Body", ...]
+class Conj(record("Conj", "kind parts")):
+    """``kind`` is GODEL or LUKA; ``parts`` is a tuple of bodies."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disj:
-    parts: tuple["Body", ...]
+class Disj(record("Disj", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HedgeApp:
-    hedge: str
-    body: "Body"
+class HedgeApp(record("HedgeApp", "hedge body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Grade:
+class Grade(record("Grade", "value")):
     """A truth value standing in for a resolved atom; never parsed."""
 
-    value: int
+    __slots__ = ()
 
 
 Body = Union[Atom, Conj, Disj, HedgeApp, Grade]
 
 
-@dataclass(frozen=True)
-class Fact:
-    atom: Atom
-    tv: int
-    line: int = field(default=0, compare=False)
+# The source line of a statement, and the source of a program, are not
+# part of their identity.
+
+class Fact(record("Fact", "atom tv line", defaults=(0,), compared=2)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Atom
-    kind: str
-    body: Body
-    tv: int
-    line: int = field(default=0, compare=False)
+class Rule(record("Rule", "head kind body tv line", defaults=(0,), compared=4)):
+    __slots__ = ()
 
 
 Statement = Union[Fact, Rule]
 
 
-@dataclass(frozen=True)
-class Program:
-    statements: tuple[Statement, ...]
-    algebra_path: str | None = None
-    source: str = field(default="<string>", compare=False)
+class Program(record(
+    "Program", "statements algebra_path source", defaults=(None, "<string>"), compared=2
+)):
+    """``statements`` is a tuple of facts and rules in source order."""
+
+    __slots__ = ()
 
     @property
     def facts(self) -> tuple[Fact, ...]:
@@ -482,11 +472,6 @@ def format_body(body: Body) -> str:
     if isinstance(body, Grade):
         return f"v{body.value}"
     return f"or({','.join(format_body(p) for p in body.parts)})"
-
-
-def format_value(domain: TruthDomain, value: int | TruthValue) -> str:
-    idx = value if isinstance(value, int) else domain.index_of(value)
-    return f"{domain.literal(idx)} (v{idx})"
 
 
 def pretty_print(program: Program, domain: TruthDomain) -> str:

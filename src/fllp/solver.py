@@ -26,8 +26,9 @@ the threshold, in the same order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .algebra import format_value, record
 from .connectives import GODEL
 from .inverse import InverseMappingTable
 from .lang import (
@@ -44,7 +45,6 @@ from .lang import (
     Var,
     format_atom,
     format_body,
-    format_value,
     free_vars,
     map_atoms,
 )
@@ -54,15 +54,14 @@ class BranchCut(Exception):
     """No value below this point can satisfy the active bound."""
 
 
-@dataclass(frozen=True)
-class WAtom:
-    """An open atom of a goal word, with the least value worth finding for it."""
+class WAtom(record("WAtom", "atom bound in_disj", defaults=(False,))):
+    """An open atom of a goal word, with the least value worth finding for
+    it (or None); ``in_disj`` when some ancestor is a disjunction."""
 
-    atom: Atom
-    bound: int | None
-    in_disj: bool = False  # some ancestor is a disjunction
+    __slots__ = ()
 
 
+# A dataclass, not a record: perfbench/tracing.py calls dataclasses.replace on it.
 @dataclass(frozen=True)
 class SolveOptions:
     depth: int | None = 64  # None or 0: unlimited
@@ -76,18 +75,19 @@ class SolveOptions:
             raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
 
 
-@dataclass(frozen=True)
-class ComputedAnswer:
-    value: int
-    bindings: tuple[tuple[str, Term], ...]
-    length: int = field(default=0, compare=False)  # bookkeeping, not identity
+class ComputedAnswer(record(
+    "ComputedAnswer", "value bindings length", defaults=(0,), compared=2
+)):
+    """``bindings`` pairs query variables with terms; ``length`` is
+    bookkeeping, not identity."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    answers: tuple[ComputedAnswer, ...]
-    depth_exhausted: bool = False
-    trace: tuple[str, ...] = ()
+class SolveResult(record(
+    "SolveResult", "answers depth_exhausted trace", defaults=(False, ())
+)):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -256,16 +256,22 @@ def test_package_root_loads_only_the_algebra_layers():
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver"]),
+    (["domain"], ["fllp.lang", "dataclasses"]),
+    (["check", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "dataclasses"]),
+    (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "dataclasses"]),
+    (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver", "dataclasses"]),
+    (["surface", "heater.ctl"], ["fllp.prolog", "fllp.solver", "dataclasses"]),
+    # query loads dataclasses for SolveOptions
     (["query", "hotel.fllp", "-q", "su_ho(X)"], ["fllp.control", "fllp.fixpoint", "fllp.prolog"]),
 ])
 def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
-    argv = [argv[0], str(samples_dir / argv[1]), *argv[2:]]
+    argv = [argv[0], *(str(samples_dir / a) for a in argv[1:2]), *argv[2:]]
     code = (
         "import json, sys\n"
         "from fllp.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('fllp.')]]), file=sys.stderr)\n"
+        "loaded = [m for m in sys.modules if m.startswith('fllp.') or m == 'dataclasses']\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,

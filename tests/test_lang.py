@@ -13,6 +13,7 @@ from fllp.lang import (
     Grade,
     HedgeApp,
     ParseError,
+    Program,
     Rule,
     Var,
     algebra_directive,
@@ -250,3 +251,47 @@ def test_program_accessors(domain):
     program = parse_program(GOOD, domain)
     assert program.predicates() == {"gd_em": 1, "st_hd": 1, "hira_un": 1}
     assert program.constants() == ("ann",)
+
+
+# -- records ------------------------------------------------------------------
+
+def test_records_equal_only_records_of_their_own_class():
+    assert Var("x") != Const("x") and not Var("x") == Const("x")
+    assert Atom("p", ()) != ("p", ()) and ("p", ()) != Atom("p", ())
+    assert Grade(3) != (3,) and Grade(3) == Grade(3)
+    assert Atom("p", (Const("a"),)) == Atom("p", (Const("a"),))
+    assert Atom("p", (Const("a"),)) != Atom("p", (Var("a"),))
+    assert len({Var("x"), Const("x"), Var("x")}) == 2
+
+
+def test_statement_lines_and_program_source_are_not_identity():
+    atom = Atom("p", (Const("a"),))
+    for one, other in [
+        (Fact(atom, 3, line=1), Fact(atom, 3, line=9)),
+        (Rule(atom, "godel", Atom("q"), 3, line=1), Rule(atom, "godel", Atom("q"), 3, line=9)),
+    ]:
+        assert one == other and not one != other and hash(one) == hash(other)
+    assert Fact(atom, 3, line=1) != Fact(atom, 4, line=1)
+    statements = (Fact(atom, 3),)
+    assert Program(statements, None, "a.fllp") == Program(statements, None, "b.fllp")
+    assert Program(statements, "x.alg") != Program(statements, None)
+
+
+def test_records_are_immutable():
+    atom = Atom("p", (Const("a"),))
+    with pytest.raises(AttributeError):
+        atom.pred = "q"
+    with pytest.raises(AttributeError):
+        atom.extra = 1
+    with pytest.raises(AttributeError):
+        Fact(atom, 3).line = 2
+
+
+def test_record_repr_and_construction():
+    assert repr(Atom("p", (Const("a"),))) == "Atom(pred='p', args=(Const(name='a'),))"
+    assert repr(Fact(Atom("p"), 3)) == "Fact(atom=Atom(pred='p', args=()), tv=3, line=0)"
+    assert Atom(pred="p") == Atom("p", ()) == Atom("p")
+    rule = Rule(head=Atom("p"), kind="luka", body=Grade(value=2), tv=5)
+    assert (rule.line, rule.tv, rule.body) == (0, 5, Grade(2))
+    program = Program(statements=(rule,))
+    assert (program.algebra_path, program.source) == (None, "<string>")
