@@ -11,8 +11,8 @@ The algebra is taken from ``--algebra``, else from the program's own
 ``FLLP_ALGEBRA`` environment variable, else the built-in default.
 
 Exit codes: 0 on success, 1 for usage, parse or validation problems, 2
-when resources ran out (truth-domain or grounding cap, or a depth-limited
-search that may have missed answers).
+when resources ran out (truth-domain or grounding cap, search limit, or a
+depth-limited search that may have missed answers).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _errors(exc) -> int:
     violations = getattr(exc, "violations", None) or [str(exc)]
     for v in violations:
         print(f"error: {v}", file=sys.stderr)
-    return 1
+    return 2 if isinstance(exc, LimitError) else 1
 
 
 def _env_algebra() -> str | None:
@@ -231,6 +231,9 @@ def _cmd_query(args) -> int:
         lines = []
         try:
             code = max(code, _run_query(program, table, line, opts, lines))
+        except LimitError as exc:  # this query gives up; the session goes on
+            code = _errors(exc)
+            continue
         except ValueError as exc:
             _errors(exc)
             continue
@@ -289,10 +292,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (LimitError, OSError, ValueError) as exc:
         return _errors(exc)
 
 

@@ -13,7 +13,15 @@ together with the bindings of the query variables.
 A word valued with its open atoms at top bounds every answer below it;
 a word whose bound cannot reach ``max(threshold, 1)`` is cut.  Without a
 threshold it ends in one bottom answer with the bindings made so far, so
-recursion through an unmatched atom ends.
+recursion through an unmatched atom ends.  A word is a zipper (Huet
+1997): the replacement in focus under a shared chain of frames, each a
+connective or hedge with a hole, the value of its resolved parts, its
+open parts and ``need``, the least hole value that lets the word reach
+that floor.  Connectives and hedge columns are monotone, so a word is cut
+exactly when its focus is below ``need``, and a step does local work.
+Each state pushed counts its depth plus its substitution's bindings; past
+``SEARCH_LIMIT`` such entries :class:`SearchLimitError` ends left recursion
+and cycles that no depth bound stops.
 
 Threshold mode pushes a lower bound down the goal tree.  Every connective
 is monotone, so a bound on a node induces a least useful value for each
@@ -26,9 +34,10 @@ the threshold, in the same order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .algebra import format_value, record
+from .algebra import LimitError, format_value, record
 from .connectives import GODEL
 from .inverse import InverseMappingTable
 from .lang import (
@@ -48,6 +57,13 @@ from .lang import (
     free_vars,
     map_atoms,
 )
+
+
+SEARCH_LIMIT = 8 * 10**6
+
+
+class SearchLimitError(LimitError):
+    subject, unit = "the search", "entries"
 
 
 class BranchCut(Exception):
@@ -127,11 +143,10 @@ def next_threshold(
     if tag == "disj":
         return None
     if tag == "hedge":
-        col = table.columns[context[1]]
-        for v, img in enumerate(col):
-            if img >= bound:
-                return v
-        raise BranchCut
+        v = bisect_left(table.columns[context[1]], bound)  # columns are monotone
+        if v > n:
+            raise BranchCut
+        return v
     raise ValueError(f"unknown bound context: {context!r}")
 
 
@@ -230,28 +245,12 @@ def _rename_atom(atom: Atom, tag: str) -> Atom:
 
 
 # ---------------------------------------------------------------------------
-# word traversal
+# goal words as zippers
 
-def _select(word: Body):
-    """The leftmost open atom of ``word`` and a function that puts a
-    replacement in its place; ``(None, None)`` when no atom is open."""
-    if isinstance(word, WAtom):
-        return word, lambda new: new
-    if isinstance(word, HedgeApp):
-        sel, plug = _select(word.body)
-        if sel is not None:
-            return sel, lambda new: HedgeApp(word.hedge, plug(new))
-    elif isinstance(word, (Conj, Disj)):
-        for i, part in enumerate(word.parts):
-            sel, plug = _select(part)
-            if sel is not None:
-                return sel, lambda new: _with_part(word, i, plug(new))
-    return None, None
-
-
-def _with_part(word: Conj | Disj, i: int, part: Body) -> Body:
-    parts = word.parts[:i] + (part,) + word.parts[i + 1:]
-    return Conj(word.kind, parts) if isinstance(word, Conj) else Disj(parts)
+def _fold(word: Conj | Disj, acc: int, v: int, n: int) -> int:
+    if isinstance(word, Disj):
+        return acc if acc > v else v
+    return (v if v < acc else acc) if word.kind == GODEL else max(acc + v - n, 0)
 
 
 def _value(word: Body, columns, n: int) -> int:
@@ -261,18 +260,72 @@ def _value(word: Body, columns, n: int) -> int:
         return n
     if isinstance(word, Grade):
         return word.value
-    if isinstance(word, Conj):
-        acc = n
-        for part in word.parts:
-            v = _value(part, columns, n)
-            acc = (v if v < acc else acc) if word.kind == GODEL else max(acc + v - n, 0)
-        return acc
     if isinstance(word, HedgeApp):
         return columns[word.hedge][_value(word.body, columns, n)]
-    acc = 0
+    acc = n if isinstance(word, Conj) else 0
     for part in word.parts:
-        acc = max(acc, _value(part, columns, n))
+        acc = _fold(word, acc, _value(part, columns, n), n)
     return acc
+
+
+def _frame(word: Body, lefts: tuple, acc: int, rights: tuple, up: tuple, columns, n: int) -> tuple:
+    """Frame ``(word, lefts, acc, rights, need, up)`` of a hole in ``word``
+    inside ``up``, after ``lefts`` (resolved, folded to ``acc``), before ``rights``.
+    The root frame, above the whole word, is ``(None, (), 0, (), floor, None)``."""
+    want = up[4]
+    if isinstance(word, HedgeApp):
+        need = bisect_left(columns[word.hedge], want)
+    else:
+        rest = acc
+        for part in rights:
+            rest = _fold(word, rest, _value(part, columns, n), n)
+        if isinstance(word, Disj):
+            need = 0 if rest >= want else want
+        elif word.kind == GODEL:
+            need = want if rest >= want else n + 1
+        else:
+            need = min(want + n - rest, n + 1) if want else 0
+    return (word, lefts, acc, rights, need, up)
+
+
+def _next(node: Body, up: tuple, columns, n: int) -> tuple:
+    """The leftmost open atom at or after the focus ``node`` and the frame
+    of its hole, else ``(None, None, value of the whole word)``."""
+    while True:
+        while not isinstance(node, (WAtom, Grade)):  # down to the leftmost leaf
+            if isinstance(node, HedgeApp):
+                up, node = _frame(node, (), 0, (), up, columns, n), node.body
+            else:
+                acc = n if isinstance(node, Conj) else 0
+                up, node = _frame(node, (), acc, node.parts[1:], up, columns, n), node.parts[0]
+        if isinstance(node, WAtom):
+            return node, up, None
+        v = node.value
+        while True:  # up past resolved parts, folding their values
+            word, lefts, acc, rights, _, above = up
+            if word is None:
+                return None, None, v
+            if isinstance(word, HedgeApp):
+                up, node, v = above, HedgeApp(word.hedge, node), columns[word.hedge][v]
+                continue
+            acc, lefts = _fold(word, acc, v, n), lefts + (node,)
+            while rights and isinstance(rights[0], Grade):  # resolved already
+                acc, lefts, rights = _fold(word, acc, rights[0].value, n), lefts + rights[:1], rights[1:]
+            if rights:
+                up, node = _frame(word, lefts, acc, rights[1:], above, columns, n), rights[0]
+                break
+            up, node, v = above, Conj(word.kind, lefts) if isinstance(word, Conj) else Disj(lefts), acc
+
+
+def _plug(node: Body, up: tuple) -> Body:
+    """The whole goal word with ``node`` in the hole of ``up``."""
+    while up[0] is not None:
+        word, lefts, _, rights, _, up = up
+        if isinstance(word, HedgeApp):
+            node = HedgeApp(word.hedge, node)
+        else:
+            node = word._replace(parts=lefts + (node,) + rights)
+    return node
 
 
 def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
@@ -289,10 +342,10 @@ def solve(
     query: Body,
     options: SolveOptions | None = None,
 ) -> SolveResult:
+    """Answers to ``query``; raises :class:`SearchLimitError` past ``SEARCH_LIMIT``."""
     opts = options or SolveOptions()
     below_top, by_head = _prepare(program, table)
     columns, n = table.columns, table.domain.n
-    floor = max(opts.threshold or 0, 1)
     trace: list[str] = []
     qvars = free_vars(query)
 
@@ -306,21 +359,24 @@ def solve(
     fresh = itertools.count(1)
     answers: list[ComputedAnswer] = []
     exhausted = False
-    stack: list[tuple[Body, dict[str, Term], int, str | None]] = [(goal, {}, 0, None)]
+    # (focus, frame of its hole, substitution, depth, trace note)
+    stack: list[tuple] = [(goal, (None, (), 0, (), max(opts.threshold or 0, 1), None), {}, 0, None)]
+    pushed = 0
 
     while stack:
-        word, subst, depth, note = stack.pop()
+        if pushed > SEARCH_LIMIT:
+            raise SearchLimitError(pushed, SEARCH_LIMIT)
+        focus, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
-        value = _value(word, columns, n)
-        if value < floor:
+        if _value(focus, columns, n) < up[4]:
             if opts.trace:
-                trace.append(f"[{depth}] cut {format_word(word, subst)} (below bound)")
+                trace.append(f"[{depth}] cut {format_word(_plug(focus, up), subst)} (below bound)")
             if opts.threshold:
                 continue
-            sel = None  # without a threshold the cut word ends in one bottom answer
+            sel, value = None, 0  # without a threshold the cut word ends in one bottom answer
         else:
-            sel, plug = _select(word)
+            sel, up, value = _next(focus, up, columns, n)
         if sel is None:
             bindings = tuple((v, walk(Var(v), subst)) for v in qvars)
             answers.append(ComputedAnswer(value, bindings, depth))
@@ -371,7 +427,8 @@ def solve(
                 continue
             if opts.trace:
                 trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
-            stack.append((plug(Grade(0)), subst, depth, None))
+            stack.append((Grade(0), up, subst, depth, None))
+            pushed += depth + len(subst)
             continue
         if not branches:
             if opts.trace:
@@ -392,7 +449,8 @@ def solve(
             note0 = None
             if opts.trace:
                 note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
-            stack.append((plug(Grade(0)), subst, depth, note0))
+            stack.append((Grade(0), up, subst, depth, note0))
+            pushed += depth + len(subst)
         elif not branches:
             continue
 
@@ -401,7 +459,8 @@ def solve(
             note = None
             if opts.trace:
                 note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
-            stack.append((plug(replacement), s2, depth + 1, note))
+            stack.append((replacement, up, s2, depth + 1, note))
+            pushed += depth + 1 + len(s2)
 
     if opts.threshold is not None:
         answers = [a for a in answers if a.value >= opts.threshold]

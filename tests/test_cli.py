@@ -136,6 +136,43 @@ def test_query_depth_exhaustion_exit_code(capsys, tmp_path):
     assert "tv=little true (v25)" in out  # answers are still reported
 
 
+@pytest.mark.parametrize("src", [RECURSIVE, RECURSIVE.replace("p(X)", "p(a)")])
+def test_query_left_recursion_ends_at_the_search_limit(capsys, tmp_path, src):
+    prog = tmp_path / "loop.fllp"
+    prog.write_text(src)
+    code, out, err = run(capsys, "query", str(prog), "-q", "p(a)", "--depth", "0",
+                         "--threshold", "v1")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: the search needs at least \d+ entries, "
+                        r"over the limit of 8000000\n", err)
+
+
+def test_query_repl_goes_on_after_the_search_limit(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "loop.fllp"
+    prog.write_text(RECURSIVE + "q(b) : true.\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("q(b)\np(X)\nq(b)\n"))
+    dest = tmp_path / "answers.txt"
+    code, out, err = run(capsys, "query", str(prog), "--depth", "0", "--threshold", "v1",
+                         "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the search needs at least") and err.count("\n") == 1
+    assert dest.read_text(encoding="utf-8") == "answer: ; tv=true (v33)\n" * 2
+
+
+def test_query_unlimited_depth_answers_a_900_edge_chain(capsys, tmp_path):
+    # Gödel rules at abstrue grade a path with its weakest edge, so the
+    # least model grades path(n0,n900) little true.
+    edges = [f"edge(n{i},n{i + 1}) : {'little true' if i == 450 else 'true'}."
+             for i in range(900)]
+    rules = ["path(X,Y) <-g edge(X,Y) : abstrue.",
+             "path(X,Y) <-g and_g(edge(X,Z), path(Z,Y)) : abstrue."]
+    prog = tmp_path / "chain900.fllp"
+    prog.write_text("\n".join(edges + rules) + "\n")
+    code, out, err = run(capsys, "query", str(prog), "-q", "path(n0,n900)", "--depth", "0",
+                         "--threshold", "v1")
+    assert (code, out, err) == (0, "answer: ; tv=little true (v25)\n", "")
+
+
 def test_query_unbounded_depth(capsys, samples_dir):
     code, out, _ = run(
         capsys, "query", str(samples_dir / "hotel.fllp"),

@@ -1,21 +1,49 @@
 from __future__ import annotations
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fllp import solver
 from fllp.connectives import GODEL, LUKA
 from fllp.fixpoint import least_model
-from fllp.lang import Atom, Const, load_program, parse_program, parse_query
+from fllp.inverse import build_inverse_table
+from fllp.lang import (
+    Atom,
+    Conj,
+    Const,
+    Disj,
+    Grade,
+    HedgeApp,
+    load_program,
+    parse_program,
+    parse_query,
+)
 from fllp.solver import (
     BranchCut,
     ComputedAnswer,
+    SearchLimitError,
     SolveOptions,
+    WAtom,
     _all_below_top,
+    _next,
+    _plug,
+    _value,
     format_answer,
     next_threshold,
     solve,
 )
 
-from expected import HEDGE_VERY_BOUND, RULE_LUKA_BOUND, SAMPLE_ANSWERS
+from expected import (
+    HEDGE_VERY_BOUND,
+    RULE_LUKA_BOUND,
+    SAMPLE_ANSWERS,
+    TRACE_DEFAULT,
+    TRACE_PROGRAM,
+    TRACE_THRESHOLD,
+)
+from randprog import random_algebra
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_ANSWERS))
@@ -87,6 +115,18 @@ def test_depth_limit_reports_exhaustion(domain, table):
     assert not done.depth_exhausted
 
 
+@pytest.mark.parametrize("head", ["p(X)", "p(a)"])  # the ground loop binds nothing
+def test_search_limit_stops_left_recursion(domain, table, monkeypatch, head):
+    src = f"p(a) : little true.\n{head} <-g #very({head}) : abstrue.\n"
+    program = parse_program(src, domain)
+    query = parse_query(head, domain)
+    monkeypatch.setattr(solver, "SEARCH_LIMIT", 1000)
+    with pytest.raises(SearchLimitError, match="the search needs at least") as exc:
+        solve(program, table, query, SolveOptions(depth=0, threshold=1))
+    assert exc.value.limit == 1000 < exc.value.needed
+    assert solve(program, table, query, SolveOptions(depth=20)).answers
+
+
 def test_negative_depth_is_rejected():
     with pytest.raises(ValueError, match="depth"):
         SolveOptions(depth=-3)
@@ -128,6 +168,15 @@ def test_trace_narrates_the_search(samples_dir):
     assert any("computed v29" in line for line in result.trace)
     quiet = solve(program, table, query, SolveOptions())
     assert quiet.trace == ()
+
+
+@pytest.mark.parametrize("opts, want", [
+    (SolveOptions(threshold=20, depth=0, trace=True), TRACE_THRESHOLD),
+    (SolveOptions(trace=True), TRACE_DEFAULT),
+])
+def test_full_trace_is_frozen(domain, table, opts, want):
+    program = parse_program(TRACE_PROGRAM, domain)
+    assert solve(program, table, parse_query("good(b)", domain), opts).trace == want
 
 
 def test_next_threshold_cases(table):
@@ -222,3 +271,43 @@ def test_indexed_candidates_keep_every_answer_in_order(domain, table, query, opt
         for a in result.answers
     ]
     assert shown == want
+
+
+@functools.cache
+def _random_table(seed):
+    return build_inverse_table(random_algebra(seed, max_rank=2, max_limit=2)[1])
+
+
+@st.composite
+def _goal_words(draw):
+    """A random algebra's table, a goal word over its hedges whose leaves
+    are grades and open atoms, and a floor for the whole word."""
+    table = _random_table(draw(st.integers(0, 11)))
+    n = table.domain.n
+    leaves = st.builds(Grade, st.integers(0, n)) | st.just(WAtom(Atom("p"), None))
+
+    def extend(inner):
+        parts = st.lists(inner, min_size=2, max_size=3).map(tuple)
+        return (st.builds(Conj, st.sampled_from((GODEL, LUKA)), parts)
+                | st.builds(Disj, parts)
+                | st.builds(HedgeApp, st.sampled_from(sorted(table.columns)), inner))
+
+    return table, draw(st.recursive(leaves, extend, max_leaves=8)), draw(st.integers(1, n))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_goal_words(), st.data())
+def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
+    # At every open atom in turn, the hole's need decides each grade the way
+    # valuing the whole word does; this rests on monotone hedge columns.
+    table, word, floor = case
+    columns, n = table.columns, table.domain.n
+    sel, up, value = _next(word, (None, (), 0, (), floor, None), columns, n)
+    while sel is not None:
+        assert _plug(sel, up) == word
+        for g in range(n + 1):
+            assert (g >= up[4]) == (_value(_plug(Grade(g), up), columns, n) >= floor)
+        grade = Grade(data.draw(st.integers(0, n)))
+        word = _plug(grade, up)
+        sel, up, value = _next(grade, up, columns, n)
+    assert value == _value(word, columns, n)
