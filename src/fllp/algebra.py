@@ -5,8 +5,11 @@ act on two opposite primary terms ("false" < "true").  Modifiers split into
 a strengthening class and a weakening class, each linearly ranked, and a
 positivity matrix records whether one modifier amplifies or dampens the
 effect of another.  Everything else is derived from that description: the
-sign of a modified term, the total order on all bounded modifier strings,
-and the enumerated truth domain the rest of the package computes with.
+sign of a modified term, the direction its hedge chains run, and so the
+truth domain the rest of the package computes with, every bounded
+modifier string in ascending order.  The order is read off in one
+depth-first walk that carries each term's sign and outermost hedge (Ho &
+Wechler, "Hedge algebras", FSS 1990); no two values are ever compared.
 
 All values are immutable and the operations are pure, so algebras and
 domains can be shared freely across threads.
@@ -15,12 +18,9 @@ domains can be shared freely across threads.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator
-
-LT, EQ, GT = -1, 0, 1
 
 BOTTOM_NAME = "absfalse"
 MIDDLE_NAME = "middle"
@@ -132,10 +132,6 @@ class HedgeAlgebraSpec(record(
     __slots__ = ()
 
 
-# Comparison bands: 0 and 1 are extremes, W separates the two term sides.
-_BAND = {"bottom": 0, "middle": 2, "top": 4}
-
-
 class HedgeAlgebra:
     """Validated algebra with the derived extended order on hedges.
 
@@ -149,8 +145,6 @@ class HedgeAlgebra:
         self.limit = spec.limit
         self.negative_primary = spec.negative_primary
         self.positive_primary = spec.positive_primary
-        self._class = {d.name: d.positive_class for d in spec.hedges}
-        self._positivity = dict(spec.positivity)
         plus = sorted((d for d in spec.hedges if d.positive_class), key=lambda d: d.rank)
         minus = sorted((d for d in spec.hedges if not d.positive_class), key=lambda d: d.rank)
         # plus_hedges[i] has extended index i+1, minus_hedges[i] has -(i+1)
@@ -158,13 +152,18 @@ class HedgeAlgebra:
         self.minus_hedges = tuple(d.name for d in minus)
         self._e_index = {name: i + 1 for i, name in enumerate(self.plus_hedges)}
         self._e_index.update({name: -(i + 1) for i, name in enumerate(self.minus_hedges)})
-        # Greatest hedge under the extended order, used to probe chain direction.
-        if self.plus_hedges:
-            self._top_hedge = self.plus_hedges[-1]
-        elif self.minus_hedges:
-            self._top_hedge = self.minus_hedges[0]
-        else:
-            self._top_hedge = None
+        # _flip[h, outer] is -1 when h applied over a term with outermost
+        # hedge ``outer`` (None: a primary) reverses the term's sign: a
+        # weakening hedge over a primary, or h negative w.r.t. ``outer``.
+        self._flip = {(d.name, None): 1 if d.positive_class else -1 for d in spec.hedges}
+        self._flip.update({pair: 1 if pos else -1 for pair, pos in spec.positivity.items()})
+        # The greatest hedge in the extended order, whose effect on a term
+        # tells which way the term's chains run.
+        self._ref = (self.plus_hedges[-1:] or self.minus_hedges[:1] or (None,))[0]
+        # Children of a term with chain direction d, in push order for the
+        # walk: descending d·e(h), with the term itself (None) at e = 0.
+        rising = (*reversed(self.minus_hedges), None, *self.plus_hedges)
+        self._push = {1: rising[::-1], -1: rising}
 
     # -- lookups ---------------------------------------------------------
 
@@ -183,118 +182,54 @@ class HedgeAlgebra:
     def hedge_by_e_index(self, idx: int) -> str | None:
         if idx == 0:
             return None
-        if idx > 0:
-            if idx <= len(self.plus_hedges):
-                return self.plus_hedges[idx - 1]
-        elif -idx <= len(self.minus_hedges):
-            return self.minus_hedges[-idx - 1]
+        hedges = self.plus_hedges if idx > 0 else self.minus_hedges
+        if abs(idx) <= len(hedges):
+            return hedges[abs(idx) - 1]
         raise AlgebraError([f"no hedge with extended index {idx}"])
 
     def extended_order(self) -> tuple[str, ...]:
         """All hedges, ascending by the extended order (identity omitted)."""
         return tuple(reversed(self.minus_hedges)) + self.plus_hedges
 
-    def positive_wrt(self, modifier: str, target: str) -> bool:
-        try:
-            return self._positivity[(modifier, target)]
-        except KeyError:
-            raise AlgebraError(
-                [f"positivity of {modifier!r} w.r.t. {target!r} is not declared"]
-            ) from None
+    # -- the order -------------------------------------------------------
 
-    def _check_value(self, v: TruthValue) -> None:
-        for h in v.hedges:
-            if h not in self._e_index:
-                raise AlgebraError([f"undeclared hedge: {h!r}"])
+    def flip(self, hedge: str, outer: str | None) -> int:
+        """-1 when applying ``hedge`` reverses the sign of a term whose
+        outermost hedge is ``outer`` (None: a primary), else +1.  A term's
+        sign is +1 when it sits above the term it modifies (a positive
+        primary counts as above), -1 when below."""
+        return self._flip[hedge, outer]
 
-    # -- operations ------------------------------------------------------
+    def direction(self, sign: int, outer: str | None) -> int:
+        """+1 when the hedge chains over a term ascend with the extended
+        order, -1 when they descend, from the term's sign and outermost
+        hedge: chains ascend when the greatest hedge moves the term the
+        way it moves a primary of its class."""
+        ref = self._ref
+        return sign if ref is None else sign * self._flip[ref, outer] * self._flip[ref, None]
 
-    def sign(self, v: TruthValue) -> int:
-        """Whether the term sits above (+1) or below (-1) its parent term.
+    def terms(self, positive: bool) -> list[TruthValue]:
+        """Every term over one primary, ascending, in one depth-first walk.
 
-        Strengthening hedges keep the sign of the primary they reach;
-        weakening hedges flip it once.  Deeper hedges flip again whenever
-        they are negative with respect to the hedge they modify.  The three
-        constants have sign 0.
+        Under a term with chain direction ``d`` come the subtrees of the
+        hedges ``h`` with ``d·e(h) < 0``, then the term itself, then the
+        subtrees with ``d·e(h) > 0``, each in ascending ``d·e(h)``.  Each
+        term's sign and outermost hedge are carried down, so no two values
+        are ever compared.
         """
-        if not v.is_term:
-            return 0
-        self._check_value(v)
-        s = 1 if v.positive else -1
-        inner: str | None = None
-        for h in reversed(v.hedges):  # innermost application first
-            if inner is None:
-                if not self._class[h]:
-                    s = -s
-            elif not self.positive_wrt(h, inner):
-                s = -s
-            inner = h
-        return s
-
-    def _chain_direction(self, z: TruthValue) -> int:
-        """+1 when hedge chains over ``z`` ascend with the extended order."""
-        ref = self._top_hedge
-        if ref is None:
-            return 1
-        s = self.sign(term((ref,) + z.hedges, z.positive))
-        return s if self._class[ref] else -s
-
-    def compare(self, x: TruthValue, y: TruthValue) -> int:
-        """Total order on the truth domain; returns LT, EQ or GT.
-
-        Both values must belong to this algebra.  Terms over the same
-        primary are compared at the first hedge position (innermost first)
-        where they differ: the shared prefix fixes a chain of sibling terms
-        whose direction decides whether the extended hedge order is read
-        forwards or backwards.
-        """
-        self._check_value(x)
-        self._check_value(y)
-        bx = _BAND.get(x.kind, 3 if x.positive else 1)
-        by = _BAND.get(y.kind, 3 if y.positive else 1)
-        if bx != by:
-            return LT if bx < by else GT
-        if x.kind != "term":
-            return EQ
-        xs = x.hedges[::-1]  # innermost first
-        ys = y.hedges[::-1]
-        j = 0
-        while j < len(xs) and j < len(ys) and xs[j] == ys[j]:
-            j += 1
-        if j == len(xs) == len(ys):
-            return EQ
-        h = xs[j] if j < len(xs) else None
-        k = ys[j] if j < len(ys) else None
-        z = term(reversed(xs[:j]), x.positive)
-        direction = self._chain_direction(z)
-        eh, ek = self.e_index(h), self.e_index(k)
-        c = (eh > ek) - (eh < ek)
-        return c if direction > 0 else -c
-
-    def negate(self, v: TruthValue) -> TruthValue:
-        if v.kind == "bottom":
-            return TOP
-        if v.kind == "top":
-            return BOTTOM
-        if v.kind == "middle":
-            return MIDDLE
-        self._check_value(v)
-        return TruthValue("term", not v.positive, v.hedges)
-
-    def apply_hedge(self, h: str, v: TruthValue) -> TruthValue:
-        """Prepend ``h`` as the new outermost hedge.
-
-        The constants are fixed points.  A term already at the length limit
-        is returned unchanged.
-        """
-        if not self.has_hedge(h):
-            raise AlgebraError([f"undeclared hedge: {h!r}"])
-        if not v.is_term:
-            return v
-        self._check_value(v)
-        if len(v.hedges) >= self.limit:
-            return v
-        return TruthValue("term", v.positive, (h,) + v.hedges)
+        flip, push, limit = self._flip, self._push, self.limit
+        out: list[TruthValue] = []
+        todo: list = [((), 1 if positive else -1, None)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is TruthValue:
+                out.append(item)
+                continue
+            hedges, sign, outer = item
+            v = TruthValue("term", positive, hedges)
+            for h in push[self.direction(sign, outer)] if len(hedges) < limit else (None,):
+                todo.append(v if h is None else ((h, *hedges), sign * flip[h, outer], h))
+        return out
 
 
 def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
@@ -365,14 +300,9 @@ def domain_size(spec: HedgeAlgebraSpec) -> int:
 
 def enumerate_domain(algebra: HedgeAlgebra) -> TruthDomain:
     """All hedge strings up to the length limit over both primaries, plus
-    the three constants, sorted ascending.  Deterministic for a given spec."""
-    values = [BOTTOM, MIDDLE, TOP]
-    names = algebra.extended_order()
-    for positive in (False, True):
-        for k in range(algebra.limit + 1):
-            for combo in itertools.product(names, repeat=k):
-                values.append(term(combo, positive))
-    values.sort(key=functools.cmp_to_key(algebra.compare))
+    the three constants, ascending: 0, the negative terms, W, the positive
+    terms, 1.  Deterministic for a given spec."""
+    values = [BOTTOM, *algebra.terms(False), MIDDLE, *algebra.terms(True), TOP]
     return TruthDomain(algebra, values)
 
 
@@ -405,33 +335,12 @@ class TruthDomain:
         except KeyError:
             raise ValueError(f"value not in domain: {self.literal_of_value(v)}") from None
 
-    # Boundary indices used by the inverse-mapping clamps.
-    @property
-    def least_positive_term(self) -> int:
-        return self.middle_index + 1
-
-    @property
-    def greatest_positive_term(self) -> int:
-        return self.n - 1
-
-    @property
-    def least_negative_term(self) -> int:
-        return 1
-
-    @property
-    def greatest_negative_term(self) -> int:
-        return self.middle_index - 1
-
     def literal(self, i: int) -> str:
         return self.literal_of_value(self.values[i])
 
     def literal_of_value(self, v: TruthValue) -> str:
-        if v.kind == "bottom":
-            return BOTTOM_NAME
-        if v.kind == "middle":
-            return MIDDLE_NAME
-        if v.kind == "top":
-            return TOP_NAME
+        if not v.is_term:
+            return {"bottom": BOTTOM_NAME, "middle": MIDDLE_NAME, "top": TOP_NAME}[v.kind]
         alg = self.algebra
         primary = alg.positive_primary if v.positive else alg.negative_primary
         return " ".join(v.hedges + (primary,))

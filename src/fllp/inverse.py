@@ -9,16 +9,19 @@ leads to one inverse mapping per hedge.  These mappings are required to
   2. be monotone over the whole domain, and
   3. shrink pointwise as the hedge grows in the extended order.
 
-They are not unique.  The builder below derives a table that satisfies all
-three conditions by index shifting inside hedge families, mirrored onto the
-negative side through negation, with the three constants as fixed points.
-The shift construction tracks hedge chains faithfully but can lose
-monotonicity on algebras whose positivity matrix makes deep chains
-alternate direction; when its result fails validation, the builder falls
-back to columns interpolated through three anchor points per side (the
-ends and the cancellation cell), which satisfy the conditions on every
-algebra.  Applications can replace individual cells through ``inverse:``
-override rows in the algebra config; the merged table is re-validated.
+They are not unique.  The builder below derives the positive half of each
+column by index shifting inside hedge families, with the three constants
+as fixed points.  The shift construction tracks hedge chains faithfully
+but can lose monotonicity on algebras whose positivity matrix makes deep
+chains alternate direction; when its result fails validation, the builder
+falls back to positive halves interpolated through three anchor points
+(the ends and the cancellation cell), which satisfy the conditions on
+every algebra.  Either way one mirror completes the columns: negation
+sends domain index ``i`` to ``n - i``, and each negative half is the
+reflected positive half of the hedge's opposite-class peer.  Applications
+can replace individual cells through ``inverse:`` override rows in the
+algebra config; two rows that give one cell different targets are
+rejected, and the merged table is re-validated.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .algebra import (
-    BOTTOM,
     MIDDLE,
     TOP,
     InputError,
@@ -80,47 +82,35 @@ _REFERENCE_CELLS = {
 
 
 class _Builder:
+    """The shift construction, on the positive half of each column."""
+
     def __init__(self, domain: TruthDomain):
         self.domain = domain
-        self.alg = domain.algebra
-        self.p = len(self.alg.plus_hedges)
-        self.q = len(self.alg.minus_hedges)
-        if self.p == 0 or self.q == 0:
-            raise InverseTableError(
-                ["inverse tables need at least one hedge in each class"]
-            )
-        # Chain direction over each single-hedge positive term.
-        self._dir = {
-            r: self.alg._chain_direction(term((self.alg.hedge_by_e_index(r),), True))
-            for r in range(-self.q, self.p + 1)
-            if r != 0
-        }
-        self._dir[0] = 1  # chains over the bare primary always ascend
+        self.alg = alg = domain.algebra
+        self.p, self.q = len(alg.plus_hedges), len(alg.minus_hedges)
+        # Chain direction over each single-hedge positive term; chains over
+        # the bare primary always ascend.
+        self._dir = {0: 1}
+        for h in alg.extended_order():
+            self._dir[alg.e_index(h)] = alg.direction(alg.flip(h, None), h)
 
-    def column(self, hedge: str) -> tuple[int, ...]:
+    def column(self, hedge: str) -> list[int]:
+        """``hedge``'s column with the positive half and the constants
+        filled in; the cells below W are left for :func:`_mirror`."""
         r = self.alg.e_index(hedge)
-        out = []
-        for v in self.domain:
-            out.append(self.domain.index_of(self._invert(r, v)))
-        return tuple(out)
-
-    def _invert(self, r: int, x: TruthValue) -> TruthValue:
-        if not x.is_term:
-            return x
-        if x.positive:
-            return self._clamp(self._invert_positive(r, x), positive=True)
-        m = min(self.p, self.q)
-        if -m <= r <= m:
-            z = -r
-        elif r > 0:  # more strengthening than weakening hedges
-            z = -self.q
-        else:
-            z = self.p
-        y = self._invert_positive(z, self.alg.negate(x))
-        return self._clamp(self._negate(y), positive=False)
+        d = self.domain
+        w, n = d.middle_index, d.n
+        col = [0] * (n + 1)
+        col[w], col[n] = w, n
+        for i in range(w + 1, n):
+            y = self._invert_positive(r, d[i])
+            # Bounded domains have no room for constant images; pull them
+            # to the nearest positive term.
+            col[i] = w + 1 if y is MIDDLE else n - 1 if y is TOP else d.index_of(y)
+        return col
 
     def _invert_positive(self, r: int, x: TruthValue) -> TruthValue:
-        """Raw image on the positive side; may return a constant to clamp."""
+        """Raw image of a positive term; may return W or 1 to clamp."""
         alg = self.alg
         if not x.hedges:
             m = min(self.p, self.q)
@@ -130,10 +120,10 @@ class _Builder:
         s = alg.e_index(x.hedges[-1])  # innermost hedge
         sigma = x.hedges[:-1]
         if r == s:
-            if not sigma:
-                return term((), True)
-            cell = self._reference_cell(r, sigma)
-            return cell if cell is not None else term((), True)
+            cell = None
+            if (self.p, self.q, alg.limit, len(sigma)) == (2, 2, 2, 1):
+                cell = _REFERENCE_CELLS.get((r, alg.e_index(sigma[0])))
+            return term(tuple(map(alg.hedge_by_e_index, cell or ())), True)
         d = s - r
         if d < -self.q:
             return MIDDLE
@@ -148,88 +138,50 @@ class _Builder:
         delta = alg.hedge_by_e_index(max(-self.q, min(self.p, -t)))
         return self._mk((delta, hd))
 
-    def _reference_cell(self, r: int, sigma: tuple[str, ...]) -> TruthValue | None:
-        if r > 0 or self.p != 2 or self.q != 2 or self.alg.limit != 2 or len(sigma) != 1:
-            return None
-        cell = _REFERENCE_CELLS.get((r, self.alg.e_index(sigma[0])))
-        if cell is None:
-            return None
-        outer, inner = cell
-        return term(
-            (self.alg.hedge_by_e_index(outer), self.alg.hedge_by_e_index(inner)), True
-        )
-
     def _mk(self, hedges: tuple[str, ...]) -> TruthValue:
-        # Fold through clamped application so degenerate limits stay in range.
-        if len(hedges) <= self.alg.limit:
-            return term(hedges, True)
-        v = term((), True)
-        for h in reversed(hedges):
-            v = self.alg.apply_hedge(h, v)
-        return v
-
-    def _negate(self, y: TruthValue) -> TruthValue:
-        if y.kind == "top":
-            return BOTTOM
-        if y.kind == "middle":
-            return MIDDLE
-        return self.alg.negate(y)
-
-    def _clamp(self, y: TruthValue, positive: bool) -> TruthValue:
-        """Bounded domains have no room for constant images; pull them to
-        the nearest term on the input's side of the scale."""
-        d = self.domain
-        if positive:
-            if y.kind == "middle":
-                return d[d.least_positive_term]
-            if y.kind == "top":
-                return d[d.greatest_positive_term]
-        else:
-            if y.kind == "middle":
-                return d[d.greatest_negative_term]
-            if y.kind == "bottom":
-                return d[d.least_negative_term]
-        return y
+        """The positive term keeping only the innermost ``limit`` hedges,
+        so degenerate limits stay in range."""
+        limit = self.alg.limit
+        return term(hedges[-limit:] if limit else (), True)
 
 
-def _interp(v: int, x0: int, y0: int, x1: int, y1: int) -> int:
-    if x1 == x0:
-        return y1 if v >= x1 else y0
-    return y0 + (v - x0) * (y1 - y0) // (x1 - x0)
+def _mirror(domain: TruthDomain, columns: dict[str, list[int]]) -> dict[str, list[int]]:
+    """Fill each column below W through negation, which maps index ``i`` to
+    ``n - i``: ``col[i] = n - pair[n - i]``, where ``pair`` is the positive
+    half of the hedge's opposite-class peer, the hedge whose extended index
+    is the negated one, clamped to the range of the smaller class."""
+    alg = domain.algebra
+    n, w = domain.n, domain.middle_index
+    m = min(len(alg.plus_hedges), len(alg.minus_hedges))
+    for h, col in columns.items():
+        pair = columns[alg.hedge_by_e_index(max(-m, min(m, -alg.e_index(h))))]
+        for i in range(w):
+            col[i] = n - pair[n - i]
+    return columns
+
+
+def _hedged_primary(domain: TruthDomain, hedge: str) -> int:
+    """Index of ``hedge`` applied to the positive primary (the primary
+    itself at limit 0): the cell where the column must cancel."""
+    return domain.index_of(term((hedge,)[: domain.algebra.limit], True))
 
 
 def _anchored_columns(domain: TruthDomain) -> dict[str, list[int]]:
-    """Fallback columns: per hedge, interpolate the positive side through
-    (middle, middle), (index of the hedged positive primary, index of the
-    positive primary) and (top, top); mirror onto the negative side through
-    negation, pairing each hedge with its opposite-class peer."""
-    alg = domain.algebra
+    """Fallback columns: per hedge, interpolate the positive side linearly
+    through (middle, middle), (x, index of the positive primary) and (top,
+    top), where x, the index of the hedged positive primary, lies strictly
+    between middle and top."""
     n = domain.n
     w = domain.middle_index
     y0 = domain.index_of(term((), True))
-    p, q = len(alg.plus_hedges), len(alg.minus_hedges)
-
     pos: dict[str, list[int]] = {}
-    for h in alg.extended_order():
-        x = domain.index_of(alg.apply_hedge(h, term((), True)))
-        col = [0] * (n + 1)
-        for v in range(w, n + 1):
-            if v <= x:
-                col[v] = _interp(v, w, w, x, y0)
-            else:
-                col[v] = _interp(v, x, y0, n, n)
-        pos[h] = col
-
-    out: dict[str, list[int]] = {}
-    for h in alg.extended_order():
-        r = alg.e_index(h)
-        z = -r if -min(p, q) <= -r <= min(p, q) else (-q if r > 0 else p)
-        pair = alg.hedge_by_e_index(z)
-        col = list(pos[h])
-        for v in range(w):
-            col[v] = n - pos[pair][n - v]
-        out[h] = col
-    return out
+    for h in domain.algebra.extended_order():
+        x = _hedged_primary(domain, h)
+        pos[h] = [0] * w + [
+            w + (v - w) * (y0 - w) // (x - w) if v <= x else y0 + (v - x) * (n - y0) // (n - x)
+            for v in range(w, n + 1)
+        ]
+    return pos
 
 
 def build_inverse_table(
@@ -238,15 +190,20 @@ def build_inverse_table(
     """Derive the default table, apply overrides, validate, return.
 
     Raises :class:`InverseTableError` listing every violated condition when
-    an override breaks the table.
+    an override breaks the table, names an unknown hedge or literal, or
+    contradicts an earlier row for the same cell.
     """
+    alg = domain.algebra
+    if not alg.plus_hedges or not alg.minus_hedges:
+        raise InverseTableError(["inverse tables need at least one hedge in each class"])
     builder = _Builder(domain)
-    columns = {h: list(builder.column(h)) for h in domain.algebra.extended_order()}
+    columns = _mirror(domain, {h: builder.column(h) for h in alg.extended_order()})
     probe = InverseMappingTable(domain, {h: tuple(c) for h, c in columns.items()})
     if validate_inverse_table(probe):
-        columns = _anchored_columns(domain)
+        columns = _mirror(domain, _anchored_columns(domain))
 
     problems: list[str] = []
+    cells: dict[tuple[str, int], tuple[int, int]] = {}
     for ov in overrides:
         if ov.hedge not in columns:
             problems.append(f"line {ov.line}: override names undeclared hedge {ov.hedge!r}")
@@ -257,6 +214,12 @@ def build_inverse_table(
         except ValueError as exc:
             problems.append(f"line {ov.line}: {exc}")
             continue
+        first, line = cells.setdefault((ov.hedge, src), (dst, ov.line))
+        if first != dst:
+            problems.append(
+                f"line {ov.line}: inverse {ov.hedge!r} of {domain.literal(src)!r} "
+                f"already set to {domain.literal(first)!r} on line {line}"
+            )
         columns[ov.hedge][src] = dst
     if problems:
         raise InverseTableError(problems)
@@ -272,39 +235,33 @@ def validate_inverse_table(table: InverseMappingTable) -> list[str]:
     """Check the three table conditions plus fixed points and side safety."""
     domain = table.domain
     alg = domain.algebra
-    lit = domain.literal
+    lit, n, w = domain.literal, domain.n, domain.middle_index
     out: list[str] = []
 
     c_plus = domain.index_of(term((), True))
     for h in alg.extended_order():
         col = table.columns[h]
-        hedged = domain.index_of(alg.apply_hedge(h, term((), True)))
+        hedged = _hedged_primary(domain, h)
         if col[hedged] != c_plus:
-            out.append(
-                f"{h!r} must cancel on {lit(hedged)!r}, maps to {lit(col[hedged])!r}"
-            )
-        for i in range(domain.n):
+            out.append(f"{h!r} must cancel on {lit(hedged)!r}, maps to {lit(col[hedged])!r}")
+        for i in range(n):
             if col[i] > col[i + 1]:
                 out.append(
                     f"{h!r} is not monotone: {lit(i)!r} -> {lit(col[i])!r} but "
                     f"{lit(i + 1)!r} -> {lit(col[i + 1])!r}"
                 )
-        for i in (0, domain.middle_index, domain.n):
+        for i in (0, w, n):
             if col[i] != i:
                 out.append(f"{h!r} must fix {lit(i)!r}, maps to {lit(col[i])!r}")
-        w = domain.middle_index
         for i, j in enumerate(col):
-            if 0 < i < w and not (0 <= j <= w):
-                out.append(f"{h!r} maps {lit(i)!r} across the middle to {lit(j)!r}")
-            if w < i < domain.n and not (w <= j <= domain.n):
+            if (0 < i < w < j) or (w < i < n and j < w):
                 out.append(f"{h!r} maps {lit(i)!r} across the middle to {lit(j)!r}")
 
     # Weaker hedges in the extended order must have pointwise larger images;
     # the identity sits between the classes.
-    ordered: list[str | None] = list(reversed(list(alg.extended_order())))
-    ordered.insert(len(alg.plus_hedges), None)
+    ordered = [*reversed(alg.plus_hedges), None, *alg.minus_hedges]
     for a, b in zip(ordered, ordered[1:]):  # a above b in the extended order
-        for i in range(domain.n + 1):
+        for i in range(n + 1):
             va, vb = table.apply(a, i), table.apply(b, i)
             if va > vb:
                 na, nb = a or "identity", b or "identity"

@@ -136,25 +136,45 @@ class Program(record(
                 yield from atoms_of(st.body)
 
 
+def _postorder(body: Body) -> list[Body]:
+    """The nodes of ``body``, each after its parts, leaves left to right;
+    a loop, not recursion, so words of any depth can be walked."""
+    nodes, todo = [], [body]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if node.__class__ is HedgeApp:
+            todo.append(node.body)
+        elif node.__class__ is Conj or node.__class__ is Disj:
+            todo += node.parts
+    return nodes[::-1]
+
+
+def _pop(done: list, k: int) -> tuple:
+    """The last ``k`` entries of ``done``, taken off it."""
+    parts = tuple(done[len(done) - k:])
+    del done[len(done) - k:]
+    return parts
+
+
 def atoms_of(body: Body) -> Iterator[Atom]:
-    if isinstance(body, Atom):
-        yield body
-    elif isinstance(body, HedgeApp):
-        yield from atoms_of(body.body)
-    elif not isinstance(body, Grade):
-        for part in body.parts:
-            yield from atoms_of(part)
+    return (node for node in _postorder(body) if node.__class__ is Atom)
 
 
 def map_atoms(body: Body, f) -> Body:
     """Copy of ``body`` with every atom leaf replaced by ``f(leaf)``."""
-    if isinstance(body, Conj):
-        return Conj(body.kind, tuple(map_atoms(p, f) for p in body.parts))
-    if isinstance(body, Disj):
-        return Disj(tuple(map_atoms(p, f) for p in body.parts))
-    if isinstance(body, HedgeApp):
-        return HedgeApp(body.hedge, map_atoms(body.body, f))
-    return body if isinstance(body, Grade) else f(body)
+    if body.__class__ is Atom:
+        return f(body)
+    done: list = []
+    for node in _postorder(body):
+        if node.__class__ is HedgeApp:
+            done.append(HedgeApp(node.hedge, done.pop()))
+        elif node.__class__ is Conj or node.__class__ is Disj:
+            parts = _pop(done, len(node.parts))
+            done.append(Conj(node.kind, parts) if node.__class__ is Conj else Disj(parts))
+        else:
+            done.append(node if node.__class__ is Grade else f(node))
+    return done[0]
 
 
 def free_vars(node: Body | Atom) -> tuple[str, ...]:
@@ -462,16 +482,16 @@ def format_atom(atom: Atom) -> str:
 
 
 def format_body(body: Body) -> str:
-    if isinstance(body, Atom):
-        return format_atom(body)
-    if isinstance(body, HedgeApp):
-        return f"#{body.hedge}({format_body(body.body)})"
-    if isinstance(body, Conj):
-        name = "and_g" if body.kind == GODEL else "and_l"
-        return f"{name}({','.join(format_body(p) for p in body.parts)})"
-    if isinstance(body, Grade):
-        return f"v{body.value}"
-    return f"or({','.join(format_body(p) for p in body.parts)})"
+    done: list[str] = []
+    for node in _postorder(body):
+        if node.__class__ is HedgeApp:
+            done.append(f"#{node.hedge}({done.pop()})")
+        elif node.__class__ is Conj or node.__class__ is Disj:
+            name = "or" if node.__class__ is Disj else "and_g" if node.kind == GODEL else "and_l"
+            done.append(f"{name}({','.join(_pop(done, len(node.parts)))})")
+        else:
+            done.append(f"v{node.value}" if node.__class__ is Grade else format_atom(node))
+    return done[0]
 
 
 def pretty_print(program: Program, domain: TruthDomain) -> str:

@@ -32,6 +32,17 @@ def random_algebra(seed: int, max_rank: int = 3, max_limit: int = 3):
     return algebra, enumerate_domain(algebra)
 
 
+def algebra_config_text(spec: HedgeAlgebraSpec) -> str:
+    """``spec`` as algebra-config text, hedges in declaration order."""
+    lines = [f"primary: {spec.negative_primary}, {spec.positive_primary}"]
+    for d in spec.hedges:
+        lines.append(f"hedge: {d.name} class={'+' if d.positive_class else '-'} rank={d.rank}")
+    for (a, b), flag in spec.positivity.items():
+        lines.append(f"{'positive' if flag else 'negative'}: {a} -> {b}")
+    lines.append(f"limit: {spec.limit}")
+    return "\n".join(lines) + "\n"
+
+
 def _leaf(rng, preds, head_vars, hedges):
     pred, arity = rng.choice(preds)
     args = []

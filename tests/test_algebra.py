@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from functools import cmp_to_key, partial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fllp.algebra import (
     BOTTOM,
@@ -12,6 +15,8 @@ from fllp.algebra import (
     DomainLimitError,
     HedgeAlgebraSpec,
     HedgeDecl,
+    InputError,
+    LimitError,
     build_algebra,
     domain_size,
     enumerate_domain,
@@ -19,9 +24,10 @@ from fllp.algebra import (
     parse_algebra_config,
     term,
 )
+from fllp.inverse import build_inverse_table
 
-from conftest import ASYM_CONFIG
-from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
+from conftest import ASYM_CONFIG, shape_config
+from expected import DOMAIN_INVERSE_SHA256, DOMAIN_LITERALS, L1_DOMAIN_LITERALS
 from randprog import random_algebra
 
 
@@ -36,31 +42,79 @@ def test_one_word_domain_enumeration():
     assert tuple(domain.literal(i) for i in range(len(domain))) == L1_DOMAIN_LITERALS
 
 
-def test_compare_agrees_with_enumeration(algebra, domain):
-    for i, x in enumerate(domain):
-        for j, y in enumerate(domain):
-            want = (i > j) - (i < j)
-            assert algebra.compare(x, y) == want, (domain.literal(i), domain.literal(j))
+# The pairwise order the domain walk replaced, kept as an oracle.  A term's
+# sign says whether it sits above (+1) or below (-1) the term it modifies:
+# weakening hedges flip a primary's sign, and a hedge flips it again when it
+# is negative w.r.t. the hedge it modifies.  Two terms over one primary
+# compare at the first hedge position (innermost first) where they differ,
+# by extended index, read backwards when chains over the shared prefix
+# descend: when the greatest hedge moves that prefix against its class.
+
+def oracle_sign(algebra, v) -> int:
+    if not v.is_term:
+        return 0
+    s, inner = (1 if v.positive else -1), None
+    for h in reversed(v.hedges):  # innermost application first
+        keeps = h in algebra.plus_hedges if inner is None else algebra.spec.positivity[h, inner]
+        s, inner = (s if keeps else -s), h
+    return s
 
 
-def test_negation_mirrors_the_domain(algebra, domain):
-    n = domain.n
-    for i, x in enumerate(domain):
-        assert domain.index_of(algebra.negate(x)) == n - i
+def oracle_compare(algebra, x, y) -> int:
+    bands = {"bottom": 0, "middle": 2, "top": 4}
+    bx, by = (bands.get(v.kind, 3 if v.positive else 1) for v in (x, y))
+    if bx != by or not x.is_term:
+        return (bx > by) - (bx < by)
+    xs, ys = x.hedges[::-1], y.hedges[::-1]
+    j = 0
+    while j < len(xs) and j < len(ys) and xs[j] == ys[j]:
+        j += 1
+    if j == len(xs) == len(ys):
+        return 0
+    eh, ek = (algebra.e_index(hs[j] if j < len(hs) else None) for hs in (xs, ys))
+    ref = algebra.extended_order()[-1]
+    prefix = xs[:j][::-1]
+    direction = oracle_sign(algebra, term((ref, *prefix), x.positive))
+    if ref not in algebra.plus_hedges:
+        direction = -direction
+    return ((eh > ek) - (eh < ek)) * direction
+
+
+def test_walk_order_agrees_with_the_compare_oracle():
+    for key in DOMAIN_INVERSE_SHA256:
+        algebra, domain, _ = load_algebra_config(shape_config(key))
+        want = sorted(domain.values, key=cmp_to_key(partial(oracle_compare, algebra)))
+        assert list(domain.values) == want, key
+
+
+def test_negation_mirrors_the_domain():
+    # Negation swaps the primaries, and 0 with 1; the inverse builder's
+    # mirror relies on it sending index i to n - i.
+    swap = {"bottom": TOP, "middle": MIDDLE, "top": BOTTOM}
+    for key in DOMAIN_INVERSE_SHA256:
+        _, domain, _ = load_algebra_config(shape_config(key))
+        for i, x in enumerate(domain):
+            negated = term(x.hedges, not x.positive) if x.is_term else swap[x.kind]
+            assert domain.index_of(negated) == domain.n - i, (key, i)
 
 
 def test_sign_spot_checks(algebra):
     t, f = term((), True), term((), False)
-    assert algebra.sign(t) == 1 and algebra.sign(f) == -1
-    assert algebra.sign(term(("very",), True)) == 1
-    assert algebra.sign(term(("little",), True)) == -1
-    assert algebra.sign(term(("very",), False)) == -1
-    assert algebra.sign(term(("little",), False)) == 1
+    assert oracle_sign(algebra, t) == 1 and oracle_sign(algebra, f) == -1
+    assert oracle_sign(algebra, term(("very",), True)) == 1
+    assert oracle_sign(algebra, term(("little",), True)) == -1
+    assert oracle_sign(algebra, term(("very",), False)) == -1
+    assert oracle_sign(algebra, term(("little",), False)) == 1
     # "very" is positive w.r.t. "little": the inner displacement is kept.
-    assert algebra.sign(term(("very", "little"), True)) == -1
+    assert oracle_sign(algebra, term(("very", "little"), True)) == -1
+    assert algebra.flip("very", "little") == 1
     # "probably" is negative w.r.t. "little": the displacement flips back.
-    assert algebra.sign(term(("probably", "little"), True)) == 1
-    assert algebra.sign(BOTTOM) == algebra.sign(MIDDLE) == algebra.sign(TOP) == 0
+    assert oracle_sign(algebra, term(("probably", "little"), True)) == 1
+    assert algebra.flip("probably", "little") == -1
+    assert algebra.flip("little", None) == -1 and algebra.flip("more", None) == 1
+    assert oracle_sign(algebra, BOTTOM) == oracle_sign(algebra, MIDDLE) == 0
+    # Chains over "true" ascend; over "little true" they descend.
+    assert algebra.direction(1, None) == 1 and algebra.direction(-1, "little") == -1
 
 
 def test_extended_order_and_indices(algebra):
@@ -78,19 +132,15 @@ def test_extended_order_and_indices(algebra):
         algebra.hedge_by_e_index(3)
 
 
-def test_apply_hedge_clamps_at_the_limit(algebra, domain):
-    vvt = term(("very", "very"), True)
-    assert algebra.apply_hedge("more", vvt) == vvt
-    assert algebra.apply_hedge("more", TOP) == TOP
-    assert algebra.apply_hedge("more", term((), True)) == term(("more",), True)
-
-
-def test_domain_boundary_helpers(domain):
-    assert domain.middle_index == 22
-    assert domain.literal(domain.least_positive_term) == "very little true"
-    assert domain.literal(domain.greatest_positive_term) == "very very true"
-    assert domain.literal(domain.least_negative_term) == "very very false"
-    assert domain.literal(domain.greatest_negative_term) == "very little false"
+def test_domain_boundary_terms(domain):
+    # The terms next to the constants, where the inverse builder pulls
+    # images that would land on a constant.
+    n, w = domain.n, domain.middle_index
+    assert w == 22
+    assert domain.literal(w + 1) == "very little true"
+    assert domain.literal(n - 1) == "very very true"
+    assert domain.literal(1) == "very very false"
+    assert domain.literal(w - 1) == "very little false"
 
 
 def test_parse_literal_round_trip(domain):
@@ -193,3 +243,53 @@ def test_build_algebra_refuses_a_domain_over_the_cap():
         build_algebra(one)
     none = HedgeAlgebraSpec("false", "true", (), {}, 10**9)
     assert domain_size(none) == 5
+
+
+# Config-line fragments: every declaration, well formed or not.
+HEDGE_NAMES = ("very", "more", "little", "probably", "quite") * 4 + ("true", "middle")
+PRIMARIES = ("primary: false, true",) * 12 + (
+    "primary: true, true", "primary: x", "primary: absfalse, true", "primary: ,")
+LIMITS = ("limit: 1", "limit: 2", "limit: 3") * 3 + (
+    "limit: 0", "limit: 40", "limit: 99", "limit: 100000000", "limit: -1", "limit: soon")
+FRAGMENTS = (
+    "primary: low, high", "limit: 2", "hedge: very class=* rank=2",
+    "hedge: very class=+ rank=two", "hedge: very", "positive: very ->", "negative: very",
+    "positive: -> very", "inverse: very", "inverse: very absfalse -> true",
+    "inverse: little very true ->", "inverse: very very very true -> true",
+    "% a comment", "", "nonsense", "unknown: 1",
+)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    k = draw(st.sampled_from((0, 1, 2, 2, 3, 3, 4, 4)))
+    names = draw(st.lists(st.sampled_from(HEDGE_NAMES), min_size=k, max_size=k, unique=True))
+    lines = [draw(st.sampled_from(PRIMARIES)), draw(st.sampled_from(LIMITS))]
+    classes = []
+    for i, name in enumerate(names):
+        # mostly alternating classes, ranked in declaration order within
+        # each class; now and then one-sided or clashing
+        classes.append(draw(st.sampled_from(("+-"[i % 2],) * 3 + ("+", "-"))))
+        rank = draw(st.sampled_from((None,) * 15 + (0, 1, 2)))
+        rank = classes.count(classes[-1]) if rank is None else rank
+        lines.append(f"hedge: {name} class={classes[-1]} rank={rank}")
+    for a in names:
+        for b in names:
+            if draw(st.sampled_from((True,) * 39 + (False,))):  # now and then undeclared
+                lines.append(f"{draw(st.sampled_from(('positive', 'negative')))}: {a} -> {b}")
+    literals = [" ".join(words) + draw(st.sampled_from((" true", " false", ""))) for words in
+                draw(st.lists(st.lists(st.sampled_from(names or ["very"]), max_size=2), max_size=3))]
+    for src, dst in zip(literals, literals[1:]):
+        lines.append(f"inverse: {draw(st.sampled_from(names or ['very']))} {src} -> {dst}")
+    lines += draw(st.lists(st.sampled_from(FRAGMENTS + ("% fine",) * 16), max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=150)
+@given(config_texts())
+def test_config_text_raises_only_input_or_limit_errors(text):
+    try:
+        _, domain, overrides = load_algebra_config(text)
+        build_inverse_table(domain, overrides)
+    except (InputError, LimitError) as exc:
+        assert str(exc)

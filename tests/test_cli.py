@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -7,17 +8,19 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
+from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
 from fllp.cli import main
 from fllp.fixpoint import least_model
-from fllp.lang import parse_program
+from fllp.lang import parse_program, pretty_print
 
-from conftest import ASYM_CONFIG
-from expected import DOMAIN_LITERALS, L1_DOMAIN_LITERALS
+from conftest import ASYM_CONFIG, shape_config
+from expected import DOMAIN_INVERSE_SHA256, DOMAIN_LITERALS, L1_DOMAIN_LITERALS
+from randprog import random_program
 
 RECURSIVE = "p(a) : little true.\np(X) <-g #very(p(X)) : abstrue.\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,6 +53,14 @@ def test_domain_inverse_blocks(capsys):
         assert f"inverse {h}:" in lines
     assert "  absfalse (v0) -> absfalse (v0)" in lines
     assert "  true (v33) -> little true (v25)" in lines
+
+
+@pytest.mark.parametrize("key", DOMAIN_INVERSE_SHA256)
+def test_domain_inverse_output_is_frozen(tmp_path, key):
+    config, out = tmp_path / "shape.alg", tmp_path / "out.txt"
+    config.write_text(shape_config(key))
+    assert main(["domain", "--inverse", "--algebra", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DOMAIN_INVERSE_SHA256[key]
 
 
 def test_domain_algebra_flag_and_env(capsys, tmp_path, monkeypatch):
@@ -389,6 +400,49 @@ def test_model_delta_iterations_do_not_depend_on_hashing(tmp_path):
     runs = [_fllp("model", "--mode", "delta", str(prog), hash_seed=s) for s in ("1", "3")]
     assert [p.returncode for p in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_conflicting_inverse_rows_exit_one(capsys, tmp_path):
+    first = DEFAULT_ALGEBRA_CONFIG.count("\n") + 1
+    config = tmp_path / "conflict.alg"
+    config.write_text(DEFAULT_ALGEBRA_CONFIG + "inverse: very true -> probably little true\n"
+                      "inverse: very true -> more little true\n")
+    code, out, err = run(capsys, "domain", "--inverse", "--algebra", str(config))
+    assert (code, out) == (1, "")
+    assert err == (f"error: line {first + 1}: inverse 'very' of 'true' already set to "
+                   f"'probably little true' on line {first}\n")
+
+
+def test_hedgeless_algebra_with_a_huge_limit_lists_five_values(tmp_path):
+    config = tmp_path / "plain.alg"
+    config.write_text("primary: false, true\nlimit: 100000000\n")
+    start = time.perf_counter()
+    proc = _fllp("domain", "--algebra", str(config), timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "absfalse (v0)", "false (v1)", "middle (v2)", "true (v3)", "abstrue (v4)",
+    ]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_query_trace_of_a_deep_goal_word_has_no_traceback(tmp_path):
+    # A recursive rule under a hedge nests the goal word one level per
+    # unfolding; tracing it at unlimited depth must end at the search limit
+    # (lowered here to keep the run short), not in a RecursionError.
+    _, domain, _ = load_algebra_config(ASYM_CONFIG)
+    prog, alg = tmp_path / "seed6.fllp", tmp_path / "asym.alg"
+    prog.write_text(pretty_print(random_program(6, domain, recursive=True), domain))
+    alg.write_text(ASYM_CONFIG)
+    code = ("import sys, fllp.solver, fllp.cli\n"
+            "fllp.solver.SEARCH_LIMIT = 6 * 10**5\n"
+            "sys.exit(fllp.cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "query", str(prog), "--algebra", str(alg),
+         "-q", "p1(X,Y)", "--trace", "--depth", "0", "--threshold", "v20"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 2), proc.stderr
 
 
 def test_domain_cap_exit_code(capsys, tmp_path):

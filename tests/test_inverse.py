@@ -46,7 +46,7 @@ def test_primary_cells_cancel(algebra, domain, table):
 
     true = term((), True)
     for h in algebra.extended_order():
-        hv = algebra.apply_hedge(h, true)
+        hv = term((h,), True)
         assert table.apply(h, domain.index_of(hv)) == domain.index_of(true), h
 
 
@@ -84,7 +84,7 @@ def test_interpolation_fallback_still_cancels(seed):
     assert validate_inverse_table(table) == []
     true = term((), True)
     for h in algebra.extended_order():
-        hv = algebra.apply_hedge(h, true)
+        hv = term((h,), True)
         assert table.apply(h, domain.index_of(hv)) == domain.index_of(true)
 
 
@@ -110,3 +110,25 @@ def test_override_on_unknown_hedge_is_rejected():
     _, domain, overrides = load_algebra_config(config)
     with pytest.raises(InverseTableError, match="extremely"):
         build_inverse_table(domain, overrides)
+
+
+def test_conflicting_override_rows_are_rejected():
+    first = DEFAULT_ALGEBRA_CONFIG.count("\n") + 1
+    config = DEFAULT_ALGEBRA_CONFIG + (
+        "inverse: very true -> probably little true\n"
+        "inverse: very true -> more little true\n"
+    )
+    _, domain, overrides = load_algebra_config(config)
+    with pytest.raises(InverseTableError) as err:
+        build_inverse_table(domain, overrides)
+    assert err.value.violations == (
+        f"line {first + 1}: inverse 'very' of 'true' already set to "
+        f"'probably little true' on line {first}",
+    )
+
+
+def test_repeated_override_rows_are_accepted():
+    row = "inverse: very true -> probably little true\n"
+    config = DEFAULT_ALGEBRA_CONFIG + row + row.replace("very true", "very  true")
+    _, domain, overrides = load_algebra_config(config)
+    assert build_inverse_table(domain, overrides).apply("very", 33) == 26

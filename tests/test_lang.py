@@ -158,7 +158,7 @@ ALPHABET = (
     "#", "very", "true", "false", "(", ")", ",", ":", ".", "<-g", "<-l", "<-",
     "?-", "?", " ", "\n", "%", "$", "_", "é",
 )
-SHORT_RUN = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+SHORT_RUN = settings(max_examples=300)
 
 
 @SHORT_RUN

@@ -295,7 +295,7 @@ def _goal_words(draw):
     return table, draw(st.recursive(leaves, extend, max_leaves=8)), draw(st.integers(1, n))
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(_goal_words(), st.data())
 def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     # At every open atom in turn, the hole's need decides each grade the way
