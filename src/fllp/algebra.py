@@ -27,9 +27,11 @@ MIDDLE_NAME = "middle"
 TOP_NAME = "abstrue"
 RESERVED_NAMES = frozenset({BOTTOM_NAME, MIDDLE_NAME, TOP_NAME})
 
-# Largest truth domain an algebra may enumerate.  The default hedges give
-# 43,693 values at ``limit: 7`` and 174,765 at ``limit: 8``.
-DOMAIN_LIMIT = 10**5
+# Most values plus hedge words (a value of k hedges holds k) a truth
+# domain may enumerate, so memory is bounded too.  The default hedges need
+# 334,965 at ``limit: 7`` and 1,514,613 at ``limit: 8``; a single hedge
+# needs L² + 3L + 5 at ``limit: L``.
+DOMAIN_LIMIT = 10**6
 
 
 class InputError(ValueError):
@@ -59,7 +61,7 @@ class LimitError(RuntimeError):
 
 
 class DomainLimitError(LimitError):
-    subject, unit = "the truth domain", "values"
+    subject, unit = "the truth domain", "values and hedge words"
 
 
 def record(name: str, fields: str, defaults: tuple = (), compared: int | None = None):
@@ -279,19 +281,20 @@ def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
 
     if problems:
         raise AlgebraError(sorted(set(problems)))
-    size = domain_size(spec)
+    size = domain_size(spec, words=True)
     if size > DOMAIN_LIMIT:
         raise DomainLimitError(size, DOMAIN_LIMIT)
     return HedgeAlgebra(spec)
 
 
-def domain_size(spec: HedgeAlgebraSpec) -> int:
+def domain_size(spec: HedgeAlgebraSpec, words: bool = False) -> int:
     """Number of values ``enumerate_domain`` yields: 2·Σ_{k≤limit} h^k + 3
-    for h hedges.  Counting stops early once past ``DOMAIN_LIMIT``."""
+    for h hedges; with ``words``, plus the 2·Σ k·h^k hedge words they hold.
+    Counting stops early once past ``DOMAIN_LIMIT``."""
     h = len(spec.hedges)
     size, layer = 3, 2
-    for _ in range(spec.limit + 1):
-        size += layer
+    for k in range(spec.limit + 1):
+        size += layer * (k + 1) if words else layer
         layer *= h
         if layer == 0 or size > DOMAIN_LIMIT:
             break

@@ -25,6 +25,7 @@ from .connectives import GODEL
 from .fixpoint import least_model
 from .inverse import InverseMappingTable
 from .lang import (
+    MAX_NESTING,
     RESERVED_PREDICATES,
     Atom,
     Conj,
@@ -68,6 +69,8 @@ def _parse_label(
         problems.append(f"line {line}: empty rule side")
         return (), ""
     *hedges, pred = words
+    if len(hedges) > MAX_NESTING:
+        problems.append(f"line {line}: rule side nested more than {MAX_NESTING} levels deep")
     for h in hedges:
         if not domain.algebra.has_hedge(h):
             problems.append(f"line {line}: unknown hedge {h!r}")

@@ -49,6 +49,7 @@ from .lang import (
     format_atom,
     free_vars,
     map_atoms,
+    value,
 )
 
 GROUND_LIMIT = 10**6
@@ -313,31 +314,19 @@ def _step(atom: Atom, slot, bound: set[int]) -> tuple:
 
 def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTable) -> int:
     """Value of a ground body, its atoms read from ``interp``."""
-    n = table.domain.n
-    if isinstance(body, Atom):
-        return interp[body]
-    if isinstance(body, HedgeApp):
-        return table.apply(body.hedge, eval_ground_body(body.body, interp, table))
-    if isinstance(body, Conj):
-        acc = eval_ground_body(body.parts[0], interp, table)
-        for p in body.parts[1:]:
-            acc = t_norm(body.kind, acc, eval_ground_body(p, interp, table), n)
-        return acc
-    if isinstance(body, Grade):
-        return body.value
-    return max(eval_ground_body(p, interp, table) for p in body.parts)
+    return value(body, interp.__getitem__, table.columns, table.domain.n)
 
 
 def tp_apply(
     gp: GroundProgram, table: InverseMappingTable, interp: Interpretation
 ) -> Interpretation:
     """One round of the consequence operator."""
-    n = table.domain.n
+    leaf, columns, n = interp.__getitem__, table.columns, table.domain.n
     out = Interpretation()
     for atom, tv in gp.facts:
         out.raise_to(atom, tv)
     for rule in gp.rules:
-        body = eval_ground_body(rule.body, interp, table)
+        body = value(rule.body, leaf, columns, n)
         out.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n))
     return out
 
@@ -364,6 +353,7 @@ def least_model(
             triggers.setdefault(atom, []).append(i)
 
     interp = tp_apply(gp, table, Interpretation())
+    leaf, columns = interp.__getitem__, table.columns
     rounds, changed = 1, list(interp)
     while changed:
         if rounds > cap:
@@ -371,10 +361,9 @@ def least_model(
         raised = Interpretation()
         for i in {i for atom in changed for i in triggers.get(atom, ())}:
             rule = gp.rules[i]
-            body = eval_ground_body(rule.body, interp, table)
-            value = t_norm(rule.kind, body, rule.tv, n)
-            if value > interp[rule.head]:
-                raised.raise_to(rule.head, value)
+            grade = t_norm(rule.kind, value(rule.body, leaf, columns, n), rule.tv, n)
+            if grade > interp[rule.head]:
+                raised.raise_to(rule.head, grade)
         interp.update(raised)
         rounds, changed = rounds + 1, list(raised)
     return interp, rounds

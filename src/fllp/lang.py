@@ -35,6 +35,11 @@ from .inverse import InverseMappingTable, build_inverse_table
 
 RESERVED_PREDICATES = ("and_g", "and_l", "or")
 
+# Deepest nesting of connectives and hedges a body may have.  CPython's
+# own parser stops at 200 nested brackets too; every recursive pass over
+# a body then stays far below the interpreter's recursion limit.
+MAX_NESTING = 200
+
 
 class ParseError(InputError):
     """A program, query or control file that does not parse or validate."""
@@ -177,6 +182,31 @@ def map_atoms(body: Body, f) -> Body:
     return done[0]
 
 
+def value(body: Body, leaf, columns, n: int) -> int:
+    """Value of ``body`` over ``0..n``, hedges through ``columns`` and leaves
+    other than ``Grade`` through ``leaf``; both engines evaluate bodies with
+    it, and the parser's nesting cap bounds its recursion."""
+    cls = body.__class__
+    if cls is Conj:
+        acc = n
+        if body.kind == GODEL:
+            for part in body.parts:
+                v = value(part, leaf, columns, n)
+                if v < acc:
+                    acc = v
+            return acc
+        for part in body.parts:  # clamping once at the end gives the same fold
+            acc += value(part, leaf, columns, n) - n
+        return acc if acc > 0 else 0
+    if cls is HedgeApp:
+        return columns[body.hedge][value(body.body, leaf, columns, n)]
+    if cls is Grade:
+        return body.value
+    if cls is Disj:
+        return max([value(part, leaf, columns, n) for part in body.parts])
+    return leaf(body)
+
+
 def free_vars(node: Body | Atom) -> tuple[str, ...]:
     """Variable names in first-occurrence order."""
     seen: dict[str, None] = {}
@@ -231,6 +261,7 @@ class _Parser:
         self.domain = domain
         self.pos = 0
         self.tok = tokens[0]
+        self.depth = 0  # connectives and hedges open around the current body
 
     def advance(self) -> _Token:
         tok = self.tok
@@ -263,6 +294,7 @@ class _Parser:
 
     def statement(self) -> Statement:
         start = self.tok.line
+        self.depth = 0
         atom = self.atom(head=True)
         arrow = self.tok.kind == "arrow"
         if arrow:
@@ -303,20 +335,27 @@ class _Parser:
         tok = self.tok
         if tok.kind == "end":
             self._fail("a body")
+        nested = tok.text == "#" or (tok.kind == "ident" and tok.text in RESERVED_PREDICATES)
+        if nested and self.depth == MAX_NESTING:
+            raise _Bail(f"line {tok.line}: body nested more than {MAX_NESTING} levels deep")
         if self.skip("#"):
             hedge = self.expect("ident", wanted="a hedge name").text
             if not self.domain.algebra.has_hedge(hedge):
                 raise _Bail(f"line {tok.line}: unknown hedge {hedge!r}")
             self.expect("punct", "(")
+            self.depth += 1
             inner = self.body()
+            self.depth -= 1
             self.expect("punct", ")")
             return HedgeApp(hedge, inner)
-        if tok.kind == "ident" and tok.text in RESERVED_PREDICATES:
+        if nested:
             self.advance()
             self.expect("punct", "(")
+            self.depth += 1
             parts = [self.body()]
             while self.skip(","):
                 parts.append(self.body())
+            self.depth -= 1
             self.expect("punct", ")")
             if len(parts) < 2:
                 raise _Bail(f"line {tok.line}: {tok.text!r} needs at least two parts")

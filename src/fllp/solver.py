@@ -10,25 +10,23 @@ When no atoms remain the word is evaluated like a ground rule body,
 hedges going through the inverse mapping, yielding a computed answer
 together with the bindings of the query variables.
 
-A word valued with its open atoms at top bounds every answer below it;
-a word whose bound cannot reach ``max(threshold, 1)`` is cut.  Without a
-threshold it ends in one bottom answer with the bindings made so far, so
-recursion through an unmatched atom ends.  A word is a zipper (Huet
-1997): the replacement in focus under a shared chain of frames, each a
-connective or hedge with a hole, the value of its resolved parts, its
-open parts and ``need``, the least hole value that lets the word reach
-that floor.  Connectives and hedge columns are monotone, so a word is cut
-exactly when its focus is below ``need``, and a step does local work.
-Each state pushed counts its depth plus its substitution's bindings; past
-``SEARCH_LIMIT`` such entries :class:`SearchLimitError` ends left recursion
-and cycles that no depth bound stops.
-
-Threshold mode pushes a lower bound down the goal tree.  Every connective
-is monotone, so a bound on a node induces a least useful value for each
-child; branches that cannot reach their bound are cut.  Bounds do not
-cross disjunctions (a weak branch may be compensated by a stronger one),
-so pruned search returns exactly the answers of unpruned search that pass
-the threshold, in the same order.
+One rule bounds the search.  Every connective and hedge column is
+monotone, so a node that must reach ``want`` gives each part a least
+useful value, its lower residual (Vojtáš, "Fuzzy logic programming", FSS
+2001): :func:`_need`, ``n + 1`` when no value will do.  A word is a zipper
+(Huet 1997): the replacement in focus under a shared chain of frames, each
+a connective or hedge with a hole, its resolved parts folded, its open
+parts and ``need``, what the hole must reach for the word to reach
+``max(threshold, 1)`` with its open atoms at top.  A word whose focus is
+below ``need`` is cut, so a step does local work; without a threshold it
+ends in one bottom answer, so recursion through an unmatched atom ends.
+Each open atom also carries the same rule's bound from the threshold
+down, which skips facts and never builds a rule body that cannot reach
+it; a threshold of 0 bounds nothing.  Pruned search thus returns exactly
+the answers of unpruned search that pass the threshold, in the same
+order.  Each state pushed counts its depth plus its substitution's
+bindings; past ``SEARCH_LIMIT`` such entries :class:`SearchLimitError`
+ends left recursion and cycles that no depth bound stops.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ from .lang import (
     format_body,
     free_vars,
     map_atoms,
+    value,
 )
 
 
@@ -66,13 +65,9 @@ class SearchLimitError(LimitError):
     subject, unit = "the search", "entries"
 
 
-class BranchCut(Exception):
-    """No value below this point can satisfy the active bound."""
-
-
 class WAtom(record("WAtom", "atom bound in_disj", defaults=(False,))):
     """An open atom of a goal word, with the least value worth finding for
-    it (or None); ``in_disj`` when some ancestor is a disjunction."""
+    it (0 when any will do); ``in_disj`` when some ancestor is a disjunction."""
 
     __slots__ = ()
 
@@ -109,53 +104,23 @@ class SolveResult(record(
 # ---------------------------------------------------------------------------
 # bounds
 
-def next_threshold(
-    table: InverseMappingTable, bound: int | None, context: tuple
-) -> int | None:
-    """Least value a child must reach for its parent to reach ``bound``.
-
-    ``None`` means the child is unconstrained.  Raises :class:`BranchCut`
-    when no child value can do it.  Contexts: ``("rule", kind, grade)``,
-    ``("conjg",)``, ``("conjl", arity, all_below_top)``, ``("disj",)`` and
-    ``("hedge", name)``.
-    """
-    if bound is None:
-        return None
-    n = table.domain.n
-    tag = context[0]
-    if tag == "rule":
-        _, kind, grade = context
-        if grade < bound:
-            raise BranchCut
-        return bound if kind == GODEL else n + bound - grade
-    if tag == "conjg":
-        return bound
-    if tag == "conjl":
-        _, arity, below_top = context
-        if not below_top:
-            return bound
-        # No atom can reach the top value, so the other parts contribute
-        # at most n-1 each and this part must make up the difference.
-        b = bound + (arity - 1)
-        if b > n - 1:
-            raise BranchCut
-        return b
-    if tag == "disj":
-        return None
-    if tag == "hedge":
-        v = bisect_left(table.columns[context[1]], bound)  # columns are monotone
-        if v > n:
-            raise BranchCut
-        return v
-    raise ValueError(f"unknown bound context: {context!r}")
+def _need(node, want: int, rest: int, columns, n: int) -> int:
+    """Least value of one part of ``node`` (a connective, a hedge, or a rule
+    whose other part is its grade) with which ``node`` reaches ``want``, its
+    other parts folded to ``rest``; ``n + 1`` when no value does."""
+    if node.__class__ is HedgeApp:
+        return bisect_left(columns[node.hedge], want)  # columns are monotone
+    if node.__class__ is Disj:
+        return 0 if rest >= want else want
+    if node.kind == GODEL:
+        return want if rest >= want else n + 1
+    return min(want + n - rest, n + 1) if want else 0
 
 
 def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
     """True when no atom can ever be graded with the top value."""
     n = table.domain.n
-    if any(f.tv == n for f in program.facts):
-        return False
-    return all(
+    return all(f.tv < n for f in program.facts) and all(
         col[v] < n for col in table.columns.values() for v in range(n)
     )
 
@@ -165,8 +130,9 @@ def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
 _last: tuple = (None, None, None)
 
 
-def _prepare(program: Program, table: InverseMappingTable) -> tuple[bool, dict]:
-    """:func:`_all_below_top` and the statements by head.  An entry
+def _prepare(program: Program, table: InverseMappingTable) -> tuple[int, dict]:
+    """``top``, the greatest grade an atom can reach (``n - 1`` when
+    :func:`_all_below_top`), and the statements by head.  An entry
     ``(pos, statement, head, rename)`` is filed under the head's predicate,
     and under ``(pred, c)`` when the head's first argument is the constant
     ``c``, else under ``(pred, None)``.  Ground facts are never renamed."""
@@ -180,28 +146,39 @@ def _prepare(program: Program, table: InverseMappingTable) -> tuple[bool, dict]:
             first = head.args[0] if head.args else None
             for key in (head.pred, (head.pred, first.name if isinstance(first, Const) else None)):
                 by_head.setdefault(key, []).append((pos, st, head, rename))
-        prepared = (_all_below_top(program, table), by_head)
+        n = table.domain.n
+        prepared = (n - 1 if _all_below_top(program, table) else n, by_head)
         _last = (program, table, prepared)
     return prepared
 
 
-def _word(
-    body: Body, bound: int | None, table, below_top: bool, in_disj: bool = False
-) -> Body:
-    """The goal word for ``body``: its atoms opened with their bounds."""
-    if isinstance(body, Atom):
-        return WAtom(body, bound, in_disj)
-    if isinstance(body, HedgeApp):
-        b = next_threshold(table, bound, ("hedge", body.hedge))
-        return HedgeApp(body.hedge, _word(body.body, b, table, below_top, in_disj))
-    if isinstance(body, Conj):
-        if body.kind == GODEL:
-            b = next_threshold(table, bound, ("conjg",))
-        else:
-            b = next_threshold(table, bound, ("conjl", len(body.parts), below_top))
-        parts = tuple(_word(p, b, table, below_top, in_disj) for p in body.parts)
-        return Conj(body.kind, parts)
-    return Disj(tuple(_word(p, None, table, below_top, True) for p in body.parts))
+def _word(body: Body, bound: int, top: int, columns, n: int, in_disj: bool = False,
+          tag: str | None = None):
+    """The goal word for ``body`` reaching ``bound``: its atoms, renamed
+    apart with ``tag`` if given, opened with the bounds :func:`_need` gives
+    them; None when some part needs more than it can reach.  Under
+    ``and_l`` the siblings and the part itself reach at most ``top``;
+    elsewhere they count as reaching ``n``, which differs only when a part
+    needs the top grade itself and no atom can have it."""
+    if body.__class__ is Atom:
+        return WAtom(body if tag is None else _rename_atom(body, tag), bound, in_disj)
+    parts = (body.body,) if body.__class__ is HedgeApp else body.parts
+    rest, cap = n, n
+    if body.__class__ is Conj and body.kind != GODEL:
+        rest, cap = max(n - (len(parts) - 1) * (n - top), 0), top
+    b = _need(body, bound, rest, columns, n)
+    if b > cap:
+        return None
+    in_disj = in_disj or body.__class__ is Disj
+    words = []
+    for part in parts:
+        w = _word(part, b, top, columns, n, in_disj, tag)
+        if w is None:
+            return None
+        words.append(w)
+    if body.__class__ is HedgeApp:
+        return HedgeApp(body.hedge, words[0])
+    return body._replace(parts=tuple(words))
 
 
 # ---------------------------------------------------------------------------
@@ -253,51 +230,29 @@ def _fold(word: Conj | Disj, acc: int, v: int, n: int) -> int:
     return (v if v < acc else acc) if word.kind == GODEL else max(acc + v - n, 0)
 
 
-def _value(word: Body, columns, n: int) -> int:
-    """Value of ``word`` with every open atom at the top value ``n``: a
-    bound on every answer below it, and the answer once no atom is open."""
-    if isinstance(word, WAtom):
-        return n
-    if isinstance(word, Grade):
-        return word.value
-    if isinstance(word, HedgeApp):
-        return columns[word.hedge][_value(word.body, columns, n)]
-    acc = n if isinstance(word, Conj) else 0
-    for part in word.parts:
-        acc = _fold(word, acc, _value(part, columns, n), n)
-    return acc
-
-
-def _frame(word: Body, lefts: tuple, acc: int, rights: tuple, up: tuple, columns, n: int) -> tuple:
+def _frame(
+    word: Body, lefts: tuple, acc: int, rights: tuple, up: tuple, leaf, columns, n: int
+) -> tuple:
     """Frame ``(word, lefts, acc, rights, need, up)`` of a hole in ``word``
-    inside ``up``, after ``lefts`` (resolved, folded to ``acc``), before ``rights``.
-    The root frame, above the whole word, is ``(None, (), 0, (), floor, None)``."""
-    want = up[4]
-    if isinstance(word, HedgeApp):
-        need = bisect_left(columns[word.hedge], want)
-    else:
-        rest = acc
-        for part in rights:
-            rest = _fold(word, rest, _value(part, columns, n), n)
-        if isinstance(word, Disj):
-            need = 0 if rest >= want else want
-        elif word.kind == GODEL:
-            need = want if rest >= want else n + 1
-        else:
-            need = min(want + n - rest, n + 1) if want else 0
-    return (word, lefts, acc, rights, need, up)
+    inside ``up``, after ``lefts`` (resolved, folded to ``acc``), before
+    ``rights``, whose open atoms ``leaf`` values at top.  The root frame,
+    above the whole word, is ``(None, (), 0, (), floor, None)``."""
+    rest = acc
+    for part in rights:
+        rest = _fold(word, rest, value(part, leaf, columns, n), n)
+    return (word, lefts, acc, rights, _need(word, up[4], rest, columns, n), up)
 
 
-def _next(node: Body, up: tuple, columns, n: int) -> tuple:
+def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
     """The leftmost open atom at or after the focus ``node`` and the frame
     of its hole, else ``(None, None, value of the whole word)``."""
     while True:
         while not isinstance(node, (WAtom, Grade)):  # down to the leftmost leaf
             if isinstance(node, HedgeApp):
-                up, node = _frame(node, (), 0, (), up, columns, n), node.body
+                up, node = _frame(node, (), 0, (), up, leaf, columns, n), node.body
             else:
                 acc = n if isinstance(node, Conj) else 0
-                up, node = _frame(node, (), acc, node.parts[1:], up, columns, n), node.parts[0]
+                up, node = _frame(node, (), acc, node.parts[1:], up, leaf, columns, n), node.parts[0]
         if isinstance(node, WAtom):
             return node, up, None
         v = node.value
@@ -312,7 +267,7 @@ def _next(node: Body, up: tuple, columns, n: int) -> tuple:
             while rights and isinstance(rights[0], Grade):  # resolved already
                 acc, lefts, rights = _fold(word, acc, rights[0].value, n), lefts + rights[:1], rights[1:]
             if rights:
-                up, node = _frame(word, lefts, acc, rights[1:], above, columns, n), rights[0]
+                up, node = _frame(word, lefts, acc, rights[1:], above, leaf, columns, n), rights[0]
                 break
             up, node, v = above, Conj(word.kind, lefts) if isinstance(word, Conj) else Disj(lefts), acc
 
@@ -344,14 +299,14 @@ def solve(
 ) -> SolveResult:
     """Answers to ``query``; raises :class:`SearchLimitError` past ``SEARCH_LIMIT``."""
     opts = options or SolveOptions()
-    below_top, by_head = _prepare(program, table)
+    top, by_head = _prepare(program, table)
     columns, n = table.columns, table.domain.n
+    leaf = lambda word: n  # open atoms are valued at top
     trace: list[str] = []
     qvars = free_vars(query)
 
-    try:
-        goal = _word(query, opts.threshold, table, below_top)
-    except BranchCut:
+    goal = _word(query, opts.threshold or 0, top, columns, n)
+    if goal is None:
         return SolveResult((), False, ())
     if opts.trace:
         trace.append(f"goal {format_word(goal)}")
@@ -369,19 +324,19 @@ def solve(
         focus, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
-        if _value(focus, columns, n) < up[4]:
+        if value(focus, leaf, columns, n) < up[4]:
             if opts.trace:
                 trace.append(f"[{depth}] cut {format_word(_plug(focus, up), subst)} (below bound)")
             if opts.threshold:
                 continue
-            sel, value = None, 0  # without a threshold the cut word ends in one bottom answer
+            sel, grade = None, 0  # without a threshold the cut word ends in one bottom answer
         else:
-            sel, up, value = _next(focus, up, columns, n)
+            sel, up, grade = _next(focus, up, leaf, columns, n)
         if sel is None:
             bindings = tuple((v, walk(Var(v), subst)) for v in qvars)
-            answers.append(ComputedAnswer(value, bindings, depth))
+            answers.append(ComputedAnswer(grade, bindings, depth))
             if opts.trace:
-                trace.append(f"[{depth}] computed v{value}")
+                trace.append(f"[{depth}] computed v{grade}")
             continue
 
         atom = subst_atom(sel.atom, subst)
@@ -403,16 +358,16 @@ def solve(
                 continue
             unifiable = True
             if isinstance(st, Fact):
-                if sel.bound is not None and st.tv < sel.bound:
+                if st.tv < sel.bound:
                     continue
                 replacement: Body = Grade(st.tv)
                 key = (-st.tv, 0, 0, pos)
             else:
-                try:
-                    b = next_threshold(table, sel.bound, ("rule", st.kind, st.tv))
-                    body = map_atoms(st.body, lambda a: _rename_atom(a, tag))
-                    child = _word(body, b, table, below_top, sel.in_disj)
-                except BranchCut:
+                b = _need(st, sel.bound, st.tv, columns, n)
+                if b > n:
+                    continue
+                child = _word(st.body, b, top, columns, n, sel.in_disj, tag)
+                if child is None:
                     continue
                 replacement = Conj(st.kind, (child, Grade(st.tv)))
                 key = (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
@@ -421,7 +376,7 @@ def solve(
             branches.append((key, replacement, s2))
 
         if not unifiable:
-            if sel.bound is not None and sel.bound > 0:
+            if sel.bound > 0:
                 if opts.trace:
                     trace.append(f"[{depth}] cut {format_atom(atom)} (nothing matches)")
                 continue

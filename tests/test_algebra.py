@@ -226,6 +226,23 @@ def test_domain_size_counts_the_enumeration(config, limit):
     assert domain_size(spec) == len(enumerate_domain(build_algebra(spec)))
 
 
+@pytest.mark.parametrize("config", [DEFAULT_ALGEBRA_CONFIG, ASYM_CONFIG])
+@pytest.mark.parametrize("limit", range(4))
+def test_domain_size_counts_the_hedge_words_too(config, limit):
+    spec, _ = parse_algebra_config(config.replace("limit: 2", f"limit: {limit}"))
+    domain = enumerate_domain(build_algebra(spec))
+    assert domain_size(spec, words=True) == sum(1 + len(v.hedges) for v in domain)
+
+
+def test_domain_cap_admits_the_default_hedges_up_to_limit_seven():
+    seven, _ = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 7"))
+    assert domain_size(seven, words=True) == 334_965 <= DOMAIN_LIMIT
+    build_algebra(seven)
+    eight, _ = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 8"))
+    with pytest.raises(DomainLimitError, match="values and hedge words"):
+        build_algebra(eight)
+
+
 def test_domain_size_on_random_algebras():
     for seed in range(10):
         algebra, domain = random_algebra(seed)

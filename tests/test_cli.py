@@ -16,7 +16,7 @@ import pytest
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
 from fllp.cli import main
 from fllp.fixpoint import least_model
-from fllp.lang import parse_program, pretty_print
+from fllp.lang import MAX_NESTING, parse_program, pretty_print
 
 from conftest import ASYM_CONFIG, shape_config
 from expected import DOMAIN_INVERSE_SHA256, DOMAIN_LITERALS, L1_DOMAIN_LITERALS
@@ -136,6 +136,15 @@ def test_query_threshold_forms(capsys, samples_dir):
     assert "X=ritz" in out
     code, _, err = run(capsys, "query", prog, "-q", "su_ho(X)", "--threshold", "v99")
     assert code == 1 and "outside the domain" in err
+
+
+def test_query_threshold_zero_prunes_nothing(capsys, tmp_path):
+    prog = tmp_path / "zero.fllp"
+    prog.write_text("p(a) : very false.\np(b) : very true.\nq(X) <-l p(X) : more true.\n")
+    code, plain, _ = run(capsys, "query", str(prog), "-q", "q(X)")
+    assert code == 0 and "answer: X=a ; tv=absfalse (v0)" in plain.splitlines()
+    for grade in ("v0", "absfalse"):
+        assert run(capsys, "query", str(prog), "-q", "q(X)", "--threshold", grade) == (0, plain, "")
 
 
 def test_query_depth_exhaustion_exit_code(capsys, tmp_path):
@@ -450,6 +459,47 @@ def test_domain_cap_exit_code(capsys, tmp_path):
     huge.write_text(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 99"))
     code, out, err = run(capsys, "domain", "--algebra", str(huge))
     assert code == 2 and out == "" and "truth domain" in err
+
+
+def test_domain_cap_counts_hedge_words(tmp_path):
+    # One hedge at limit L gives 2L + 5 values holding about L² hedge words;
+    # run apart, so that a cap that let this through is killed, not enumerated.
+    one = tmp_path / "one.alg"
+    one.write_text("primary: false, true\nhedge: very class=+ rank=1\n"
+                   "positive: very -> very\nlimit: 49997\n")
+    start = time.perf_counter()
+    proc = _fllp("domain", "--algebra", str(one), timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "values and hedge words" in proc.stderr
+    assert time.perf_counter() - start < 1.0
+
+
+def _nested(levels: int, shape: str) -> str:
+    body = "p(X)"
+    for _ in range(levels):
+        body = f"#very({body})" if shape == "hedge" else f"and_g(p(X),{body})"
+    return body
+
+
+@pytest.mark.parametrize("shape", ["hedge", "conj"])
+@pytest.mark.parametrize("argv", [["check"], ["query", "-q", "q(X)"], ["model"], ["compile"]])
+def test_body_nesting_is_capped(capsys, tmp_path, shape, argv):
+    prog = tmp_path / "deep.fllp"
+    for levels, codes in ((MAX_NESTING, (0, 2)), (MAX_NESTING + 1, (1,))):
+        prog.write_text(f"p(a) : true.\nq(X) <-g {_nested(levels, shape)} : true.\n")
+        code, _, err = run(capsys, argv[0], str(prog), *argv[1:])
+        assert code in codes, err
+        if levels > MAX_NESTING:
+            assert err == f"error: line 2: body nested more than {MAX_NESTING} levels deep\n"
+
+
+def test_query_nesting_is_capped(capsys, samples_dir):
+    prog = str(samples_dir / "hotel.fllp")
+    code, out, _ = run(capsys, "query", prog, "-q", _nested(MAX_NESTING, "hedge"))
+    assert code in (0, 2) and out
+    code, out, err = run(capsys, "query", prog, "-q", _nested(MAX_NESTING + 1, "conj"))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 1: body nested more than {MAX_NESTING} levels deep\n"
 
 
 def test_surface(capsys, samples_dir):

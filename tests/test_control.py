@@ -13,7 +13,7 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
-from fllp.lang import Atom, Const, Fact, ParseError, Rule
+from fllp.lang import MAX_NESTING, Atom, Const, Fact, ParseError, Rule
 
 from expected import HEATER_PICKS, HEATER_SURFACE
 
@@ -154,6 +154,17 @@ def test_parse_errors_are_collected(domain):
         domain,
         "cannot make sense",
     )
+
+
+def test_hedge_chains_in_rules_are_capped(domain, table):
+    def text(k):
+        return (f"inputs: i\noutputs: o\nrule: {'very ' * k}a => {'little ' * k}b\n"
+                "sat a i true\nsat b o true\n")
+
+    cs = parse_control_file(text(MAX_NESTING), domain)
+    assert goodness_surface(cs, table)[("i", "o")] >= 0
+    _expect_problems(text(MAX_NESTING + 1), domain,
+                     f"line 3: rule side nested more than {MAX_NESTING} levels deep")
 
 
 def test_zero_grade_sat_rows_are_legal_but_silent(heater):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fllp import solver
 from fllp.connectives import GODEL, LUKA
-from fllp.fixpoint import least_model
+from fllp.fixpoint import ground, least_model
 from fllp.inverse import build_inverse_table
 from fllp.lang import (
     Atom,
@@ -16,22 +17,23 @@ from fllp.lang import (
     Disj,
     Grade,
     HedgeApp,
+    Rule,
     load_program,
     parse_program,
     parse_query,
+    value,
 )
 from fllp.solver import (
-    BranchCut,
     ComputedAnswer,
     SearchLimitError,
     SolveOptions,
     WAtom,
     _all_below_top,
+    _need,
     _next,
     _plug,
-    _value,
+    _word,
     format_answer,
-    next_threshold,
     solve,
 )
 
@@ -43,7 +45,7 @@ from expected import (
     TRACE_PROGRAM,
     TRACE_THRESHOLD,
 )
-from randprog import random_algebra
+from randprog import random_algebra, random_program
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_ANSWERS))
@@ -179,24 +181,129 @@ def test_full_trace_is_frozen(domain, table, opts, want):
     assert solve(program, table, parse_query("good(b)", domain), opts).trace == want
 
 
-def test_next_threshold_cases(table):
+class _Cut(Exception):
+    pass
+
+
+def _old_next_threshold(table, bound, context):
+    """The static bound rule the search used before ``_need``, kept as an
+    oracle: the least value a child must reach for its parent to reach
+    ``bound``, None when unconstrained, ``_Cut`` when nothing will do."""
+    if bound is None:
+        return None
     n = table.domain.n
+    tag = context[0]
+    if tag == "rule":
+        _, kind, grade = context
+        if grade < bound:
+            raise _Cut
+        return bound if kind == GODEL else n + bound - grade
+    if tag == "conjg":
+        return bound
+    if tag == "conjl":
+        _, arity, below_top = context
+        if not below_top:
+            return bound
+        b = bound + (arity - 1)
+        if b > n - 1:
+            raise _Cut
+        return b
+    if tag == "disj":
+        return None
+    if tag == "hedge":
+        v = bisect_left(table.columns[context[1]], bound)
+        if v > n:
+            raise _Cut
+        return v
+    raise ValueError(f"unknown bound context: {context!r}")
+
+
+def _new_bound(table, bound, context, arity, top):
+    """The bound the search now gives a child in ``context``, its node of
+    ``arity`` parts in a program whose atoms reach at most ``top``."""
+    n, p = table.domain.n, Atom("p")
+    tag = context[0]
+    if tag == "rule":
+        b = _need(Rule(p, context[1], p, context[2]), bound, context[2], table.columns, n)
+        if b > n:  # the cut at a rule unfolding
+            raise _Cut
+        return b
+    if tag == "hedge":
+        body = HedgeApp(context[1], p)
+    elif tag == "disj":
+        body = Disj((p,) * arity)
+    else:
+        body = Conj(GODEL if tag == "conjg" else LUKA, (p,) * arity)
+    word = _word(body, bound, top, table.columns, n)
+    if word is None:
+        raise _Cut
+    bounds = {w.bound for w in (word.parts if isinstance(word, (Conj, Disj)) else (word.body,))}
+    assert len(bounds) == 1
+    return bounds.pop()
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args) or 0  # None, unconstrained, is bound 0
+    except _Cut:
+        return "cut"
+
+
+@pytest.mark.parametrize("shape", ["vmpl", "asym"])
+def test_bound_rule_matches_the_old_next_threshold(shape, vmpl, asym):
+    table = {"vmpl": vmpl, "asym": asym}[shape][2]
+    n = table.domain.n
+    contexts = [("rule", kind, g) for kind in (GODEL, LUKA) for g in range(1, n + 1)]
+    contexts += [("hedge", h) for h in table.columns] + [("conjg",), ("disj",)]
+    for top in (n - 1, n):
+        for arity in (2, 3, 5, n + 1):
+            for context in contexts + [("conjl", arity, top < n)]:
+                for bound in range(1, n + 1):
+                    old = _outcome(_old_next_threshold, table, bound, context)
+                    new = _outcome(_new_bound, table, bound, context, arity, top)
+                    assert new == old, (context, arity, top, bound)
+
+
+def test_frozen_bounds_through_the_one_rule(table):
     bound, grade, want = RULE_LUKA_BOUND
-    assert next_threshold(table, bound, ("rule", LUKA, grade)) == want
-    assert next_threshold(table, bound, ("rule", GODEL, grade)) == bound
-    with pytest.raises(BranchCut):
-        next_threshold(table, 30, ("rule", GODEL, 20))
-    assert next_threshold(table, 30, ("conjg",)) == 30
-    assert next_threshold(table, 30, ("conjl", 3, False)) == 30
-    assert next_threshold(table, 30, ("conjl", 3, True)) == 32
-    with pytest.raises(BranchCut):
-        next_threshold(table, n - 1, ("conjl", 2, True))
-    assert next_threshold(table, 30, ("disj",)) is None
-    assert next_threshold(table, None, ("conjg",)) is None
+    rule = Rule(Atom("p"), LUKA, Atom("q"), grade)
+    assert _need(rule, bound, grade, table.columns, table.domain.n) == want
     bound, want = HEDGE_VERY_BOUND
-    assert next_threshold(table, bound, ("hedge", "very")) == want
-    # every column fixes the top grade, so a hedge bound never cuts
-    assert next_threshold(table, n, ("hedge", "little")) == n
+    assert _need(HedgeApp("very", Atom("q")), bound, 0, table.columns, table.domain.n) == want
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 11), st.data())
+def test_need_is_the_least_part_value_that_reaches_want(seed, data):
+    table = _random_table(seed)
+    columns, n = table.columns, table.domain.n
+    node = data.draw(st.sampled_from(
+        [Conj(GODEL, ()), Conj(LUKA, ()), Disj(())]
+        + [HedgeApp(h, None) for h in sorted(columns)]
+    ))
+    want, rest = data.draw(st.integers(0, n + 1)), data.draw(st.integers(0, n))
+
+    def reaches(x):
+        if isinstance(node, HedgeApp):
+            return value(node._replace(body=Grade(x)), None, columns, n) >= want
+        return value(node._replace(parts=(Grade(x), Grade(rest))), None, columns, n) >= want
+
+    least = min((x for x in range(n + 1) if reaches(x)), default=n + 1)
+    assert _need(node, want, rest, columns, n) == least
+
+
+def test_threshold_zero_prunes_nothing(table):
+    # The acceptance-11 atoms: answers, depth flag and trace at threshold 0
+    # are those of a search without a threshold.
+    for seed in range(25):
+        for recursive, depth in ((False, None), (True, 16)):
+            program = random_program(seed, table.domain, recursive=recursive)
+            for atom in ground(program).base[:5]:
+                plain, zero = (
+                    solve(program, table, atom, SolveOptions(depth=depth, threshold=t, trace=True))
+                    for t in (None, 0)
+                )
+                assert zero == plain, (seed, recursive, atom)
 
 
 def test_all_below_top(domain, table):
@@ -284,7 +391,7 @@ def _goal_words(draw):
     are grades and open atoms, and a floor for the whole word."""
     table = _random_table(draw(st.integers(0, 11)))
     n = table.domain.n
-    leaves = st.builds(Grade, st.integers(0, n)) | st.just(WAtom(Atom("p"), None))
+    leaves = st.builds(Grade, st.integers(0, n)) | st.just(WAtom(Atom("p"), 0))
 
     def extend(inner):
         parts = st.lists(inner, min_size=2, max_size=3).map(tuple)
@@ -302,12 +409,13 @@ def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     # valuing the whole word does; this rests on monotone hedge columns.
     table, word, floor = case
     columns, n = table.columns, table.domain.n
-    sel, up, value = _next(word, (None, (), 0, (), floor, None), columns, n)
+    leaf = lambda w: n  # open atoms at top
+    sel, up, grade = _next(word, (None, (), 0, (), floor, None), leaf, columns, n)
     while sel is not None:
         assert _plug(sel, up) == word
         for g in range(n + 1):
-            assert (g >= up[4]) == (_value(_plug(Grade(g), up), columns, n) >= floor)
+            assert (g >= up[4]) == (value(_plug(Grade(g), up), leaf, columns, n) >= floor)
         grade = Grade(data.draw(st.integers(0, n)))
         word = _plug(grade, up)
-        sel, up, value = _next(grade, up, columns, n)
-    assert value == _value(word, columns, n)
+        sel, up, grade = _next(grade, up, leaf, columns, n)
+    assert grade == value(word, leaf, columns, n)
