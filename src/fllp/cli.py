@@ -75,7 +75,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("program", help="program file")
     p.add_argument("-q", "--query", help="query; omit for a REPL on stdin")
     p.add_argument("--depth", type=_depth, default=64, metavar="N",
-                   help="resolution depth limit, 0 for unlimited (default 64)")
+                   help="rule unfoldings per branch, 0 for unlimited (default 64)")
     p.add_argument("--threshold", metavar="GRADE",
                    help="only answers at or above this grade ('probably true' or v30)")
     p.add_argument("--best", action="store_true", help="best answer per binding only")

@@ -17,7 +17,6 @@ constant, which would make the statement vacuous.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, Union
@@ -218,166 +217,165 @@ def free_vars(node: Body | Atom) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# scanner
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<arrow><-[gl])
-    | (?P<query>\?-)
-    | (?P<string>"[^"\n]*")
-    | (?P<var>[A-Z][A-Za-z0-9_]*)
-    | (?P<ident>[a-z][a-z0-9_]*)
-    | (?P<punct>[(),:.\#])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-_Token = namedtuple("_Token", "kind text line")
+# Tokens, then ``\S`` for a stray character, whose group is empty; blanks
+# between matches are skipped.  A token's kind is its first character.
+_TOKEN_RE = re.compile(r'(%.*|<-[gl]|\?-|"[^"\n]*"|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|[(),:.#])|\S')
+_ARROWS = {"<-g": GODEL, "<-l": LUKA}
 
 
-def _tokenize(text: str, errors: list[str]) -> Iterator[_Token]:
-    line = 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "ws":
-            line += chunk.count("\n")
-        elif kind == "bad":
-            errors.append(f"line {line}: unexpected character {chunk!r}")
-        elif kind != "comment":
-            yield _Token(kind, chunk, line)
+def _scan(text: str, errors: list[str]) -> tuple[list[str], list[int]]:
+    """Token texts and their line numbers, closed by the empty ``end``
+    token; comments are dropped and stray characters reported.  Only
+    ``\n`` ends a line: ``\r`` and the other blanks are whitespace."""
+    texts: list[str] = []
+    lines: list[int] = []
+    for number, line in enumerate(text.split("\n"), 1):
+        toks = _TOKEN_RE.findall(line)
+        if "" in toks:
+            errors += [f"line {number}: unexpected character {m[0]!r}"
+                       for m in _TOKEN_RE.finditer(line) if m[1] is None]
+            toks = [t for t in toks if t]
+        if toks and toks[-1][0] == "%":  # a comment runs to the end of its line
+            toks.pop()
+        texts += toks
+        lines += [number] * len(toks)
+    lines.append(lines[-1] if lines else 1)
+    texts.append("")
+    return texts, lines
 
 
 class _Parser:
-    """Recursive descent over a token list closed by an ``end`` token, so
-    the current token ``tok`` always exists."""
+    """Recursive descent over token texts closed by the empty ``end`` token,
+    so the current token ``tok`` always exists.  ``"a" <= tok < "{"`` holds
+    for names and ``"A" <= tok < "["`` for variables.  Terms are interned by
+    name and truth literals resolved once per parse."""
 
-    def __init__(self, tokens: list[_Token], domain: TruthDomain):
-        tokens.append(_Token("end", "", tokens[-1].line if tokens else 1))
-        self.tokens = tokens
-        self.domain = domain
+    def __init__(self, texts: list[str], lines: list[int], domain: TruthDomain):
+        self.texts, self.lines, self.domain = texts, lines, domain
         self.pos = 0
-        self.tok = tokens[0]
+        self.tok = texts[0]
         self.depth = 0  # connectives and hedges open around the current body
+        self.terms: dict[str, Term] = {}
+        self.grades: dict[str, int] = {}
 
-    def advance(self) -> _Token:
+    def goto(self, pos: int) -> str:
+        """Move to token ``pos``; returns the token left."""
         tok = self.tok
-        self.pos += 1
-        self.tok = self.tokens[self.pos]
+        self.pos = pos
+        self.tok = self.texts[pos]
         return tok
 
     def skip(self, text: str) -> bool:
-        if self.tok.text == text:
-            self.advance()
+        if self.tok == text:
+            self.goto(self.pos + 1)
             return True
         return False
 
     def _fail(self, wanted: str) -> None:
-        tok = self.tok
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise _Bail(f"line {tok.line}: expected {wanted}, found {found}")
+        found = repr(self.tok) if self.tok else "end of input"
+        raise _Bail(f"line {self.lines[self.pos]}: expected {wanted}, found {found}")
 
-    def expect(self, kind: str, text: str | None = None, wanted: str | None = None) -> _Token:
-        if self.tok.kind != kind or (text is not None and self.tok.text != text):
-            self._fail(wanted or text or kind)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tok != text:
+            self._fail(text)
+        self.goto(self.pos + 1)
 
     def sync_to_dot(self) -> None:
-        while self.tok.kind != "end":
-            if self.advance().text == ".":
+        while self.tok:
+            if self.goto(self.pos + 1) == ".":
                 return
 
     # statements ----------------------------------------------------------
 
     def statement(self) -> Statement:
-        start = self.tok.line
+        start = self.lines[self.pos]
         self.depth = 0
         atom = self.atom(head=True)
-        arrow = self.tok.kind == "arrow"
-        if arrow:
-            kind = GODEL if self.advance().text == "<-g" else LUKA
+        kind = _ARROWS.get(self.tok)
+        if kind:
+            self.goto(self.pos + 1)
             body = self.body()
-        self.expect("punct", ":")
+        self.expect(":")
         tv = self.grade()
-        self.expect("punct", ".")
-        if arrow:
-            return Rule(atom, kind, body, tv, line=start)
-        return Fact(atom, tv, line=start)
+        self.expect(".")
+        return Rule(atom, kind, body, tv, line=start) if kind else Fact(atom, tv, line=start)
 
     def atom(self, head: bool = False) -> Atom:
-        tok = self.tok
-        if tok.kind != "ident":
+        texts, pos, pred = self.texts, self.pos + 1, self.tok
+        if not "a" <= pred < "{":
             self._fail("a predicate name")
-        if head and tok.text in RESERVED_PREDICATES:
-            raise _Bail(
-                f"line {tok.line}: {tok.text!r} is a connective, not a predicate"
-            )
-        self.advance()
+        if head and pred in RESERVED_PREDICATES:
+            raise _Bail(f"line {self.lines[self.pos]}: {pred!r} is a connective, not a predicate")
         args: list[Term] = []
-        if self.skip("("):
-            args.append(self.term())
-            while self.skip(","):
-                args.append(self.term())
-            self.expect("punct", ")")
-        return Atom(tok.text, tuple(args))
-
-    def term(self) -> Term:
-        tok = self.tok
-        if tok.kind not in ("ident", "var"):
-            self._fail("a constant or variable")
-        self.advance()
-        return Var(tok.text) if tok.kind == "var" else Const(tok.text)
+        if texts[pos] == "(":
+            terms = self.terms
+            while True:
+                t = texts[pos + 1]
+                term = terms.get(t)
+                if term is None:
+                    if not ("a" <= t < "{" or "A" <= t < "["):
+                        self.goto(pos + 1)
+                        self._fail("a constant or variable")
+                    term = terms[t] = Var(t) if t < "[" else Const(t)
+                args.append(term)
+                pos += 2
+                if texts[pos] != ",":
+                    break
+        self.goto(pos)
+        if args:  # after "(" and its terms
+            self.expect(")")
+        return Atom(pred, tuple(args))
 
     def body(self) -> Body:
-        tok = self.tok
-        if tok.kind == "end":
+        tok, line = self.tok, self.lines[self.pos]
+        if not tok:
             self._fail("a body")
-        nested = tok.text == "#" or (tok.kind == "ident" and tok.text in RESERVED_PREDICATES)
-        if nested and self.depth == MAX_NESTING:
-            raise _Bail(f"line {tok.line}: body nested more than {MAX_NESTING} levels deep")
-        if self.skip("#"):
-            hedge = self.expect("ident", wanted="a hedge name").text
+        if tok != "#" and tok not in RESERVED_PREDICATES:
+            return self.atom()
+        if self.depth == MAX_NESTING:
+            raise _Bail(f"line {line}: body nested more than {MAX_NESTING} levels deep")
+        self.goto(self.pos + 1)
+        if tok == "#":
+            hedge = self.tok
+            if not "a" <= hedge < "{":
+                self._fail("a hedge name")
+            self.goto(self.pos + 1)
             if not self.domain.algebra.has_hedge(hedge):
-                raise _Bail(f"line {tok.line}: unknown hedge {hedge!r}")
-            self.expect("punct", "(")
-            self.depth += 1
-            inner = self.body()
-            self.depth -= 1
-            self.expect("punct", ")")
-            return HedgeApp(hedge, inner)
-        if nested:
-            self.advance()
-            self.expect("punct", "(")
-            self.depth += 1
-            parts = [self.body()]
-            while self.skip(","):
-                parts.append(self.body())
-            self.depth -= 1
-            self.expect("punct", ")")
-            if len(parts) < 2:
-                raise _Bail(f"line {tok.line}: {tok.text!r} needs at least two parts")
-            if tok.text == "or":
-                return Disj(tuple(parts))
-            return Conj(GODEL if tok.text == "and_g" else LUKA, tuple(parts))
-        return self.atom()
+                raise _Bail(f"line {line}: unknown hedge {hedge!r}")
+        self.expect("(")
+        self.depth += 1
+        parts = [self.body()]
+        while tok != "#" and self.skip(","):
+            parts.append(self.body())
+        self.depth -= 1
+        self.expect(")")
+        if tok == "#":
+            return HedgeApp(hedge, parts[0])
+        if len(parts) < 2:
+            raise _Bail(f"line {line}: {tok!r} needs at least two parts")
+        if tok == "or":
+            return Disj(tuple(parts))
+        return Conj(GODEL if tok == "and_g" else LUKA, tuple(parts))
 
     def grade(self) -> int:
-        line = self.tok.line
-        words: list[str] = []
-        while self.tok.kind == "ident":
-            words.append(self.advance().text)
-        if not words:
+        texts, start, pos = self.texts, self.pos, self.pos
+        while "a" <= texts[pos] < "{":
+            pos += 1
+        if pos == start:
             self._fail("a truth literal")
-        try:
-            idx = self.domain.parse_literal(" ".join(words))
-        except ValueError as exc:
-            raise _Bail(f"line {line}: {exc}") from None
+        self.goto(pos)
+        literal = " ".join(texts[start:pos])
+        idx = self.grades.get(literal)
+        if idx is None:
+            try:
+                idx = self.grades[literal] = self.domain.parse_literal(literal)
+            except ValueError as exc:
+                raise _Bail(f"line {self.lines[start]}: {exc}") from None
         if idx == 0:
             raise _Bail(
-                f"line {line}: grade {' '.join(words)!r} would make the statement vacuous"
+                f"line {self.lines[start]}: grade {literal!r} would make the statement vacuous"
             )
         return idx
 
@@ -391,35 +389,31 @@ def algebra_directive(text: str) -> str | None:
 
     Only the first four tokens are read, so the scan costs the same on any
     program size."""
-    toks = list(islice(_tokenize(text, []), 4))
-    if (
-        len(toks) >= 4
-        and toks[0].text == "use"
-        and toks[1].text == "algebra"
-        and toks[2].kind == "string"
-        and toks[3].text == "."
-    ):
-        return toks[2].text[1:-1]
+    tokens = (m[1] for m in _TOKEN_RE.finditer(text) if m[1] and m[1][0] != "%")
+    toks = list(islice(tokens, 4))
+    if toks[:2] == ["use", "algebra"] and len(toks) == 4 and toks[2][0] == '"' and toks[3] == ".":
+        return toks[2][1:-1]
     return None
 
 
 def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> Program:
     errors: list[str] = []
-    parser = _Parser(list(_tokenize(text, errors)), domain)
+    parser = _Parser(*_scan(text, errors), domain)
     algebra_path: str | None = None
     statements: list[Statement] = []
-    while parser.tok.kind != "end":
-        tok = parser.tok
+    while parser.tok:
         try:
-            if tok.text == "use" and parser.tokens[parser.pos + 1].text == "algebra":
+            if parser.tok == "use" and parser.texts[parser.pos + 1] == "algebra":
                 if parser.pos:
                     raise _Bail(
-                        f"line {tok.line}: algebra directive must precede all statements"
+                        f"line {parser.lines[parser.pos]}: "
+                        "algebra directive must precede all statements"
                     )
-                parser.advance()
-                parser.advance()
-                algebra_path = parser.expect("string", wanted="a quoted path").text[1:-1]
-                parser.expect("punct", ".")
+                parser.goto(parser.pos + 2)
+                if parser.tok[:1] != '"':
+                    parser._fail("a quoted path")
+                algebra_path = parser.goto(parser.pos + 1)[1:-1]
+                parser.expect(".")
             else:
                 statements.append(parser.statement())
         except _Bail as exc:
@@ -433,15 +427,15 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
 def parse_query(text: str, domain: TruthDomain) -> Body:
     """A query is a body with an optional ``?-`` prefix and trailing dot."""
     errors: list[str] = []
-    tokens = list(_tokenize(text, errors))
+    texts, lines = _scan(text, errors)
     if errors:
         raise ParseError(errors)
-    parser = _Parser(tokens, domain)
+    parser = _Parser(texts, lines, domain)
     parser.skip("?-")
     try:
         body = parser.body()
         parser.skip(".")
-        if parser.tok.kind != "end":
+        if parser.tok:
             parser._fail("end of query")
     except _Bail as exc:
         raise ParseError([str(exc)]) from None
@@ -473,7 +467,7 @@ def validate_program(
 
     arities: dict[str, tuple[int, int]] = {}
     for st in program.statements:
-        for atom in [st.atom] if isinstance(st, Fact) else [st.head, *atoms_of(st.body)]:
+        for atom in (st.atom,) if isinstance(st, Fact) else (st.head, *atoms_of(st.body)):
             prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
             if prev[0] != len(atom.args):
                 problems.append(
@@ -481,9 +475,11 @@ def validate_program(
                     f"but line {prev[1]} uses arity {prev[0]}"
                 )
 
-    grades: dict[Statement, tuple[int, int]] = {}
+    grades: dict[Statement | Atom, tuple[int, int]] = {}
     for st in program.statements:
-        key = _canonical(st)
+        # a ground fact is its own key: renaming would rebuild it unchanged
+        ground = isinstance(st, Fact) and Var not in map(type, st.atom.args)
+        key = st.atom if ground else _canonical(st)
         prev = grades.setdefault(key, (st.tv, st.line))
         if prev[0] != st.tv:
             problems.append(

@@ -389,11 +389,11 @@ def solve(
             if opts.trace:
                 trace.append(f"[{depth}] cut {format_atom(atom)} (below bound)")
             continue
-        if opts.depth and depth >= opts.depth:
-            exhausted = True
+        if opts.depth and depth >= opts.depth and any(b[1].__class__ is Conj for b in branches):
+            exhausted = True  # the depth counts rule unfoldings: facts stay
             if opts.trace:
                 trace.append(f"[{depth}] depth limit at {format_atom(atom)}")
-            branches = []
+            branches = [b for b in branches if b[1].__class__ is Grade]
 
         # An open atom inside a disjunction may also be taken at bottom.  That
         # releases its variables, so a sibling disjunct can still bind them to
@@ -414,8 +414,9 @@ def solve(
             note = None
             if opts.trace:
                 note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
-            stack.append((replacement, up, s2, depth + 1, note))
-            pushed += depth + 1 + len(s2)
+            d = depth + (replacement.__class__ is Conj)
+            stack.append((replacement, up, s2, d, note))
+            pushed += d + len(s2)
 
     if opts.threshold is not None:
         answers = [a for a in answers if a.value >= opts.threshold]

@@ -230,79 +230,79 @@ TRACE_THRESHOLD = (
     "[0] good(b) -> and_l(and_l(#very(path(a,b)),or(tag(b),path(b,d))),v41)",
     "[1] path(a,b) -> and_g(edge(a,b),v44)",
     "[2] edge(a,b) -> v33",
-    "[3] tag(b) graded bottom",
-    "[3] path(b,d) -> and_g(edge(b,d),v44)",
-    "[4] edge(b,d) graded bottom",
-    "[4] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(v0,v44))),v41) (below bound)",
-    "[3] path(b,d) -> and_g(and_g(edge(b,Z~5),#more(path(Z~5,d))),v44)",
-    "[4] edge(b,Z~5) -> v41",
-    "[5] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(path(c,d))),v44))),v41) (below bound)",
-    "[4] edge(b,Z~5) graded bottom (open choice)",
-    "[4] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v0,#more(path(Z~5,d))),v44))),v41) (below bound)",
+    "[2] tag(b) graded bottom",
+    "[2] path(b,d) -> and_g(edge(b,d),v44)",
+    "[3] edge(b,d) graded bottom",
+    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(v0,v44))),v41) (below bound)",
+    "[2] path(b,d) -> and_g(and_g(edge(b,Z~5),#more(path(Z~5,d))),v44)",
+    "[3] edge(b,Z~5) -> v41",
+    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(path(c,d))),v44))),v41) (below bound)",
+    "[3] edge(b,Z~5) graded bottom (open choice)",
+    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v0,#more(path(Z~5,d))),v44))),v41) (below bound)",
     "[1] path(a,b) -> and_g(and_g(edge(a,Z~3),#more(path(Z~3,b))),v44)",
     "[2] edge(a,Z~3) -> v33",
-    "[3] path(b,b) -> and_g(edge(b,b),v44)",
-    "[4] cut edge(b,b) (nothing matches)",
-    "[3] path(b,b) -> and_g(and_g(edge(b,Z~7),#more(path(Z~7,b))),v44)",
-    "[4] edge(b,Z~7) -> v41",
-    "[5] path(c,b) -> and_g(edge(c,b),v44)",
-    "[6] cut edge(c,b) (nothing matches)",
-    "[5] path(c,b) -> and_g(and_g(edge(c,Z~9),#more(path(Z~9,b))),v44)",
-    "[6] cut edge(c,Z~9) (below bound)",
+    "[2] path(b,b) -> and_g(edge(b,b),v44)",
+    "[3] cut edge(b,b) (nothing matches)",
+    "[2] path(b,b) -> and_g(and_g(edge(b,Z~7),#more(path(Z~7,b))),v44)",
+    "[3] edge(b,Z~7) -> v41",
+    "[3] path(c,b) -> and_g(edge(c,b),v44)",
+    "[4] cut edge(c,b) (nothing matches)",
+    "[3] path(c,b) -> and_g(and_g(edge(c,Z~9),#more(path(Z~9,b))),v44)",
+    "[4] cut edge(c,Z~9) (below bound)",
 )
 TRACE_DEFAULT = (
     "goal good(b)",
     "[0] good(b) -> and_l(and_l(#very(path(a,b)),or(tag(b),path(b,d))),v41)",
     "[1] path(a,b) -> and_g(edge(a,b),v44)",
     "[2] edge(a,b) -> v33",
-    "[3] tag(b) graded bottom",
-    "[3] path(b,d) -> and_g(edge(b,d),v44)",
-    "[4] edge(b,d) graded bottom",
-    "[4] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(v0,v44))),v41) (below bound)",
+    "[2] tag(b) graded bottom",
+    "[2] path(b,d) -> and_g(edge(b,d),v44)",
+    "[3] edge(b,d) graded bottom",
+    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(v0,v44))),v41) (below bound)",
+    "[3] computed v0",
+    "[2] path(b,d) -> and_g(and_g(edge(b,Z~5),#more(path(Z~5,d))),v44)",
+    "[3] edge(b,Z~5) -> v41",
+    "[3] path(c,d) -> and_g(edge(c,d),v44)",
+    "[4] edge(c,d) -> v36",
+    "[4] computed v11",
+    "[3] path(c,d) -> and_g(and_g(edge(c,Z~7),#more(path(Z~7,d))),v44)",
+    "[4] edge(c,Z~7) -> v36",
+    "[4] path(d,d) -> and_g(edge(d,d),v44)",
+    "[5] edge(d,d) graded bottom",
+    "[5] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(v0,v44))),v44))),v44))),v41) (below bound)",
+    "[5] computed v0",
+    "[4] path(d,d) -> and_g(and_g(edge(d,Z~9),#more(path(Z~9,d))),v44)",
+    "[5] edge(d,Z~9) graded bottom",
+    "[5] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(and_g(v0,#more(path(Z~9,d))),v44))),v44))),v44))),v41) (below bound)",
+    "[5] computed v0",
+    "[4] edge(c,Z~7) graded bottom (open choice)",
+    "[4] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v0,#more(path(Z~7,d))),v44))),v44))),v41) (below bound)",
     "[4] computed v0",
-    "[3] path(b,d) -> and_g(and_g(edge(b,Z~5),#more(path(Z~5,d))),v44)",
-    "[4] edge(b,Z~5) -> v41",
-    "[5] path(c,d) -> and_g(edge(c,d),v44)",
-    "[6] edge(c,d) -> v36",
-    "[7] computed v11",
-    "[5] path(c,d) -> and_g(and_g(edge(c,Z~7),#more(path(Z~7,d))),v44)",
-    "[6] edge(c,Z~7) -> v36",
-    "[7] path(d,d) -> and_g(edge(d,d),v44)",
-    "[8] edge(d,d) graded bottom",
-    "[8] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(v0,v44))),v44))),v44))),v41) (below bound)",
-    "[8] computed v0",
-    "[7] path(d,d) -> and_g(and_g(edge(d,Z~9),#more(path(Z~9,d))),v44)",
-    "[8] edge(d,Z~9) graded bottom",
-    "[8] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(and_g(v0,#more(path(Z~9,d))),v44))),v44))),v44))),v41) (below bound)",
-    "[8] computed v0",
-    "[6] edge(c,Z~7) graded bottom (open choice)",
-    "[6] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(and_g(and_g(v0,#more(path(Z~7,d))),v44))),v44))),v41) (below bound)",
-    "[6] computed v0",
-    "[4] edge(b,Z~5) graded bottom (open choice)",
-    "[4] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v0,#more(path(Z~5,d))),v44))),v41) (below bound)",
-    "[4] computed v0",
+    "[3] edge(b,Z~5) graded bottom (open choice)",
+    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v0,#more(path(Z~5,d))),v44))),v41) (below bound)",
+    "[3] computed v0",
     "[1] path(a,b) -> and_g(and_g(edge(a,Z~3),#more(path(Z~3,b))),v44)",
     "[2] edge(a,Z~3) -> v33",
-    "[3] path(b,b) -> and_g(edge(b,b),v44)",
-    "[4] edge(b,b) graded bottom",
-    "[4] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(v0,v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
+    "[2] path(b,b) -> and_g(edge(b,b),v44)",
+    "[3] edge(b,b) graded bottom",
+    "[3] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(v0,v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
+    "[3] computed v0",
+    "[2] path(b,b) -> and_g(and_g(edge(b,Z~11),#more(path(Z~11,b))),v44)",
+    "[3] edge(b,Z~11) -> v41",
+    "[3] path(c,b) -> and_g(edge(c,b),v44)",
+    "[4] edge(c,b) graded bottom",
+    "[4] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(v0,v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
     "[4] computed v0",
-    "[3] path(b,b) -> and_g(and_g(edge(b,Z~11),#more(path(Z~11,b))),v44)",
-    "[4] edge(b,Z~11) -> v41",
-    "[5] path(c,b) -> and_g(edge(c,b),v44)",
-    "[6] edge(c,b) graded bottom",
-    "[6] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(v0,v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
-    "[6] computed v0",
-    "[5] path(c,b) -> and_g(and_g(edge(c,Z~13),#more(path(Z~13,b))),v44)",
-    "[6] edge(c,Z~13) -> v36",
-    "[7] path(d,b) -> and_g(edge(d,b),v44)",
-    "[8] edge(d,b) graded bottom",
-    "[8] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(v0,v44))),v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
-    "[8] computed v0",
-    "[7] path(d,b) -> and_g(and_g(edge(d,Z~15),#more(path(Z~15,b))),v44)",
-    "[8] edge(d,Z~15) graded bottom",
-    "[8] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(and_g(v0,#more(path(Z~15,b))),v44))),v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
-    "[8] computed v0",
+    "[3] path(c,b) -> and_g(and_g(edge(c,Z~13),#more(path(Z~13,b))),v44)",
+    "[4] edge(c,Z~13) -> v36",
+    "[4] path(d,b) -> and_g(edge(d,b),v44)",
+    "[5] edge(d,b) graded bottom",
+    "[5] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(v0,v44))),v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
+    "[5] computed v0",
+    "[4] path(d,b) -> and_g(and_g(edge(d,Z~15),#more(path(Z~15,b))),v44)",
+    "[5] edge(d,Z~15) graded bottom",
+    "[5] cut and_l(and_l(#very(and_g(and_g(v33,#more(and_g(and_g(v41,#more(and_g(and_g(v36,#more(and_g(and_g(v0,#more(path(Z~15,b))),v44))),v44))),v44))),v44)),or(tag(b),path(b,d))),v41) (below bound)",
+    "[5] computed v0",
 )
 
 

@@ -156,6 +156,15 @@ def test_query_depth_exhaustion_exit_code(capsys, tmp_path):
     assert "tv=little true (v25)" in out  # answers are still reported
 
 
+def test_query_depth_counts_rule_unfoldings_only(capsys, tmp_path):
+    # one rule unfolding, then 70 fact lookups, within the default --depth 64
+    prog = tmp_path / "wide.fllp"
+    prog.write_text(f"p(a) : true.\nq(X) <-g and_g({', '.join(['p(X)'] * 70)}) : abstrue.\n")
+    assert run(capsys, "query", str(prog), "-q", "q(X)") == (
+        0, "answer: X=a ; tv=true (v33)\n", ""
+    )
+
+
 @pytest.mark.parametrize("src", [RECURSIVE, RECURSIVE.replace("p(X)", "p(a)")])
 def test_query_left_recursion_ends_at_the_search_limit(capsys, tmp_path, src):
     prog = tmp_path / "loop.fllp"

@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fllp.algebra import InputError, LimitError
 from fllp.connectives import GODEL, LUKA
 from fllp.control import (
     compile_control,
@@ -206,3 +208,52 @@ def test_random_surfaces_match_the_least_model(seed, table):
     model, _ = least_model(program, table)
     for (x, y), v in surface.items():
         assert model[Atom("good", (Const(x), Const(y)))] == v
+
+
+# Control-file words: mostly well placed, now and then misplaced or wrong.
+NOISE = ("inputs:", "outputs:", "rule:", "sat", "=>", "conf", "%", ":", "\u00e9", "\r", "good",
+         "and_g", "t1", "p1", "cold", "strong", "very", "true")
+
+
+def control_text(seed: int) -> str:
+    rng = random.Random(seed)
+
+    def pick(good: tuple, bad: tuple):
+        return rng.choice(bad if rng.random() < 0.04 else good)
+
+    def points(pool: tuple, bad: str) -> list[str]:
+        return rng.sample(pool, rng.randint(1, len(pool))) + [bad] * (rng.random() < 0.04)
+
+    def side(terms: tuple, bad: tuple) -> str:
+        hedges = [pick(("very", "little", "probably", "more"), ("quite", "cold"))
+                  for _ in range(rng.randint(0, 2))]
+        return " ".join(hedges + [pick(terms, bad)])
+
+    inputs, outputs = points(("t1", "t2", "t3"), "p1"), points(("p1", "p2"), "t1")
+    lines = [f"inputs: {' '.join(inputs)}", f"outputs: {' '.join(outputs)}"]
+    sat = {}
+    for _ in range(pick((1, 2, 3), (0,))):
+        left = side(("cold", "warm"), ("good", "and_g", "strong"))
+        right = side(("strong", "weak"), ("or", "cold", ""))
+        conf = pick(("", " conf very true"), (" conf absfalse", " conf quite true"))
+        lines.append(f"rule: {left} {pick(('=>',), ('',))} {right}{conf}")
+        sat[left.split()[-1]] = inputs
+        sat[right.split()[-1] if right else ""] = outputs
+    for term, pts in sat.items():
+        for point in pts:
+            grade = pick(("very true", "probably true", "true", "absfalse", "more false"),
+                         ("quite true", "W", "", "true conf true"))
+            lines += [f"sat {term} {pick((point,), ('p9',))} {grade}"] * pick((1,), (0, 2))
+    if rng.random() < 0.1:
+        lines.append(" ".join(rng.choices(NOISE, k=rng.randint(0, 5))))
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32).map(control_text))
+def test_control_text_raises_only_input_or_limit_errors(table, text):
+    try:
+        goodness_surface(parse_control_file(text, table.domain), table)
+    except (InputError, LimitError) as exc:
+        assert str(exc)

@@ -135,6 +135,47 @@ def test_directive_is_captured_and_must_lead(domain):
         'use algebra "a.alg".\nuse algebra "b.alg".\np : true.\n',
         ["line 2: algebra directive must precede all statements"],
     ),
+    # The scanner's edge cases: which line a violation names, what is
+    # whitespace, what a comment swallows, how stray characters are
+    # reported; and a bad literal is reported on every line it occurs on.
+    ("p(a)\n:\nquite true.\n", ["line 3: unknown hedge 'quite' in truth literal 'quite true'"]),
+    ('p : true.\n"\nq : true.\n', ["line 2: unexpected character '\"'"]),
+    (
+        'p : true.\n"a\nb"\nq : true.\n',
+        [
+            "line 2: unexpected character '\"'",
+            "line 3: unexpected character '\"'",
+            "line 3: expected :, found 'b'",
+        ],
+    ),
+    (
+        "p <- q : true.\nr : true.\n",
+        [
+            "line 1: unexpected character '<'",
+            "line 1: unexpected character '-'",
+            "line 1: expected :, found 'q'",
+        ],
+    ),
+    ("? p.\nq : true.\n", ["line 1: unexpected character '?'", "line 1: expected :, found '.'"]),
+    (
+        "aB : true.\nAb : true.\n",
+        ["line 1: expected :, found 'B'", "line 2: expected a predicate name, found 'Ab'"],
+    ),
+    (
+        "p(\u00e9) : true.\n",
+        ["line 1: unexpected character '\u00e9'", "line 1: expected a constant or variable, found ')'"],
+    ),
+    ("p : true.\r\nq : true.\r\nr @ : true.\r\n", ["line 3: unexpected character '@'"]),
+    ("p : true.\x0cq : true.\u2028r @ : true.\n$", [
+        "line 1: unexpected character '@'", "line 2: unexpected character '$'",
+    ]),
+    (
+        "p : quite true.\nq : quite true.\n",
+        [
+            "line 1: unknown hedge 'quite' in truth literal 'quite true'",
+            "line 2: unknown hedge 'quite' in truth literal 'quite true'",
+        ],
+    ),
 ])
 def test_program_violations_are_exact(domain, text, violations):
     with pytest.raises(ParseError) as err:
@@ -142,9 +183,23 @@ def test_program_violations_are_exact(domain, text, violations):
     assert list(err.value.violations) == violations
 
 
+# A statement's line is where it starts; only "\n" starts a line.
+@pytest.mark.parametrize("text, lines", [
+    ("p(a,\n  b)\n <-g\n q(a) :\n very\n true.\nr : true.\n", [1, 7]),
+    ('p : true. % c @ $ " <-\nq : true.\n', [1, 2]),
+    ("p : true.\r\nq(a) :\r\n true.\r\n", [1, 2]),
+    ("p : true.\x0cq : true.\u2028r : true.\n\ns : true.", [1, 1, 1, 3]),
+])
+def test_statement_lines_are_exact(domain, text, lines):
+    program = parse_program(text, domain)
+    assert [st.line for st in program.statements] == lines
+
+
 @pytest.mark.parametrize("text, violation", [
     ("", "line 1: expected a body, found end of input"),
     ("p(X) q", "line 1: expected end of query, found 'q'"),
+    ("? p", "line 1: unexpected character '?'"),
+    ("p\n@", "line 2: unexpected character '@'"),
 ])
 def test_query_violations_are_exact(domain, text, violation):
     with pytest.raises(ParseError) as err:
@@ -169,6 +224,26 @@ def test_parsers_return_or_raise_parse_error_only(domain, text):
             parse(text, domain)
         except ParseError as exc:
             assert exc.violations
+
+
+# Whole statements, weighted so that about one fuzzed text in five parses.
+STATEMENTS = ('use algebra "a.alg".', "p : true.", "q(a) <-g p : very true.", "% c\n", " ", "\n")
+
+
+@SHORT_RUN
+@given(st.lists(st.sampled_from(STATEMENTS * 8 + ALPHABET), max_size=8).map("".join))
+def test_directive_scan_agrees_with_the_parser(domain, text):
+    try:
+        program = parse_program(text, domain)
+    except ParseError:
+        return
+    assert algebra_directive(text) == program.algebra_path
+
+
+def test_directive_scan_reads_four_tokens_only():
+    assert algebra_directive('<-use algebra "x".') == "x"
+    assert algebra_directive('% c $\n@ use algebra "x".\np') == "x"
+    assert algebra_directive('use algebra "x"') is None
 
 
 @SHORT_RUN

@@ -332,12 +332,12 @@ def test_trace_reports_the_bound_cut(domain, table):
     result = solve(program, table, parse_query("path(a,Y)", domain), SolveOptions(trace=True))
     cuts = [i for i, line in enumerate(result.trace) if line.endswith("(below bound)")]
     assert [result.trace[i] for i in cuts] == [
-        "[3] cut and_g(and_g(v33,#more(and_g(v0,v44))),v44) (below bound)",
-        "[3] cut and_g(and_g(v33,#more(and_g(and_g(v0,#more(path(Z~4,Y~4))),v44))),v44)"
+        "[2] cut and_g(and_g(v33,#more(and_g(v0,v44))),v44) (below bound)",
+        "[2] cut and_g(and_g(v33,#more(and_g(and_g(v0,#more(path(Z~4,Y~4))),v44))),v44)"
         " (below bound)",
     ]
     # each cut word ends in one bottom answer instead of unfolding path(b,Y~4)
-    assert all(result.trace[i + 1] == "[3] computed v0" for i in cuts)
+    assert all(result.trace[i + 1] == "[2] computed v0" for i in cuts)
     shown = [format_answer(domain, a) for a in result.answers]
     assert shown == ["answer: Y=b ; tv=true (v33)"] + ["answer: Y=_ ; tv=absfalse (v0)"] * 2
     assert not result.depth_exhausted
