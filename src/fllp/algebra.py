@@ -405,7 +405,7 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
     limit: int | None = None
     overrides: list[InverseOverride] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # as ``lang._scan`` does
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue

@@ -86,8 +86,8 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     rules: list[ControlRule] = []
     sat: dict[tuple[str, str], tuple[int, int]] = {}  # -> (grade, line)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # as ``lang._scan`` does
+        line = " ".join(raw.split("%", 1)[0].split())
         if not line:
             continue
         if line.startswith("inputs:") or line.startswith("outputs:"):

@@ -7,24 +7,24 @@ grade, or the rule conjunction of the body value under the current
 interpretation with the rule grade.  The operator is monotone over a
 finite lattice, so iterating from the empty interpretation reaches the
 least model; iteration stops on the first round that changes nothing, and
-that confirming round is included in the reported count.  ``least_model``
-iterates semi-naively: the first round fires every instance, each later
-round only the instances with a body atom that rose in the round before,
-reading the interpretation the previous round left.  The iterates ascend,
-so any other instance gives what it gave last round, at most its head's
-current value; every round equals a full application, and the count is
-the number of operator rounds.
+that confirming round is included in the reported count.
 
-Grounding instantiates variables over the constants appearing in the
-program (a single fallback constant when there are none).  ``ground``
-builds every instance and is the reference; ``least_model`` builds only
-the rule instances whose bodies can be nonzero (``ground_relevant``).
-Every conjunction and every hedge keeps bottom at bottom, so the other
-instances add nothing to any round, and the model and the round count
-are the same.  Both count the Herbrand base and the fact instances
-before building anything; ``ground`` adds every rule instance to that
-count up front, ``ground_relevant`` each instance as it is found.  Either
-stops at ``GROUND_LIMIT``.
+Grounding instantiates variables over the program's constants (one fallback
+constant when there are none).  ``ground`` builds every instance and, with
+``tp_apply``, is the reference.  ``least_model`` works on atom ids: an
+instance is its head's id and its body atoms' ids, each rule is compiled
+once into a function of those ids and of an interpretation held as a list
+by id, and the join that finds the instances whose bodies can be nonzero
+(``ground_relevant`` builds them as rules) emits them in that form; every
+conjunction and hedge keeps bottom at bottom, so the others add nothing.
+Rounds are semi-naive: the first fires every instance, each later one only
+those with a body atom that rose in the round before, reading the
+interpretation the previous round left.  The iterates ascend, so an
+instance not fired gives at most its head's value: every round equals a
+full application.  Groundings count the Herbrand base and the fact
+instances before building anything; ``ground`` adds every rule instance up
+front, the join each instance as it is found.  Either stops at
+``GROUND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -33,18 +33,21 @@ import functools
 import itertools
 
 from .algebra import LimitError, format_value, record
-from .connectives import t_norm
+from .connectives import GODEL, t_norm
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
     Body,
     Conj,
     Const,
+    Disj,
     Grade,
     HedgeApp,
     Program,
     Rule,
     Var,
+    _pop,
+    _postorder,
     atoms_of,
     format_atom,
     free_vars,
@@ -82,16 +85,9 @@ class GroundProgram(record("GroundProgram", "facts rules base universe")):
     __slots__ = ()
 
 
-def _binder(env: dict[str, Const]):
-    """Atom mapper that puts the constants of ``env`` in place of variables."""
-
-    def bind(atom: Atom) -> Atom:
-        return Atom(
-            atom.pred,
-            tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args),
-        )
-
-    return bind
+def _bind(atom: Atom, env: dict[str, Const]) -> Atom:
+    """``atom`` with the constants of ``env`` in place of its variables."""
+    return Atom(atom.pred, tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args))
 
 
 def _rule_vars(rule: Rule) -> tuple[str, ...]:
@@ -100,20 +96,20 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
 
 
 def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[Const, ...]) -> Rule:
-    bind = _binder(dict(zip(names, combo)))
+    bind = functools.partial(_bind, env=dict(zip(names, combo)))
     return Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
 
 
-def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int]:
-    """The universe, and the count of base atoms plus fact instances, which
-    every grounding builds; refused up front when over ``limit``."""
+def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int, int]:
+    """The universe, the Herbrand base's size, and that plus the fact instances,
+    which every grounding counts; refused up front when over ``limit``."""
     consts = tuple(Const(c) for c in program.constants() or ("a",))
     u = len(consts)
-    needed = sum(u**arity for arity in program.predicates().values())
-    needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
+    base = sum(u**arity for arity in program.predicates().values())
+    needed = base + sum(u ** len(free_vars(f.atom)) for f in program.facts)
     if needed > limit:
         raise GroundingLimitError(needed, limit)
-    return consts, needed
+    return consts, base, needed
 
 
 def _ground_facts(program: Program, consts: tuple[Const, ...]) -> list[tuple[Atom, int]]:
@@ -121,7 +117,7 @@ def _ground_facts(program: Program, consts: tuple[Const, ...]) -> list[tuple[Ato
     for st in program.facts:
         names = free_vars(st.atom)
         for combo in itertools.product(consts, repeat=len(names)):
-            facts.append((_binder(dict(zip(names, combo)))(st.atom), st.tv))
+            facts.append((_bind(st.atom, dict(zip(names, combo))), st.tv))
     return facts
 
 
@@ -136,7 +132,7 @@ def _ground_program(program, consts, facts, rules) -> GroundProgram:
 
 def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
     """Every instance of every statement over the program's constants."""
-    consts, needed = _frame(program, limit)
+    consts, _, needed = _frame(program, limit)
     u = len(consts)
     needed += sum(u ** len(_rule_vars(r)) for r in program.rules)
     if needed > limit:
@@ -158,19 +154,13 @@ def ground_relevant(program: Program, limit: int = GROUND_LIMIT) -> GroundProgra
     an instance built before.  Rule instances are counted as they are found
     and refused as soon as they would take the total over ``limit``.
     """
-    consts, needed = _frame(program, limit)
+    consts, _, needed = _frame(program, limit)
     facts = _ground_facts(program, consts)
-    seeds = [(a.pred, tuple(c.name for c in a.args)) for a, tv in facts if tv > 0]
-    found = _relevant_bindings(
-        program.rules, tuple(c.name for c in consts), seeds, needed, limit
-    )
+    found, _ = _relevant_bindings(program.rules, consts, facts, needed, limit)
     by_name = {c.name: c for c in consts}
-    rules: list[Rule] = []
-    for rule, bindings in zip(program.rules, found):
-        names = _rule_vars(rule)
-        # sorted name tuples are itertools.product order over the sorted universe
-        for binding in sorted(bindings):
-            rules.append(_instance(rule, names, tuple(by_name[c] for c in binding)))
+    # sorted name tuples are itertools.product order over the sorted universe
+    rules = [_instance(rule, _rule_vars(rule), tuple(by_name[c] for c in binding))
+             for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)]
     return _ground_program(program, consts, facts, rules)
 
 
@@ -192,9 +182,9 @@ def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
     return [alt for part in body.parts for alt in _alternatives(part)]
 
 
-def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[str, ...]]]:
-    """Per rule, the bindings of its ``_rule_vars`` (constant names) whose
-    body has an alternative made of derivable atoms.
+def _relevant_bindings(rules, consts, facts, needed, limit) -> tuple[list[dict], dict]:
+    """Per rule, the bindings of its ``_rule_vars`` (constant names) whose body has an
+    alternative made of derivable atoms, each mapped to its head and body atom ids; and the ids.
 
     Semi-naive worklist join: each ground atom, once derivable, is matched
     against every alternative atom with its predicate, and the rest of that
@@ -204,14 +194,16 @@ def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[
     Ground atoms are ``(pred, names)`` tuples; a binding under construction
     is a list of variable slots followed by the rule's constants.
     """
-    found: list[set[tuple[str, ...]]] = [set() for _ in rules]
-    queue = list(dict.fromkeys(seeds))
+    universe = tuple(c.name for c in consts)
+    found: list[dict] = [{} for _ in rules]
+    queue = list(dict.fromkeys((a.pred, tuple(c.name for c in a.args)) for a, tv in facts if tv))
     derivable = set(queue)
+    ids = {atom: i for i, atom in enumerate(queue)}
     # pred -> bound argument positions -> their values -> ground args
     indexes: dict[str, dict[tuple[int, ...], dict]] = {}
     triggers: dict[str, list] = {}
 
-    def emit(r: int, env: list, free: tuple[int, ...], nvars: int, head) -> None:
+    def emit(r: int, env: list, free: tuple[int, ...], nvars: int, head, leaves) -> None:
         nonlocal needed
         for combo in itertools.product(universe, repeat=len(free)):
             for s, c in zip(free, combo):
@@ -222,8 +214,9 @@ def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[
             needed += 1
             if needed > limit:
                 raise GroundingLimitError(needed, limit)
-            found[r].add(binding)
-            atom = (head[0], tuple(env[s] for s in head[1]))
+            atom = (head[0], tuple([env[s] for s in head[1]]))
+            found[r][binding] = (ids.setdefault(atom, len(ids)), tuple(
+                [ids.setdefault((p, tuple([env[s] for s in pos])), len(ids)) for p, pos in leaves]))
             if atom not in derivable:
                 derivable.add(atom)
                 queue.append(atom)
@@ -254,11 +247,12 @@ def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[
             return slots[key]
 
         head = (rule.head.pred, tuple(slot(a) for a in rule.head.args))
+        leaves = [(a.pred, tuple(slot(t) for t in a.args)) for a in atoms_of(rule.body)]
         for alt in _alternatives(rule.body):
             consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, Const)}
             bound = {slot(a) for atom in alt for a in atom.args}
             free = tuple(s for s in range(len(names)) if s not in bound)
-            done = functools.partial(emit, r, free=free, nvars=len(names), head=head)
+            done = functools.partial(emit, r, free=free, nvars=len(names), head=head, leaves=leaves)
             if not alt:
                 done(list(template))
             for i, first in enumerate(alt):
@@ -288,7 +282,7 @@ def _relevant_bindings(rules, universe, seeds, needed, limit) -> list[set[tuple[
                 env[s] = args[p]
             if all(args[p] == env[s] for p, s in check):
                 join(steps, 0, env, done)
-    return found
+    return found, ids
 
 
 def _step(atom: Atom, slot, bound: set[int]) -> tuple:
@@ -331,6 +325,37 @@ def tp_apply(
     return out
 
 
+def _compile(rule: Rule, columns, n: int, cache: dict) -> tuple:
+    """``grade(I, L)``: the head grade of an instance of ``rule`` under the
+    interpretation ``I`` (a list by atom id) when ``L`` holds its body atoms'
+    ids; and those atoms.  ``cache`` maps postfix op lists (None for an atom, a
+    grade's index, a hedge's name, a connective's kind or "or" and part count;
+    the rule grade is a last conjunct) to functions, nesting calls as bodies do."""
+    nodes = _postorder(rule.body)
+    ops = tuple(None if c is Atom else x.value if c is Grade else x.hedge if c is HedgeApp
+                else ("or" if c is Disj else x.kind, len(x.parts))
+                for x in nodes for c in (x.__class__,)) + (rule.tv, (rule.kind, 2))
+    if (grade := cache.get(ops)) is None:
+        done, count = [], itertools.count()
+        for op in ops:
+            if op is None:
+                done.append(lambda I, L, k=next(count): I[L[k]])
+            elif op.__class__ is int:
+                done.append(lambda I, L, v=op: v)
+            elif op.__class__ is str:
+                done.append(lambda I, L, col=columns[op], f=done.pop(): col[f(I, L)])
+            else:
+                fs = _pop(done, op[1])
+                fold = max if op[0] == "or" else min if op[0] == GODEL else (
+                    lambda vs: max(sum(vs) - (len(vs) - 1) * n, 0))
+                if len(fs) == 2:
+                    done.append(lambda I, L, f=fs[0], g=fs[1], fold=fold: fold((f(I, L), g(I, L))))
+                else:
+                    done.append(lambda I, L, fs=fs, fold=fold: fold([f(I, L) for f in fs]))
+        grade = cache[ops] = done[0]
+    return grade, [x for x in nodes if x.__class__ is Atom]
+
+
 def least_model(
     program: Program,
     table: InverseMappingTable,
@@ -343,30 +368,44 @@ def least_model(
     of ``program``.  Both modes run the same engine."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown evaluation mode: {mode!r}")
+    columns, n, cache = table.columns, table.domain.n, {}
     if gp is None:
-        gp = ground_relevant(program, limit)
-    n = table.domain.n
-    cap = len(gp.base) * (n + 1) + 1
-    triggers: dict[Atom, list[int]] = {}
-    for i, rule in enumerate(gp.rules):
-        for atom in atoms_of(rule.body):
-            triggers.setdefault(atom, []).append(i)
-
-    interp = tp_apply(gp, table, Interpretation())
-    leaf, columns = interp.__getitem__, table.columns
-    rounds, changed = 1, list(interp)
-    while changed:
+        consts, base, needed = _frame(program, limit)
+        facts = _ground_facts(program, consts)
+        found, ids = _relevant_bindings(program.rules, consts, facts, needed, limit)
+        grades = [_compile(rule, columns, n, cache)[0] for rule in program.rules]
+        instances = [(head, grade, leaves) for grade, bindings in zip(grades, found)
+                     for head, leaves in bindings.values()]
+        facts = [((a.pred, tuple(c.name for c in a.args)), tv) for a, tv in facts]
+        const = functools.cache(Const)
+    else:
+        base, ids, instances, facts = len(gp.base), {}, [], gp.facts
+        for rule in gp.rules:
+            grade, leaves = _compile(rule, columns, n, cache)
+            instances.append((ids.setdefault(rule.head, len(ids)), grade,
+                              tuple([ids.setdefault(a, len(ids)) for a in leaves])))
+    instances += [(ids.setdefault(a, len(ids)), lambda I, L, tv=tv: tv, ())
+                  for a, tv in facts if tv]
+    triggers: list[list[int]] = [[] for _ in ids]
+    for i, (_, _, leaves) in enumerate(instances):
+        for a in leaves:
+            triggers[a].append(i)
+    interp, raised = [0] * len(ids), {}
+    fired, rounds, cap = range(len(instances)), 1, base * (n + 1) + 1
+    while True:
+        for i in fired:
+            head, grade, leaves = instances[i]
+            g = grade(interp, leaves)
+            if g > interp[head] and g > raised.get(head, 0):
+                raised[head] = g
+        if not raised:  # ids are keyed by ground atoms, or by (pred, names) when built here
+            return Interpretation((k if gp else Atom(k[0], tuple(map(const, k[1]))), v)
+                                  for k, v in zip(ids, interp) if v), rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
-        raised = Interpretation()
-        for i in {i for atom in changed for i in triggers.get(atom, ())}:
-            rule = gp.rules[i]
-            grade = t_norm(rule.kind, value(rule.body, leaf, columns, n), rule.tv, n)
-            if grade > interp[rule.head]:
-                raised.raise_to(rule.head, grade)
-        interp.update(raised)
-        rounds, changed = rounds + 1, list(raised)
-    return interp, rounds
+        for a, g in raised.items():
+            interp[a] = g
+        fired, rounds, raised = {i for a in raised for i in triggers[a]}, rounds + 1, {}
 
 
 def dump_model(

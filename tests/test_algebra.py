@@ -185,6 +185,23 @@ def test_config_rejects_misread_hedge_lines(line):
         parse_algebra_config(config)
 
 
+# Only "\n" ends a line, as in programs; these other line breaks are blanks.
+@pytest.mark.parametrize("blank", ("\r", "\x0c", "\x85", "\u2028"))
+def test_only_newlines_end_config_lines(blank):
+    want = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG)
+    assert parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace(" ", blank)) == want
+    # with "\r", a CRLF file
+    assert parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("\n", f"{blank}\n")) == want
+    config = DEFAULT_ALGEBRA_CONFIG.replace("\n", f"{blank}\n", 1)
+    config = config.replace("limit: 2", "limit: soon")
+    limit_line = DEFAULT_ALGEBRA_CONFIG.split("\n").index("limit: 2") + 1
+    with pytest.raises(AlgebraError) as err:
+        parse_algebra_config(config)
+    assert err.value.violations == (
+        f"line {limit_line}: limit must be an integer", "missing 'limit:' declaration"
+    )
+
+
 def test_config_rejects_conflicting_positivity():
     config = DEFAULT_ALGEBRA_CONFIG + "negative: very -> very\n"
     with pytest.raises(AlgebraError, match="already declared"):

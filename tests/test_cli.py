@@ -519,6 +519,36 @@ def test_surface(capsys, samples_dir):
     assert "recommend t25 -> p0 at very true (v41)" in lines
 
 
+def test_surface_rule_side_nesting_is_capped(capsys, tmp_path):
+    ctl = tmp_path / "deep.ctl"
+    for levels, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 1)):
+        ctl.write_text(f"inputs: i\noutputs: o\nrule: {'very ' * levels}a => "
+                       f"{'little ' * levels}b\nsat a i true\nsat b o true\n")
+        got, out, err = run(capsys, "surface", str(ctl))
+        assert got == code, err
+        if levels > MAX_NESTING:
+            assert err == (f"error: line 3: rule side nested more than {MAX_NESTING} levels deep\n"
+                           * 2)
+        else:
+            assert out.splitlines()[-1].startswith("recommend i -> o at ")
+
+
+def test_surface_counts_the_base_it_does_not_build(tmp_path):
+    # 1,002 points: good/2 alone has 1,004,004 base atoms, so the grounding
+    # is refused before any instance is found.
+    k = 501
+    lines = ["inputs: " + " ".join(f"i{j}" for j in range(k)),
+             "outputs: " + " ".join(f"o{j}" for j in range(k)), "rule: a => b"]
+    lines += [f"sat a i{j} true" for j in range(k)] + [f"sat b o{j} true" for j in range(k)]
+    ctl = tmp_path / "wide.ctl"
+    ctl.write_text("\n".join(lines) + "\n")
+    proc = _fllp("surface", str(ctl))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: grounding needs at least 1007010 instances, over the limit of 1000000\n"
+    )
+
+
 def test_compile_matches_golden(capsys, samples_dir, tmp_path):
     target = tmp_path / "out.pl"
     code, out, _ = run(

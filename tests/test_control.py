@@ -158,6 +158,32 @@ def test_parse_errors_are_collected(domain):
     )
 
 
+# Only "\n" ends a line, as in programs; these other line breaks are blanks.
+BLANKS = ("\r", "\x0c", "\x85", "\u2028")
+
+
+@pytest.mark.parametrize("blank", BLANKS)
+def test_only_newlines_end_control_lines(heater, samples_dir, domain, blank):
+    text = (samples_dir / "heater.ctl").read_text()
+    assert parse_control_file(text.replace(" ", blank), domain) == heater
+    assert parse_control_file(text.replace(" ", f" {blank} "), domain) == heater  # t15 \x0c t20
+    # with "\r", a CRLF file
+    assert parse_control_file(text.replace("\n", f"{blank}\n"), domain) == heater
+
+
+@pytest.mark.parametrize("blank", BLANKS)
+def test_control_line_numbers_count_newlines_only(domain, blank):
+    text = (f"inputs: t1{blank}t2\noutputs:{blank}p1\n{blank}\nrule: a => b{blank}\n"
+            f"bogus{blank}here\nsat a t1 true\nsat a t2 true\nsat b p1 true{blank}sat b p2 true\n")
+    with pytest.raises(ParseError) as err:
+        parse_control_file(text, domain)
+    assert err.value.violations == (
+        "line 5: cannot make sense of 'bogus here'",
+        "line 8: unknown hedge 'true' in truth literal 'true sat b p2 true'",
+        "no sat row for output term 'b' at 'p1'",
+    )
+
+
 def test_hedge_chains_in_rules_are_capped(domain, table):
     def text(k):
         return (f"inputs: i\noutputs: o\nrule: {'very ' * k}a => {'little ' * k}b\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fllp.connectives import GODEL
+from fllp.connectives import GODEL, LUKA
 from fllp.fixpoint import (
     GroundingLimitError,
     Interpretation,
@@ -18,10 +20,12 @@ from fllp.fixpoint import (
 from fllp.inverse import build_inverse_table
 from fllp.lang import (
     Atom,
+    Conj,
     Const,
     Disj,
     Fact,
     Grade,
+    HedgeApp,
     Program,
     Rule,
     Var,
@@ -218,6 +222,16 @@ def test_relevant_grounding_counts_only_instances_built(domain, table):
     assert err.value.needed > 300 and err.value.limit == 300
 
 
+def test_grounding_limit_crossed_in_the_join_names_the_first_instance_over(domain, table):
+    program = parse_program(CHAIN10, domain)  # 242 base atoms and 10 facts: 252
+    for limit in (252, 300):
+        for grounding in (lambda: least_model(program, table, limit=limit),
+                          lambda: ground_relevant(program, limit)):
+            with pytest.raises(GroundingLimitError) as err:
+                grounding()
+            assert (err.value.needed, err.value.limit) == (limit + 1, limit)
+
+
 def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
     a, b = Const("a"), Const("b")
     x = Var("X")
@@ -235,3 +249,51 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
         "p(a)", "p(b)", "r(a)", "r(b)",
     ]
     assert least_model(program, table) == least_model(program, table, gp=ground(program))
+
+
+@functools.cache
+def _random_table(seed):
+    return build_inverse_table(random_algebra(seed, max_rank=2, max_limit=2)[1])
+
+
+PREDS = {"p": 1, "q": 2, "r": 1}
+TERMS = (Var("X"), Var("Y"), Var("Z"), Const("a"), Const("b"), Const("c"))
+
+
+@st.composite
+def _programs(draw):
+    """A random algebra's table (class sizes drawn apart, so mostly
+    asymmetric) and a program over three predicates that call each other
+    freely: cycles and left recursion, repeated variables and constants in
+    heads, nested ``or``, ``and_g``, ``and_l`` and hedges, both rule kinds."""
+    table = _random_table(draw(st.integers(0, 11)))
+    hedges, n = sorted(table.columns), table.domain.n
+
+    def atom(preds=tuple(PREDS)):
+        pred = draw(st.sampled_from(preds))
+        return Atom(pred, tuple(draw(st.sampled_from(TERMS)) for _ in range(PREDS[pred])))
+
+    def body(depth):
+        shape = draw(st.integers(0, 3 if depth else 0))
+        if shape == 0:
+            return atom()
+        if shape == 1:
+            return HedgeApp(draw(st.sampled_from(hedges)), body(depth - 1))
+        parts = tuple(body(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return Disj(parts) if shape == 2 else Conj(draw(st.sampled_from((GODEL, LUKA))), parts)
+
+    statements = [Fact(atom(("p", "q")), draw(st.integers(1, n)))
+                  for _ in range(draw(st.integers(1, 4)))]
+    statements += [Rule(atom(), draw(st.sampled_from((GODEL, LUKA))), body(2),
+                        draw(st.integers(1, n))) for _ in range(draw(st.integers(1, 4)))]
+    return table, Program(tuple(draw(st.permutations(statements))))
+
+
+@settings(max_examples=150)
+@given(_programs())
+def test_both_least_models_are_iterated_tp_over_the_full_grounding(case):
+    table, program = case
+    gp = ground(program)
+    want = _iterate_tp(gp, table)
+    assert least_model(program, table) == want
+    assert least_model(program, table, gp=gp) == want
