@@ -177,9 +177,13 @@ def _cmd_check(args) -> int:
 
 def _run_query(program, table, text: str, opts, out_lines: list[str]) -> int:
     from .lang import parse_query
-    from .solver import format_answer, solve
+    from .solver import SearchLimitError, format_answer, solve
     query = parse_query(text, table.domain)
-    result = solve(program, table, query, opts)
+    try:
+        result = solve(program, table, query, opts)
+    except SearchLimitError as exc:
+        out_lines.extend(exc.trace)
+        raise
     out_lines.extend(result.trace)
     for answer in result.answers:
         out_lines.append(format_answer(table.domain, answer))
@@ -209,9 +213,11 @@ def _cmd_query(args) -> int:
     )
     if args.query is not None:
         lines: list[str] = []
-        code = _run_query(program, table, args.query, opts, lines)
-        _emit("\n".join(lines) + "\n", args.out)
-        return code
+        try:
+            return _run_query(program, table, args.query, opts, lines)
+        finally:  # a search stopped at its limit still shows its trace so far
+            if lines:
+                _emit("\n".join(lines) + "\n", args.out)
 
     # REPL: one query per line, empty lines skipped, quit/exit to leave.
     # Answers go to stdout as each query is read, or to --out at the end.
@@ -229,19 +235,19 @@ def _cmd_query(args) -> int:
         if line in ("quit", "exit", "quit.", "exit."):
             break
         lines = []
+        failure = None
         try:
             code = max(code, _run_query(program, table, line, opts, lines))
-        except LimitError as exc:  # this query gives up; the session goes on
-            code = _errors(exc)
-            continue
-        except ValueError as exc:
-            _errors(exc)
-            continue
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            written.append(text)
-        else:
-            _emit(text, None)
+        except (LimitError, ValueError) as exc:  # this query gives up; the session goes on
+            failure = exc
+        if lines:  # a search stopped at its limit still shows its trace so far
+            text = "\n".join(lines) + "\n"
+            if args.out:
+                written.append(text)
+            else:
+                _emit(text, None)
+        if failure is not None and _errors(failure) == 2:
+            code = 2  # a limit fails the session, a malformed query does not
     if args.out:
         _emit("".join(written), args.out)
     return code

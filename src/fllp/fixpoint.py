@@ -408,18 +408,7 @@ def least_model(
         fired, rounds, raised = {i for a in raised for i in triggers[a]}, rounds + 1, {}
 
 
-def dump_model(
-    model: Interpretation,
-    domain,
-    base: tuple[Atom, ...] | None = None,
-    include_zero: bool = False,
-) -> list[str]:
-    atoms = list(base) if (include_zero and base is not None) else list(model)
-    atoms.sort(key=format_atom)
-    lines = []
-    for atom in atoms:
-        v = model[atom]
-        if v == 0 and not include_zero:
-            continue
-        lines.append(f"{format_atom(atom)} : {format_value(domain, v)}")
-    return lines
+def dump_model(model: Interpretation, domain) -> list[str]:
+    """The model's nonzero atoms as ``atom : value`` lines, sorted by atom."""
+    shown = sorted((format_atom(atom), v) for atom, v in model.items() if v)
+    return [f"{text} : {format_value(domain, v)}" for text, v in shown]

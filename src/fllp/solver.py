@@ -1,34 +1,35 @@
 """Top-down resolution for graded logic programs.
 
 A query is turned into a goal word: a body of the program language whose
-atoms are open (:class:`WAtom`) or resolved to truth values (``Grade``),
-rewritten step by step.  Each step picks the leftmost open atom and either
-replaces it with a matching fact's grade, unfolds it through a matching
-rule (the rule body joined with the rule grade under the rule's own
-conjunction), or grades it bottom when nothing in the program matches.
-When no atoms remain the word is evaluated like a ground rule body,
-hedges going through the inverse mapping, yielding a computed answer
-together with the bindings of the query variables.
+atoms are open or resolved to truth values (``Grade``), rewritten step by
+step.  Each step picks the leftmost open atom and either replaces it with
+a matching fact's grade, unfolds it through a matching rule (the rule
+body joined with the rule grade under the rule's own conjunction), or
+grades it bottom when nothing in the program matches.  When no atoms
+remain the word is evaluated like a ground rule body, hedges going
+through the inverse mapping, yielding a computed answer together with
+the bindings of the query variables.
 
-One rule bounds the search.  Every connective and hedge column is
+One bound prunes the search.  Every connective and hedge column is
 monotone, so a node that must reach ``want`` gives each part a least
 useful value, its lower residual (Vojtáš, "Fuzzy logic programming", FSS
 2001): :func:`_need`, ``n + 1`` when no value will do.  A word is a zipper
 (Huet 1997): the replacement in focus under a shared chain of frames, each
 a connective or hedge with a hole, its resolved parts folded, its open
 parts and ``need``, what the hole must reach for the word to reach
-``max(threshold, 1)`` with its open atoms at top.  A word whose focus is
+``max(threshold, 1)`` with its open atoms at ``top``, the greatest grade
+an atom can reach (at ``n`` without a threshold).  A word whose focus is
 below ``need`` is cut, so a step does local work; without a threshold it
 ends in one bottom answer, so recursion through an unmatched atom ends.
-Each open atom also carries the same rule's bound from the threshold
-down, which skips facts and never builds a rule body that cannot reach
-it; a threshold of 0 bounds nothing.  Pruned search thus returns exactly
-the answers of unpruned search that pass the threshold, in the same
-order.  Each state pushed counts its depth plus its substitution's
-bindings; past ``SEARCH_LIMIT`` such entries :class:`SearchLimitError`
-ends left recursion and cycles that no depth bound stops.
+Under a threshold the ``need`` of the selected atom also skips the facts
+graded below it and the rules whose body cannot lift it that far, and
+cuts the atom when nothing matches it; a threshold of 0 bounds nothing.
+Pruned search thus returns exactly the answers of unpruned search that
+pass the threshold, in the same order.  Each state pushed counts its
+depth plus its substitution's bindings; past ``SEARCH_LIMIT`` such
+entries :class:`SearchLimitError` ends left recursion and cycles that no
+depth bound stops.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -62,14 +63,10 @@ SEARCH_LIMIT = 8 * 10**6
 
 
 class SearchLimitError(LimitError):
+    """``trace`` holds the lines traced before the search gave up."""
+
     subject, unit = "the search", "entries"
-
-
-class WAtom(record("WAtom", "atom bound in_disj", defaults=(False,))):
-    """An open atom of a goal word, with the least value worth finding for
-    it (0 when any will do); ``in_disj`` when some ancestor is a disjunction."""
-
-    __slots__ = ()
+    trace: tuple[str, ...] = ()
 
 
 # A dataclass, not a record: perfbench/tracing.py calls dataclasses.replace on it.
@@ -118,10 +115,12 @@ def _need(node, want: int, rest: int, columns, n: int) -> int:
 
 
 def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
-    """True when no atom can ever be graded with the top value."""
+    """True when no atom can ever be graded with the top value: no fact has
+    it, and no rule reaches it from atoms below it."""
     n = table.domain.n
     return all(f.tv < n for f in program.facts) and all(
-        col[v] < n for col in table.columns.values() for v in range(n)
+        value(Conj(r.kind, (r.body, Grade(r.tv))), lambda atom: n - 1, table.columns, n) < n
+        for r in program.rules
     )
 
 
@@ -150,35 +149,6 @@ def _prepare(program: Program, table: InverseMappingTable) -> tuple[int, dict]:
         prepared = (n - 1 if _all_below_top(program, table) else n, by_head)
         _last = (program, table, prepared)
     return prepared
-
-
-def _word(body: Body, bound: int, top: int, columns, n: int, in_disj: bool = False,
-          tag: str | None = None):
-    """The goal word for ``body`` reaching ``bound``: its atoms, renamed
-    apart with ``tag`` if given, opened with the bounds :func:`_need` gives
-    them; None when some part needs more than it can reach.  Under
-    ``and_l`` the siblings and the part itself reach at most ``top``;
-    elsewhere they count as reaching ``n``, which differs only when a part
-    needs the top grade itself and no atom can have it."""
-    if body.__class__ is Atom:
-        return WAtom(body if tag is None else _rename_atom(body, tag), bound, in_disj)
-    parts = (body.body,) if body.__class__ is HedgeApp else body.parts
-    rest, cap = n, n
-    if body.__class__ is Conj and body.kind != GODEL:
-        rest, cap = max(n - (len(parts) - 1) * (n - top), 0), top
-    b = _need(body, bound, rest, columns, n)
-    if b > cap:
-        return None
-    in_disj = in_disj or body.__class__ is Disj
-    words = []
-    for part in parts:
-        w = _word(part, b, top, columns, n, in_disj, tag)
-        if w is None:
-            return None
-        words.append(w)
-    if body.__class__ is HedgeApp:
-        return HedgeApp(body.hedge, words[0])
-    return body._replace(parts=tuple(words))
 
 
 # ---------------------------------------------------------------------------
@@ -233,31 +203,33 @@ def _fold(word: Conj | Disj, acc: int, v: int, n: int) -> int:
 def _frame(
     word: Body, lefts: tuple, acc: int, rights: tuple, up: tuple, leaf, columns, n: int
 ) -> tuple:
-    """Frame ``(word, lefts, acc, rights, need, up)`` of a hole in ``word``
-    inside ``up``, after ``lefts`` (resolved, folded to ``acc``), before
-    ``rights``, whose open atoms ``leaf`` values at top.  The root frame,
-    above the whole word, is ``(None, (), 0, (), floor, None)``."""
+    """Frame ``(word, lefts, acc, rights, need, in_disj, up)`` of a hole in
+    ``word`` inside ``up``, after ``lefts`` (resolved, folded to ``acc``),
+    before ``rights``, whose open atoms ``leaf`` values; ``in_disj`` when
+    ``word`` or a word above it is a disjunction.  The root frame, above
+    the whole word, is ``(None, (), 0, (), floor, False, None)``."""
     rest = acc
     for part in rights:
         rest = _fold(word, rest, value(part, leaf, columns, n), n)
-    return (word, lefts, acc, rights, _need(word, up[4], rest, columns, n), up)
+    need = _need(word, up[4], rest, columns, n)
+    return (word, lefts, acc, rights, need, up[5] or word.__class__ is Disj, up)
 
 
 def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
     """The leftmost open atom at or after the focus ``node`` and the frame
     of its hole, else ``(None, None, value of the whole word)``."""
     while True:
-        while not isinstance(node, (WAtom, Grade)):  # down to the leftmost leaf
+        while not isinstance(node, (Atom, Grade)):  # down to the leftmost leaf
             if isinstance(node, HedgeApp):
                 up, node = _frame(node, (), 0, (), up, leaf, columns, n), node.body
             else:
                 acc = n if isinstance(node, Conj) else 0
                 up, node = _frame(node, (), acc, node.parts[1:], up, leaf, columns, n), node.parts[0]
-        if isinstance(node, WAtom):
+        if isinstance(node, Atom):
             return node, up, None
         v = node.value
         while True:  # up past resolved parts, folding their values
-            word, lefts, acc, rights, _, above = up
+            word, lefts, acc, rights, _, _, above = up
             if word is None:
                 return None, None, v
             if isinstance(word, HedgeApp):
@@ -275,7 +247,7 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
 def _plug(node: Body, up: tuple) -> Body:
     """The whole goal word with ``node`` in the hole of ``up``."""
     while up[0] is not None:
-        word, lefts, _, rights, _, up = up
+        word, lefts, _, rights, _, _, up = up
         if isinstance(word, HedgeApp):
             node = HedgeApp(word.hedge, node)
         else:
@@ -285,7 +257,7 @@ def _plug(node: Body, up: tuple) -> Body:
 
 def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
     s = subst or {}
-    return format_body(map_atoms(word, lambda w: subst_atom(w.atom, s)))
+    return format_body(map_atoms(word, lambda a: subst_atom(a, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +273,31 @@ def solve(
     opts = options or SolveOptions()
     top, by_head = _prepare(program, table)
     columns, n = table.columns, table.domain.n
-    leaf = lambda word: n  # open atoms are valued at top
+    # Open atoms are valued at the greatest grade they can reach, or at n
+    # without a threshold, where a cut word still ends in a bottom answer.
+    cap = top if opts.threshold else n
+    leaf = lambda atom: cap
+    floor = max(opts.threshold or 0, 1)
     trace: list[str] = []
     qvars = free_vars(query)
 
-    goal = _word(query, opts.threshold or 0, top, columns, n)
-    if goal is None:
+    if opts.threshold and value(query, leaf, columns, n) < floor:
         return SolveResult((), False, ())
     if opts.trace:
-        trace.append(f"goal {format_word(goal)}")
+        trace.append(f"goal {format_word(query)}")
 
     fresh = itertools.count(1)
     answers: list[ComputedAnswer] = []
     exhausted = False
     # (focus, frame of its hole, substitution, depth, trace note)
-    stack: list[tuple] = [(goal, (None, (), 0, (), max(opts.threshold or 0, 1), None), {}, 0, None)]
+    stack: list[tuple] = [(query, (None, (), 0, (), floor, False, None), {}, 0, None)]
     pushed = 0
 
     while stack:
         if pushed > SEARCH_LIMIT:
-            raise SearchLimitError(pushed, SEARCH_LIMIT)
+            err = SearchLimitError(pushed, SEARCH_LIMIT)
+            err.trace = tuple(trace)
+            raise err
         focus, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
@@ -339,7 +316,8 @@ def solve(
                 trace.append(f"[{depth}] computed v{grade}")
             continue
 
-        atom = subst_atom(sel.atom, subst)
+        atom = subst_atom(sel, subst)
+        need = up[4] if opts.threshold else 0
         unifiable = False
         branches: list[tuple[tuple, Body, dict[str, Term]]] = []
         first = atom.args[0] if atom.args else None
@@ -358,25 +336,22 @@ def solve(
                 continue
             unifiable = True
             if isinstance(st, Fact):
-                if st.tv < sel.bound:
+                if st.tv < need:
                     continue
                 replacement: Body = Grade(st.tv)
                 key = (-st.tv, 0, 0, pos)
             else:
-                b = _need(st, sel.bound, st.tv, columns, n)
-                if b > n:
+                if need and _need(st, need, st.tv, columns, n) > value(st.body, leaf, columns, n):
                     continue
-                child = _word(st.body, b, top, columns, n, sel.in_disj, tag)
-                if child is None:
-                    continue
-                replacement = Conj(st.kind, (child, Grade(st.tv)))
+                body = map_atoms(st.body, lambda a: _rename_atom(a, tag))
+                replacement = Conj(st.kind, (body, Grade(st.tv)))
                 key = (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
             if opts.exhaustive:
                 key = (pos,)
             branches.append((key, replacement, s2))
 
         if not unifiable:
-            if sel.bound > 0:
+            if need > 0:
                 if opts.trace:
                     trace.append(f"[{depth}] cut {format_atom(atom)} (nothing matches)")
                 continue
@@ -400,7 +375,7 @@ def solve(
         # something the facts for this atom would have ruled out.  Anywhere
         # else a bottom grade annihilates the whole branch and is never worth
         # a detour.
-        if sel.in_disj and any(isinstance(a, Var) for a in atom.args):
+        if up[5] and any(isinstance(a, Var) for a in atom.args):
             note0 = None
             if opts.trace:
                 note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
@@ -418,8 +393,6 @@ def solve(
             stack.append((replacement, up, s2, d, note))
             pushed += d + len(s2)
 
-    if opts.threshold is not None:
-        answers = [a for a in answers if a.value >= opts.threshold]
     if opts.best:
         best: dict[tuple, ComputedAnswer] = {}
         for a in answers:

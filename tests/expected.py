@@ -232,13 +232,7 @@ TRACE_THRESHOLD = (
     "[2] edge(a,b) -> v33",
     "[2] tag(b) graded bottom",
     "[2] path(b,d) -> and_g(edge(b,d),v44)",
-    "[3] edge(b,d) graded bottom",
-    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(v0,v44))),v41) (below bound)",
-    "[2] path(b,d) -> and_g(and_g(edge(b,Z~5),#more(path(Z~5,d))),v44)",
-    "[3] edge(b,Z~5) -> v41",
-    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v41,#more(path(c,d))),v44))),v41) (below bound)",
-    "[3] edge(b,Z~5) graded bottom (open choice)",
-    "[3] cut and_l(and_l(#very(and_g(v33,v44)),or(v0,and_g(and_g(v0,#more(path(Z~5,d))),v44))),v41) (below bound)",
+    "[3] cut edge(b,d) (nothing matches)",
     "[1] path(a,b) -> and_g(and_g(edge(a,Z~3),#more(path(Z~3,b))),v44)",
     "[2] edge(a,Z~3) -> v33",
     "[2] path(b,b) -> and_g(edge(b,b),v44)",
@@ -247,8 +241,6 @@ TRACE_THRESHOLD = (
     "[3] edge(b,Z~7) -> v41",
     "[3] path(c,b) -> and_g(edge(c,b),v44)",
     "[4] cut edge(c,b) (nothing matches)",
-    "[3] path(c,b) -> and_g(and_g(edge(c,Z~9),#more(path(Z~9,b))),v44)",
-    "[4] cut edge(c,Z~9) (below bound)",
 )
 TRACE_DEFAULT = (
     "goal good(b)",

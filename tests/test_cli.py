@@ -188,6 +188,35 @@ def test_query_repl_goes_on_after_the_search_limit(capsys, monkeypatch, tmp_path
     assert dest.read_text(encoding="utf-8") == "answer: ; tv=true (v33)\n" * 2
 
 
+def test_query_under_an_unreachable_threshold_ends_at_once(capsys, tmp_path):
+    # No atom of this program reaches abstrue, so the query is cut before any
+    # unfolding; searching the self loop until the depth bound would flag
+    # the depth limit and exit 2.
+    _, domain, _ = load_algebra_config(DEFAULT_ALGEBRA_CONFIG)
+    prog = tmp_path / "seed27.fllp"
+    prog.write_text(pretty_print(random_program(27, domain, recursive=True), domain))
+    assert "p0(X,Y) <-g p0(X,Y)" in prog.read_text()
+    got = run(capsys, "query", str(prog), "-q", "or(p0(c,Z),p0(c,Y))", "--threshold", "v44",
+              "--trace")
+    assert got == (0, "no answers.\n", "")
+
+
+def test_query_trace_survives_the_search_limit(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "loop.fllp"
+    prog.write_text("p(a) : true.\np(X) <-g #very(p(X)) : true.\n")
+    monkeypatch.setattr("fllp.solver.SEARCH_LIMIT", 2000)
+    argv = ("query", str(prog), "--depth", "0", "--trace")
+    code, out, err = run(capsys, *argv, "-q", "p(X)")
+    lines = out.splitlines()
+    assert code == 2 and err.startswith("error: the search needs at least")
+    assert lines[:2] == ["goal p(X)", "[0] p(X) -> v33"]
+    assert lines[-1].startswith("[") and "answer" not in out
+    monkeypatch.setattr("sys.stdin", io.StringIO("p(X)\np(X)\n"))
+    code, repl, err = run(capsys, *argv)
+    assert code == 2 and err.count("error: the search needs at least") == 2
+    assert repl == out * 2
+
+
 def test_query_unlimited_depth_answers_a_900_edge_chain(capsys, tmp_path):
     # Gödel rules at abstrue grade a path with its weakest edge, so the
     # least model grades path(n0,n900) little true.

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from fllp.connectives import GODEL, LUKA
+from fllp.connectives import GODEL
 from fllp.fixpoint import (
     GroundingLimitError,
     Interpretation,
@@ -20,12 +19,10 @@ from fllp.fixpoint import (
 from fllp.inverse import build_inverse_table
 from fllp.lang import (
     Atom,
-    Conj,
     Const,
     Disj,
     Fact,
     Grade,
-    HedgeApp,
     Program,
     Rule,
     Var,
@@ -36,6 +33,7 @@ from fllp.lang import (
 
 from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS
 from randprog import random_algebra, random_program
+from strategies import programs
 
 CHAIN10 = "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in range(10)) + (
     "path(X,Y) <-g edge(X,Y) : abstrue.\n"
@@ -168,9 +166,6 @@ def test_dump_model_formats_and_sorts(samples_dir):
         "hira_un(ann) : very true (v41)",
         "st_hd(ann) : more true (v36)",
     ]
-    gp = ground(program)
-    everything = dump_model(model, table.domain, base=gp.base, include_zero=True)
-    assert len(everything) == len(gp.base)
 
 
 def test_model_agrees_with_the_solver_on_the_samples(samples_dir):
@@ -251,46 +246,8 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
     assert least_model(program, table) == least_model(program, table, gp=ground(program))
 
 
-@functools.cache
-def _random_table(seed):
-    return build_inverse_table(random_algebra(seed, max_rank=2, max_limit=2)[1])
-
-
-PREDS = {"p": 1, "q": 2, "r": 1}
-TERMS = (Var("X"), Var("Y"), Var("Z"), Const("a"), Const("b"), Const("c"))
-
-
-@st.composite
-def _programs(draw):
-    """A random algebra's table (class sizes drawn apart, so mostly
-    asymmetric) and a program over three predicates that call each other
-    freely: cycles and left recursion, repeated variables and constants in
-    heads, nested ``or``, ``and_g``, ``and_l`` and hedges, both rule kinds."""
-    table = _random_table(draw(st.integers(0, 11)))
-    hedges, n = sorted(table.columns), table.domain.n
-
-    def atom(preds=tuple(PREDS)):
-        pred = draw(st.sampled_from(preds))
-        return Atom(pred, tuple(draw(st.sampled_from(TERMS)) for _ in range(PREDS[pred])))
-
-    def body(depth):
-        shape = draw(st.integers(0, 3 if depth else 0))
-        if shape == 0:
-            return atom()
-        if shape == 1:
-            return HedgeApp(draw(st.sampled_from(hedges)), body(depth - 1))
-        parts = tuple(body(depth - 1) for _ in range(draw(st.integers(2, 3))))
-        return Disj(parts) if shape == 2 else Conj(draw(st.sampled_from((GODEL, LUKA))), parts)
-
-    statements = [Fact(atom(("p", "q")), draw(st.integers(1, n)))
-                  for _ in range(draw(st.integers(1, 4)))]
-    statements += [Rule(atom(), draw(st.sampled_from((GODEL, LUKA))), body(2),
-                        draw(st.integers(1, n))) for _ in range(draw(st.integers(1, 4)))]
-    return table, Program(tuple(draw(st.permutations(statements))))
-
-
 @settings(max_examples=150)
-@given(_programs())
+@given(programs())
 def test_both_least_models_are_iterated_tp_over_the_full_grounding(case):
     table, program = case
     gp = ground(program)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import functools
-from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from fllp import solver
 from fllp.connectives import GODEL, LUKA
 from fllp.fixpoint import ground, least_model
-from fllp.inverse import build_inverse_table
 from fllp.lang import (
     Atom,
     Conj,
     Const,
     Disj,
+    Fact,
     Grade,
     HedgeApp,
+    Program,
     Rule,
     load_program,
     parse_program,
@@ -27,12 +27,10 @@ from fllp.solver import (
     ComputedAnswer,
     SearchLimitError,
     SolveOptions,
-    WAtom,
     _all_below_top,
     _need,
     _next,
     _plug,
-    _word,
     format_answer,
     solve,
 )
@@ -45,7 +43,8 @@ from expected import (
     TRACE_PROGRAM,
     TRACE_THRESHOLD,
 )
-from randprog import random_algebra, random_program
+from randprog import random_program
+from strategies import bodies, programs, random_table
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_ANSWERS))
@@ -181,89 +180,6 @@ def test_full_trace_is_frozen(domain, table, opts, want):
     assert solve(program, table, parse_query("good(b)", domain), opts).trace == want
 
 
-class _Cut(Exception):
-    pass
-
-
-def _old_next_threshold(table, bound, context):
-    """The static bound rule the search used before ``_need``, kept as an
-    oracle: the least value a child must reach for its parent to reach
-    ``bound``, None when unconstrained, ``_Cut`` when nothing will do."""
-    if bound is None:
-        return None
-    n = table.domain.n
-    tag = context[0]
-    if tag == "rule":
-        _, kind, grade = context
-        if grade < bound:
-            raise _Cut
-        return bound if kind == GODEL else n + bound - grade
-    if tag == "conjg":
-        return bound
-    if tag == "conjl":
-        _, arity, below_top = context
-        if not below_top:
-            return bound
-        b = bound + (arity - 1)
-        if b > n - 1:
-            raise _Cut
-        return b
-    if tag == "disj":
-        return None
-    if tag == "hedge":
-        v = bisect_left(table.columns[context[1]], bound)
-        if v > n:
-            raise _Cut
-        return v
-    raise ValueError(f"unknown bound context: {context!r}")
-
-
-def _new_bound(table, bound, context, arity, top):
-    """The bound the search now gives a child in ``context``, its node of
-    ``arity`` parts in a program whose atoms reach at most ``top``."""
-    n, p = table.domain.n, Atom("p")
-    tag = context[0]
-    if tag == "rule":
-        b = _need(Rule(p, context[1], p, context[2]), bound, context[2], table.columns, n)
-        if b > n:  # the cut at a rule unfolding
-            raise _Cut
-        return b
-    if tag == "hedge":
-        body = HedgeApp(context[1], p)
-    elif tag == "disj":
-        body = Disj((p,) * arity)
-    else:
-        body = Conj(GODEL if tag == "conjg" else LUKA, (p,) * arity)
-    word = _word(body, bound, top, table.columns, n)
-    if word is None:
-        raise _Cut
-    bounds = {w.bound for w in (word.parts if isinstance(word, (Conj, Disj)) else (word.body,))}
-    assert len(bounds) == 1
-    return bounds.pop()
-
-
-def _outcome(rule, *args):
-    try:
-        return rule(*args) or 0  # None, unconstrained, is bound 0
-    except _Cut:
-        return "cut"
-
-
-@pytest.mark.parametrize("shape", ["vmpl", "asym"])
-def test_bound_rule_matches_the_old_next_threshold(shape, vmpl, asym):
-    table = {"vmpl": vmpl, "asym": asym}[shape][2]
-    n = table.domain.n
-    contexts = [("rule", kind, g) for kind in (GODEL, LUKA) for g in range(1, n + 1)]
-    contexts += [("hedge", h) for h in table.columns] + [("conjg",), ("disj",)]
-    for top in (n - 1, n):
-        for arity in (2, 3, 5, n + 1):
-            for context in contexts + [("conjl", arity, top < n)]:
-                for bound in range(1, n + 1):
-                    old = _outcome(_old_next_threshold, table, bound, context)
-                    new = _outcome(_new_bound, table, bound, context, arity, top)
-                    assert new == old, (context, arity, top, bound)
-
-
 def test_frozen_bounds_through_the_one_rule(table):
     bound, grade, want = RULE_LUKA_BOUND
     rule = Rule(Atom("p"), LUKA, Atom("q"), grade)
@@ -275,7 +191,7 @@ def test_frozen_bounds_through_the_one_rule(table):
 @settings(max_examples=200)
 @given(st.integers(0, 11), st.data())
 def test_need_is_the_least_part_value_that_reaches_want(seed, data):
-    table = _random_table(seed)
+    table = random_table(seed)
     columns, n = table.columns, table.domain.n
     node = data.draw(st.sampled_from(
         [Conj(GODEL, ()), Conj(LUKA, ()), Disj(())]
@@ -306,14 +222,51 @@ def test_threshold_zero_prunes_nothing(table):
                 assert zero == plain, (seed, recursive, atom)
 
 
+def _shown(answers):
+    """Values and bindings, unbound variables shown as ``_`` whatever their
+    renaming, as the CLI prints them."""
+    return [(a.value, [(v, t if isinstance(t, Const) else "_") for v, t in a.bindings])
+            for a in answers]
+
+
+@settings(max_examples=100)
+@given(programs(), st.booleans(), st.data())
+def test_threshold_pruning_is_exact(case, exhaustive, data):
+    # Pruning under a threshold returns exactly the unpruned answers that
+    # reach it, in the same order, and flags the depth only if the unpruned
+    # search does.  Pruned search pushes a subset of the unpruned states, so
+    # it ends within the search limit whenever the unpruned search does.
+    table, program = case
+    query = data.draw(bodies(table))
+    opts = SolveOptions(depth=3, exhaustive=exhaustive)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SEARCH_LIMIT", 2000)
+        try:
+            plain = solve(program, table, query, opts)
+        except SearchLimitError:
+            return
+        # each answer's value and the grade above it, where the pruned
+        # answers change, and 1, which prunes every zero-graded answer
+        values = {a.value for a in plain.answers}
+        for t in values | {v + 1 for v in values if v < table.domain.n} | {1}:
+            pruned = solve(program, table, query, replace(opts, threshold=t))
+            assert _shown(pruned.answers) == _shown(a for a in plain.answers if a.value >= t)
+            assert plain.depth_exhausted or not pruned.depth_exhausted
+
+
 def test_all_below_top(domain, table):
     # No default column promotes a lesser grade to the top one, so only an
     # abstrue fact can put the top grade in play.
     assert all(col[v] < 44 for col in table.columns.values() for v in range(44))
-    modest = parse_program("p : more true.\n", domain)
+    modest = parse_program("p : more true.\nq <-l #very(p) : abstrue.\n", domain)
     assert _all_below_top(modest, table)
     certain = parse_program("p : abstrue.\n", domain)
     assert not _all_below_top(certain, table)
+    # ... or a top grade leaf in a rule body, which only library callers build
+    p, q = Atom("p"), Atom("q")
+    lifted = Program((Fact(q, 20), Rule(p, GODEL, Disj((q, Grade(44))), 44)))
+    assert not _all_below_top(lifted, table)
+    assert [a.value for a in solve(lifted, table, p, SolveOptions(threshold=44)).answers] == [44]
 
 
 def test_computed_answers_compare_without_the_depth(domain):
@@ -380,18 +333,13 @@ def test_indexed_candidates_keep_every_answer_in_order(domain, table, query, opt
     assert shown == want
 
 
-@functools.cache
-def _random_table(seed):
-    return build_inverse_table(random_algebra(seed, max_rank=2, max_limit=2)[1])
-
-
 @st.composite
 def _goal_words(draw):
     """A random algebra's table, a goal word over its hedges whose leaves
     are grades and open atoms, and a floor for the whole word."""
-    table = _random_table(draw(st.integers(0, 11)))
+    table = random_table(draw(st.integers(0, 11)))
     n = table.domain.n
-    leaves = st.builds(Grade, st.integers(0, n)) | st.just(WAtom(Atom("p"), 0))
+    leaves = st.builds(Grade, st.integers(0, n)) | st.just(Atom("p"))
 
     def extend(inner):
         parts = st.lists(inner, min_size=2, max_size=3).map(tuple)
@@ -410,7 +358,7 @@ def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     table, word, floor = case
     columns, n = table.columns, table.domain.n
     leaf = lambda w: n  # open atoms at top
-    sel, up, grade = _next(word, (None, (), 0, (), floor, None), leaf, columns, n)
+    sel, up, grade = _next(word, (None, (), 0, (), floor, False, None), leaf, columns, n)
     while sel is not None:
         assert _plug(sel, up) == word
         for g in range(n + 1):
