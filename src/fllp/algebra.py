@@ -10,9 +10,10 @@ truth domain the rest of the package computes with, every bounded
 modifier string in ascending order.  The order is read off in one
 depth-first walk that carries each term's sign and outermost hedge (Ho &
 Wechler, "Hedge algebras", FSS 1990); no two values are ever compared.
+A truth value is its index in that order, spelled by its literal.
 
-All values are immutable and the operations are pure, so algebras and
-domains can be shared freely across threads.
+Algebras and domains are never changed once built, so they can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 BOTTOM_NAME = "absfalse"
 MIDDLE_NAME = "middle"
@@ -87,30 +88,6 @@ def _fields_equal(n: int):
     field runs about twice as fast as a call to ``tuple.__eq__``."""
     same = " and ".join(f"s[{i}] == o[{i}]" for i in range(n))
     return eval(f"lambda s, o: o.__class__ is s.__class__ and {same}")
-
-
-class TruthValue(record("TruthValue", "kind positive hedges", defaults=(True, ()))):
-    """A linguistic truth value: 0, W, 1, or a hedge string over a primary.
-
-    ``kind`` is "bottom", "middle", "top" or "term".  ``hedges`` is stored
-    outermost first, so ``("very", "little")`` over the positive primary
-    reads "very little true".
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_term(self) -> bool:
-        return self.kind == "term"
-
-
-BOTTOM = TruthValue("bottom")
-MIDDLE = TruthValue("middle")
-TOP = TruthValue("top")
-
-
-def term(hedges: Iterable[str], positive: bool) -> TruthValue:
-    return TruthValue("term", positive, tuple(hedges))
 
 
 class HedgeDecl(record("HedgeDecl", "name positive_class rank")):
@@ -210,27 +187,27 @@ class HedgeAlgebra:
         ref = self._ref
         return sign if ref is None else sign * self._flip[ref, outer] * self._flip[ref, None]
 
-    def terms(self, positive: bool) -> list[TruthValue]:
-        """Every term over one primary, ascending, in one depth-first walk.
+    def terms(self, positive: bool) -> list[tuple[str, ...]]:
+        """The hedge strings (outermost hedge first) of every term over one
+        primary, ascending, in one depth-first walk.
 
         Under a term with chain direction ``d`` come the subtrees of the
         hedges ``h`` with ``d·e(h) < 0``, then the term itself, then the
         subtrees with ``d·e(h) > 0``, each in ascending ``d·e(h)``.  Each
         term's sign and outermost hedge are carried down, so no two values
-        are ever compared.
+        are ever compared; a pushed sign of 0 marks a term to emit.
         """
         flip, push, limit = self._flip, self._push, self.limit
-        out: list[TruthValue] = []
+        out: list[tuple[str, ...]] = []
         todo: list = [((), 1 if positive else -1, None)]
         while todo:
-            item = todo.pop()
-            if item.__class__ is TruthValue:
-                out.append(item)
+            hedges, sign, outer = todo.pop()
+            if not sign:
+                out.append(hedges)
                 continue
-            hedges, sign, outer = item
-            v = TruthValue("term", positive, hedges)
             for h in push[self.direction(sign, outer)] if len(hedges) < limit else (None,):
-                todo.append(v if h is None else ((h, *hedges), sign * flip[h, outer], h))
+                todo.append((hedges, 0, None) if h is None
+                            else ((h, *hedges), sign * flip[h, outer], h))
         return out
 
 
@@ -281,20 +258,20 @@ def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
 
     if problems:
         raise AlgebraError(sorted(set(problems)))
-    size = domain_size(spec, words=True)
+    size = domain_size(spec)
     if size > DOMAIN_LIMIT:
         raise DomainLimitError(size, DOMAIN_LIMIT)
     return HedgeAlgebra(spec)
 
 
-def domain_size(spec: HedgeAlgebraSpec, words: bool = False) -> int:
-    """Number of values ``enumerate_domain`` yields: 2·Σ_{k≤limit} h^k + 3
-    for h hedges; with ``words``, plus the 2·Σ k·h^k hedge words they hold.
-    Counting stops early once past ``DOMAIN_LIMIT``."""
+def domain_size(spec: HedgeAlgebraSpec) -> int:
+    """Number of values ``enumerate_domain`` yields plus the hedge words
+    they hold: 3 + 2·Σ_{k≤limit} (k + 1)·h^k for h hedges.  Counting stops
+    early once past ``DOMAIN_LIMIT``."""
     h = len(spec.hedges)
     size, layer = 3, 2
     for k in range(spec.limit + 1):
-        size += layer * (k + 1) if words else layer
+        size += layer * (k + 1)
         layer *= h
         if layer == 0 or size > DOMAIN_LIMIT:
             break
@@ -305,78 +282,60 @@ def enumerate_domain(algebra: HedgeAlgebra) -> TruthDomain:
     """All hedge strings up to the length limit over both primaries, plus
     the three constants, ascending: 0, the negative terms, W, the positive
     terms, 1.  Deterministic for a given spec."""
-    values = [BOTTOM, *algebra.terms(False), MIDDLE, *algebra.terms(True), TOP]
-    return TruthDomain(algebra, values)
+    def spelled(primary: str, positive: bool) -> list[str]:
+        return [" ".join((*hedges, primary)) for hedges in algebra.terms(positive)]
+
+    return TruthDomain(algebra, [
+        BOTTOM_NAME, *spelled(algebra.negative_primary, False),
+        MIDDLE_NAME, *spelled(algebra.positive_primary, True), TOP_NAME,
+    ])
 
 
 class TruthDomain:
-    """The fully enumerated, ascending truth domain of an algebra.
+    """The fully enumerated, ascending truth domain of an algebra: its
+    literals ("absfalse", "very more true", ...) by index and back."""
 
-    Supplies index access in both directions and the textual literal form
-    ("very more true", "absfalse", ...) used by program files.
-    """
-
-    def __init__(self, algebra: HedgeAlgebra, values: Iterable[TruthValue]):
+    def __init__(self, algebra: HedgeAlgebra, literals: Iterable[str]):
         self.algebra = algebra
-        self.values = tuple(values)
-        self._index = {v: i for i, v in enumerate(self.values)}
-        self.n = len(self.values) - 1
-        self.middle_index = self._index[MIDDLE]
+        self._literals = tuple(literals)
+        self._index = {s: i for i, s in enumerate(self._literals)}
+        self.n = len(self._literals) - 1
+        self.middle_index = self._index[MIDDLE_NAME]
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[TruthValue]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> TruthValue:
-        return self.values[i]
-
-    def index_of(self, v: TruthValue) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise ValueError(f"value not in domain: {self.literal_of_value(v)}") from None
+        return len(self._literals)
 
     def literal(self, i: int) -> str:
-        return self.literal_of_value(self.values[i])
-
-    def literal_of_value(self, v: TruthValue) -> str:
-        if not v.is_term:
-            return {"bottom": BOTTOM_NAME, "middle": MIDDLE_NAME, "top": TOP_NAME}[v.kind]
-        alg = self.algebra
-        primary = alg.positive_primary if v.positive else alg.negative_primary
-        return " ".join(v.hedges + (primary,))
+        return self._literals[i]
 
     def parse_literal(self, text: str) -> int:
         """Resolve a truth literal to its domain index.
 
         A literal is either one of the three constant names or hedge words
-        followed by a primary name.  Unknown words and strings longer than
-        the limit are rejected.
+        followed by a primary name, separated by blanks.  Text that is no
+        literal is read word by word only to say why: it is empty, does not
+        end in a primary, holds an unknown hedge or is over the limit.
         """
+        index = self._index.get(text)  # as written: a primary may hold blanks
+        if index is not None:
+            return index
         words = text.split()
+        index = self._index.get(" ".join(words))
+        if index is not None:
+            return index
         if not words:
             raise ValueError("empty truth literal")
-        if len(words) == 1 and words[0] in RESERVED_NAMES:
-            return {BOTTOM_NAME: 0, MIDDLE_NAME: self.middle_index, TOP_NAME: self.n}[words[0]]
         alg = self.algebra
-        *hedges, primary = words
-        if primary == alg.positive_primary:
-            positive = True
-        elif primary == alg.negative_primary:
-            positive = False
-        else:
+        if words[-1] not in (alg.negative_primary, alg.positive_primary):
             raise ValueError(f"truth literal must end in a primary name, got {text!r}")
-        for h in hedges:
+        for h in words[:-1]:
             if not alg.has_hedge(h):
                 raise ValueError(f"unknown hedge {h!r} in truth literal {text!r}")
-        return self.index_of(term(hedges, positive))
+        raise ValueError(f"value not in domain: {' '.join(words)}")
 
 
-def format_value(domain: TruthDomain, value: int | TruthValue) -> str:
-    idx = value if isinstance(value, int) else domain.index_of(value)
-    return f"{domain.literal(idx)} (v{idx})"
+def format_value(domain: TruthDomain, index: int) -> str:
+    return f"{domain.literal(index)} (v{index})"
 
 
 # -- algebra config files -------------------------------------------------

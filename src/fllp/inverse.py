@@ -28,16 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import (
-    MIDDLE,
-    TOP,
-    InputError,
-    InverseOverride,
-    TruthDomain,
-    TruthValue,
-    record,
-    term,
-)
+from .algebra import InputError, InverseOverride, TruthDomain, record
 
 
 class InverseTableError(InputError):
@@ -49,16 +40,6 @@ class InverseMappingTable(record("InverseMappingTable", "domain columns")):
     ``columns`` maps each hedge name to a tuple of domain indices."""
 
     __slots__ = ()
-
-    def apply(self, hedge: str | None, index: int) -> int:
-        """Image of a domain index; ``None`` is the identity hedge."""
-        if hedge is None:
-            return index
-        try:
-            col = self.columns[hedge]
-        except KeyError:
-            raise InverseTableError([f"undeclared hedge: {hedge!r}"]) from None
-        return col[index]
 
 
 # Cells where a weakening hedge cancels the value's innermost hedge while
@@ -82,11 +63,14 @@ _REFERENCE_CELLS = {
 
 
 class _Builder:
-    """The shift construction, on the positive half of each column."""
+    """The shift construction, on the positive half of each column: over
+    the hedge strings of the positive terms, ascending, which ``index``
+    maps to their domain indices W + 1 to n - 1."""
 
     def __init__(self, domain: TruthDomain):
-        self.domain = domain
         self.alg = alg = domain.algebra
+        self.w, self.n = w, n = domain.middle_index, domain.n
+        self.index = dict(zip(alg.terms(True), range(w + 1, n)))
         self.p, self.q = len(alg.plus_hedges), len(alg.minus_hedges)
         # Chain direction over each single-hedge positive term; chains over
         # the bare primary always ascend.
@@ -98,37 +82,32 @@ class _Builder:
         """``hedge``'s column with the positive half and the constants
         filled in; the cells below W are left for :func:`_mirror`."""
         r = self.alg.e_index(hedge)
-        d = self.domain
-        w, n = d.middle_index, d.n
-        col = [0] * (n + 1)
-        col[w], col[n] = w, n
-        for i in range(w + 1, n):
-            y = self._invert_positive(r, d[i])
-            # Bounded domains have no room for constant images; pull them
-            # to the nearest positive term.
-            col[i] = w + 1 if y is MIDDLE else n - 1 if y is TOP else d.index_of(y)
-        return col
+        w, n = self.w, self.n
+        return [0] * w + [w, *(self._invert_positive(r, x) for x in self.index), n]
 
-    def _invert_positive(self, r: int, x: TruthValue) -> TruthValue:
-        """Raw image of a positive term; may return W or 1 to clamp."""
+    def _invert_positive(self, r: int, x: tuple[str, ...]) -> int:
+        """Image of the positive term with hedge string ``x``.  Bounded
+        domains have no room for images at W or 1; those are pulled to the
+        nearest positive term, index W + 1 or n - 1."""
         alg = self.alg
-        if not x.hedges:
+        low, high = self.w + 1, self.n - 1
+        if not x:
             m = min(self.p, self.q)
             if -m <= r <= m:
-                return self._mk((alg.hedge_by_e_index(-r),)) if r else term((), True)
-            return MIDDLE if r > 0 else TOP
-        s = alg.e_index(x.hedges[-1])  # innermost hedge
-        sigma = x.hedges[:-1]
+                return self._mk((alg.hedge_by_e_index(-r),)) if r else self.index[()]
+            return low if r > 0 else high
+        s = alg.e_index(x[-1])  # innermost hedge
+        sigma = x[:-1]
         if r == s:
             cell = None
             if (self.p, self.q, alg.limit, len(sigma)) == (2, 2, 2, 1):
                 cell = _REFERENCE_CELLS.get((r, alg.e_index(sigma[0])))
-            return term(tuple(map(alg.hedge_by_e_index, cell or ())), True)
+            return self.index[tuple(map(alg.hedge_by_e_index, cell or ()))]
         d = s - r
         if d < -self.q:
-            return MIDDLE
+            return low
         if d > self.p:
-            return TOP
+            return high
         hd = alg.hedge_by_e_index(d)
         if self._dir[s] == self._dir[d]:
             return self._mk(sigma + (hd,))
@@ -138,11 +117,11 @@ class _Builder:
         delta = alg.hedge_by_e_index(max(-self.q, min(self.p, -t)))
         return self._mk((delta, hd))
 
-    def _mk(self, hedges: tuple[str, ...]) -> TruthValue:
-        """The positive term keeping only the innermost ``limit`` hedges,
-        so degenerate limits stay in range."""
+    def _mk(self, hedges: tuple[str, ...]) -> int:
+        """Index of the positive term keeping only the innermost ``limit``
+        hedges, so degenerate limits stay in range."""
         limit = self.alg.limit
-        return term(hedges[-limit:] if limit else (), True)
+        return self.index[hedges[-limit:] if limit else ()]
 
 
 def _mirror(domain: TruthDomain, columns: dict[str, list[int]]) -> dict[str, list[int]]:
@@ -163,7 +142,8 @@ def _mirror(domain: TruthDomain, columns: dict[str, list[int]]) -> dict[str, lis
 def _hedged_primary(domain: TruthDomain, hedge: str) -> int:
     """Index of ``hedge`` applied to the positive primary (the primary
     itself at limit 0): the cell where the column must cancel."""
-    return domain.index_of(term((hedge,)[: domain.algebra.limit], True))
+    alg = domain.algebra
+    return domain.parse_literal(" ".join([hedge][: alg.limit] + [alg.positive_primary]))
 
 
 def _anchored_columns(domain: TruthDomain) -> dict[str, list[int]]:
@@ -171,9 +151,8 @@ def _anchored_columns(domain: TruthDomain) -> dict[str, list[int]]:
     through (middle, middle), (x, index of the positive primary) and (top,
     top), where x, the index of the hedged positive primary, lies strictly
     between middle and top."""
-    n = domain.n
-    w = domain.middle_index
-    y0 = domain.index_of(term((), True))
+    n, w = domain.n, domain.middle_index
+    y0 = domain.parse_literal(domain.algebra.positive_primary)
     pos: dict[str, list[int]] = {}
     for h in domain.algebra.extended_order():
         x = _hedged_primary(domain, h)
@@ -238,7 +217,7 @@ def validate_inverse_table(table: InverseMappingTable) -> list[str]:
     lit, n, w = domain.literal, domain.n, domain.middle_index
     out: list[str] = []
 
-    c_plus = domain.index_of(term((), True))
+    c_plus = domain.parse_literal(alg.positive_primary)
     for h in alg.extended_order():
         col = table.columns[h]
         hedged = _hedged_primary(domain, h)
@@ -258,15 +237,14 @@ def validate_inverse_table(table: InverseMappingTable) -> list[str]:
                 out.append(f"{h!r} maps {lit(i)!r} across the middle to {lit(j)!r}")
 
     # Weaker hedges in the extended order must have pointwise larger images;
-    # the identity sits between the classes.
-    ordered = [*reversed(alg.plus_hedges), None, *alg.minus_hedges]
-    for a, b in zip(ordered, ordered[1:]):  # a above b in the extended order
+    # the identity column sits between the classes.
+    ordered = [("identity", range(n + 1)) if h is None else (h, table.columns[h])
+               for h in (*reversed(alg.plus_hedges), None, *alg.minus_hedges)]
+    for (a, ca), (b, cb) in zip(ordered, ordered[1:]):  # a above b
         for i in range(n + 1):
-            va, vb = table.apply(a, i), table.apply(b, i)
-            if va > vb:
-                na, nb = a or "identity", b or "identity"
+            if ca[i] > cb[i]:
                 out.append(
-                    f"{na!r} above {nb!r} needs smaller images, but at {lit(i)!r}: "
-                    f"{lit(va)!r} > {lit(vb)!r}"
+                    f"{a!r} above {b!r} needs smaller images, but at {lit(i)!r}: "
+                    f"{lit(ca[i])!r} > {lit(cb[i])!r}"
                 )
     return out

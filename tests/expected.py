@@ -302,8 +302,10 @@ TRACE_DEFAULT = (
 # domain enumeration and the two-sided inverse builder before either was
 # rewritten; they pin every cell of these tables, including the shapes
 # (seeds 0, 3, 4, 6, 9, 13, 14 and 17) that take the anchored fallback.
-# Keys: the default algebra at limits 0-4, ``conftest.ASYM_CONFIG``,
-# ``samples/vmpl.alg``, and ``randprog.random_algebra(seed)`` written out by
+# ``default-5`` was recorded later, from the depth-first domain walk, before
+# truth values became their literals.  Keys: the default algebra at limits
+# 0-5, ``conftest.ASYM_CONFIG``, ``samples/vmpl.alg``, and
+# ``randprog.random_algebra(seed)`` written out by
 # ``randprog.algebra_config_text``.
 DOMAIN_INVERSE_SHA256 = {
     "default-0": "f007285de49d0664effaf1ccc726331a3875d94eefc1bf298aa6a0fcf402bda3",
@@ -311,6 +313,7 @@ DOMAIN_INVERSE_SHA256 = {
     "default-2": "abda56a2c65ff899ec722b25822bcd35e04cdc2aff7c64b34e05736b66497fcf",
     "default-3": "d0895234a1ef0385debc65e07bdbde6aca15eafedd7c8844eaf3918f68a63fa6",
     "default-4": "9d959651de67501cabfedcb6b8dc849425a2b4cb0cf4bcbcf8a979f4d8b64f33",
+    "default-5": "746ef47fc79b4d7b9a205aab714fe7dd4626dfa5049be2378273304b6da62e97",
     "asym": "6dbe772e3ae4cdc7989b8b4a517022f1af2fe214aad32eb273c9ac7d5240f56a",
     "vmpl": "abda56a2c65ff899ec722b25822bcd35e04cdc2aff7c64b34e05736b66497fcf",
     "seed-0": "2309a92ee542f6d4a376d2c798c9ebf07e6103e5f57d76ebf5d70775ec92eb8a",

@@ -72,7 +72,7 @@ def test_02_inverse_mapping_table(capsys, domain, table):
         rows = expand_inverse_rows()
         assert len(rows) == 45
         for v in range(45):
-            got = tuple(domain.literal(table.apply(h, v)) for h in HEDGE_COLUMNS)
+            got = tuple(domain.literal(table.columns[h][v]) for h in HEDGE_COLUMNS)
             assert got == rows[domain.literal(v)], domain.literal(v)
 
 

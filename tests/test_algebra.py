@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fllp.algebra import (
-    BOTTOM,
     DEFAULT_ALGEBRA_CONFIG,
     DOMAIN_LIMIT,
-    MIDDLE,
-    TOP,
     AlgebraError,
     DomainLimitError,
     HedgeAlgebraSpec,
@@ -22,13 +19,12 @@ from fllp.algebra import (
     enumerate_domain,
     load_algebra_config,
     parse_algebra_config,
-    term,
 )
 from fllp.inverse import build_inverse_table
 
 from conftest import ASYM_CONFIG, shape_config
 from expected import DOMAIN_INVERSE_SHA256, DOMAIN_LITERALS, L1_DOMAIN_LITERALS
-from randprog import random_algebra
+from randprog import algebra_config_text, random_algebra
 
 
 def test_default_domain_enumeration(domain):
@@ -42,30 +38,40 @@ def test_one_word_domain_enumeration():
     assert tuple(domain.literal(i) for i in range(len(domain))) == L1_DOMAIN_LITERALS
 
 
-# The pairwise order the domain walk replaced, kept as an oracle.  A term's
-# sign says whether it sits above (+1) or below (-1) the term it modifies:
-# weakening hedges flip a primary's sign, and a hedge flips it again when it
-# is negative w.r.t. the hedge it modifies.  Two terms over one primary
-# compare at the first hedge position (innermost first) where they differ,
-# by extended index, read backwards when chains over the shared prefix
-# descend: when the greatest hedge moves that prefix against its class.
+# The pairwise order the domain walk replaced, kept as an oracle over the
+# literals: a literal's band (0, the negative terms, W, the positive terms,
+# 1) and its hedges are read off its words.  A term's sign says whether it
+# sits above (+1) or below (-1) the term it modifies: weakening hedges flip
+# a primary's sign, and a hedge flips it again when it is negative w.r.t.
+# the hedge it modifies.  Two terms over one primary compare at the first
+# hedge position (innermost first) where they differ, by extended index,
+# read backwards when chains over the shared prefix descend: when the
+# greatest hedge moves that prefix against its class.
 
-def oracle_sign(algebra, v) -> int:
-    if not v.is_term:
+def oracle_band(algebra, literal):
+    """``(band, hedges outermost first, primary)`` of a literal."""
+    *hedges, last = literal.split()
+    bands = {"absfalse": 0, algebra.negative_primary: 1, "middle": 2,
+             algebra.positive_primary: 3, "abstrue": 4}
+    return bands[last], tuple(hedges), last
+
+
+def oracle_sign(algebra, literal) -> int:
+    band, hedges, _ = oracle_band(algebra, literal)
+    if band % 2 == 0:
         return 0
-    s, inner = (1 if v.positive else -1), None
-    for h in reversed(v.hedges):  # innermost application first
+    s, inner = (1 if band == 3 else -1), None
+    for h in reversed(hedges):  # innermost application first
         keeps = h in algebra.plus_hedges if inner is None else algebra.spec.positivity[h, inner]
         s, inner = (s if keeps else -s), h
     return s
 
 
 def oracle_compare(algebra, x, y) -> int:
-    bands = {"bottom": 0, "middle": 2, "top": 4}
-    bx, by = (bands.get(v.kind, 3 if v.positive else 1) for v in (x, y))
-    if bx != by or not x.is_term:
+    (bx, xs, primary), (by, ys, _) = (oracle_band(algebra, v) for v in (x, y))
+    if bx != by or bx % 2 == 0:
         return (bx > by) - (bx < by)
-    xs, ys = x.hedges[::-1], y.hedges[::-1]
+    xs, ys = xs[::-1], ys[::-1]
     j = 0
     while j < len(xs) and j < len(ys) and xs[j] == ys[j]:
         j += 1
@@ -74,45 +80,51 @@ def oracle_compare(algebra, x, y) -> int:
     eh, ek = (algebra.e_index(hs[j] if j < len(hs) else None) for hs in (xs, ys))
     ref = algebra.extended_order()[-1]
     prefix = xs[:j][::-1]
-    direction = oracle_sign(algebra, term((ref, *prefix), x.positive))
+    direction = oracle_sign(algebra, " ".join((ref, *prefix, primary)))
     if ref not in algebra.plus_hedges:
         direction = -direction
     return ((eh > ek) - (eh < ek)) * direction
 
 
+def literals(domain) -> list[str]:
+    return [domain.literal(i) for i in range(len(domain))]
+
+
 def test_walk_order_agrees_with_the_compare_oracle():
     for key in DOMAIN_INVERSE_SHA256:
         algebra, domain, _ = load_algebra_config(shape_config(key))
-        want = sorted(domain.values, key=cmp_to_key(partial(oracle_compare, algebra)))
-        assert list(domain.values) == want, key
+        want = sorted(literals(domain), key=cmp_to_key(partial(oracle_compare, algebra)))
+        assert literals(domain) == want, key
 
 
 def test_negation_mirrors_the_domain():
     # Negation swaps the primaries, and 0 with 1; the inverse builder's
     # mirror relies on it sending index i to n - i.
-    swap = {"bottom": TOP, "middle": MIDDLE, "top": BOTTOM}
     for key in DOMAIN_INVERSE_SHA256:
-        _, domain, _ = load_algebra_config(shape_config(key))
-        for i, x in enumerate(domain):
-            negated = term(x.hedges, not x.positive) if x.is_term else swap[x.kind]
-            assert domain.index_of(negated) == domain.n - i, (key, i)
+        algebra, domain, _ = load_algebra_config(shape_config(key))
+        neg, pos = algebra.negative_primary, algebra.positive_primary
+        swap = {"absfalse": "abstrue", "middle": "middle", "abstrue": "absfalse",
+                neg: pos, pos: neg}
+        for i, literal in enumerate(literals(domain)):
+            *hedges, last = literal.split()
+            negated = " ".join((*hedges, swap[last]))
+            assert domain.parse_literal(negated) == domain.n - i, (key, i)
 
 
 def test_sign_spot_checks(algebra):
-    t, f = term((), True), term((), False)
-    assert oracle_sign(algebra, t) == 1 and oracle_sign(algebra, f) == -1
-    assert oracle_sign(algebra, term(("very",), True)) == 1
-    assert oracle_sign(algebra, term(("little",), True)) == -1
-    assert oracle_sign(algebra, term(("very",), False)) == -1
-    assert oracle_sign(algebra, term(("little",), False)) == 1
+    assert oracle_sign(algebra, "true") == 1 and oracle_sign(algebra, "false") == -1
+    assert oracle_sign(algebra, "very true") == 1
+    assert oracle_sign(algebra, "little true") == -1
+    assert oracle_sign(algebra, "very false") == -1
+    assert oracle_sign(algebra, "little false") == 1
     # "very" is positive w.r.t. "little": the inner displacement is kept.
-    assert oracle_sign(algebra, term(("very", "little"), True)) == -1
+    assert oracle_sign(algebra, "very little true") == -1
     assert algebra.flip("very", "little") == 1
     # "probably" is negative w.r.t. "little": the displacement flips back.
-    assert oracle_sign(algebra, term(("probably", "little"), True)) == 1
+    assert oracle_sign(algebra, "probably little true") == 1
     assert algebra.flip("probably", "little") == -1
     assert algebra.flip("little", None) == -1 and algebra.flip("more", None) == 1
-    assert oracle_sign(algebra, BOTTOM) == oracle_sign(algebra, MIDDLE) == 0
+    assert oracle_sign(algebra, "absfalse") == oracle_sign(algebra, "middle") == 0
     # Chains over "true" ascend; over "little true" they descend.
     assert algebra.direction(1, None) == 1 and algebra.direction(-1, "little") == -1
 
@@ -147,14 +159,33 @@ def test_parse_literal_round_trip(domain):
     for i in range(len(domain)):
         assert domain.parse_literal(domain.literal(i)) == i
     assert domain.parse_literal("middle") == 22
-    with pytest.raises(ValueError):
-        domain.parse_literal("quite true")
-    with pytest.raises(ValueError):
-        domain.parse_literal("very")
-    with pytest.raises(ValueError):
-        domain.parse_literal("very very very true")  # over the length limit
-    with pytest.raises(ValueError):
-        domain.parse_literal("")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty truth literal"),
+    ("very", "truth literal must end in a primary name, got 'very'"),
+    ("very middle", "truth literal must end in a primary name, got 'very middle'"),
+    ("very very very", "truth literal must end in a primary name, got 'very very very'"),
+    ("quite true", "unknown hedge 'quite' in truth literal 'quite true'"),
+    ("quite very very true", "unknown hedge 'quite' in truth literal 'quite very very true'"),
+    ("very very very true", "value not in domain: very very very true"),
+])
+def test_parse_literal_rejections(domain, text, message):
+    with pytest.raises(ValueError) as err:
+        domain.parse_literal(text)
+    assert str(err.value) == message
+
+
+def test_parse_literal_reads_extra_blanks(domain):
+    assert domain.parse_literal(" very  true ") == domain.parse_literal("very true")
+
+
+def test_a_primary_with_blanks_reads_back():
+    config = DEFAULT_ALGEBRA_CONFIG.replace("primary: false, true", "primary: false, so\ttrue")
+    _, domain, overrides = load_algebra_config(config)
+    build_inverse_table(domain, overrides)
+    for literal in ("so\ttrue", "very so\ttrue"):
+        assert domain.literal(domain.parse_literal(literal)) == literal
 
 
 def test_config_problems_are_collected():
@@ -167,6 +198,16 @@ def test_config_problems_are_collected():
         parse_algebra_config(bad)
     text = str(err.value)
     assert "primary" in text and "hedge" in text and "limit" in text
+
+
+@settings(max_examples=12)
+@given(st.one_of(
+    st.sampled_from((DEFAULT_ALGEBRA_CONFIG, ASYM_CONFIG)).map(
+        lambda text: parse_algebra_config(text)[0]),
+    st.integers(0, 10**4).map(lambda seed: random_algebra(seed, max_limit=2)[0].spec),
+))
+def test_algebra_config_text_round_trips(spec):
+    assert parse_algebra_config(algebra_config_text(spec)) == (spec, ())
 
 
 @pytest.mark.parametrize(
@@ -231,29 +272,33 @@ def test_limit_zero_domain_is_the_five_constants_and_primaries():
 
 
 def test_enumerate_domain_is_deterministic(algebra):
-    a = enumerate_domain(algebra)
-    b = enumerate_domain(algebra)
-    assert a.values == b.values
+    assert literals(enumerate_domain(algebra)) == literals(enumerate_domain(algebra))
+
+
+def words_of(domain) -> int:
+    """The values and hedge words a domain holds: each literal's words."""
+    return sum(len(literal.split()) for literal in literals(domain))
 
 
 @pytest.mark.parametrize("config", [DEFAULT_ALGEBRA_CONFIG, ASYM_CONFIG])
 @pytest.mark.parametrize("limit", range(5))
 def test_domain_size_counts_the_enumeration(config, limit):
     spec, _ = parse_algebra_config(config.replace("limit: 2", f"limit: {limit}"))
-    assert domain_size(spec) == len(enumerate_domain(build_algebra(spec)))
+    assert domain_size(spec) == words_of(enumerate_domain(build_algebra(spec)))
 
 
 @pytest.mark.parametrize("config", [DEFAULT_ALGEBRA_CONFIG, ASYM_CONFIG])
 @pytest.mark.parametrize("limit", range(4))
 def test_domain_size_counts_the_hedge_words_too(config, limit):
     spec, _ = parse_algebra_config(config.replace("limit: 2", f"limit: {limit}"))
-    domain = enumerate_domain(build_algebra(spec))
-    assert domain_size(spec, words=True) == sum(1 + len(v.hedges) for v in domain)
+    algebra = build_algebra(spec)
+    hedge_words = sum(len(hedges) for pos in (False, True) for hedges in algebra.terms(pos))
+    assert domain_size(spec) == len(enumerate_domain(algebra)) + hedge_words
 
 
 def test_domain_cap_admits_the_default_hedges_up_to_limit_seven():
     seven, _ = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 7"))
-    assert domain_size(seven, words=True) == 334_965 <= DOMAIN_LIMIT
+    assert domain_size(seven) == 334_965 <= DOMAIN_LIMIT
     build_algebra(seven)
     eight, _ = parse_algebra_config(DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: 8"))
     with pytest.raises(DomainLimitError, match="values and hedge words"):
@@ -263,7 +308,7 @@ def test_domain_cap_admits_the_default_hedges_up_to_limit_seven():
 def test_domain_size_on_random_algebras():
     for seed in range(10):
         algebra, domain = random_algebra(seed)
-        assert domain_size(algebra.spec) == len(domain)
+        assert domain_size(algebra.spec) == words_of(domain)
 
 
 def test_build_algebra_refuses_a_domain_over_the_cap():

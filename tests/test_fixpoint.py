@@ -30,8 +30,9 @@ from fllp.lang import (
     parse_program,
     parse_query,
 )
+from fllp.solver import SolveOptions, solve
 
-from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS
+from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS, SAMPLE_ANSWERS
 from randprog import random_algebra, random_program
 from strategies import programs
 
@@ -169,15 +170,15 @@ def test_dump_model_formats_and_sorts(samples_dir):
 
 
 def test_model_agrees_with_the_solver_on_the_samples(samples_dir):
-    from fllp.solver import SolveOptions, solve
-
-    from expected import SAMPLE_ANSWERS
-
     for name, (query, const, want) in SAMPLE_ANSWERS.items():
         program, table = load_program(samples_dir / name)
         model, _ = least_model(program, table)
+        result = solve(program, table, parse_query(query, table.domain),
+                       SolveOptions(depth=None, best=True))
+        (answer,) = result.answers
+        assert answer.bindings == (("X", Const(const)),), name
         pred = query.split("(")[0]
-        assert model[Atom(pred, (Const(const),))] == want
+        assert answer.value == model[Atom(pred, (Const(const),))] == want, name
 
 
 def _is_subsequence(short, long) -> bool:

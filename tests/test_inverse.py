@@ -13,21 +13,31 @@ def test_full_default_table(domain, table):
     rows = expand_inverse_rows()
     assert len(rows) == 45
     for v in range(45):
-        got = tuple(
-            domain.literal(table.apply(h, v)) for h in HEDGE_COLUMNS
-        )
+        got = tuple(domain.literal(table.columns[h][v]) for h in HEDGE_COLUMNS)
         assert got == rows[domain.literal(v)], domain.literal(v)
 
 
-def test_identity_column(domain, table):
-    for v in range(len(domain)):
-        assert table.apply(None, v) == v
+def test_identity_column():
+    # The identity sits between the classes in the extended order, so its
+    # column, the index itself, bounds strengthening images from above and
+    # weakening ones from below.
+    for row, violation in (
+        ("more true -> very more true",
+         "'more' above 'identity' needs smaller images, but at 'true': 'very more true' > 'true'"),
+        ("probably true -> more probably true",
+         "'identity' above 'probably' needs smaller images, but at 'true': "
+         "'true' > 'more probably true'"),
+    ):
+        _, domain, overrides = load_algebra_config(DEFAULT_ALGEBRA_CONFIG + f"inverse: {row}\n")
+        with pytest.raises(InverseTableError) as err:
+            build_inverse_table(domain, overrides)
+        assert violation in err.value.violations, row
 
 
 def test_constants_are_fixed_points(domain, table):
     for h in HEDGE_COLUMNS:
         for v in (0, domain.middle_index, domain.n):
-            assert table.apply(h, v) == v
+            assert table.columns[h][v] == v
 
 
 def test_columns_are_monotone_and_side_preserving(domain, table):
@@ -42,12 +52,9 @@ def test_primary_cells_cancel(algebra, domain, table):
     # The defining cell of each column: mapping "h true" back through h
     # recovers "true".  The negative side comes from negation transfer and
     # deeper values only owe monotonicity, so no such law holds for them.
-    from fllp.algebra import term
-
-    true = term((), True)
     for h in algebra.extended_order():
-        hv = term((h,), True)
-        assert table.apply(h, domain.index_of(hv)) == domain.index_of(true), h
+        hv = domain.parse_literal(f"{h} true")
+        assert table.columns[h][hv] == domain.parse_literal("true"), h
 
 
 def test_validators_pass_on_default_at_other_limits():
@@ -61,9 +68,9 @@ def test_validators_pass_on_default_at_other_limits():
 def test_asymmetric_hedge_classes(asym):
     _, domain, table = asym
     assert validate_inverse_table(table) == []
-    for h in table.columns:
-        assert table.apply(h, 0) == 0
-        assert table.apply(h, domain.n) == domain.n
+    for col in table.columns.values():
+        assert col[0] == 0
+        assert col[domain.n] == domain.n
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -77,25 +84,24 @@ def test_random_shapes_yield_valid_tables(seed):
 def test_interpolation_fallback_still_cancels(seed):
     # These shapes defeat the shift construction, so the builder falls back
     # to anchored interpolation; the cancellation property must survive.
-    from fllp.algebra import term
-
     algebra, domain = random_algebra(seed)
     table = build_inverse_table(domain)
     assert validate_inverse_table(table) == []
-    true = term((), True)
+    true = algebra.positive_primary
     for h in algebra.extended_order():
-        hv = term((h,), True)
-        assert table.apply(h, domain.index_of(hv)) == domain.index_of(true)
+        hv = domain.parse_literal(f"{h} {true}")
+        assert table.columns[h][hv] == domain.parse_literal(true)
 
 
 def test_legal_override_replaces_one_cell(domain):
     config = DEFAULT_ALGEBRA_CONFIG + "inverse: very true -> probably little true\n"
     _, domain2, overrides = load_algebra_config(config)
     table = build_inverse_table(domain2, overrides)
-    assert table.apply("very", 33) == 26
+    very = table.columns["very"]
+    assert very[33] == 26
     # neighbours keep their derived values
-    assert table.apply("very", 32) == 23
-    assert table.apply("very", 34) == 28
+    assert very[32] == 23
+    assert very[34] == 28
 
 
 def test_override_breaking_a_condition_is_rejected():
@@ -131,4 +137,4 @@ def test_repeated_override_rows_are_accepted():
     row = "inverse: very true -> probably little true\n"
     config = DEFAULT_ALGEBRA_CONFIG + row + row.replace("very true", "very  true")
     _, domain, overrides = load_algebra_config(config)
-    assert build_inverse_table(domain, overrides).apply("very", 33) == 26
+    assert build_inverse_table(domain, overrides).columns["very"][33] == 26
