@@ -20,6 +20,8 @@ the best output per input off that surface gives the controller.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .algebra import TruthDomain, format_value, record
 from .connectives import GODEL
 from .fixpoint import least_model
@@ -29,7 +31,6 @@ from .lang import (
     RESERVED_PREDICATES,
     Atom,
     Conj,
-    Const,
     Fact,
     HedgeApp,
     ParseError,
@@ -95,6 +96,8 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
             points = tuple(rest.split())
             if not points:
                 problems.append(f"line {lineno}: {key} declares no points")
+            problems += [f"line {lineno}: point {p!r} declared twice"
+                         for p, k in Counter(points).items() if k > 1]
             if key == "inputs":
                 if inputs is not None:
                     problems.append(f"line {lineno}: inputs declared twice")
@@ -208,7 +211,7 @@ def compile_control(cs: ControlSystem, kind: str = GODEL) -> Program:
     for pred, point, grade in cs.sat:
         if grade == 0:
             continue  # bottom-graded facts say nothing
-        statements.append(Fact(Atom(pred, (Const(point),)), grade))
+        statements.append(Fact(Atom(pred, (point,)), grade))
     return Program(tuple(statements), source="<control>")
 
 
@@ -223,7 +226,7 @@ def goodness_surface(
         program = compile_control(cs)
     model, _ = least_model(program, table)
     return {
-        (x, y): model[Atom(GOOD, (Const(x), Const(y)))]
+        (x, y): model[Atom(GOOD, (x, y))]
         for x in cs.input_points
         for y in cs.output_points
     }

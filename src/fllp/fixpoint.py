@@ -39,9 +39,7 @@ from .lang import (
     Atom,
     Body,
     Conj,
-    Const,
     Disj,
-    Grade,
     HedgeApp,
     Program,
     Rule,
@@ -80,12 +78,12 @@ class Interpretation(dict):
 
 class GroundProgram(record("GroundProgram", "facts rules base universe")):
     """``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances
-    (line 0), ``base`` the Herbrand base and ``universe`` constant names."""
+    (line 0), ``base`` the Herbrand base and ``universe`` the constants."""
 
     __slots__ = ()
 
 
-def _bind(atom: Atom, env: dict[str, Const]) -> Atom:
+def _bind(atom: Atom, env: dict[str, str]) -> Atom:
     """``atom`` with the constants of ``env`` in place of its variables."""
     return Atom(atom.pred, tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args))
 
@@ -95,15 +93,15 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
     return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
 
-def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[Const, ...]) -> Rule:
+def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[str, ...]) -> Rule:
     bind = functools.partial(_bind, env=dict(zip(names, combo)))
     return Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
 
 
-def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int, int]:
+def _frame(program: Program, limit: int) -> tuple[tuple[str, ...], int, int]:
     """The universe, the Herbrand base's size, and that plus the fact instances,
     which every grounding counts; refused up front when over ``limit``."""
-    consts = tuple(Const(c) for c in program.constants() or ("a",))
+    consts = program.constants() or ("a",)
     u = len(consts)
     base = sum(u**arity for arity in program.predicates().values())
     needed = base + sum(u ** len(free_vars(f.atom)) for f in program.facts)
@@ -112,7 +110,7 @@ def _frame(program: Program, limit: int) -> tuple[tuple[Const, ...], int, int]:
     return consts, base, needed
 
 
-def _ground_facts(program: Program, consts: tuple[Const, ...]) -> list[tuple[Atom, int]]:
+def _ground_facts(program: Program, consts: tuple[str, ...]) -> list[tuple[Atom, int]]:
     facts: list[tuple[Atom, int]] = []
     for st in program.facts:
         names = free_vars(st.atom)
@@ -126,8 +124,7 @@ def _ground_program(program, consts, facts, rules) -> GroundProgram:
     for pred, arity in sorted(program.predicates().items()):
         for combo in itertools.product(consts, repeat=arity):
             base.append(Atom(pred, combo))
-    universe = tuple(c.name for c in consts)
-    return GroundProgram(tuple(facts), tuple(rules), tuple(base), universe)
+    return GroundProgram(tuple(facts), tuple(rules), tuple(base), consts)
 
 
 def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
@@ -157,9 +154,8 @@ def ground_relevant(program: Program, limit: int = GROUND_LIMIT) -> GroundProgra
     consts, _, needed = _frame(program, limit)
     facts = _ground_facts(program, consts)
     found, _ = _relevant_bindings(program.rules, consts, facts, needed, limit)
-    by_name = {c.name: c for c in consts}
-    # sorted name tuples are itertools.product order over the sorted universe
-    rules = [_instance(rule, _rule_vars(rule), tuple(by_name[c] for c in binding))
+    # sorted bindings are itertools.product order over the sorted universe
+    rules = [_instance(rule, _rule_vars(rule), binding)
              for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)]
     return _ground_program(program, consts, facts, rules)
 
@@ -172,8 +168,8 @@ def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
         return [(body,)]
     if isinstance(body, HedgeApp):
         return _alternatives(body.body)
-    if isinstance(body, Grade):
-        return [()] if body.value > 0 else []
+    if isinstance(body, int):
+        return [()] if body > 0 else []
     if isinstance(body, Conj):
         alts: list[tuple[Atom, ...]] = [()]
         for part in body.parts:
@@ -182,8 +178,8 @@ def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
     return [alt for part in body.parts for alt in _alternatives(part)]
 
 
-def _relevant_bindings(rules, consts, facts, needed, limit) -> tuple[list[dict], dict]:
-    """Per rule, the bindings of its ``_rule_vars`` (constant names) whose body has an
+def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict], dict]:
+    """Per rule, the bindings of its ``_rule_vars`` (constants) whose body has an
     alternative made of derivable atoms, each mapped to its head and body atom ids; and the ids.
 
     Semi-naive worklist join: each ground atom, once derivable, is matched
@@ -191,12 +187,11 @@ def _relevant_bindings(rules, consts, facts, needed, limit) -> tuple[list[dict],
     alternative is joined against the atoms made derivable before it,
     through indexes keyed on the argument positions already bound.
     Variables no atom of the alternative binds range over the universe.
-    Ground atoms are ``(pred, names)`` tuples; a binding under construction
+    Ground atoms are ``(pred, args)`` tuples; a binding under construction
     is a list of variable slots followed by the rule's constants.
     """
-    universe = tuple(c.name for c in consts)
     found: list[dict] = [{} for _ in rules]
-    queue = list(dict.fromkeys((a.pred, tuple(c.name for c in a.args)) for a, tv in facts if tv))
+    queue = list(dict.fromkeys((a.pred, a.args) for a, tv in facts if tv))
     derivable = set(queue)
     ids = {atom: i for i, atom in enumerate(queue)}
     # pred -> bound argument positions -> their values -> ground args
@@ -240,16 +235,16 @@ def _relevant_bindings(rules, consts, facts, needed, limit) -> tuple[list[dict],
         def slot(term) -> int:
             if isinstance(term, Var):
                 return slots[term.name]
-            key = ("const", term.name)
+            key = ("const", term)  # apart from a variable of the same name
             if key not in slots:
                 slots[key] = len(template)
-                template.append(term.name)
+                template.append(term)
             return slots[key]
 
         head = (rule.head.pred, tuple(slot(a) for a in rule.head.args))
         leaves = [(a.pred, tuple(slot(t) for t in a.args)) for a in atoms_of(rule.body)]
         for alt in _alternatives(rule.body):
-            consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, Const)}
+            consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, str)}
             bound = {slot(a) for atom in alt for a in atom.args}
             free = tuple(s for s in range(len(names)) if s not in bound)
             done = functools.partial(emit, r, free=free, nvars=len(names), head=head, leaves=leaves)
@@ -332,7 +327,7 @@ def _compile(rule: Rule, columns, n: int, cache: dict) -> tuple:
     grade's index, a hedge's name, a connective's kind or "or" and part count;
     the rule grade is a last conjunct) to functions, nesting calls as bodies do."""
     nodes = _postorder(rule.body)
-    ops = tuple(None if c is Atom else x.value if c is Grade else x.hedge if c is HedgeApp
+    ops = tuple(None if c is Atom else x if c is int else x.hedge if c is HedgeApp
                 else ("or" if c is Disj else x.kind, len(x.parts))
                 for x in nodes for c in (x.__class__,)) + (rule.tv, (rule.kind, 2))
     if (grade := cache.get(ops)) is None:
@@ -376,8 +371,7 @@ def least_model(
         grades = [_compile(rule, columns, n, cache)[0] for rule in program.rules]
         instances = [(head, grade, leaves) for grade, bindings in zip(grades, found)
                      for head, leaves in bindings.values()]
-        facts = [((a.pred, tuple(c.name for c in a.args)), tv) for a, tv in facts]
-        const = functools.cache(Const)
+        facts = [((a.pred, a.args), tv) for a, tv in facts]
     else:
         base, ids, instances, facts = len(gp.base), {}, [], gp.facts
         for rule in gp.rules:
@@ -398,8 +392,8 @@ def least_model(
             g = grade(interp, leaves)
             if g > interp[head] and g > raised.get(head, 0):
                 raised[head] = g
-        if not raised:  # ids are keyed by ground atoms, or by (pred, names) when built here
-            return Interpretation((k if gp else Atom(k[0], tuple(map(const, k[1]))), v)
+        if not raised:  # ids are keyed by ground atoms, or by (pred, args) when built here
+            return Interpretation((k if gp else Atom(*k), v)
                                   for k, v in zip(ids, interp) if v), rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")

@@ -51,14 +51,10 @@ class Var(record("Var", "name")):
         return self.name
 
 
-class Const(record("Const", "name")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return self.name
-
-
-Term = Union[Var, Const]
+# A constant is its name, and a grade leaf (a resolved atom) its index.
+Const = str
+Grade = int
+Term = Union[Var, str]
 
 
 class Atom(record("Atom", "pred args", defaults=((),))):
@@ -81,13 +77,7 @@ class HedgeApp(record("HedgeApp", "hedge body")):
     __slots__ = ()
 
 
-class Grade(record("Grade", "value")):
-    """A truth value standing in for a resolved atom; never parsed."""
-
-    __slots__ = ()
-
-
-Body = Union[Atom, Conj, Disj, HedgeApp, Grade]
+Body = Union[Atom, Conj, Disj, HedgeApp, int]  # an int is a grade, never parsed
 
 
 # The source line of a statement, and the source of a program, are not
@@ -126,10 +116,7 @@ class Program(record(
         return out
 
     def constants(self) -> tuple[str, ...]:
-        names = {
-            a.name for atom in self.atoms() for a in atom.args if isinstance(a, Const)
-        }
-        return tuple(sorted(names))
+        return tuple(sorted({a for atom in self.atoms() for a in atom.args if isinstance(a, str)}))
 
     def atoms(self) -> Iterator[Atom]:
         for st in self.statements:
@@ -177,14 +164,14 @@ def map_atoms(body: Body, f) -> Body:
             parts = _pop(done, len(node.parts))
             done.append(Conj(node.kind, parts) if node.__class__ is Conj else Disj(parts))
         else:
-            done.append(node if node.__class__ is Grade else f(node))
+            done.append(node if node.__class__ is int else f(node))
     return done[0]
 
 
 def value(body: Body, leaf, columns, n: int) -> int:
-    """Value of ``body`` over ``0..n``, hedges through ``columns`` and leaves
-    other than ``Grade`` through ``leaf``; both engines evaluate bodies with
-    it, and the parser's nesting cap bounds its recursion."""
+    """Value of ``body`` over ``0..n``, hedges through ``columns`` and atom
+    leaves through ``leaf``; both engines evaluate bodies with it, and the
+    parser's nesting cap bounds its recursion."""
     cls = body.__class__
     if cls is Conj:
         acc = n
@@ -199,8 +186,8 @@ def value(body: Body, leaf, columns, n: int) -> int:
         return acc if acc > 0 else 0
     if cls is HedgeApp:
         return columns[body.hedge][value(body.body, leaf, columns, n)]
-    if cls is Grade:
-        return body.value
+    if cls is int:
+        return body
     if cls is Disj:
         return max([value(part, leaf, columns, n) for part in body.parts])
     return leaf(body)
@@ -249,15 +236,15 @@ def _scan(text: str, errors: list[str]) -> tuple[list[str], list[int]]:
 class _Parser:
     """Recursive descent over token texts closed by the empty ``end`` token,
     so the current token ``tok`` always exists.  ``"a" <= tok < "{"`` holds
-    for names and ``"A" <= tok < "["`` for variables.  Terms are interned by
-    name and truth literals resolved once per parse."""
+    for names and ``"A" <= tok < "["`` for variables.  Variables are interned
+    by name and truth literals resolved once per parse."""
 
     def __init__(self, texts: list[str], lines: list[int], domain: TruthDomain):
         self.texts, self.lines, self.domain = texts, lines, domain
         self.pos = 0
         self.tok = texts[0]
         self.depth = 0  # connectives and hedges open around the current body
-        self.terms: dict[str, Term] = {}
+        self.variables: dict[str, Var] = {}
         self.grades: dict[str, int] = {}
 
     def goto(self, pos: int) -> str:
@@ -310,16 +297,15 @@ class _Parser:
             raise _Bail(f"line {self.lines[self.pos]}: {pred!r} is a connective, not a predicate")
         args: list[Term] = []
         if texts[pos] == "(":
-            terms = self.terms
+            variables = self.variables
             while True:
                 t = texts[pos + 1]
-                term = terms.get(t)
-                if term is None:
-                    if not ("a" <= t < "{" or "A" <= t < "["):
+                if not "a" <= t < "{":  # not a constant, which is its name
+                    if not "A" <= t < "[":
                         self.goto(pos + 1)
                         self._fail("a constant or variable")
-                    term = terms[t] = Var(t) if t < "[" else Const(t)
-                args.append(term)
+                    t = variables.get(t) or variables.setdefault(t, Var(t))
+                args.append(t)
                 pos += 2
                 if texts[pos] != ",":
                     break
@@ -525,7 +511,7 @@ def format_body(body: Body) -> str:
             name = "or" if node.__class__ is Disj else "and_g" if node.kind == GODEL else "and_l"
             done.append(f"{name}({','.join(_pop(done, len(node.parts)))})")
         else:
-            done.append(f"v{node.value}" if node.__class__ is Grade else format_atom(node))
+            done.append(f"v{node}" if node.__class__ is int else format_atom(node))
     return done[0]
 
 

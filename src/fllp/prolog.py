@@ -7,6 +7,7 @@ conjunctions and the disjunction as three-place arithmetic predicates with
 the top index baked in, the full inverse-mapping relation, and one clause
 per program statement.  Rule clauses thread intermediate grades through
 ``_TV`` variables in body order and deliver the head grade in ``_TV0``.
+Two-place atoms named like a helper would compile onto it and are refused.
 """
 
 from __future__ import annotations
@@ -15,9 +16,22 @@ import itertools
 
 from .connectives import GODEL
 from .inverse import InverseMappingTable
-from .lang import Atom, Body, Conj, Disj, Fact, HedgeApp, Program, Rule
+from .lang import Atom, Body, Conj, Fact, HedgeApp, ParseError, Program, Rule, atoms_of
 
 QUERY_VAR = "Truth_value"
+HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
+
+
+def _refuse_helpers(uses) -> None:
+    """One violation per helper that an atom of the ``(statement or None,
+    atom)`` pairs in ``uses`` would compile onto, at its first such atom."""
+    clashes: dict[str, str] = {}
+    for st, atom in uses:
+        if atom.pred in HELPERS and len(atom.args) == 2:
+            clashes.setdefault(atom.pred, f"line {st.line}: " if st else "")
+    if clashes:
+        raise ParseError([f"{where}{pred}/2 would compile onto the helper {pred}/3"
+                          for pred, where in clashes.items()])
 
 
 def _hedge_atoms(algebra) -> dict[str, str]:
@@ -73,6 +87,8 @@ def _compile_rule(rule: Rule, abbr: dict[str, str]) -> str:
 
 
 def compile_program(program: Program, table: InverseMappingTable) -> str:
+    _refuse_helpers((st, atom) for st in program.statements for atom in
+                    ((st.atom,) if isinstance(st, Fact) else (st.head, *atoms_of(st.body))))
     domain = table.domain
     algebra = domain.algebra
     n = domain.n
@@ -117,6 +133,7 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
 
 
 def compile_query(query: Body, table: InverseMappingTable) -> str:
+    _refuse_helpers((None, atom) for atom in atoms_of(query))
     abbr = _hedge_atoms(table.domain.algebra)
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []

@@ -1,8 +1,8 @@
 """Top-down resolution for graded logic programs.
 
 A query is turned into a goal word: a body of the program language whose
-atoms are open or resolved to truth values (``Grade``), rewritten step by
-step.  Each step picks the leftmost open atom and either replaces it with
+atoms are open or resolved to their grades (plain ints), rewritten step
+by step.  Each step picks the leftmost open atom and either replaces it with
 a matching fact's grade, unfolds it through a matching rule (the rule
 body joined with the rule grade under the rule's own conjunction), or
 grades it bottom when nothing in the program matches.  When no atoms
@@ -43,10 +43,8 @@ from .lang import (
     Atom,
     Body,
     Conj,
-    Const,
     Disj,
     Fact,
-    Grade,
     HedgeApp,
     Program,
     Term,
@@ -83,11 +81,8 @@ class SolveOptions:
             raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
 
 
-class ComputedAnswer(record(
-    "ComputedAnswer", "value bindings length", defaults=(0,), compared=2
-)):
-    """``bindings`` pairs query variables with terms; ``length`` is
-    bookkeeping, not identity."""
+class ComputedAnswer(record("ComputedAnswer", "value bindings")):
+    """``bindings`` pairs query variables with terms."""
 
     __slots__ = ()
 
@@ -119,7 +114,7 @@ def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
     it, and no rule reaches it from atoms below it."""
     n = table.domain.n
     return all(f.tv < n for f in program.facts) and all(
-        value(Conj(r.kind, (r.body, Grade(r.tv))), lambda atom: n - 1, table.columns, n) < n
+        value(Conj(r.kind, (r.body, r.tv)), lambda atom: n - 1, table.columns, n) < n
         for r in program.rules
     )
 
@@ -143,7 +138,7 @@ def _prepare(program: Program, table: InverseMappingTable) -> tuple[int, dict]:
             head = st.atom if isinstance(st, Fact) else st.head
             rename = not isinstance(st, Fact) or any(isinstance(a, Var) for a in head.args)
             first = head.args[0] if head.args else None
-            for key in (head.pred, (head.pred, first.name if isinstance(first, Const) else None)):
+            for key in (head.pred, (head.pred, first if isinstance(first, str) else None)):
                 by_head.setdefault(key, []).append((pos, st, head, rename))
         n = table.domain.n
         prepared = (n - 1 if _all_below_top(program, table) else n, by_head)
@@ -219,7 +214,7 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
     """The leftmost open atom at or after the focus ``node`` and the frame
     of its hole, else ``(None, None, value of the whole word)``."""
     while True:
-        while not isinstance(node, (Atom, Grade)):  # down to the leftmost leaf
+        while not isinstance(node, (Atom, int)):  # down to the leftmost leaf
             if isinstance(node, HedgeApp):
                 up, node = _frame(node, (), 0, (), up, leaf, columns, n), node.body
             else:
@@ -227,7 +222,7 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
                 up, node = _frame(node, (), acc, node.parts[1:], up, leaf, columns, n), node.parts[0]
         if isinstance(node, Atom):
             return node, up, None
-        v = node.value
+        v = node
         while True:  # up past resolved parts, folding their values
             word, lefts, acc, rights, _, _, above = up
             if word is None:
@@ -236,8 +231,8 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
                 up, node, v = above, HedgeApp(word.hedge, node), columns[word.hedge][v]
                 continue
             acc, lefts = _fold(word, acc, v, n), lefts + (node,)
-            while rights and isinstance(rights[0], Grade):  # resolved already
-                acc, lefts, rights = _fold(word, acc, rights[0].value, n), lefts + rights[:1], rights[1:]
+            while rights and rights[0].__class__ is int:  # resolved already
+                acc, lefts, rights = _fold(word, acc, rights[0], n), lefts + rights[:1], rights[1:]
             if rights:
                 up, node = _frame(word, lefts, acc, rights[1:], above, leaf, columns, n), rights[0]
                 break
@@ -311,7 +306,7 @@ def solve(
             sel, up, grade = _next(focus, up, leaf, columns, n)
         if sel is None:
             bindings = tuple((v, walk(Var(v), subst)) for v in qvars)
-            answers.append(ComputedAnswer(grade, bindings, depth))
+            answers.append(ComputedAnswer(grade, bindings))
             if opts.trace:
                 trace.append(f"[{depth}] computed v{grade}")
             continue
@@ -321,9 +316,9 @@ def solve(
         unifiable = False
         branches: list[tuple[tuple, Body, dict[str, Term]]] = []
         first = atom.args[0] if atom.args else None
-        if isinstance(first, Const):  # heads with this constant or a variable first
+        if isinstance(first, str):  # heads with this constant or a variable first
             candidates = itertools.chain(
-                by_head.get((atom.pred, first.name), ()), by_head.get((atom.pred, None), ())
+                by_head.get((atom.pred, first), ()), by_head.get((atom.pred, None), ())
             )
         else:
             candidates = by_head.get(atom.pred, ())
@@ -338,13 +333,13 @@ def solve(
             if isinstance(st, Fact):
                 if st.tv < need:
                     continue
-                replacement: Body = Grade(st.tv)
+                replacement: Body = st.tv
                 key = (-st.tv, 0, 0, pos)
             else:
                 if need and _need(st, need, st.tv, columns, n) > value(st.body, leaf, columns, n):
                     continue
                 body = map_atoms(st.body, lambda a: _rename_atom(a, tag))
-                replacement = Conj(st.kind, (body, Grade(st.tv)))
+                replacement = Conj(st.kind, (body, st.tv))
                 key = (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
             if opts.exhaustive:
                 key = (pos,)
@@ -357,7 +352,7 @@ def solve(
                 continue
             if opts.trace:
                 trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
-            stack.append((Grade(0), up, subst, depth, None))
+            stack.append((0, up, subst, depth, None))
             pushed += depth + len(subst)
             continue
         if not branches:
@@ -368,7 +363,7 @@ def solve(
             exhausted = True  # the depth counts rule unfoldings: facts stay
             if opts.trace:
                 trace.append(f"[{depth}] depth limit at {format_atom(atom)}")
-            branches = [b for b in branches if b[1].__class__ is Grade]
+            branches = [b for b in branches if b[1].__class__ is int]
 
         # An open atom inside a disjunction may also be taken at bottom.  That
         # releases its variables, so a sibling disjunct can still bind them to
@@ -379,7 +374,7 @@ def solve(
             note0 = None
             if opts.trace:
                 note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
-            stack.append((Grade(0), up, subst, depth, note0))
+            stack.append((0, up, subst, depth, note0))
             pushed += depth + len(subst)
         elif not branches:
             continue
@@ -406,7 +401,7 @@ def solve(
 def format_answer(domain, answer: ComputedAnswer) -> str:
     parts = []
     for name, term in answer.bindings:
-        shown = term.name if isinstance(term, Const) else "_"
+        shown = term if isinstance(term, str) else "_"
         parts.append(f"{name}={shown}")
     shown = f" {', '.join(parts)}" if parts else ""
     return f"answer:{shown} ; tv={format_value(domain, answer.value)}"

@@ -27,18 +27,21 @@ def _atom(draw, preds=tuple(PREDS)) -> Atom:
     return Atom(pred, tuple(draw(st.sampled_from(TERMS)) for _ in range(PREDS[pred])))
 
 
-def _body(draw, hedges, depth=2):
-    """A rule body over ``hedges``, nested ``depth`` deep at most."""
-    shape = draw(st.integers(0, 3 if depth else 0))
+def _body(draw, hedges, n, depth=2):
+    """A rule body over ``hedges``, nested ``depth`` deep at most, its
+    leaves atoms or, as library callers may build them, grades in ``0..n``."""
+    shape = draw(st.integers(-1, 3 if depth else 0))
+    if shape == -1:
+        return draw(st.integers(0, n))
     if shape == 0:
         return _atom(draw)
     if shape == 1:
-        return HedgeApp(draw(st.sampled_from(hedges)), _body(draw, hedges, depth - 1))
-    parts = tuple(_body(draw, hedges, depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return HedgeApp(draw(st.sampled_from(hedges)), _body(draw, hedges, n, depth - 1))
+    parts = tuple(_body(draw, hedges, n, depth - 1) for _ in range(draw(st.integers(2, 3))))
     return Disj(parts) if shape == 2 else Conj(draw(st.sampled_from((GODEL, LUKA))), parts)
 
 
-bodies = st.composite(lambda draw, table: _body(draw, sorted(table.columns)))
+bodies = st.composite(lambda draw, table: _body(draw, sorted(table.columns), table.domain.n))
 
 
 @st.composite
@@ -46,12 +49,13 @@ def programs(draw):
     """A random algebra's table (class sizes drawn apart, so mostly
     asymmetric) and a program over three predicates that call each other
     freely: cycles and left recursion, repeated variables and constants in
-    heads, nested ``or``, ``and_g``, ``and_l`` and hedges, both rule kinds."""
+    heads, nested ``or``, ``and_g``, ``and_l`` and hedges, grade leaves, both
+    rule kinds."""
     table = random_table(draw(st.integers(0, 11)))
     hedges, n = sorted(table.columns), table.domain.n
 
     statements = [Fact(_atom(draw, ("p", "q")), draw(st.integers(1, n)))
                   for _ in range(draw(st.integers(1, 4)))]
-    statements += [Rule(_atom(draw), draw(st.sampled_from((GODEL, LUKA))), _body(draw, hedges),
+    statements += [Rule(_atom(draw), draw(st.sampled_from((GODEL, LUKA))), _body(draw, hedges, n),
                         draw(st.integers(1, n))) for _ in range(draw(st.integers(1, 4)))]
     return table, Program(tuple(draw(st.permutations(statements))))

@@ -111,7 +111,7 @@ def test_05_both_engines_and_the_compiler_agree(capsys, samples_dir):
         assert {a.value for a in result.answers} == {29}
 
         model, rounds = least_model(program, table)
-        named = {f"{a.pred}({a.args[0].name})": v for a, v in model.items() if v}
+        named = {f"{a.pred}({a.args[0]})": v for a, v in model.items() if v}
         assert named == EMPLOYEE_MODEL and rounds == EMPLOYEE_ROUNDS
         delta, _ = least_model(program, table, mode="delta")
         assert delta == model

@@ -422,10 +422,10 @@ def test_default_recursive_queries_finish_at_the_least_model(request, tmp_path, 
             best[key] = max(best.get(key, 0), int(m.group(3)))
     model, _ = least_model(parse_program(text, domain), table)
     want = {
-        (f"Y{j}", atom.args[1].name): value
+        (f"Y{j}", atom.args[1]): value
         for j, s in enumerate(starts)
         for atom, value in model.items()
-        if atom.pred == "path" and atom.args[0].name == s and value > 0
+        if atom.pred == "path" and atom.args[0] == s and value > 0
     }
     assert best == want and want
 
@@ -596,6 +596,22 @@ def test_compile_appends_the_query(capsys, samples_dir):
     )
     assert code == 0
     assert out.splitlines()[-1] == "?- gd_em(X,Truth_value)."
+
+
+def test_compile_refuses_atoms_on_helper_predicates(capsys, tmp_path):
+    path = tmp_path / "clash.fllp"
+    path.write_text("p(a) : true.\nand_godel(a,b) : very true.\n")
+    code, out, err = run(capsys, "compile", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: and_godel/2 would compile onto the helper and_godel/3\n"
+    plain = tmp_path / "plain.fllp"
+    plain.write_text("p(a) : true.\n")
+    code, out, err = run(capsys, "compile", str(plain), "-q", "inv_map(a,b)")
+    assert (code, out) == (1, "")
+    assert err == "error: inv_map/2 would compile onto the helper inv_map/3\n"
+    for argv in (("check",), ("model",), ("query", "-q", "and_godel(a,X)")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and err == "", argv
 
 
 def test_missing_file_is_a_plain_error(capsys):

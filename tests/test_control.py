@@ -158,6 +158,42 @@ def test_parse_errors_are_collected(domain):
     )
 
 
+def test_points_repeated_within_a_line_are_refused(samples_dir, domain):
+    text = (samples_dir / "heater.ctl").read_text()
+    text = text.replace("inputs: t15 t20 t25", "inputs: t15 t20 t15 t25 t15 t20")
+    with pytest.raises(ParseError) as err:
+        parse_control_file(text.replace("outputs: p0", "outputs: p0 p0"), domain)
+    assert err.value.violations == (
+        "line 2: point 't15' declared twice",
+        "line 2: point 't20' declared twice",
+        "line 3: point 'p0' declared twice",
+    )
+
+
+def test_points_spelled_like_variables_stay_constants(table):
+    # compile_control builds its rules over the variables X and Y
+    text = """\
+    inputs: {x} t2
+    outputs: {y} p1
+    rule: very cold => strong
+    rule: warm => weak conf more true
+    sat cold {x} very true
+    sat cold t2 little true
+    sat warm {x} probably true
+    sat warm t2 true
+    sat strong {y} true
+    sat strong p1 more true
+    sat weak {y} little true
+    sat weak p1 very true
+    """
+    upper = parse_control_file(text.format(x="X", y="Y"), table.domain)
+    lower = parse_control_file(text.format(x="x", y="y"), table.domain)
+    rows = [format_surface(cs, table.domain, goodness_surface(cs, table)).lower().splitlines()
+            for cs in (upper, lower)]
+    assert rows[0] == rows[1]
+    assert len(set(goodness_surface(lower, table).values())) > 1
+
+
 # Only "\n" ends a line, as in programs; these other line breaks are blanks.
 BLANKS = ("\r", "\x0c", "\x85", "\u2028")
 
@@ -197,7 +233,7 @@ def test_hedge_chains_in_rules_are_capped(domain, table):
 
 def test_zero_grade_sat_rows_are_legal_but_silent(heater):
     program = compile_control(heater)
-    graded = {(f.atom.pred, f.atom.args[0].name) for f in program.facts}
+    graded = {(f.atom.pred, f.atom.args[0]) for f in program.facts}
     assert ("cold", "t25") not in graded
     assert ("cold", "t20") in graded
 

@@ -45,7 +45,7 @@ CHAIN10 = "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in range(10)) + (
 def test_employee_least_model(samples_dir):
     program, table = load_program(samples_dir / "good_employee_luka.fllp")
     model, rounds = least_model(program, table)
-    got = {f"{atom.pred}({atom.args[0].name})": v for atom, v in model.items() if v}
+    got = {f"{atom.pred}({atom.args[0]})": v for atom, v in model.items() if v}
     assert got == EMPLOYEE_MODEL
     assert rounds == EMPLOYEE_ROUNDS
 
@@ -114,7 +114,7 @@ def test_grounding_universe_and_base(domain):
     gp = ground(program)
     assert gp.universe == ("a", "b")
     # the open fact grounds over the whole universe
-    assert sorted(f"{a.pred}({a.args[0].name})" for a, _ in gp.facts if a.pred == "p") == [
+    assert sorted(f"{a.pred}({a.args[0]})" for a, _ in gp.facts if a.pred == "p") == [
         "p(a)", "p(b)",
     ]
     assert [a.pred for a in gp.base] == ["p", "p", "q", "q", "q", "q"]
@@ -241,7 +241,7 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
     )
     program = Program(statements)
     relevant = ground_relevant(program)
-    assert [f"{r.head.pred}({r.head.args[0].name})" for r in relevant.rules] == [
+    assert [f"{r.head.pred}({r.head.args[0]})" for r in relevant.rules] == [
         "p(a)", "p(b)", "r(a)", "r(b)",
     ]
     assert least_model(program, table) == least_model(program, table, gp=ground(program))

@@ -363,10 +363,10 @@ def test_records_are_immutable():
 
 
 def test_record_repr_and_construction():
-    assert repr(Atom("p", (Const("a"),))) == "Atom(pred='p', args=(Const(name='a'),))"
+    assert repr(Atom("p", (Const("a"),))) == "Atom(pred='p', args=('a',))"
     assert repr(Fact(Atom("p"), 3)) == "Fact(atom=Atom(pred='p', args=()), tv=3, line=0)"
     assert Atom(pred="p") == Atom("p", ()) == Atom("p")
-    rule = Rule(head=Atom("p"), kind="luka", body=Grade(value=2), tv=5)
+    rule = Rule(head=Atom("p"), kind="luka", body=Grade(2), tv=5)
     assert (rule.line, rule.tv, rule.body) == (0, 5, Grade(2))
     program = Program(statements=(rule,))
     assert (program.algebra_path, program.source) == (None, "<string>")

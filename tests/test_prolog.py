@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from fllp.algebra import load_algebra_config
+from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table
-from fllp.lang import load_program, parse_program, parse_query
+from fllp.lang import ParseError, load_program, parse_program, parse_query, validate_program
 from fllp.prolog import compile_program, compile_query
 
 from expected import (
@@ -117,3 +120,30 @@ def test_facts_and_statement_order_follow_the_source(samples_dir):
     lines = compile_program(program, table).splitlines()
     rule_at = lines.index(EMPLOYEE_CLAUSE)
     assert rule_at < lines.index("st_hd(ann,36).") < lines.index("hira_un(ann,41).")
+
+
+# and_godel/2 would become and_godel/3, beside the helper of that name.
+CLASHING = """\
+p(a) : true.
+and_godel(a,b) : very true.
+q(X) <-g and_g(p(X), inv_map(X,X), or_godel(X)) : true.
+and_godel(X,Y) <-l and_luka(X,Y) : true.
+"""
+
+
+def test_atoms_that_would_compile_onto_a_helper_are_refused(domain, table):
+    program = parse_program(CLASHING, domain)
+    with pytest.raises(ParseError) as err:
+        compile_program(program, table)
+    assert err.value.violations == (
+        "line 2: and_godel/2 would compile onto the helper and_godel/3",
+        "line 3: inv_map/2 would compile onto the helper inv_map/3",
+        "line 4: and_luka/2 would compile onto the helper and_luka/3",
+    )
+    with pytest.raises(ParseError) as err:
+        compile_query(parse_query("and_g(p(X), or_godel(X,a))", domain), table)
+    assert err.value.violations == ("or_godel/2 would compile onto the helper or_godel/3",)
+    # other arities compile, and the other subcommands keep accepting the program
+    assert "or_godel(a,33)." in compile_program(parse_program("or_godel(a) : true.\n", domain), table)
+    assert validate_program(program, domain) == []
+    assert least_model(program, table)[0]
