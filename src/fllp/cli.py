@@ -149,8 +149,9 @@ def _parse_grade(domain: TruthDomain, text: str) -> int:
 def _cmd_domain(args) -> int:
     algebra, domain, overrides = _load_algebra(args)
     lines = [format_value(domain, i) for i in range(len(domain))]
-    if args.inverse:
+    if args.inverse or overrides:  # building the table checks the inverse: rows
         table = build_inverse_table(domain, overrides)
+    if args.inverse:
         for decl in algebra.spec.hedges:
             lines.append("")
             lines.append(f"inverse {decl.name}:")
@@ -162,44 +163,31 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .lang import validate_program
+    from .lang import ParseError, validate_program
     program, table = _load(args)
     problems = validate_program(program, table.domain, safe=args.safe)
     if problems:
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        return 1
+        raise ParseError(problems)
     n_facts = len(program.facts)
     n_rules = len(program.rules)
     print(f"ok: {n_facts} fact(s), {n_rules} rule(s)")
     return 0
 
 
-def _run_query(program, table, text: str, opts, out_lines: list[str]) -> int:
-    from .lang import parse_query
-    from .solver import SearchLimitError, format_answer, solve
-    query = parse_query(text, table.domain)
+def _stdin_queries():
+    """REPL lines: one query per line, empty lines skipped, quit/exit to leave."""
+    prompt = "?- " if sys.stdin.isatty() else ""
     try:
-        result = solve(program, table, query, opts)
-    except SearchLimitError as exc:
-        out_lines.extend(exc.trace)
-        raise
-    out_lines.extend(result.trace)
-    for answer in result.answers:
-        out_lines.append(format_answer(table.domain, answer))
-    if not result.answers:
-        out_lines.append("no answers.")
-    if result.depth_exhausted:
-        print(
-            "warning: depth limit reached, the answer set may be incomplete",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+        while (line := input(prompt).strip()) not in ("quit", "exit", "quit.", "exit."):
+            if line:
+                yield line
+    except EOFError:
+        return
 
 
 def _cmd_query(args) -> int:
-    from .solver import SolveOptions
+    from .lang import parse_query
+    from .solver import SearchLimitError, SolveOptions, format_answer, solve
     program, table = _load(args)
     threshold = None
     if args.threshold:
@@ -211,44 +199,38 @@ def _cmd_query(args) -> int:
         exhaustive=args.exhaustive,
         trace=args.trace,
     )
-    if args.query is not None:
-        lines: list[str] = []
-        try:
-            return _run_query(program, table, args.query, opts, lines)
-        finally:  # a search stopped at its limit still shows its trace so far
-            if lines:
-                _emit("\n".join(lines) + "\n", args.out)
-
-    # REPL: one query per line, empty lines skipped, quit/exit to leave.
-    # Answers go to stdout as each query is read, or to --out at the end.
+    # -q is a one-line session whose error ends the run; in the REPL an error
+    # is reported and only a limit fails the session.  Answers go to stdout as
+    # each query is read, or to --out: under -q if any, in the REPL at the end.
+    one_shot = args.query is not None
     code = 0
     written: list[str] = []
-    interactive = sys.stdin.isatty()
-    while True:
-        try:
-            line = input("?- " if interactive else "")
-        except EOFError:
-            break
-        line = line.strip()
-        if not line:
-            continue
-        if line in ("quit", "exit", "quit.", "exit."):
-            break
-        lines = []
+    for line in [args.query] if one_shot else _stdin_queries():
+        lines: tuple[str, ...] = ()
         failure = None
         try:
-            code = max(code, _run_query(program, table, line, opts, lines))
-        except (LimitError, ValueError) as exc:  # this query gives up; the session goes on
+            result = solve(program, table, parse_query(line, table.domain), opts)
+        except SearchLimitError as exc:  # a search stopped at its limit still shows its trace so far
+            lines, failure = exc.trace, exc
+        except (LimitError, ValueError) as exc:
             failure = exc
-        if lines:  # a search stopped at its limit still shows its trace so far
-            text = "\n".join(lines) + "\n"
-            if args.out:
-                written.append(text)
-            else:
-                _emit(text, None)
-        if failure is not None and _errors(failure) == 2:
-            code = 2  # a limit fails the session, a malformed query does not
-    if args.out:
+        else:
+            answers = [format_answer(table.domain, a) for a in result.answers]
+            lines = (*result.trace, *(answers or ["no answers."]))
+            if result.depth_exhausted:
+                print("warning: depth limit reached, the answer set may be incomplete",
+                      file=sys.stderr)
+                code = 2
+        text = "".join(f"{shown}\n" for shown in lines)
+        if args.out and not one_shot:
+            written.append(text)
+        elif text:
+            _emit(text, args.out)
+        if failure is not None:
+            status = _errors(failure)
+            if one_shot or status == 2:
+                code = status
+    if args.out and not one_shot:
         _emit("".join(written), args.out)
     return code
 

@@ -175,11 +175,11 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
         if point not in declared:
             problems.append(f"line {ln}: undeclared point {point!r}")
     for pred in cs.input_preds:
-        for point in inputs:
+        for point in dict.fromkeys(inputs):
             if (pred, point) not in sat:
                 problems.append(f"no sat row for input term {pred!r} at {point!r}")
     for pred in cs.output_preds:
-        for point in outputs:
+        for point in dict.fromkeys(outputs):
             if (pred, point) not in sat:
                 problems.append(f"no sat row for output term {pred!r} at {point!r}")
 

@@ -21,7 +21,7 @@ sends domain index ``i`` to ``n - i``, and each negative half is the
 reflected positive half of the hedge's opposite-class peer.  Applications
 can replace individual cells through ``inverse:`` override rows in the
 algebra config; two rows that give one cell different targets are
-rejected, and the merged table is re-validated.
+rejected, and a table whose cells the rows changed is validated again.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def build_inverse_table(
         raise InverseTableError(["inverse tables need at least one hedge in each class"])
     builder = _Builder(domain)
     columns = _mirror(domain, {h: builder.column(h) for h in alg.extended_order()})
-    probe = InverseMappingTable(domain, {h: tuple(c) for h, c in columns.items()})
-    if validate_inverse_table(probe):
+    valid = not validate_inverse_table(InverseMappingTable(domain, columns))
+    if not valid:
         columns = _mirror(domain, _anchored_columns(domain))
 
     problems: list[str] = []
@@ -199,12 +199,13 @@ def build_inverse_table(
                 f"line {ov.line}: inverse {ov.hedge!r} of {domain.literal(src)!r} "
                 f"already set to {domain.literal(first)!r} on line {line}"
             )
+        valid = valid and columns[ov.hedge][src] == dst  # a changed cell is checked again
         columns[ov.hedge][src] = dst
     if problems:
         raise InverseTableError(problems)
 
     table = InverseMappingTable(domain, {h: tuple(c) for h, c in columns.items()})
-    violations = validate_inverse_table(table)
+    violations = [] if valid else validate_inverse_table(table)
     if violations:
         raise InverseTableError(violations)
     return table

@@ -7,7 +7,8 @@ conjunctions and the disjunction as three-place arithmetic predicates with
 the top index baked in, the full inverse-mapping relation, and one clause
 per program statement.  Rule clauses thread intermediate grades through
 ``_TV`` variables in body order and deliver the head grade in ``_TV0``.
-Two-place atoms named like a helper would compile onto it and are refused.
+Two-place atoms named like a helper would compile onto it and are refused,
+as is a query variable named like the answer grade.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 
 from .connectives import GODEL
 from .inverse import InverseMappingTable
-from .lang import Atom, Body, Conj, Fact, HedgeApp, ParseError, Program, Rule, atoms_of
+from .lang import Atom, Body, Conj, Fact, HedgeApp, ParseError, Program, Rule, Var, atoms_of
 
 QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
@@ -134,6 +135,8 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
 
 def compile_query(query: Body, table: InverseMappingTable) -> str:
     _refuse_helpers((None, atom) for atom in atoms_of(query))
+    if any(Var(QUERY_VAR) in atom.args for atom in atoms_of(query)):
+        raise ParseError([f"query variable {QUERY_VAR} would name the answer grade"])
     abbr = _hedge_atoms(table.domain.algebra)
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []

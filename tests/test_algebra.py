@@ -243,6 +243,24 @@ def test_only_newlines_end_config_lines(blank):
     )
 
 
+@pytest.mark.parametrize("config, violations", [
+    (DEFAULT_ALGEBRA_CONFIG.replace("limit: 2", "limit: -1"), ("limit must be >= 0, got -1",)),
+    (DEFAULT_ALGEBRA_CONFIG + "hedge: very class=+ rank=2\n", (
+        "duplicate hedge name 'very'", "hedges 'very' and 'very' share rank 2 in class +",
+    )),
+    (DEFAULT_ALGEBRA_CONFIG + "positive: very -> extremely\n",
+     ("positivity entry mentions undeclared hedge 'extremely'",)),
+    (DEFAULT_ALGEBRA_CONFIG + "limit 2\n", ("line 17: expected '<key>: ...', got 'limit 2'",)),
+    (DEFAULT_ALGEBRA_CONFIG.replace("rank=1", "rank=x", 1), ("line 5: rank must be an integer",)),
+    (DEFAULT_ALGEBRA_CONFIG + "positive: very\n",
+     ("line 17: expected 'positive: <hedge> -> <list>'",)),
+])
+def test_config_violations_are_listed_exactly(config, violations):
+    with pytest.raises(AlgebraError) as err:
+        load_algebra_config(config)
+    assert err.value.violations == violations
+
+
 def test_config_rejects_conflicting_positivity():
     config = DEFAULT_ALGEBRA_CONFIG + "negative: very -> very\n"
     with pytest.raises(AlgebraError, match="already declared"):

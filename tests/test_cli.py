@@ -290,6 +290,39 @@ def test_query_repl_writes_out_file(capsys, samples_dir, monkeypatch, tmp_path):
     assert dest.read_text(encoding="utf-8") == shown
 
 
+@pytest.mark.parametrize("line, options, codes", [
+    ("q(X)", (), (0, 0)),  # an answer
+    ("q(a)", ("--trace",), (0, 0)),  # no answers.
+    ("p(X)", ("--depth", "5"), (2, 2)),  # a depth warning
+    ("q(X) !", (), (1, 0)),  # a parse error fails the one-shot run only
+    ("p(X)", ("--depth", "0", "--trace"), (2, 2)),  # the search limit
+])
+def test_one_shot_query_is_a_one_line_session(capsys, monkeypatch, tmp_path, line, options,
+                                              codes):
+    prog = tmp_path / "session.fllp"
+    prog.write_text(RECURSIVE + "q(b) : true.\n")
+    monkeypatch.setattr("fllp.solver.SEARCH_LIMIT", 2000)
+    code, out, err = run(capsys, "query", str(prog), *options, "-q", line)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{line}\n"))
+    repl_code, repl_out, repl_err = run(capsys, "query", str(prog), *options)
+    assert (out, err) == (repl_out, repl_err) and (code, repl_code) == codes
+    assert err.startswith(("error:", "warning:")) if code else (out and not err)
+
+
+def test_query_out_file_after_an_error(capsys, monkeypatch, tmp_path):
+    # -q writes its file only when it has lines; the REPL always writes one
+    prog, dest = tmp_path / "loop.fllp", tmp_path / "answers.txt"
+    prog.write_text(RECURSIVE)
+    monkeypatch.setattr("fllp.solver.SEARCH_LIMIT", 2000)
+    for line, options, codes in (("p(X) !", (), (1, 0)), ("p(X)", ("--depth", "0"), (2, 2))):
+        got = run(capsys, "query", str(prog), *options, "-q", line, "--out", str(dest))
+        assert got[:2] == (codes[0], "") and not dest.exists(), line
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{line}\n"))
+        got = run(capsys, "query", str(prog), *options, "--out", str(dest))
+        assert got[:2] == (codes[1], "") and dest.read_text(encoding="utf-8") == "", line
+        dest.unlink()
+
+
 def test_model_naive_and_delta(capsys, samples_dir):
     want = (
         "gd_em(ann) : probably probably true (v29)\n"
@@ -460,6 +493,23 @@ def test_conflicting_inverse_rows_exit_one(capsys, tmp_path):
                    f"'probably little true' on line {first}\n")
 
 
+def test_domain_checks_inverse_rows_it_does_not_print(capsys, tmp_path):
+    config = tmp_path / "rows.alg"
+    config.write_text(DEFAULT_ALGEBRA_CONFIG + "inverse: very tru -> true\n")
+    for argv in (("domain",), ("domain", "--inverse")):
+        assert run(capsys, *argv, "--algebra", str(config)) == (
+            1, "", "error: line 17: truth literal must end in a primary name, got 'tru'\n"
+        ), argv
+    # without rows no table is built, so a one-class algebra still lists its domain
+    config.write_text("primary: false, true\nhedge: very class=+ rank=1\n"
+                      "positive: very -> very\nlimit: 1\n")
+    code, out, err = run(capsys, "domain", "--algebra", str(config))
+    assert (code, err) == (0, "") and out.splitlines() == [
+        "absfalse (v0)", "very false (v1)", "false (v2)", "middle (v3)", "true (v4)",
+        "very true (v5)", "abstrue (v6)",
+    ]
+
+
 def test_hedgeless_algebra_with_a_huge_limit_lists_five_values(tmp_path):
     config = tmp_path / "plain.alg"
     config.write_text("primary: false, true\nlimit: 100000000\n")
@@ -612,6 +662,11 @@ def test_compile_refuses_atoms_on_helper_predicates(capsys, tmp_path):
     for argv in (("check",), ("model",), ("query", "-q", "and_godel(a,X)")):
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 0 and err == "", argv
+
+
+def test_compile_refuses_a_query_variable_named_like_the_answer_grade(capsys, samples_dir):
+    got = run(capsys, "compile", str(samples_dir / "hotel.fllp"), "-q", "su_ho(Truth_value)")
+    assert got == (1, "", "error: query variable Truth_value would name the answer grade\n")
 
 
 def test_missing_file_is_a_plain_error(capsys):

@@ -170,6 +170,28 @@ def test_points_repeated_within_a_line_are_refused(samples_dir, domain):
     )
 
 
+@pytest.mark.parametrize("text, violations", [
+    ("inputs:\noutputs: p1 p1\nrule: a => b\n", (
+        "line 1: inputs declares no points",
+        "line 2: point 'p1' declared twice",
+        "no sat row for output term 'b' at 'p1'",  # once, though p1 is declared twice
+    )),
+    ("inputs: t1 t1\noutputs: p1\nrule: a => b\nsat b p1 true\n", (
+        "line 1: point 't1' declared twice",
+        "no sat row for input term 'a' at 't1'",
+    )),
+    ("inputs: i\noutputs: o\noutputs: p\nrule: a => b\nsat a i true\nsat b o true\n", (
+        "line 3: outputs declared twice",
+        "line 6: undeclared point 'o'",
+        "no sat row for output term 'b' at 'p'",
+    )),
+])
+def test_point_declaration_violations_are_listed_exactly(domain, text, violations):
+    with pytest.raises(ParseError) as err:
+        parse_control_file(text, domain)
+    assert err.value.violations == violations
+
+
 def test_points_spelled_like_variables_stay_constants(table):
     # compile_control builds its rules over the variables X and Y
     text = """\

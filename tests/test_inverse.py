@@ -111,6 +111,24 @@ def test_override_breaking_a_condition_is_rejected():
         build_inverse_table(domain, overrides)
 
 
+@pytest.mark.parametrize("row, violations", [
+    ("inverse: very very true -> little false", (  # the cancellation cell of very
+        "'very' must cancel on 'very true', maps to 'little false'",
+        "'very' is not monotone: 'probably very true' -> 'true' but 'very true' -> 'little false'",
+        "'very' maps 'very true' across the middle to 'little false'",
+    )),
+    ("inverse: little very false -> true", (
+        "'little' is not monotone: 'very false' -> 'true' but 'probably very false' -> 'false'",
+        "'little' maps 'very false' across the middle to 'true'",
+    )),
+])
+def test_override_violations_are_listed_exactly(row, violations):
+    _, domain, overrides = load_algebra_config(DEFAULT_ALGEBRA_CONFIG + row + "\n")
+    with pytest.raises(InverseTableError) as err:
+        build_inverse_table(domain, overrides)
+    assert err.value.violations == violations
+
+
 def test_override_on_unknown_hedge_is_rejected():
     config = DEFAULT_ALGEBRA_CONFIG + "inverse: extremely true -> true\n"
     _, domain, overrides = load_algebra_config(config)

@@ -147,3 +147,13 @@ def test_atoms_that_would_compile_onto_a_helper_are_refused(domain, table):
     assert "or_godel(a,33)." in compile_program(parse_program("or_godel(a) : true.\n", domain), table)
     assert validate_program(program, domain) == []
     assert least_model(program, table)[0]
+
+
+def test_a_query_variable_named_like_the_answer_grade_is_refused(domain, table):
+    with pytest.raises(ParseError) as err:
+        compile_query(parse_query("and_g(p(X), q(Truth_value, X))", domain), table)
+    assert err.value.violations == ("query variable Truth_value would name the answer grade",)
+    # other names compile, a constant spelled alike among them
+    assert compile_query(parse_query("p(Truth, truth_value)", domain), table) == (
+        "?- p(Truth,truth_value,Truth_value)."
+    )

@@ -289,6 +289,16 @@ def test_trace_reports_the_bound_cut(domain, table):
     assert not result.depth_exhausted
 
 
+def test_trace_reports_an_atom_whose_every_candidate_is_below_its_need(domain, table):
+    program = parse_program("p(a) : little true.\np(b) : true.\nq(c) : very true.\n", domain)
+    query = parse_query("and_g(q(Y), p(X))", domain)
+    result = solve(program, table, query, SolveOptions(threshold=41, trace=True))
+    assert result.trace == (
+        "goal and_g(q(Y),p(X))", "[0] q(Y) -> v41", "[0] cut p(X) (below bound)",
+    )
+    assert result.answers == ()
+
+
 # One predicate with facts and rules whose heads start with a constant, a
 # different constant, or a variable: the statement index must offer every
 # head that can unify, and the answers keep the best-first order.
