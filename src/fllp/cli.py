@@ -221,15 +221,15 @@ def _cmd_query(args) -> int:
                 print("warning: depth limit reached, the answer set may be incomplete",
                       file=sys.stderr)
                 code = 2
+        if failure is not None:  # reported first, so a failed --out write cannot hide it
+            status = _errors(failure)
+            if one_shot or status == 2:
+                code = status
         text = "".join(f"{shown}\n" for shown in lines)
         if args.out and not one_shot:
             written.append(text)
         elif text:
             _emit(text, args.out)
-        if failure is not None:
-            status = _errors(failure)
-            if one_shot or status == 2:
-                code = status
     if args.out and not one_shot:
         _emit("".join(written), args.out)
     return code

@@ -1,4 +1,4 @@
-"""Bottom-up evaluation: grounding, the consequence operator, least models.
+"""Bottom-up evaluation: grounding and least models.
 
 An interpretation assigns a domain index to every ground atom, sparsely
 (absent means bottom).  One application of the consequence operator grades
@@ -10,21 +10,20 @@ least model; iteration stops on the first round that changes nothing, and
 that confirming round is included in the reported count.
 
 Grounding instantiates variables over the program's constants (one fallback
-constant when there are none).  ``ground`` builds every instance and, with
-``tp_apply``, is the reference.  ``least_model`` works on atom ids: an
-instance is its head's id and its body atoms' ids, each rule is compiled
-once into a function of those ids and of an interpretation held as a list
-by id, and the join that finds the instances whose bodies can be nonzero
-(``ground_relevant`` builds them as rules) emits them in that form; every
-conjunction and hedge keeps bottom at bottom, so the others add nothing.
-Rounds are semi-naive: the first fires every instance, each later one only
-those with a body atom that rose in the round before, reading the
+constant when there are none), but only where a body can be nonzero: a join
+finds the instances whose bodies have an alternative made of derivable
+atoms (every conjunction and hedge keeps bottom at bottom, so the others
+add nothing), and ``ground`` builds them as rules.  ``least_model`` works
+on atom ids: an instance is its head's id and its body atoms' ids, each
+rule is compiled once into a function of those ids and of an
+interpretation held as a list by id, and the join emits instances in that
+form.  Rounds are semi-naive: the first fires every instance, each later
+one only those with a body atom that rose in the round before, reading the
 interpretation the previous round left.  The iterates ascend, so an
 instance not fired gives at most its head's value: every round equals a
-full application.  Groundings count the Herbrand base and the fact
-instances before building anything; ``ground`` adds every rule instance up
-front, the join each instance as it is found.  Either stops at
-``GROUND_LIMIT``.
+full application.  The grounding counts the Herbrand base and the fact
+instances before building anything, then each rule instance as it is
+found, and stops at ``GROUND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import functools
 import itertools
 
 from .algebra import LimitError, format_value, record
-from .connectives import GODEL, t_norm
+from .connectives import GODEL
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -66,19 +65,9 @@ class Interpretation(dict):
     def __missing__(self, key) -> int:
         return 0
 
-    def raise_to(self, atom: Atom, value: int) -> bool:
-        if value > self.get(atom, 0):
-            self[atom] = value
-            return True
-        return False
 
-    def leq(self, other: "Interpretation") -> bool:
-        return all(v <= other[a] for a, v in self.items())
-
-
-class GroundProgram(record("GroundProgram", "facts rules base universe")):
-    """``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances
-    (line 0), ``base`` the Herbrand base and ``universe`` the constants."""
+class GroundProgram(record("GroundProgram", "facts rules")):
+    """``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances (line 0)."""
 
     __slots__ = ()
 
@@ -98,16 +87,16 @@ def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[str, ...]) -> Rul
     return Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
 
 
-def _frame(program: Program, limit: int) -> tuple[tuple[str, ...], int, int]:
-    """The universe, the Herbrand base's size, and that plus the fact instances,
+def _frame(program: Program, limit: int) -> tuple[tuple[str, ...], int]:
+    """The universe, and the Herbrand base's size plus the fact instances,
     which every grounding counts; refused up front when over ``limit``."""
     consts = program.constants() or ("a",)
     u = len(consts)
-    base = sum(u**arity for arity in program.predicates().values())
-    needed = base + sum(u ** len(free_vars(f.atom)) for f in program.facts)
+    needed = sum(u**arity for arity in program.predicates().values())
+    needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
     if needed > limit:
         raise GroundingLimitError(needed, limit)
-    return consts, base, needed
+    return consts, needed
 
 
 def _ground_facts(program: Program, consts: tuple[str, ...]) -> list[tuple[Atom, int]]:
@@ -119,45 +108,23 @@ def _ground_facts(program: Program, consts: tuple[str, ...]) -> list[tuple[Atom,
     return facts
 
 
-def _ground_program(program, consts, facts, rules) -> GroundProgram:
-    base: list[Atom] = []
-    for pred, arity in sorted(program.predicates().items()):
-        for combo in itertools.product(consts, repeat=arity):
-            base.append(Atom(pred, combo))
-    return GroundProgram(tuple(facts), tuple(rules), tuple(base), consts)
-
-
 def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
-    """Every instance of every statement over the program's constants."""
-    consts, _, needed = _frame(program, limit)
-    u = len(consts)
-    needed += sum(u ** len(_rule_vars(r)) for r in program.rules)
-    if needed > limit:
-        raise GroundingLimitError(needed, limit)
-    rules: list[Rule] = []
-    for rule in program.rules:
-        names = _rule_vars(rule)
-        for combo in itertools.product(consts, repeat=len(names)):
-            rules.append(_instance(rule, names, combo))
-    return _ground_program(program, consts, _ground_facts(program, consts), rules)
-
-
-def ground_relevant(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
-    """The rule instances of ``ground(program)`` whose bodies can be nonzero
-    in the least model, in the same order; facts and base are the same.
+    """Every fact instance, and the rule instances whose bodies can be nonzero
+    in the least model, by statement and then ``itertools.product`` order
+    over the sorted constants.
 
     An instance is built once every atom of one of its body's alternatives
     (see ``_alternatives``) is derivable: a fact above bottom or the head of
     an instance built before.  Rule instances are counted as they are found
     and refused as soon as they would take the total over ``limit``.
     """
-    consts, _, needed = _frame(program, limit)
+    consts, needed = _frame(program, limit)
     facts = _ground_facts(program, consts)
     found, _ = _relevant_bindings(program.rules, consts, facts, needed, limit)
     # sorted bindings are itertools.product order over the sorted universe
     rules = [_instance(rule, _rule_vars(rule), binding)
              for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)]
-    return _ground_program(program, consts, facts, rules)
+    return GroundProgram(tuple(facts), tuple(rules))
 
 
 def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
@@ -306,20 +273,6 @@ def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTa
     return value(body, interp.__getitem__, table.columns, table.domain.n)
 
 
-def tp_apply(
-    gp: GroundProgram, table: InverseMappingTable, interp: Interpretation
-) -> Interpretation:
-    """One round of the consequence operator."""
-    leaf, columns, n = interp.__getitem__, table.columns, table.domain.n
-    out = Interpretation()
-    for atom, tv in gp.facts:
-        out.raise_to(atom, tv)
-    for rule in gp.rules:
-        body = value(rule.body, leaf, columns, n)
-        out.raise_to(rule.head, t_norm(rule.kind, body, rule.tv, n))
-    return out
-
-
 def _compile(rule: Rule, columns, n: int, cache: dict) -> tuple:
     """``grade(I, L)``: the head grade of an instance of ``rule`` under the
     interpretation ``I`` (a list by atom id) when ``L`` holds its body atoms'
@@ -365,7 +318,7 @@ def least_model(
         raise ValueError(f"unknown evaluation mode: {mode!r}")
     columns, n, cache = table.columns, table.domain.n, {}
     if gp is None:
-        consts, base, needed = _frame(program, limit)
+        consts, needed = _frame(program, limit)
         facts = _ground_facts(program, consts)
         found, ids = _relevant_bindings(program.rules, consts, facts, needed, limit)
         grades = [_compile(rule, columns, n, cache)[0] for rule in program.rules]
@@ -373,7 +326,7 @@ def least_model(
                      for head, leaves in bindings.values()]
         facts = [((a.pred, a.args), tv) for a, tv in facts]
     else:
-        base, ids, instances, facts = len(gp.base), {}, [], gp.facts
+        ids, instances, facts = {}, [], gp.facts
         for rule in gp.rules:
             grade, leaves = _compile(rule, columns, n, cache)
             instances.append((ids.setdefault(rule.head, len(ids)), grade,
@@ -385,7 +338,8 @@ def least_model(
         for a in leaves:
             triggers[a].append(i)
     interp, raised = [0] * len(ids), {}
-    fired, rounds, cap = range(len(instances)), 1, base * (n + 1) + 1
+    # only interned atoms rise, each at most n times
+    fired, rounds, cap = range(len(instances)), 1, len(ids) * (n + 1) + 1
     while True:
         for i in fired:
             head, grade, leaves = instances[i]

@@ -23,16 +23,18 @@ QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
 
 
-def _refuse_helpers(uses) -> None:
+def _refuse_helpers(uses, others: tuple[str, ...] = ()) -> None:
     """One violation per helper that an atom of the ``(statement or None,
-    atom)`` pairs in ``uses`` would compile onto, at its first such atom."""
+    atom)`` pairs in ``uses`` would compile onto, at its first such atom,
+    raised together with the ``others``."""
     clashes: dict[str, str] = {}
     for st, atom in uses:
         if atom.pred in HELPERS and len(atom.args) == 2:
             clashes.setdefault(atom.pred, f"line {st.line}: " if st else "")
-    if clashes:
-        raise ParseError([f"{where}{pred}/2 would compile onto the helper {pred}/3"
-                          for pred, where in clashes.items()])
+    problems = [f"{where}{pred}/2 would compile onto the helper {pred}/3"
+                for pred, where in clashes.items()] + list(others)
+    if problems:
+        raise ParseError(problems)
 
 
 def _hedge_atoms(algebra) -> dict[str, str]:
@@ -134,9 +136,9 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
 
 
 def compile_query(query: Body, table: InverseMappingTable) -> str:
-    _refuse_helpers((None, atom) for atom in atoms_of(query))
-    if any(Var(QUERY_VAR) in atom.args for atom in atoms_of(query)):
-        raise ParseError([f"query variable {QUERY_VAR} would name the answer grade"])
+    named = any(Var(QUERY_VAR) in atom.args for atom in atoms_of(query))
+    _refuse_helpers(((None, atom) for atom in atoms_of(query)),
+                    (f"query variable {QUERY_VAR} would name the answer grade",) if named else ())
     abbr = _hedge_atoms(table.domain.algebra)
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []

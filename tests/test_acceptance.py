@@ -16,12 +16,13 @@ from fllp.algebra import load_algebra_config
 from fllp.cli import main
 from fllp.connectives import GODEL, LUKA, implicator, t_norm
 from fllp.control import compile_control, goodness_surface, parse_control_file
-from fllp.fixpoint import ground, least_model
+from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table, validate_inverse_table
 from fllp.lang import Atom, Const, load_program, parse_query
 from fllp.prolog import compile_program, compile_query
 from fllp.solver import SolveOptions, solve
 
+import oracle
 from conftest import ASYM_CONFIG
 from expected import (
     CONNECTIVE_CLAUSES,
@@ -164,10 +165,9 @@ def test_08_soundness_under_a_depth_bound(capsys, table):
         programs = 0
         for seed in range(60):
             program = random_program(seed, domain, recursive=True)
-            gp = ground(program)
-            model, _ = least_model(program, table, gp=gp)
+            model, _ = least_model(program, table)
             programs += 1
-            atoms = list(gp.base)
+            atoms = list(oracle.ground(program).base)
             rng.shuffle(atoms)
             for atom in atoms[:6]:
                 result = solve(program, table, atom, SolveOptions(depth=16))
@@ -182,10 +182,9 @@ def test_09_completeness_without_recursion(capsys, table):
         programs = 0
         for seed in range(60):
             program = random_program(seed, domain)
-            gp = ground(program)
-            model, _ = least_model(program, table, gp=gp)
+            model, _ = least_model(program, table)
             programs += 1
-            for atom in gp.base:
+            for atom in oracle.ground(program).base:
                 result = solve(program, table, atom, SolveOptions(depth=None))
                 got = max((a.value for a in result.answers), default=0)
                 assert got == model[atom], (seed, atom)
@@ -194,25 +193,23 @@ def test_09_completeness_without_recursion(capsys, table):
 
 def test_10_consequence_operator_behaves(capsys, table):
     with criterion(capsys, 10, "consequence operator"):
-        from fllp.fixpoint import Interpretation, tp_apply
-
         domain = table.domain
         rng = random.Random(7)
         checked = 0
         for seed in range(20):
             program = random_program(seed, domain, recursive=True)
-            gp = ground(program)
+            full = oracle.ground(program)
             for _ in range(5):
-                lo, hi = Interpretation(), Interpretation()
-                for atom in gp.base:
+                lo, hi = {}, {}
+                for atom in full.base:
                     a, b = rng.randint(0, domain.n), rng.randint(0, domain.n)
                     lo[atom], hi[atom] = min(a, b), max(a, b)
-                assert tp_apply(gp, table, lo).leq(tp_apply(gp, table, hi))
+                assert oracle.leq(oracle.tp(full, table, lo), oracle.tp(full, table, hi))
                 checked += 1
-            naive, nr = least_model(program, table, gp=gp, mode="naive")
-            delta, _ = least_model(program, table, gp=gp, mode="delta")
-            assert naive == delta
-            assert nr <= len(gp.base) * (domain.n + 1) + 1
+            # the least model and its round count are those of iterating T_P
+            model, rounds = oracle.iterate_tp(full, table)
+            assert least_model(program, table) == (model, rounds)
+            assert rounds <= len(full.base) * (domain.n + 1) + 1
         assert checked == 100
 
 
@@ -222,8 +219,7 @@ def test_11_threshold_pruning_is_exact(capsys, table):
         for seed in range(25):
             for recursive, depth in ((False, None), (True, 16)):
                 program = random_program(seed, domain, recursive=recursive)
-                gp = ground(program)
-                for atom in gp.base[:5]:
+                for atom in oracle.ground(program).base[:5]:
                     plain = solve(program, table, atom, SolveOptions(depth=depth)).answers
                     for t in (10, 22, 30, 38):
                         opts = SolveOptions(depth=depth, threshold=t)

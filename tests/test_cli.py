@@ -323,6 +323,20 @@ def test_query_out_file_after_an_error(capsys, monkeypatch, tmp_path):
         dest.unlink()
 
 
+def test_query_failure_is_reported_before_a_failed_out_write(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "loop.fllp"
+    prog.write_text(RECURSIVE)
+    monkeypatch.setattr("fllp.solver.SEARCH_LIMIT", 2000)
+    argv = ("query", str(prog), "--depth", "0", "--threshold", "v1", "--trace",
+            "--out", str(tmp_path / "missing" / "answers.txt"))
+    code, out, err = run(capsys, *argv, "-q", "p(X)")
+    assert (code, out) == (1, "")
+    limit, write = err.splitlines()
+    assert limit.startswith("error: the search needs at least") and "No such file" in write
+    monkeypatch.setattr("sys.stdin", io.StringIO("p(X)\n"))
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_model_naive_and_delta(capsys, samples_dir):
     want = (
         "gd_em(ann) : probably probably true (v29)\n"
@@ -667,6 +681,10 @@ def test_compile_refuses_atoms_on_helper_predicates(capsys, tmp_path):
 def test_compile_refuses_a_query_variable_named_like_the_answer_grade(capsys, samples_dir):
     got = run(capsys, "compile", str(samples_dir / "hotel.fllp"), "-q", "su_ho(Truth_value)")
     assert got == (1, "", "error: query variable Truth_value would name the answer grade\n")
+    got = run(capsys, "compile", str(samples_dir / "hotel.fllp"), "-q",
+              "and_g(inv_map(Truth_value,b), su_ho(X))")
+    assert got == (1, "", "error: inv_map/2 would compile onto the helper inv_map/3\n"
+                          "error: query variable Truth_value would name the answer grade\n")
 
 
 def test_missing_file_is_a_plain_error(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,7 @@ from fllp.fixpoint import (
     dump_model,
     eval_ground_body,
     ground,
-    ground_relevant,
     least_model,
-    tp_apply,
 )
 from fllp.inverse import build_inverse_table
 from fllp.lang import (
@@ -32,6 +32,7 @@ from fllp.lang import (
 )
 from fllp.solver import SolveOptions, solve
 
+import oracle
 from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS, SAMPLE_ANSWERS
 from randprog import random_algebra, random_program
 from strategies import programs
@@ -50,25 +51,32 @@ def test_employee_least_model(samples_dir):
     assert rounds == EMPLOYEE_ROUNDS
 
 
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def _check_against_the_oracle(program, table) -> None:
+    """Over ``program`` and over ``ground``'s instances, the least model and
+    its round count are the oracle's iterated T_P over the full grounding;
+    and ``ground`` keeps the oracle's facts, a subsequence of its rules, and
+    every rule instance whose body is nonzero in that model."""
+    full = oracle.ground(program)
+    want = oracle.iterate_tp(full, table)
+    relevant = ground(program)
+    assert least_model(program, table, mode="delta") == want
+    assert least_model(program, table, gp=relevant) == want
+    assert relevant.facts == full.facts
+    assert _is_subsequence(relevant.rules, full.rules)
+    kept = set(relevant.rules)
+    assert all(rule in kept for rule in full.rules if oracle.body_value(rule, table, want[0]))
+
+
 def test_delta_mode_matches_naive(samples_dir):
     program, table = load_program(samples_dir / "good_employee_luka.fllp")
-    naive, nr = least_model(program, table, mode="naive")
-    delta, dr = least_model(program, table, mode="delta")
-    assert naive == delta and nr == dr
+    _check_against_the_oracle(program, table)
     with pytest.raises(ValueError, match="mode"):
         least_model(program, table, mode="eager")
-
-
-def _iterate_tp(gp, table):
-    """The least model by plain iteration of the consequence operator from
-    the empty interpretation, with the number of rounds, the repeat included."""
-    interp, rounds = Interpretation(), 0
-    while True:
-        nxt = tp_apply(gp, table, interp)
-        rounds += 1
-        if nxt == interp:
-            return interp, rounds
-        interp = nxt
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -78,59 +86,53 @@ def test_delta_mode_matches_naive_on_random_programs(seed, domain, table):
         for recursive in (False, True):
             program = random_program(seed, domain, recursive=recursive)
             # listed backwards, recursive rules come before what they derive from
-            backwards = Program(program.statements[::-1])
-            for prog in (program, backwards):
-                want = _iterate_tp(ground(prog), table)
-                for mode in ("naive", "delta"):
-                    assert least_model(prog, table, mode=mode) == want
+            for prog in (program, Program(program.statements[::-1])):
+                _check_against_the_oracle(prog, table)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_consequence_operator_is_monotone(seed, domain, table):
     program = random_program(seed, domain)
-    gp = ground(program)
+    full = oracle.ground(program)
     rng = random.Random(seed)
-    lo = Interpretation()
-    hi = Interpretation()
-    for atom in gp.base:
+    lo, hi = {}, {}
+    for atom in full.base:
         a, b = rng.randint(0, domain.n), rng.randint(0, domain.n)
         lo[atom], hi[atom] = min(a, b), max(a, b)
-    assert lo.leq(hi)
-    out_lo = tp_apply(gp, table, lo)
-    out_hi = tp_apply(gp, table, hi)
-    assert out_lo.leq(out_hi)
+    assert oracle.leq(lo, hi)
+    assert oracle.leq(oracle.tp(full, table, lo), oracle.tp(full, table, hi))
 
 
 def test_rounds_stay_under_the_cap(domain, table):
     for seed in range(15):
         program = random_program(seed, domain, recursive=True)
-        gp = ground(program)
-        _, rounds = least_model(program, table, gp=gp)
-        assert rounds <= len(gp.base) * (domain.n + 1) + 1
+        _, rounds = least_model(program, table)
+        assert rounds <= len(oracle.ground(program).base) * (domain.n + 1) + 1
 
 
 def test_grounding_universe_and_base(domain):
     program = parse_program("p(X) : true.\nq(a,b) : true.\n", domain)
-    gp = ground(program)
-    assert gp.universe == ("a", "b")
+    assert oracle.universe(program) == ("a", "b")
     # the open fact grounds over the whole universe
-    assert sorted(f"{a.pred}({a.args[0]})" for a, _ in gp.facts if a.pred == "p") == [
+    assert sorted(f"{a.pred}({a.args[0]})" for a, _ in ground(program).facts if a.pred == "p") == [
         "p(a)", "p(b)",
     ]
-    assert [a.pred for a in gp.base] == ["p", "p", "q", "q", "q", "q"]
+    assert [a.pred for a in oracle.ground(program).base] == ["p", "p", "q", "q", "q", "q"]
 
     bare = parse_program("r(X) <-g s(X) : true.\ns(X) : middle.\n", domain)
-    assert ground(bare).universe == ("a",)
+    assert oracle.universe(bare) == ("a",)
+    assert ground(bare).facts == ((Atom("s", ("a",)), 22),)
 
 
 def test_grounding_limit_is_checked_before_expansion(domain):
     src = "p(A,B,C,D) <-g and_g(q(A,B), q(C,D)) : true.\nq(a,b) : true.\nq(b,c) : true.\n"
     program = parse_program(src, domain)
     with pytest.raises(GroundingLimitError) as err:
-        ground(program, limit=50)
-    assert err.value.needed > 50 and err.value.limit == 50
-    gp = ground(program, limit=1000)
-    assert len(gp.rules) == 81
+        ground(program, limit=50)  # 81 + 9 base atoms and 2 facts
+    assert (err.value.needed, err.value.limit) == (92, 50)
+    # the four pairs of q facts, of the oracle's 81 instances
+    assert len(ground(program, limit=1000).rules) == 4
+    assert len(oracle.ground(program).rules) == 81
 
 
 def test_eval_ground_body_forms(domain, table):
@@ -150,12 +152,10 @@ def test_eval_ground_body_forms(domain, table):
 def test_interpretation_helpers():
     interp = Interpretation()
     atom = Atom("p", ())
-    assert interp[atom] == 0
-    assert interp.raise_to(atom, 5) is True
-    assert interp.raise_to(atom, 3) is False
-    assert interp[atom] == 5
-    other = Interpretation({atom: 9})
-    assert interp.leq(other) and not other.leq(interp)
+    # reading an absent atom gives bottom and stores nothing
+    assert interp[atom] == 0 and atom not in interp
+    interp[atom] = 5
+    assert interp == {atom: 5}
 
 
 def test_dump_model_formats_and_sorts(samples_dir):
@@ -181,35 +181,21 @@ def test_model_agrees_with_the_solver_on_the_samples(samples_dir):
         assert answer.value == model[Atom(pred, (Const(const),))] == want, name
 
 
-def _is_subsequence(short, long) -> bool:
-    rest = iter(long)
-    return all(item in rest for item in short)
-
-
 @pytest.mark.parametrize("algebra", ["default", "random"])
 @pytest.mark.parametrize("seed", range(40))
 def test_relevant_grounding_agrees_with_full_grounding(seed, algebra, domain, table):
+    # the default algebra and randprog's programs, which ``programs()`` does not draw
     if algebra == "random":
         _, domain = random_algebra(seed)
         table = build_inverse_table(domain)
-    program = random_program(seed, domain, recursive=seed % 2 == 1)
-    full = ground(program)
-    relevant = ground_relevant(program)
-    assert (relevant.facts, relevant.base) == (full.facts, full.base)
-    assert _is_subsequence(relevant.rules, full.rules)
-    for mode in ("naive", "delta"):
-        model, rounds = least_model(program, table, mode=mode)
-        assert (model, rounds) == least_model(program, table, mode=mode, gp=full)
-    kept = set(relevant.rules)
-    for rule in full.rules:
-        if eval_ground_body(rule.body, model, table) > 0:
-            assert rule in kept
+    _check_against_the_oracle(random_program(seed, domain, recursive=seed % 2 == 1), table)
 
 
 def test_relevant_grounding_counts_only_instances_built(domain, table):
     program = parse_program(CHAIN10, domain)
-    with pytest.raises(GroundingLimitError):
-        ground(program, limit=1000)  # 242 base atoms, 10 facts, 1,452 rules
+    full = oracle.ground(program)  # 242 base atoms, 10 facts, 1,452 rules
+    assert len(full.base) + len(full.facts) + len(full.rules) > 1000
+    assert len(ground(program, limit=1000).rules) == 55
     model, _ = least_model(program, table, limit=1000)
     assert sum(1 for atom, v in model.items() if v and atom.pred == "path") == 55
     # the base and the facts fit under 300, the 55 relevant instances do not
@@ -222,7 +208,7 @@ def test_grounding_limit_crossed_in_the_join_names_the_first_instance_over(domai
     program = parse_program(CHAIN10, domain)  # 242 base atoms and 10 facts: 252
     for limit in (252, 300):
         for grounding in (lambda: least_model(program, table, limit=limit),
-                          lambda: ground_relevant(program, limit)):
+                          lambda: ground(program, limit)):
             with pytest.raises(GroundingLimitError) as err:
                 grounding()
             assert (err.value.needed, err.value.limit) == (limit + 1, limit)
@@ -240,18 +226,23 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
         Rule(Atom("s", (b,)), GODEL, Disj((Atom("s", (b,)), Grade(0))), 30),
     )
     program = Program(statements)
-    relevant = ground_relevant(program)
-    assert [f"{r.head.pred}({r.head.args[0]})" for r in relevant.rules] == [
+    assert [f"{r.head.pred}({r.head.args[0]})" for r in ground(program).rules] == [
         "p(a)", "p(b)", "r(a)", "r(b)",
     ]
-    assert least_model(program, table) == least_model(program, table, gp=ground(program))
+    _check_against_the_oracle(program, table)
 
 
 @settings(max_examples=150)
 @given(programs())
 def test_both_least_models_are_iterated_tp_over_the_full_grounding(case):
     table, program = case
-    gp = ground(program)
-    want = _iterate_tp(gp, table)
-    assert least_model(program, table) == want
-    assert least_model(program, table, gp=gp) == want
+    _check_against_the_oracle(program, table)
+
+
+def test_the_oracle_imports_nothing_from_the_engine():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("fllp.fixpoint")]

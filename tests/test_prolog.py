@@ -153,6 +153,13 @@ def test_a_query_variable_named_like_the_answer_grade_is_refused(domain, table):
     with pytest.raises(ParseError) as err:
         compile_query(parse_query("and_g(p(X), q(Truth_value, X))", domain), table)
     assert err.value.violations == ("query variable Truth_value would name the answer grade",)
+    # with a helper clash, both are reported
+    with pytest.raises(ParseError) as err:
+        compile_query(parse_query("and_g(inv_map(Truth_value,b), p(X))", domain), table)
+    assert err.value.violations == (
+        "inv_map/2 would compile onto the helper inv_map/3",
+        "query variable Truth_value would name the answer grade",
+    )
     # other names compile, a constant spelled alike among them
     assert compile_query(parse_query("p(Truth, truth_value)", domain), table) == (
         "?- p(Truth,truth_value,Truth_value)."
