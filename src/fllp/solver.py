@@ -5,10 +5,12 @@ atoms are open or resolved to their grades (plain ints), rewritten step
 by step.  Each step picks the leftmost open atom and either replaces it with
 a matching fact's grade, unfolds it through a matching rule (the rule
 body joined with the rule grade under the rule's own conjunction), or
-grades it bottom when nothing in the program matches.  When no atoms
-remain the word is evaluated like a ground rule body, hedges going
-through the inverse mapping, yielding a computed answer together with
-the bindings of the query variables.
+grades it bottom when nothing in the program matches.  A statement's head
+variables are bound to the atom's terms, so only the variables a rule
+body adds get fresh ``~tag`` names, and the substitution grows only when
+a goal variable is bound.  When no atoms remain the word's value, hedges
+going through the inverse mapping, is a computed answer together with the
+bindings of the query variables.
 
 One bound prunes the search.  Every connective and hedge column is
 monotone, so a node that must reach ``want`` gives each part a least
@@ -17,18 +19,17 @@ useful value, its lower residual (Vojtáš, "Fuzzy logic programming", FSS
 (Huet 1997): the replacement in focus under a shared chain of frames, each
 a connective or hedge with a hole, its resolved parts folded, its open
 parts and ``need``, what the hole must reach for the word to reach
-``max(threshold, 1)`` with its open atoms at ``top``, the greatest grade
-an atom can reach (at ``n`` without a threshold).  A word whose focus is
-below ``need`` is cut, so a step does local work; without a threshold it
-ends in one bottom answer, so recursion through an unmatched atom ends.
-Under a threshold the ``need`` of the selected atom also skips the facts
-graded below it and the rules whose body cannot lift it that far, and
-cuts the atom when nothing matches it; a threshold of 0 bounds nothing.
-Pruned search thus returns exactly the answers of unpruned search that
-pass the threshold, in the same order.  Each state pushed counts its
-depth plus its substitution's bindings; past ``SEARCH_LIMIT`` such
-entries :class:`SearchLimitError` ends left recursion and cycles that no
-depth bound stops.
+``max(threshold, 1)`` with its open atoms at ``cap``, the greatest grade
+an atom can reach (``n`` without a threshold).  A focus carries its value
+so valued, and one below ``need`` is cut; without a threshold it ends in
+one bottom answer, so recursion through an unmatched atom ends.  Under a
+threshold the ``need`` of the selected atom also skips the statements
+that cannot reach it, and cuts the atom when nothing matches it; a
+threshold of 0 bounds nothing.  Pruned search thus returns exactly the
+answers of unpruned search that pass the threshold, in the same order.
+Each state pushed counts its depth plus its substitution's bindings; past
+``SEARCH_LIMIT`` such entries :class:`SearchLimitError` ends left
+recursion and cycles that no depth bound stops.
 """
 from __future__ import annotations
 
@@ -119,31 +120,35 @@ def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
     )
 
 
-# (program, table, prepared) for the last program solved, so that a REPL
-# session, which passes one program to every query, prepares it once.
-_last: tuple = (None, None, None)
+# (program, table, thresholded, prepared) for the last program solved, so
+# that a REPL session, which passes one program to every query, prepares it once.
+_last: tuple = (None, None, None, None)
 
 
-def _prepare(program: Program, table: InverseMappingTable) -> tuple[int, dict]:
-    """``top``, the greatest grade an atom can reach (``n - 1`` when
-    :func:`_all_below_top`), and the statements by head.  An entry
-    ``(pos, statement, head, rename)`` is filed under the head's predicate,
-    and under ``(pred, c)`` when the head's first argument is the constant
-    ``c``, else under ``(pred, None)``.  Ground facts are never renamed."""
+def _prepare(program: Program, table: InverseMappingTable, thresholded: bool) -> tuple[int, dict]:
+    """``cap``, the value of an open atom (``n``, or under a threshold ``n - 1``
+    when :func:`_all_below_top`), and entries ``(pos, statement, head, tagged,
+    bound, key, local)`` by the head's predicate, and by ``(pred, c)`` for a
+    first argument ``c``, ``None`` for a variable: the statement's value at
+    ``cap``, its best-first rank and its rule body's own variables."""
     global _last
-    last_program, last_table, prepared = _last
-    if last_program is not program or last_table is not table:
+    if _last[:3] != (program, table, thresholded):  # the same objects compare at once
+        n = table.domain.n
+        cap = n - 1 if thresholded and _all_below_top(program, table) else n
         by_head: dict = {}
         for pos, st in enumerate(program.statements):
-            head = st.atom if isinstance(st, Fact) else st.head
-            rename = not isinstance(st, Fact) or any(isinstance(a, Var) for a in head.args)
+            if isinstance(st, Fact):
+                head, bound, key, local = st.atom, st.tv, (-st.tv, 0, 0, pos), ()
+            else:
+                head, key = st.head, (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
+                bound = value(Conj(st.kind, (st.body, st.tv)), lambda atom: cap, table.columns, n)
+                local = tuple(v for v in free_vars(st.body) if v not in free_vars(head))
+            tagged = not isinstance(st, Fact) or any(isinstance(a, Var) for a in head.args)
             first = head.args[0] if head.args else None
-            for key in (head.pred, (head.pred, first if isinstance(first, str) else None)):
-                by_head.setdefault(key, []).append((pos, st, head, rename))
-        n = table.domain.n
-        prepared = (n - 1 if _all_below_top(program, table) else n, by_head)
-        _last = (program, table, prepared)
-    return prepared
+            for k in (head.pred, (head.pred, first if isinstance(first, str) else None)):
+                by_head.setdefault(k, []).append((pos, st, head, tagged, bound, key, local))
+        _last = (program, table, thresholded, (cap, by_head))
+    return _last[3]
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +166,30 @@ def subst_atom(atom: Atom, subst: dict[str, Term]) -> Atom:
     return Atom(atom.pred, tuple(walk(a, subst) for a in atom.args))
 
 
-def unify(a: Atom, b: Atom, subst: dict[str, Term]) -> dict[str, Term] | None:
-    if a.pred != b.pred or len(a.args) != len(b.args):
+def _match(params: tuple, args: tuple, subst: dict[str, Term]) -> tuple | None:
+    """``(env, subst)``, ``env`` binding a head's variables ``params`` to the
+    walked goal terms ``args`` and ``subst`` copied only if a goal variable
+    is bound; None when they do not match."""
+    if len(params) != len(args):
         return None
-    s = dict(subst)
-    for x, y in zip(a.args, b.args):
-        x, y = walk(x, s), walk(y, s)
-        if x == y:
+    env, s = {}, subst
+    for p, t in zip(params, args):
+        if p.__class__ is Var:
+            p = env.setdefault(p.name, t)  # a goal term, as t is
+        if s is not subst:
+            p, t = walk(p, s), walk(t, s)
+        if p is t or p == t:
             continue
-        if isinstance(x, Var):
-            s[x.name] = y
-        elif isinstance(y, Var):
-            s[y.name] = x
+        if t.__class__ is Var:
+            name, term = t.name, p
+        elif p.__class__ is Var:
+            name, term = p.name, t
         else:
             return None
-    return s
-
-
-def _rename_term(t: Term, tag: str) -> Term:
-    return Var(f"{t.name}~{tag}") if isinstance(t, Var) else t
-
-
-def _rename_atom(atom: Atom, tag: str) -> Atom:
-    return Atom(atom.pred, tuple(_rename_term(a, tag) for a in atom.args))
+        if s is subst:
+            s = dict(subst)
+        s[name] = term
+    return env, s
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +201,28 @@ def _fold(word: Conj | Disj, acc: int, v: int, n: int) -> int:
     return (v if v < acc else acc) if word.kind == GODEL else max(acc + v - n, 0)
 
 
+def _root(floor: int) -> tuple:
+    """The frame above the whole word, which must reach ``floor``."""
+    return (None, (), 0, (), floor, False, None, None)
+
+
 def _frame(
     word: Body, lefts: tuple, acc: int, rights: tuple, up: tuple, leaf, columns, n: int
 ) -> tuple:
-    """Frame ``(word, lefts, acc, rights, need, in_disj, up)`` of a hole in
-    ``word`` inside ``up``, after ``lefts`` (resolved, folded to ``acc``),
+    """Frame ``(word, lefts, acc, rights, need, in_disj, up, step)`` of a hole
+    in ``word`` inside ``up``, after ``lefts`` (resolved, folded to ``acc``),
     before ``rights``, whose open atoms ``leaf`` values; ``in_disj`` when
-    ``word`` or a word above it is a disjunction.  The root frame, above
-    the whole word, is ``(None, (), 0, (), floor, False, None)``."""
+    ``word`` or a word above it is a disjunction.  When the hole is the last
+    open part, ``step`` folds a value through the frame: a hedge's column, or
+    the connective's other parts folded.  A part in ``lefts`` may be an entry
+    ``(node, hole, stop)``, ``node`` plugged up from ``hole`` to below ``stop``."""
     rest = acc
     for part in rights:
         rest = _fold(word, rest, value(part, leaf, columns, n), n)
+    last = all(part.__class__ is int for part in rights)
+    step = columns[word.hedge] if word.__class__ is HedgeApp else rest if last else None
     need = _need(word, up[4], rest, columns, n)
-    return (word, lefts, acc, rights, need, up[5] or word.__class__ is Disj, up)
+    return (word, lefts, acc, rights, need, up[5] or word.__class__ is Disj, up, step)
 
 
 def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
@@ -222,31 +237,48 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
                 up, node = _frame(node, (), acc, node.parts[1:], up, leaf, columns, n), node.parts[0]
         if isinstance(node, Atom):
             return node, up, None
-        v = node
-        while True:  # up past resolved parts, folding their values
-            word, lefts, acc, rights, _, _, above = up
-            if word is None:
-                return None, None, v
-            if isinstance(word, HedgeApp):
-                up, node, v = above, HedgeApp(word.hedge, node), columns[word.hedge][v]
-                continue
-            acc, lefts = _fold(word, acc, v, n), lefts + (node,)
-            while rights and rights[0].__class__ is int:  # resolved already
-                acc, lefts, rights = _fold(word, acc, rights[0], n), lefts + rights[:1], rights[1:]
-            if rights:
-                up, node = _frame(word, lefts, acc, rights[1:], above, leaf, columns, n), rights[0]
-                break
-            up, node, v = above, Conj(word.kind, lefts) if isinstance(word, Conj) else Disj(lefts), acc
+        v, hole, step = node, up, up[7]
+        while step is not None:  # up through frames whose hole was their last open part
+            if step.__class__ is not int:
+                v = step[v]
+            elif up[0].__class__ is Disj:
+                v = v if v > step else step
+            elif up[0].kind == GODEL:
+                v = v if v < step else step
+            else:
+                v = v + step - n if v + step > n else 0
+            up, step = up[6], up[6][7]
+        word, lefts, acc, rights, _, _, above, _ = up
+        if word is None:
+            return None, None, v
+        acc, lefts = _fold(word, acc, v, n), lefts + (node if hole is up else (node, hole, up),)
+        while rights[0].__class__ is int:  # resolved already; an open part follows
+            acc, lefts, rights = _fold(word, acc, rights[0], n), lefts + rights[:1], rights[1:]
+        up, node = _frame(word, lefts, acc, rights[1:], above, leaf, columns, n), rights[0]
 
 
 def _plug(node: Body, up: tuple) -> Body:
-    """The whole goal word with ``node`` in the hole of ``up``."""
-    while up[0] is not None:
-        word, lefts, _, rights, _, _, up = up
-        if isinstance(word, HedgeApp):
-            node = HedgeApp(word.hedge, node)
-        else:
-            node = word._replace(parts=lefts + (node,) + rights)
+    """The whole goal word with ``node`` in the hole of ``up``, entries rebuilt
+    inner ones first, in a loop so that words of any depth plug."""
+    built: dict[int, Body] = {}
+    todo = [(node, up, None)]
+    while todo:
+        node, up, stop = todo[-1]
+        frames = []
+        while up is not stop and up[0] is not None:
+            frames.append(up)
+            up = up[6]
+        inner = [p for f in frames for p in f[1] if p.__class__ is tuple and id(p) not in built]
+        if inner:
+            todo += inner
+            continue
+        for word, lefts, _, rights, *_ in frames:
+            if word.__class__ is HedgeApp:
+                node = HedgeApp(word.hedge, node)
+            else:
+                parts = tuple(built[id(p)] if p.__class__ is tuple else p for p in lefts)
+                node = word._replace(parts=parts + (node,) + rights)
+        built[id(todo.pop())] = node
     return node
 
 
@@ -266,17 +298,17 @@ def solve(
 ) -> SolveResult:
     """Answers to ``query``; raises :class:`SearchLimitError` past ``SEARCH_LIMIT``."""
     opts = options or SolveOptions()
-    top, by_head = _prepare(program, table)
     columns, n = table.columns, table.domain.n
     # Open atoms are valued at the greatest grade they can reach, or at n
     # without a threshold, where a cut word still ends in a bottom answer.
-    cap = top if opts.threshold else n
+    cap, by_head = _prepare(program, table, bool(opts.threshold))
     leaf = lambda atom: cap
     floor = max(opts.threshold or 0, 1)
     trace: list[str] = []
     qvars = free_vars(query)
 
-    if opts.threshold and value(query, leaf, columns, n) < floor:
+    bound = value(query, leaf, columns, n)
+    if opts.threshold and bound < floor:
         return SolveResult((), False, ())
     if opts.trace:
         trace.append(f"goal {format_word(query)}")
@@ -284,8 +316,8 @@ def solve(
     fresh = itertools.count(1)
     answers: list[ComputedAnswer] = []
     exhausted = False
-    # (focus, frame of its hole, substitution, depth, trace note)
-    stack: list[tuple] = [(query, (None, (), 0, (), floor, False, None), {}, 0, None)]
+    # (focus, its value with open atoms at cap, its hole's frame, substitution, depth, note)
+    stack: list[tuple] = [(query, bound, _root(floor), {}, 0, None)]
     pushed = 0
 
     while stack:
@@ -293,10 +325,10 @@ def solve(
             err = SearchLimitError(pushed, SEARCH_LIMIT)
             err.trace = tuple(trace)
             raise err
-        focus, up, subst, depth, note = stack.pop()
+        focus, bound, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
-        if value(focus, leaf, columns, n) < up[4]:
+        if bound < up[4]:
             if opts.trace:
                 trace.append(f"[{depth}] cut {format_word(_plug(focus, up), subst)} (below bound)")
             if opts.threshold:
@@ -314,36 +346,28 @@ def solve(
         atom = subst_atom(sel, subst)
         need = up[4] if opts.threshold else 0
         unifiable = False
-        branches: list[tuple[tuple, Body, dict[str, Term]]] = []
+        branches: list[tuple] = []
         first = atom.args[0] if atom.args else None
         if isinstance(first, str):  # heads with this constant or a variable first
-            candidates = itertools.chain(
-                by_head.get((atom.pred, first), ()), by_head.get((atom.pred, None), ())
-            )
+            candidates = by_head.get((atom.pred, first), []) + by_head.get((atom.pred, None), [])
         else:
             candidates = by_head.get(atom.pred, ())
-        for pos, st, head, rename in candidates:
-            if rename:
-                tag = str(next(fresh))
-                head = _rename_atom(head, tag)
-            s2 = unify(atom, head, subst)
-            if s2 is None:
+        for pos, st, head, tagged, bound, key, local in candidates:
+            tag = str(next(fresh)) if tagged else None  # drawn per candidate: names stay put
+            if (matched := _match(head.args, atom.args, subst)) is None:
                 continue
             unifiable = True
+            if bound < need:
+                continue
+            env, s2 = matched
             if isinstance(st, Fact):
-                if st.tv < need:
-                    continue
                 replacement: Body = st.tv
-                key = (-st.tv, 0, 0, pos)
             else:
-                if need and _need(st, need, st.tv, columns, n) > value(st.body, leaf, columns, n):
-                    continue
-                body = map_atoms(st.body, lambda a: _rename_atom(a, tag))
+                env.update((name, Var(f"{name}~{tag}")) for name in local)
+                body = map_atoms(st.body, lambda a: Atom(a.pred, tuple(
+                    env[t.name] if t.__class__ is Var else t for t in a.args)))
                 replacement = Conj(st.kind, (body, st.tv))
-                key = (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
-            if opts.exhaustive:
-                key = (pos,)
-            branches.append((key, replacement, s2))
+            branches.append((pos if opts.exhaustive else key, replacement, s2, bound))
 
         if not unifiable:
             if need > 0:
@@ -352,7 +376,7 @@ def solve(
                 continue
             if opts.trace:
                 trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
-            stack.append((0, up, subst, depth, None))
+            stack.append((0, 0, up, subst, depth, None))
             pushed += depth + len(subst)
             continue
         if not branches:
@@ -374,26 +398,27 @@ def solve(
             note0 = None
             if opts.trace:
                 note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
-            stack.append((0, up, subst, depth, note0))
+            stack.append((0, 0, up, subst, depth, note0))
             pushed += depth + len(subst)
         elif not branches:
             continue
 
         branches.sort(key=lambda b: b[0])
-        for key, replacement, s2 in reversed(branches):
+        for key, replacement, s2, bound in reversed(branches):
             note = None
             if opts.trace:
                 note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
             d = depth + (replacement.__class__ is Conj)
-            stack.append((replacement, up, s2, d, note))
+            stack.append((replacement, bound, up, s2, d, note))
             pushed += d + len(s2)
 
-    if opts.best:
+    if opts.best:  # one answer per binding as shown, every unbound variable alike
         best: dict[tuple, ComputedAnswer] = {}
         for a in answers:
-            prev = best.get(a.bindings)
+            shown = tuple(t if t.__class__ is str else None for _, t in a.bindings)
+            prev = best.get(shown)
             if prev is None or a.value > prev.value:
-                best[a.bindings] = a
+                best[shown] = a
         answers = sorted(best.values(), key=lambda a: -a.value)
     return SolveResult(tuple(answers), exhausted, tuple(trace))
 

@@ -231,6 +231,28 @@ def test_query_unlimited_depth_answers_a_900_edge_chain(capsys, tmp_path):
     assert (code, out, err) == (0, "answer: ; tv=little true (v25)\n", "")
 
 
+def test_query_unlimited_depth_answers_a_1200_edge_chain(capsys, tmp_path):
+    # Rule variables bound to the goal's terms leave one binding per edge,
+    # which keeps this proof within the search limit.
+    edges = [f"edge(n{i},n{i + 1}) : {'little true' if i == 600 else 'true'}."
+             for i in range(1200)]
+    rules = ["path(X,Y) <-g edge(X,Y) : abstrue.",
+             "path(X,Y) <-g and_g(edge(X,Z), path(Z,Y)) : abstrue."]
+    prog = tmp_path / "chain1200.fllp"
+    prog.write_text("\n".join(edges + rules) + "\n")
+    code, out, err = run(capsys, "query", str(prog), "-q", "path(n0,n1200)", "--depth", "0",
+                         "--threshold", "v1")
+    assert (code, out, err) == (0, "answer: ; tv=little true (v25)\n", "")
+
+
+def test_query_best_keeps_one_answer_per_shown_binding(capsys, tmp_path):
+    # Both rules leave X unbound, so both answers show X=_ and --best keeps one.
+    prog = tmp_path / "unbound.fllp"
+    prog.write_text("q : true.\nr : very true.\np(X) <-g q : very true.\np(X) <-g r : true.\n")
+    code, out, err = run(capsys, "query", str(prog), "-q", "p(X)", "--best")
+    assert (code, out, err) == (0, "answer: X=_ ; tv=true (v33)\n", "")
+
+
 def test_query_unbounded_depth(capsys, samples_dir):
     code, out, _ = run(
         capsys, "query", str(samples_dir / "hotel.fllp"),

@@ -19,6 +19,7 @@ from fllp.lang import (
     Program,
     Rule,
     load_program,
+    map_atoms,
     parse_program,
     parse_query,
     value,
@@ -30,6 +31,7 @@ from fllp.solver import (
     _need,
     _next,
     _plug,
+    _root,
     format_answer,
     solve,
 )
@@ -280,10 +282,10 @@ def test_trace_reports_the_bound_cut(domain, table):
     cuts = [i for i, line in enumerate(result.trace) if line.endswith("(below bound)")]
     assert [result.trace[i] for i in cuts] == [
         "[2] cut and_g(and_g(v33,#more(and_g(v0,v44))),v44) (below bound)",
-        "[2] cut and_g(and_g(v33,#more(and_g(and_g(v0,#more(path(Z~4,Y~4))),v44))),v44)"
+        "[2] cut and_g(and_g(v33,#more(and_g(and_g(v0,#more(path(Z~4,Y))),v44))),v44)"
         " (below bound)",
     ]
-    # each cut word ends in one bottom answer instead of unfolding path(b,Y~4)
+    # each cut word ends in one bottom answer instead of unfolding path(b,Y)
     assert all(result.trace[i + 1] == "[2] computed v0" for i in cuts)
     shown = [format_answer(domain, a) for a in result.answers]
     assert shown == ["answer: Y=b ; tv=true (v33)"] + ["answer: Y=_ ; tv=absfalse (v0)"] * 2
@@ -354,20 +356,44 @@ def _goal_words(draw):
     return table, draw(st.recursive(leaves, extend, max_leaves=8)), draw(st.integers(1, n))
 
 
+def _resolve_leftmost(word, grade):
+    """``word`` with its leftmost open atom resolved to ``grade``."""
+    done = []
+    return map_atoms(word, lambda atom: atom if done else done.append(atom) or grade)
+
+
 @settings(max_examples=150)
 @given(_goal_words(), st.data())
 def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     # At every open atom in turn, the hole's need decides each grade the way
     # valuing the whole word does; this rests on monotone hedge columns.
+    # The word is rewritten apart from the zipper, so plugging also checks
+    # the resolved parts that climbing skipped and only _plug rebuilds.
     table, word, floor = case
     columns, n = table.columns, table.domain.n
     leaf = lambda w: n  # open atoms at top
-    sel, up, grade = _next(word, (None, (), 0, (), floor, False, None), leaf, columns, n)
+    sel, up, grade = _next(word, _root(floor), leaf, columns, n)
     while sel is not None:
         assert _plug(sel, up) == word
         for g in range(n + 1):
             assert (g >= up[4]) == (value(_plug(Grade(g), up), leaf, columns, n) >= floor)
         grade = Grade(data.draw(st.integers(0, n)))
-        word = _plug(grade, up)
+        word = _resolve_leftmost(word, grade)
         sel, up, grade = _next(grade, up, leaf, columns, n)
     assert grade == value(word, leaf, columns, n)
+
+
+def test_plug_rebuilds_parts_nested_in_skipped_parts(table):
+    # #more(p) resolves through its hedge frame into an entry of the inner
+    # and_g; #very(p) then climbs past that and_g into an entry of the
+    # outer and_l, which _plug must rebuild with the inner entry inside it.
+    columns, n = table.columns, table.domain.n
+    p = Atom("p")
+    word = Conj(LUKA, (Conj(GODEL, (HedgeApp("more", p), HedgeApp("very", p))), p))
+    leaf = lambda w: n
+    sel, up, _ = _next(word, _root(1), leaf, columns, n)
+    sel, up, _ = _next(Grade(30), up, leaf, columns, n)
+    sel, up, _ = _next(Grade(20), up, leaf, columns, n)
+    assert sel == p and any(part.__class__ is tuple for part in up[1])
+    inner = Conj(GODEL, (HedgeApp("more", Grade(30)), HedgeApp("very", Grade(20))))
+    assert _plug(sel, up) == Conj(LUKA, (inner, p))
