@@ -28,6 +28,12 @@ MIDDLE_NAME = "middle"
 TOP_NAME = "abstrue"
 RESERVED_NAMES = frozenset({BOTTOM_NAME, MIDDLE_NAME, TOP_NAME})
 
+# The conjunctions of rules and bodies on domain indices, Gödel's min(i, j)
+# and Łukasiewicz's max(i + j - n, 0), each residuated with its implication
+# (Vojtáš, "Fuzzy logic programming", FSS 2001); the engines fold them inline.
+GODEL = "godel"
+LUKA = "luka"
+
 # Most values plus hedge words (a value of k hedges holds k) a truth
 # domain may enumerate, so memory is bounded too.  The default hedges need
 # 334,965 at ``limit: 7`` and 1,514,613 at ``limit: 8``; a single hedge
@@ -447,13 +453,13 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
     return spec, tuple(overrides)
 
 
-def read_algebra_config(*paths: str | Path | None) -> str:
-    """Text of the first config file named (``None`` names none), else the
-    built-in default."""
+def read_algebra_config(*paths: str | Path | None) -> tuple[str, str | Path | None]:
+    """Text and path of the first config file named (``None`` names none),
+    else the built-in default and None."""
     for path in paths:
         if path is not None:
-            return Path(path).read_text(encoding="utf-8")
-    return DEFAULT_ALGEBRA_CONFIG
+            return Path(path).read_text(encoding="utf-8"), path
+    return DEFAULT_ALGEBRA_CONFIG, None
 
 
 def load_algebra_config(text: str):

@@ -123,11 +123,6 @@ def _env_algebra() -> str | None:
     return os.environ.get(ENV_ALGEBRA) or None
 
 
-def _load_algebra(args) -> tuple:
-    """Algebra, domain and overrides for subcommands that read no program."""
-    return load_algebra_config(read_algebra_config(args.algebra, _env_algebra()))
-
-
 def _load(args) -> tuple:
     """Program plus inverse table for subcommands that read a program."""
     from .lang import load_program
@@ -147,7 +142,8 @@ def _parse_grade(domain: TruthDomain, text: str) -> int:
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_domain(args) -> int:
-    algebra, domain, overrides = _load_algebra(args)
+    config, _ = read_algebra_config(args.algebra, _env_algebra())
+    algebra, domain, overrides = load_algebra_config(config)
     lines = [format_value(domain, i) for i in range(len(domain))]
     if args.inverse or overrides:  # building the table checks the inverse: rows
         table = build_inverse_table(domain, overrides)
@@ -189,12 +185,9 @@ def _cmd_query(args) -> int:
     from .lang import parse_query
     from .solver import SearchLimitError, SolveOptions, format_answer, solve
     program, table = _load(args)
-    threshold = None
-    if args.threshold:
-        threshold = _parse_grade(table.domain, args.threshold)
     opts = SolveOptions(
         depth=args.depth,
-        threshold=threshold,
+        threshold=None if args.threshold is None else _parse_grade(table.domain, args.threshold),
         best=args.best,
         exhaustive=args.exhaustive,
         trace=args.trace,
@@ -247,11 +240,11 @@ def _cmd_model(args) -> int:
 
 def _cmd_surface(args) -> int:
     from .control import format_surface, goodness_surface, parse_control_file
-    algebra, domain, overrides = _load_algebra(args)
-    table = build_inverse_table(domain, overrides)
-    cs = parse_control_file(Path(args.control).read_text(encoding="utf-8"), domain)
+    from .lang import load_inverse_table
+    table = load_inverse_table(args.algebra, _env_algebra())
+    cs = parse_control_file(Path(args.control).read_text(encoding="utf-8"), table.domain)
     surface = goodness_surface(cs, table)
-    _emit(format_surface(cs, domain, surface), args.out)
+    _emit(format_surface(cs, table.domain, surface), args.out)
     return 0
 
 
@@ -260,7 +253,7 @@ def _cmd_compile(args) -> int:
     from .prolog import compile_program, compile_query
     program, table = _load(args)
     text = compile_program(program, table)
-    if args.query:
+    if args.query is not None:
         text += compile_query(parse_query(args.query, table.domain), table) + "\n"
     _emit(text, args.out)
     return 0

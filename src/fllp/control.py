@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .algebra import TruthDomain, format_value, record
-from .connectives import GODEL
+from .algebra import GODEL, TruthDomain, format_value, record
 from .fixpoint import least_model
 from .inverse import InverseMappingTable
 from .lang import (

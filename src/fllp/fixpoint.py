@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .algebra import LimitError, format_value, record
-from .connectives import GODEL
+from .algebra import GODEL, LimitError, format_value, record
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,

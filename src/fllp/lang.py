@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from .algebra import (
+    GODEL,
+    LUKA,
     InputError,
     TruthDomain,
     format_value,  # re-exported
@@ -29,7 +31,6 @@ from .algebra import (
     read_algebra_config,
     record,
 )
-from .connectives import GODEL, LUKA
 from .inverse import InverseMappingTable, build_inverse_table
 
 RESERVED_PREDICATES = ("and_g", "and_l", "or")
@@ -534,6 +535,20 @@ def pretty_print(program: Program, domain: TruthDomain) -> str:
 # ---------------------------------------------------------------------------
 # loading
 
+def load_inverse_table(*paths: str | Path | None) -> InverseMappingTable:
+    """The table of the algebra that applies (see ``read_algebra_config``)
+    for a command that also reads a program or control file, so each
+    violation of a config file is prefixed with its path."""
+    text, path = read_algebra_config(*paths)
+    try:
+        _, domain, overrides = load_algebra_config(text)
+        return build_inverse_table(domain, overrides)
+    except InputError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {v}" for v in exc.violations) from None
+
+
 def load_program(
     path: str | Path,
     algebra_file: str | Path | None = None,
@@ -544,15 +559,19 @@ def load_program(
     An explicit ``algebra_file`` wins over the program's own directive,
     which is resolved relative to the program's location; without either,
     the ``fallback`` file applies, and without that the built-in algebra.
-    Only the file that applies is read.
+    Only the file that applies is read.  A directive's file that cannot be
+    read is a violation of the directive.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     directive = algebra_directive(text)
-    config = read_algebra_config(
-        algebra_file, None if directive is None else path.parent / directive, fallback
-    )
-    algebra, domain, overrides = load_algebra_config(config)
-    table = build_inverse_table(domain, overrides)
-    program = parse_program(text, domain, source=str(path))
-    return program, table
+    named = None if directive is None else path.parent / directive
+    try:
+        table = load_inverse_table(algebra_file, named, fallback)
+    except OSError as exc:
+        if algebra_file is not None or named is None:
+            raise
+        raise ParseError([f"line {_scan(text, [])[1][0]}: cannot read algebra {directive!r} "
+                          f"({exc.strerror}: {named}); the program's grades and hedges are read "
+                          "against it, so its other statements wait"]) from None
+    return parse_program(text, table.domain, source=str(path)), table

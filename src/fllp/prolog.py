@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 
-from .connectives import GODEL
+from .algebra import GODEL
 from .inverse import InverseMappingTable
-from .lang import Atom, Body, Conj, Fact, HedgeApp, ParseError, Program, Rule, Var, atoms_of
+from .lang import Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var, atoms_of
 
 QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
@@ -50,13 +50,9 @@ def _args(atom: Atom, extra: str) -> str:
     return ",".join([str(a) for a in atom.args] + [extra])
 
 
-def _emit(
-    body: Body,
-    goals: list[str],
-    fresh,
-    abbr: dict[str, str],
-    sink: str | None = None,
-) -> str:
+def _emit(body: Body, goals: list[str], fresh, abbr: dict[str, str], sink: str | None = None) -> str:
+    if body.__class__ is int:  # a grade leaf is its index
+        return str(body)
     if isinstance(body, Atom):
         v = sink or next(fresh)
         goals.append(f"{body.pred}({_args(body, v)})")
@@ -66,10 +62,7 @@ def _emit(
         v = sink or next(fresh)
         goals.append(f"inv_map({abbr[body.hedge]},{cv},{v})")
         return v
-    if isinstance(body, Conj):
-        op = "and_godel" if body.kind == GODEL else "and_luka"
-    else:
-        op = "or_godel"
+    op = "or_godel" if isinstance(body, Disj) else "and_godel" if body.kind == GODEL else "and_luka"
     parts = [_emit(p, goals, fresh, abbr) for p in body.parts]
     acc = parts[0]
     for i, nxt in enumerate(parts[1:]):
@@ -83,9 +76,7 @@ def _emit(
 def _compile_rule(rule: Rule, abbr: dict[str, str]) -> str:
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []
-    bv = _emit(rule.body, goals, fresh, abbr)
-    op = "and_godel" if rule.kind == GODEL else "and_luka"
-    goals.append(f"{op}({bv},{rule.tv},_TV0)")
+    _emit(Conj(rule.kind, (rule.body, rule.tv)), goals, fresh, abbr, sink="_TV0")
     return f"{rule.head.pred}({_args(rule.head, '_TV0')}) :- {', '.join(goals)}."
 
 

@@ -37,8 +37,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .algebra import LimitError, format_value, record
-from .connectives import GODEL
+from .algebra import GODEL, LimitError, format_value, record
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,

@@ -7,17 +7,19 @@ sorted constants for its variables in first-occurrence order, head first.
 The Herbrand base is every atom of every predicate, predicates by name.
 ``tp`` is one application of the consequence operator and ``iterate_tp``
 iterates it from the empty interpretation.  Interpretations are plain
-dicts holding nonzero grades only.
+dicts holding nonzero grades only.  ``conj`` is a rule's conjunction and
+``implicator`` its residuum, as Vojtáš defines them.
 
 Nothing here comes from ``fllp.fixpoint``: the engine is checked against
-this module, so the two share no grounding or evaluation code.
+this module, so the two share no grounding or evaluation code, and rule
+conjunctions are computed here, not by the engines' folds.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
 
-from fllp.connectives import t_norm
+from fllp.algebra import GODEL
 from fllp.lang import Atom, Fact, Rule, Var, map_atoms, value
 
 Grounding = namedtuple("Grounding", "facts rules base")
@@ -71,6 +73,16 @@ def ground(program) -> Grounding:
     return Grounding(tuple(facts), tuple(rules), tuple(base))
 
 
+def conj(kind: str, i: int, j: int, n: int) -> int:
+    """Gödel's minimum or Łukasiewicz's bounded sum of ``i`` and ``j`` in ``0..n``."""
+    return min(i, j) if kind == GODEL else max(i + j - n, 0)
+
+
+def implicator(kind: str, head: int, body: int, n: int) -> int:
+    """The residuum of ``conj``: the largest ``r`` with ``conj(kind, body, r, n) <= head``."""
+    return n if body <= head else head if kind == GODEL else n + head - body
+
+
 def body_value(rule: Rule, table, interp: dict) -> int:
     """The value of a ground rule's body under ``interp``."""
     return value(rule.body, lambda atom: interp.get(atom, 0), table.columns, table.domain.n)
@@ -81,7 +93,7 @@ def tp(grounding: Grounding, table, interp: dict) -> dict:
     support any ground statement gives it."""
     out: dict = {}
     supports = [(atom, tv) for atom, tv in grounding.facts]
-    supports += [(r.head, t_norm(r.kind, body_value(r, table, interp), r.tv, table.domain.n))
+    supports += [(r.head, conj(r.kind, body_value(r, table, interp), r.tv, table.domain.n))
                  for r in grounding.rules]
     for atom, grade in supports:
         if grade > out.get(atom, 0):

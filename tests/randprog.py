@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from fllp.algebra import HedgeAlgebraSpec, HedgeDecl, build_algebra, enumerate_domain
-from fllp.connectives import GODEL, LUKA
+from fllp.algebra import GODEL, LUKA, HedgeAlgebraSpec, HedgeDecl, build_algebra, enumerate_domain
 from fllp.lang import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
 
 CONSTS = ("a", "b", "c")

@@ -5,7 +5,7 @@ import functools
 
 from hypothesis import strategies as st
 
-from fllp.connectives import GODEL, LUKA
+from fllp.algebra import GODEL, LUKA
 from fllp.inverse import build_inverse_table
 from fllp.lang import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
 

@@ -12,15 +12,14 @@ import contextlib
 import random
 import time
 
-from fllp.algebra import load_algebra_config
+from fllp.algebra import GODEL, LUKA, load_algebra_config
 from fllp.cli import main
-from fllp.connectives import GODEL, LUKA, implicator, t_norm
 from fllp.control import compile_control, goodness_surface, parse_control_file
 from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table, validate_inverse_table
-from fllp.lang import Atom, Const, load_program, parse_query
+from fllp.lang import Atom, Conj, Const, load_program, parse_query, value
 from fllp.prolog import compile_program, compile_query
-from fllp.solver import SolveOptions, solve
+from fllp.solver import SolveOptions, _need, solve
 
 import oracle
 from conftest import ASYM_CONFIG
@@ -132,14 +131,18 @@ def test_06_adjointness(capsys):
         start = time.perf_counter()
         for kind in (GODEL, LUKA):
             for body in range(N + 1):
-                row = [t_norm(kind, body, r, N) for r in range(N + 1)]
+                # the rule conjunction as the engines value it
+                row = [value(Conj(kind, (body, r)), None, {}, N) for r in range(N + 1)]
                 assert all(row[r] <= row[r + 1] for r in range(N)), (kind, body)
                 for head in range(N + 1):
                     # largest r whose conjunction with the body stays under
                     # the head; with the row monotone this pins the whole
                     # adjointness equivalence
                     best = max(r for r in range(N + 1) if row[r] <= head)
-                    assert implicator(kind, head, body, N) == best, (kind, head, body)
+                    assert oracle.implicator(kind, head, body, N) == best, (kind, head, body)
+                    # least r whose conjunction reaches the head: the solver's bound
+                    least = min((r for r in range(N + 1) if row[r] >= head), default=N + 1)
+                    assert _need(Conj(kind, ()), head, body, {}, N) == least, (kind, head, body)
         assert time.perf_counter() - start < 10.0
 
 

@@ -96,6 +96,39 @@ def test_env_algebra_is_read_only_when_nothing_else_names_one(
     assert code == 1 and out == "" and "missing.alg" in err
 
 
+def test_a_directive_naming_a_missing_file_is_its_violation(capsys, tmp_path):
+    prog = tmp_path / "prog.fllp"
+    prog.write_text('% grades below\nuse algebra "missing.alg".\np( : true.\nq : quite true.\n')
+    assert run(capsys, "check", str(prog)) == (1, "", (
+        f"error: line 2: cannot read algebra 'missing.alg' (No such file or directory: "
+        f"{tmp_path / 'missing.alg'}); the program's grades and hedges are read against it, "
+        "so its other statements wait\n"))
+
+
+@pytest.mark.parametrize("route", ["flag", "directive", "env"])
+def test_config_violations_name_their_file_beside_a_program(
+    capsys, samples_dir, tmp_path, monkeypatch, route
+):
+    bad, prog = tmp_path / "bad.alg", tmp_path / "prog.fllp"
+    prog.write_text(('use algebra "bad.alg".\n' if route == "directive" else "") + "p : true.\n")
+    flag = ("--algebra", str(bad)) if route == "flag" else ()
+    if route == "env":
+        monkeypatch.setenv("FLLP_ALGEBRA", str(bad))
+    rows = DEFAULT_ALGEBRA_CONFIG + "inverse: very tru -> true\n"
+    for text, violation in [("primary: false, true\nlimit: 1\nbogus: 1\n",
+                             "line 3: unknown declaration 'bogus'"),
+                            (rows, "line 17: truth literal must end in a primary name, got 'tru'")]:
+        bad.write_text(text)
+        for argv in (["check"], ["model"], ["compile"], ["query", "-q", "p"]):
+            got = run(capsys, argv[0], str(prog), *flag, *argv[1:])
+            assert got == (1, "", f"error: {bad}: {violation}\n"), argv
+        if route != "directive":
+            got = run(capsys, "surface", str(samples_dir / "heater.ctl"), *flag)
+            assert got == (1, "", f"error: {bad}: {violation}\n")
+            # without a program or control file the config's own lines suffice
+            assert run(capsys, "domain", *flag) == (1, "", f"error: {violation}\n")
+
+
 def test_check_reports_ok(capsys, samples_dir):
     code, out, err = run(capsys, "check", str(samples_dir / "hotel.fllp"))
     assert code == 0 and out == "ok: 4 fact(s), 2 rule(s)\n" and err == ""
@@ -136,6 +169,15 @@ def test_query_threshold_forms(capsys, samples_dir):
     assert "X=ritz" in out
     code, _, err = run(capsys, "query", prog, "-q", "su_ho(X)", "--threshold", "v99")
     assert code == 1 and "outside the domain" in err
+
+
+@pytest.mark.parametrize("blank", ["", " "])
+def test_an_empty_argument_is_given_not_omitted(capsys, samples_dir, blank):
+    prog = str(samples_dir / "hotel.fllp")
+    assert run(capsys, "query", prog, "--threshold", blank, "-q", "su_ho(X)") == (
+        1, "", "error: empty truth literal\n")
+    assert run(capsys, "compile", prog, "-q", blank) == (
+        1, "", "error: line 1: expected a body, found end of input\n")
 
 
 def test_query_threshold_zero_prunes_nothing(capsys, tmp_path):
@@ -412,7 +454,7 @@ def test_package_root_loads_only_the_algebra_layers():
     )
     assert proc.returncode == 0, proc.stderr
     loaded, names = proc.stdout.splitlines()
-    assert loaded == str(["fllp.algebra", "fllp.connectives", "fllp.inverse"])
+    assert loaded == str(["fllp.algebra", "fllp.inverse"])
     assert names == str(sorted([
         "DEFAULT_ALGEBRA_CONFIG", "GODEL", "LUKA", "HedgeAlgebraSpec", "HedgeDecl",
         "build_algebra", "build_inverse_table", "enumerate_domain", "load_algebra_config",

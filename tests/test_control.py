@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fllp.algebra import InputError, LimitError
-from fllp.connectives import GODEL, LUKA
+from fllp.algebra import GODEL, LUKA, InputError, LimitError
 from fllp.control import (
     compile_control,
     format_surface,

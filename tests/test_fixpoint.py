@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from fllp.connectives import GODEL
+from fllp.algebra import GODEL
 from fllp.fixpoint import (
     GroundingLimitError,
     Interpretation,

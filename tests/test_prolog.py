@@ -2,10 +2,23 @@ from __future__ import annotations
 
 import pytest
 
-from fllp.algebra import load_algebra_config
+from fllp.algebra import GODEL, LUKA, load_algebra_config
 from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table
-from fllp.lang import ParseError, load_program, parse_program, parse_query, validate_program
+from fllp.lang import (
+    Atom,
+    Conj,
+    Disj,
+    HedgeApp,
+    ParseError,
+    Program,
+    Rule,
+    Var,
+    load_program,
+    parse_program,
+    parse_query,
+    validate_program,
+)
 from fllp.prolog import compile_program, compile_query
 
 from expected import (
@@ -78,6 +91,15 @@ def test_rule_bodies_chain_fresh_truth_variables(samples_dir):
     assert (
         "re_co(X,_TV0) :- ne_ce(X,_TV1), ne_be(X,_TV2), or_godel(_TV1,_TV2,_TV3), "
         "and_luka(_TV3,41,_TV0)." in lines
+    )
+
+
+def test_grade_leaves_compile_as_their_indices(table):
+    body = Conj(GODEL, (Atom("q", (Var("X"),)), HedgeApp("very", 30), Disj((Atom("r"), 12))))
+    program = Program((Rule(Atom("p", (Var("X"),)), LUKA, body, 40),))
+    assert compile_program(program, table).splitlines()[-1] == (
+        "p(X,_TV0) :- q(X,_TV1), inv_map(v,30,_TV2), r(_TV3), or_godel(_TV3,12,_TV4), "
+        "and_godel(_TV1,_TV2,_TV5), and_godel(_TV5,_TV4,_TV6), and_luka(_TV6,40,_TV0)."
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fllp import solver
-from fllp.connectives import GODEL, LUKA
+from fllp.algebra import GODEL, LUKA
 from fllp.fixpoint import least_model
 from fllp.lang import (
     Atom,
