@@ -17,19 +17,22 @@ add nothing), and ``ground`` builds them as rules.  ``least_model`` works
 on atom ids: an instance is its head's id and its body atoms' ids, each
 rule is compiled once into a function of those ids and of an
 interpretation held as a list by id, and the join emits instances in that
-form.  Rounds are semi-naive: the first fires every instance, each later
-one only those with a body atom that rose in the round before, reading the
-interpretation the previous round left.  The iterates ascend, so an
-instance not fired gives at most its head's value: every round equals a
-full application.  The grounding counts the Herbrand base and the fact
-instances before building anything, then each rule instance as it is
-found, and stops at ``GROUND_LIMIT``.
+form.  Rounds are semi-naive: the first reads bottom everywhere, so it
+fires the facts and only the instances of rules nonzero there (one probe
+per rule tells), and each later one those with a body atom that rose in
+the round before, reading the interpretation the previous round left.
+The iterates ascend, so an instance not fired gives at most its head's
+value: every round, and so the round count, equals a full application's.
+The grounding counts the Herbrand base and the fact instances before
+building anything, then each rule instance as it is found, and stops at
+``GROUND_LIMIT``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .algebra import GODEL, LimitError, format_value, record
 from .inverse import InverseMappingTable
@@ -160,38 +163,45 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
     queue = list(dict.fromkeys((a.pred, a.args) for a, tv in facts if tv))
     derivable = set(queue)
     ids = {atom: i for i, atom in enumerate(queue)}
-    # pred -> bound argument positions -> their values -> ground args
-    indexes: dict[str, dict[tuple[int, ...], dict]] = {}
+    # pred -> bound argument positions -> (their getter, their values -> ground args)
+    indexes: dict[str, dict[tuple[int, ...], tuple]] = {}
     triggers: dict[str, list] = {}
 
-    def emit(r: int, env: list, free: tuple[int, ...], nvars: int, head, leaves) -> None:
-        nonlocal needed
-        for combo in itertools.product(universe, repeat=len(free)):
-            for s, c in zip(free, combo):
-                env[s] = c
-            binding = tuple(env[:nvars])
-            if binding in found[r]:
-                continue
+    def emitter(found_r: dict, free: tuple[int, ...], binding, head, leaves):
+        """``done(env)``: record each instance ``env`` completes over its ``free`` slots."""
+        pred, head_args = head
+
+        def add(env: list) -> None:
+            nonlocal needed
+            key = binding(env)
+            if key in found_r:
+                return
             needed += 1
             if needed > limit:
                 raise GroundingLimitError(needed, limit)
-            atom = (head[0], tuple([env[s] for s in head[1]]))
-            found[r][binding] = (ids.setdefault(atom, len(ids)), tuple(
-                [ids.setdefault((p, tuple([env[s] for s in pos])), len(ids)) for p, pos in leaves]))
+            atom = (pred, head_args(env))
+            found_r[key] = (ids.setdefault(atom, len(ids)), tuple(
+                [ids.setdefault((p, args(env)), len(ids)) for p, args in leaves]))
             if atom not in derivable:
                 derivable.add(atom)
                 queue.append(atom)
 
-    def join(steps, k: int, env: list, done) -> None:
-        if k == len(steps):
-            done(env)
-            return
-        idx, key, assign, check = steps[k]
-        for args in idx.get(tuple([env[s] for s in key]), ()):
-            for p, s in assign:
-                env[s] = args[p]
-            if all(args[p] == env[s] for p, s in check):
-                join(steps, k + 1, env, done)
+        def done(env: list) -> None:
+            for combo in itertools.product(universe, repeat=len(free)):
+                for s, c in zip(free, combo):
+                    env[s] = c
+                add(env)
+        return done if free else add
+
+    def step(idx: dict, key, assign, check, then):
+        """Match one more atom through ``idx``, then go on with ``then(env)``."""
+        def run(env: list) -> None:
+            for args in idx.get(key(env), ()):
+                for p, s in assign:
+                    env[s] = args[p]
+                if not check or all(args[p] == env[s] for p, s in check):
+                    then(env)
+        return run
 
     for r, rule in enumerate(rules):
         names = _rule_vars(rule)
@@ -207,13 +217,14 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
                 template.append(term)
             return slots[key]
 
-        head = (rule.head.pred, tuple(slot(a) for a in rule.head.args))
-        leaves = [(a.pred, tuple(slot(t) for t in a.args)) for a in atoms_of(rule.body)]
+        head = (rule.head.pred, _getter([slot(a) for a in rule.head.args]))
+        leaves = [(a.pred, _getter([slot(t) for t in a.args])) for a in atoms_of(rule.body)]
+        binding = _getter(range(len(names)))
         for alt in _alternatives(rule.body):
             consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, str)}
             bound = {slot(a) for atom in alt for a in atom.args}
             free = tuple(s for s in range(len(names)) if s not in bound)
-            done = functools.partial(emit, r, free=free, nvars=len(names), head=head, leaves=leaves)
+            done = emitter(found[r], free, binding, head, leaves)
             if not alt:
                 done(list(template))
             for i, first in enumerate(alt):
@@ -224,26 +235,32 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
                     best = max(rest, key=lambda a: sum(slot(t) in seen for t in a.args))
                     rest.remove(best)
                     plan.append(_step(best, slot, seen))
-                steps = [
-                    (indexes.setdefault(pred, {}).setdefault(pos, {}), *match)
-                    for pred, pos, *match in plan[1:]
-                ]
-                triggers.setdefault(first.pred, []).append(
-                    (template, *plan[0][1:], steps, done)
-                )
+                run = done
+                for pred, pos, key, assign, check in reversed(plan[1:]):
+                    idx = indexes.setdefault(pred, {}).setdefault(pos, (_getter(pos), {}))[1]
+                    run = step(idx, _getter(key), assign, check, run)
+                triggers.setdefault(first.pred, []).append((template, *plan[0][1:], run))
 
     for pred, args in queue:  # grows while it is walked
-        for positions, idx in indexes.get(pred, {}).items():
-            idx.setdefault(tuple([args[p] for p in positions]), []).append(args)
-        for template, positions, key, assign, check, steps, done in triggers.get(pred, ()):
+        for get, idx in indexes.get(pred, {}).values():
+            idx.setdefault(get(args), []).append(args)
+        for template, positions, key, assign, check, run in triggers.get(pred, ()):
             env = list(template)
             if any(args[p] != env[s] for p, s in zip(positions, key)):
                 continue
             for p, s in assign:
                 env[s] = args[p]
-            if all(args[p] == env[s] for p, s in check):
-                join(steps, 0, env, done)
+            if not check or all(args[p] == env[s] for p, s in check):
+                run(env)
     return found, ids
+
+
+def _getter(slots):
+    """``get(seq)``: the tuple of ``seq``'s items at ``slots``."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda seq: (seq[s],)
+    return operator.itemgetter(*slots) if slots else lambda seq: ()
 
 
 def _step(atom: Atom, slot, bound: set[int]) -> tuple:
@@ -320,9 +337,13 @@ def least_model(
         consts, needed = _frame(program, limit)
         facts = _ground_facts(program, consts)
         found, ids = _relevant_bindings(program.rules, consts, facts, needed, limit)
-        grades = [_compile(rule, columns, n, cache)[0] for rule in program.rules]
-        instances = [(head, grade, leaves) for grade, bindings in zip(grades, found)
-                     for head, leaves in bindings.values()]
+        instances, fired = [], []
+        for rule, bindings in zip(program.rules, found):
+            grade, atoms = _compile(rule, columns, n, cache)
+            # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
+            if bindings and grade((0,), (0,) * len(atoms)):
+                fired += range(len(instances), len(instances) + len(bindings))
+            instances += [(head, grade, leaves) for head, leaves in bindings.values()]
         facts = [((a.pred, a.args), tv) for a, tv in facts]
     else:
         ids, instances, facts = {}, [], gp.facts
@@ -330,15 +351,17 @@ def least_model(
             grade, leaves = _compile(rule, columns, n, cache)
             instances.append((ids.setdefault(rule.head, len(ids)), grade,
                               tuple([ids.setdefault(a, len(ids)) for a in leaves])))
-    instances += [(ids.setdefault(a, len(ids)), lambda I, L, tv=tv: tv, ())
-                  for a, tv in facts if tv]
+        fired = list(range(len(instances)))
+    facts = [(ids.setdefault(a, len(ids)), lambda I, L, tv=tv: tv, ()) for a, tv in facts if tv]
+    fired += range(len(instances), len(instances) + len(facts))
+    instances += facts
     triggers: list[list[int]] = [[] for _ in ids]
     for i, (_, _, leaves) in enumerate(instances):
         for a in leaves:
             triggers[a].append(i)
     interp, raised = [0] * len(ids), {}
     # only interned atoms rise, each at most n times
-    fired, rounds, cap = range(len(instances)), 1, len(ids) * (n + 1) + 1
+    rounds, cap = 1, len(ids) * (n + 1) + 1
     while True:
         for i in fired:
             head, grade, leaves = instances[i]

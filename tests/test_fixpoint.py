@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from fllp import fixpoint
 from fllp.algebra import GODEL
+from fllp.control import compile_control, parse_control_file
 from fllp.fixpoint import (
     GroundingLimitError,
     Interpretation,
@@ -19,6 +21,7 @@ from fllp.fixpoint import (
 from fllp.inverse import build_inverse_table
 from fllp.lang import (
     Atom,
+    Conj,
     Const,
     Disj,
     Fact,
@@ -230,6 +233,64 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
         "p(a)", "p(b)", "r(a)", "r(b)",
     ]
     _check_against_the_oracle(program, table)
+
+
+# Shapes the join handles apart, which ``strategies.programs`` does not all
+# draw: source, then what grounding counts before the join (the Herbrand base
+# and the fact instances), then that plus the relevant rule instances.
+JOIN_SHAPES = {
+    "zero-arity": ("q : true.\np <-g q : very true.\nr <-l and_l(p, #very(q)) : true.\n", 4, 6),
+    "one-argument": ("q(a) : true.\nq(b) : more true.\np(X) <-g #very(q(X)) : true.\n", 6, 8),
+    "repeated-variable": ("e(a,a) : true.\ne(a,b) : true.\ne(b,b) : very true.\n"
+                          "s(X,X) <-g e(X,X) : true.\nt(X) <-g s(X,X) : very true.\n", 13, 17),
+    "head-only-variable": ("q(a) : true.\nq(b) : true.\np(X,Y) <-g q(X) : true.\n", 8, 12),
+    "constant-in-body": ("e(a,b) : true.\ne(b,b) : more true.\ne(b,c) : true.\n"
+                         "p(X) <-g e(X,b) : true.\n", 15, 17),
+    # each diagonal binding is found from both of its atoms, and counted once
+    "self-join": ("q(a) : true.\nq(b) : more true.\nq(c) : very true.\n"
+                  "r(X,Y) <-g and_g(q(X), q(Y)) : true.\n", 15, 24),
+    "or-same-binding": ("q(a) : true.\ns(a) : more true.\ns(b) : true.\n"
+                        "p(X) <-g or(q(X), s(X)) : true.\n", 9, 11),
+    # nonzero with every body atom at bottom, and no body atom ever rises
+    "grade-leaf": (Program((
+        Rule(Atom("p", ()), GODEL, Disj((Atom("q", ()), Grade(3))), 44),
+        Rule(Atom("r", (Var("X"),)), GODEL, Conj(GODEL, (Atom("p", ()), Atom("s", (Var("X"),)))), 44),
+        Fact(Atom("s", (Const("a"),)), 33),
+    )), 5, 7),
+}
+
+
+@pytest.mark.parametrize("shape", JOIN_SHAPES)
+def test_join_shapes_agree_with_the_oracle_and_count_exactly(shape, domain, table):
+    source, before, total = JOIN_SHAPES[shape]
+    program = parse_program(source, domain) if isinstance(source, str) else source
+    _check_against_the_oracle(program, table)
+    assert len(ground(program, limit=total).rules) == total - before
+    for limit, needed in ((before - 1, before), (total - 1, total)):
+        for grounding in (lambda: least_model(program, table, limit=limit),
+                          lambda: ground(program, limit)):
+            with pytest.raises(GroundingLimitError) as err:
+                grounding()
+            assert (err.value.needed, err.value.limit) == (needed, limit)
+
+
+def test_each_relevant_instance_is_evaluated_once(monkeypatch, samples_dir, table):
+    """Round 1 reads bottom everywhere, so it fires the facts and only the
+    rules nonzero there: on the heater sample, each rule instance is
+    evaluated once, in the round after its facts, plus one probe per rule."""
+    control = parse_control_file((samples_dir / "heater.ctl").read_text(), table.domain)
+    program = compile_control(control)
+    instances = len(ground(program).rules)
+    compile_, calls = fixpoint._compile, []
+
+    def counted(*args):
+        grade, atoms = compile_(*args)
+        return lambda I, L: calls.append(L) or grade(I, L), atoms
+
+    monkeypatch.setattr(fixpoint, "_compile", counted)
+    _, rounds = least_model(program, table)
+    assert instances > len(program.rules) and rounds == 3
+    assert instances <= len(calls) <= instances + len(program.rules)
 
 
 @settings(max_examples=150)
