@@ -18,6 +18,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import errno
 import functools
 from collections import namedtuple
 from pathlib import Path
@@ -453,12 +454,22 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
     return spec, tuple(overrides)
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text.  A file that is not UTF-8 cannot be read, as a missing
+    one cannot: the ``OSError`` names its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text, byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        raise OSError(errno.EILSEQ, reason, str(path)) from None
+
+
 def read_algebra_config(*paths: str | Path | None) -> tuple[str, str | Path | None]:
     """Text and path of the first config file named (``None`` names none),
     else the built-in default and None."""
     for path in paths:
         if path is not None:
-            return Path(path).read_text(encoding="utf-8"), path
+            return read_text(path), path
     return DEFAULT_ALGEBRA_CONFIG, None
 
 

@@ -10,18 +10,19 @@ The algebra is taken from ``--algebra``, else from the program's own
 ``use algebra`` directive, else from the file named by the
 ``FLLP_ALGEBRA`` environment variable, else the built-in default.
 
-Exit codes: 0 on success, 1 for usage, parse or validation problems, 2
-when resources ran out (truth-domain or grounding cap, search limit, or a
-depth-limited search that may have missed answers).
+Exit codes: 0 on success and after ``--help``, 1 for usage, parse or
+validation problems, 2 when resources ran out (truth-domain or grounding
+cap, search limit, or a depth-limited search that may have missed
+answers).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .algebra import (
     LimitError,
@@ -29,6 +30,7 @@ from .algebra import (
     format_value,
     load_algebra_config,
     read_algebra_config,
+    read_text,
 )
 from .inverse import build_inverse_table
 # lang, fixpoint, solver, prolog and control load only in the subcommands
@@ -37,71 +39,117 @@ from .inverse import build_inverse_table
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# One row per subcommand: its help, its positional (name, help) or (), and its
+# options as (flags, metavar, default, help).  An option without a metavar is
+# a switch; the metavar N takes a count, 0 or more, and one in braces lists
+# the choices.  The rows drive parsing, usage errors and --help.
+_HELP = ("-h --help", None, None, "show this help message and exit")
+_ALGEBRA = ("--algebra", "FILE", None, "algebra config file")
+_OUT = ("--out", "FILE", None, "write to FILE instead of stdout")
+_PROGRAM = ("program", "program file")
+_COMMAND_LINE = {
+    "domain": ("print the truth domain", (), [
+        _ALGEBRA, ("--inverse", None, False, "also print inverse mappings"), _OUT]),
+    "check": ("parse and validate a program", _PROGRAM, [
+        _ALGEBRA, ("--safe", None, False, "require ground facts and range-restricted rules")]),
+    "query": ("answer queries top-down", _PROGRAM, [
+        _ALGEBRA, ("-q --query", "QUERY", None, "query; omit for a REPL on stdin"),
+        ("--depth", "N", 64, "rule unfoldings per branch, 0 for unlimited (default 64)"),
+        ("--threshold", "GRADE", None, "only answers at or above this grade ('probably true' or v30)"),
+        ("--best", None, False, "best answer per binding only"),
+        ("--exhaustive", None, False, "explore statements in program order instead of best-first"),
+        ("--trace", None, False, "print resolution steps"), _OUT]),
+    "model": ("compute the least model bottom-up", _PROGRAM, [
+        _ALGEBRA, ("--mode", "{naive,delta}", "naive",
+                   "accepted for compatibility; both run the same engine"), _OUT]),
+    "surface": ("evaluate a control file", ("control", "control file"), [_ALGEBRA, _OUT]),
+    "compile": ("emit plain clause text", _PROGRAM, [
+        _ALGEBRA, ("-q --query", "QUERY", None, "also emit this query"), _OUT]),
+}
 
 
-def _depth(text: str) -> int:
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = -1
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer, 0 or more, not {text!r}")
-    return depth
+def _exit(command: str | None, error: str = ""):
+    """Exit 1 after the usage of ``command`` (None: of fllp itself) and the
+    usage ``error``, or 0 after its help: a line per subcommand or argument."""
+    prog = f"fllp {command}" if command else "fllp"
+    _, positional, options = _COMMAND_LINE[command] if command else ("", (), [])
+    words = [f"[{opt[0].split()[0]}{' ' + opt[1] if opt[1] else ''}]" for opt in (_HELP, *options)]
+    words += positional[:1] if command else ["{" + ",".join(_COMMAND_LINE) + "} ..."]
+    usage = f"usage: {prog} {' '.join(words)}\n"
+    if error:
+        sys.stderr.write(f"{usage}{prog}: error: {error}\n")
+        raise SystemExit(1)
+    rows = [] if command else [(name, row[0]) for name, row in _COMMAND_LINE.items()]
+    rows += [positional] if positional else []
+    rows += [(f"{', '.join(opt[0].split())} {opt[1] or ''}", opt[3]) for opt in (_HELP, *options)]
+    sys.stdout.write(usage + "\n" + "".join(f"  {left:<22} {text}\n" for left, text in rows))
+    raise SystemExit(0)
 
 
-def _build_parser() -> _ArgumentParser:
-    top = _ArgumentParser(prog="fllp", description=__doc__.split("\n\n")[0])
-    sub = top.add_subparsers(dest="command", required=True)
+def _parse_args(argv) -> SimpleNamespace:
+    """``argv`` read against the row of its subcommand: a long option may be
+    cut to a prefix no other option shares, a value may follow ``=`` (or
+    ``-q`` directly), and everything after ``--`` is a positional."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    command = args.pop(0) if args else None
+    if command in ("-h", "--h", "--he", "--hel", "--help"):
+        _exit(None)
+    if command not in _COMMAND_LINE:
+        _exit(None, "the following arguments are required: command" if command is None else
+              f"argument command: invalid choice: {command!r} "
+              f"(choose from {', '.join(map(repr, _COMMAND_LINE))})")
+    _, positional, options = _COMMAND_LINE[command]
+    flags = {flag: opt for opt in (_HELP, *options) for flag in opt[0].split()}
 
-    def algebra_opt(p):
-        p.add_argument("--algebra", metavar="FILE", help="algebra config file")
+    def option(arg):  # None for a positional, else the option (None: unknown) and its value
+        if arg in flags:
+            return flags[arg], None
+        if arg[:1] != "-" or arg == "-":
+            return None
+        name, eq, value = (arg.partition("=") if arg[1] == "-"  # else -qVALUE or -q=VALUE
+                           else (arg[:2], "=", arg[2:].removeprefix("=")))
+        found = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            _exit(command, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return flags[found[0]], value if eq else None
+        return None if re.fullmatch(r"-\d+|-\d*\.\d+", arg) or " " in arg else (None, None)
 
-    p = sub.add_parser("domain", help="print the truth domain")
-    algebra_opt(p)
-    p.add_argument("--inverse", action="store_true", help="also print inverse mappings")
-    p.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
-
-    p = sub.add_parser("check", help="parse and validate a program")
-    algebra_opt(p)
-    p.add_argument("program", help="program file")
-    p.add_argument("--safe", action="store_true", help="require ground facts and range-restricted rules")
-
-    p = sub.add_parser("query", help="answer queries top-down")
-    algebra_opt(p)
-    p.add_argument("program", help="program file")
-    p.add_argument("-q", "--query", help="query; omit for a REPL on stdin")
-    p.add_argument("--depth", type=_depth, default=64, metavar="N",
-                   help="rule unfoldings per branch, 0 for unlimited (default 64)")
-    p.add_argument("--threshold", metavar="GRADE",
-                   help="only answers at or above this grade ('probably true' or v30)")
-    p.add_argument("--best", action="store_true", help="best answer per binding only")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="explore statements in program order instead of best-first")
-    p.add_argument("--trace", action="store_true", help="print resolution steps")
-    p.add_argument("--out", metavar="FILE", help="write answers to a file")
-
-    p = sub.add_parser("model", help="compute the least model bottom-up")
-    algebra_opt(p)
-    p.add_argument("program", help="program file")
-    p.add_argument("--mode", choices=("naive", "delta"), default="naive",
-                   help="accepted for compatibility; both run the same engine")
-    p.add_argument("--out", metavar="FILE", help="write the model to a file")
-
-    p = sub.add_parser("surface", help="evaluate a control file")
-    algebra_opt(p)
-    p.add_argument("control", help="control file")
-    p.add_argument("--out", metavar="FILE", help="write the surface to a file")
-
-    p = sub.add_parser("compile", help="emit plain clause text")
-    algebra_opt(p)
-    p.add_argument("program", help="program file")
-    p.add_argument("-q", "--query", help="also emit this query")
-    p.add_argument("--out", metavar="FILE", help="write clauses to a file")
-    return top
+    cut = args.index("--") if "--" in args else len(args)  # hit False: that "--"; None: positional
+    hits = [option(arg) for arg in args[:cut]] + [False] + [None] * len(args[cut + 1:])
+    values = {"command": command, **{opt[0].split()[-1][2:]: opt[2] for opt in options}}
+    extras, pairs, beside = [], iter(zip(args, hits)), False
+    for arg, hit in pairs:
+        if hit is None and positional and positional[0] not in values:
+            values[positional[0]], beside = arg, True
+            continue
+        if hit is False and positional and (positional[0] not in values or beside):
+            continue  # a "--" before the positional, or right after it, is spent
+        beside = False
+        if not hit or hit[0] is None:  # a surplus positional or "--", or an unknown option
+            extras.append(arg)
+            continue
+        (spec, metavar, _, _), value = hit
+        names = "/".join(spec.split())
+        if metavar is None and value is not None:
+            _exit(command, f"argument {names}: ignored explicit argument {value!r}")
+        if spec == _HELP[0]:
+            _exit(command)
+        if value is None and metavar is not None:
+            value, following = next(pairs, (None, ()))
+            if following is not None:
+                _exit(command, f"argument {names}: expected one argument")
+        if metavar == "N" and not value.isdecimal():
+            _exit(command, f"argument {names}: expected an integer, 0 or more, not {value!r}")
+        if metavar and metavar[0] == "{" and value not in metavar[1:-1].split(","):
+            _exit(command, f"argument {names}: invalid choice: {value!r} (choose from "
+                           f"{', '.join(map(repr, metavar[1:-1].split(',')))})")
+        values[spec.split()[-1][2:]] = metavar is None or (int(value) if metavar == "N" else value)
+    if positional and positional[0] not in values:
+        _exit(command, f"the following arguments are required: {positional[0]}")
+    if extras:
+        _exit(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -242,7 +290,7 @@ def _cmd_surface(args) -> int:
     from .control import format_surface, goodness_surface, parse_control_file
     from .lang import load_inverse_table
     table = load_inverse_table(args.algebra, _env_algebra())
-    cs = parse_control_file(Path(args.control).read_text(encoding="utf-8"), table.domain)
+    cs = parse_control_file(read_text(args.control), table.domain)
     surface = goodness_surface(cs, table)
     _emit(format_surface(cs, table.domain, surface), args.out)
     return 0
@@ -270,7 +318,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (LimitError, OSError, ValueError) as exc:

@@ -29,6 +29,7 @@ from .algebra import (
     format_value,  # re-exported
     load_algebra_config,
     read_algebra_config,
+    read_text,
     record,
 )
 from .inverse import InverseMappingTable, build_inverse_table
@@ -563,7 +564,7 @@ def load_program(
     read is a violation of the directive.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     directive = algebra_directive(text)
     named = None if directive is None else path.parent / directive
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fllp import cli
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
 from fllp.cli import main
 from fllp.fixpoint import least_model
@@ -469,14 +471,21 @@ def test_package_root_loads_only_the_algebra_layers():
     (["surface", "heater.ctl"], ["fllp.prolog", "fllp.solver", "dataclasses"]),
     # query loads dataclasses for SolveOptions
     (["query", "hotel.fllp", "-q", "su_ho(X)"], ["fllp.control", "fllp.fixpoint", "fllp.prolog"]),
+    (["--help"], ["fllp.lang", "dataclasses"]),
+    (["query", "--help"], ["fllp.lang", "dataclasses"]),
 ])
 def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
-    argv = [argv[0], *(str(samples_dir / a) for a in argv[1:2]), *argv[2:]]
+    # no command line parser library either: argparse costs gettext and locale
+    unused = [*unused, "argparse", "gettext", "locale"]
+    argv = [str(samples_dir / a) if a.endswith((".fllp", ".ctl")) else a for a in argv]
     code = (
         "import json, sys\n"
         "from fllp.cli import main\n"
-        f"code = main({argv!r})\n"
-        "loaded = [m for m in sys.modules if m.startswith('fllp.') or m == 'dataclasses']\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"loaded = [m for m in sys.modules if m.startswith('fllp.') or m in {unused!r}]\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -763,3 +772,138 @@ def test_usage_problems_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+
+
+# Each subcommand's fields when only its positional is given.
+DEFAULT_FIELDS = {
+    "domain": {"algebra": None, "inverse": False, "out": None},
+    "check": {"algebra": None, "program": "p.fllp", "safe": False},
+    "query": {"algebra": None, "program": "p.fllp", "query": None, "depth": 64,
+              "threshold": None, "best": False, "exhaustive": False, "trace": False, "out": None},
+    "model": {"algebra": None, "program": "p.fllp", "mode": "naive", "out": None},
+    "surface": {"algebra": None, "control": "h.ctl", "out": None},
+    "compile": {"algebra": None, "program": "p.fllp", "query": None, "out": None},
+}
+P = "p.fllp"
+QUERY_ERROR = "fllp query: error: "
+
+# argv, then the fields it sets or the last line of its usage error
+PARSES = [
+    (["query", P, "--query", "p(X)"], {"query": "p(X)"}),
+    (["query", P, "--query=p(X)"], {"query": "p(X)"}),
+    (["query", P, "-qp(X)"], {"query": "p(X)"}),
+    (["query", P, "-q=p(X)"], {"query": "p(X)"}),
+    (["query", P, "--thr", "v30"], {"threshold": "v30"}),
+    (["query", P, "--thr=v30"], {"threshold": "v30"}),
+    (["query", "-q", "p(X)", "--best", P, "--exhaustive", "--trace"],
+     {"query": "p(X)", "best": True, "exhaustive": True, "trace": True}),
+    (["query", P, "--depth", "3", "--depth", "5"], {"depth": 5}),
+    (["query", P, "--depth", "0"], {"depth": 0}),
+    (["query", P, "--depth", "07"], {"depth": 7}),
+    (["query", P, "-q", ""], {"query": ""}),
+    (["query", P, "--threshold", "-a b"], {"threshold": "-a b"}),
+    (["model", P, "--mode=delta", "--out", "m.txt"], {"mode": "delta", "out": "m.txt"}),
+    (["model", "--", P], {}),
+    (["check", "--", "--safe"], {"program": "--safe"}),
+    (["check", "-3"], {"program": "-3"}),
+    (["check", P, "--safe", "--algebra", "a.alg"], {"safe": True, "algebra": "a.alg"}),
+    (["surface", "--out=s.txt", "h.ctl"], {"out": "s.txt"}),
+    (["compile", P, "--q", "p(X)", "--o", "c.pl"], {"query": "p(X)", "out": "c.pl"}),
+    (["domain", "--in", "--alg=a.alg"], {"inverse": True, "algebra": "a.alg"}),
+    (["query", P, "--t", "v30"],
+     QUERY_ERROR + "ambiguous option: --t could match --threshold, --trace"),
+    (["query", P, "--depth", "x", "--t"],  # every option is looked up before any is read
+     QUERY_ERROR + "ambiguous option: --t could match --threshold, --trace"),
+    (["query", P, "--best=1"], QUERY_ERROR + "argument --best: ignored explicit argument '1'"),
+    (["query", P, "--depth", "-3"],
+     QUERY_ERROR + "argument --depth: expected an integer, 0 or more, not '-3'"),
+    (["query", P, "--depth", "x"],
+     QUERY_ERROR + "argument --depth: expected an integer, 0 or more, not 'x'"),
+    (["query", P, "-q"], QUERY_ERROR + "argument -q/--query: expected one argument"),
+    (["query", P, "-q", "--best"], QUERY_ERROR + "argument -q/--query: expected one argument"),
+    (["model", P, "--mode", "fast"],
+     "fllp model: error: argument --mode: invalid choice: 'fast' (choose from 'naive', 'delta')"),
+    (["check", P, "second.fllp"], "fllp: error: unrecognized arguments: second.fllp"),
+    (["check", P, "--bogus"], "fllp: error: unrecognized arguments: --bogus"),
+    (["check", P, "--", "--safe"], "fllp: error: unrecognized arguments: --safe"),
+    (["check"], "fllp check: error: the following arguments are required: program"),
+    ([], "fllp: error: the following arguments are required: command"),
+    (["frobnicate"], "fllp: error: argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'domain', 'check', 'query', 'model', 'surface', 'compile')"),
+]
+
+
+@pytest.mark.parametrize("argv, want", PARSES)
+def test_the_command_line_parses_as_pinned(capsys, monkeypatch, argv, want):
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+    if isinstance(want, dict):
+        assert main(argv) == 0
+        assert seen == [{"command": argv[0], **DEFAULT_FIELDS[argv[0]], **want}]
+        assert tuple(capsys.readouterr()) == ("", "")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, seen, out) == (1, [], "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: fllp") and lines[-1] == want
+
+
+SUMMARIES = {
+    "domain": "print the truth domain",
+    "check": "parse and validate a program",
+    "query": "answer queries top-down",
+    "model": "compute the least model bottom-up",
+    "surface": "evaluate a control file",
+    "compile": "emit plain clause text",
+}
+# every option's metavar; the options not named here are switches
+METAVARS = {"algebra": "FILE", "out": "FILE", "query": "QUERY", "depth": "N",
+            "threshold": "GRADE", "mode": "{naive,delta}"}
+
+
+@pytest.mark.parametrize("command", [None, *SUMMARIES])
+def test_help_lists_the_subcommands_or_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: fllp ")
+    if command is None:
+        for name, summary in SUMMARIES.items():
+            assert re.search(rf"^  {name} +{re.escape(summary)}$", out, re.M), name
+        return
+    fields = DEFAULT_FIELDS[command]
+    for name in fields:
+        if name in ("program", "control"):
+            assert re.search(rf"^  {name} +{name} file$", out, re.M)
+            continue
+        left = f"--{name}" + (f" {METAVARS[name]}" if name in METAVARS else "")
+        assert re.search(rf"^  (-q, )?{re.escape(left)} +\w", out, re.M), left
+    assert len(re.findall(r"^  -", out, re.M)) == len(fields) - (command != "domain") + 1  # -h
+
+
+@pytest.mark.parametrize("route", ["program", "flag", "env", "directive", "control"])
+def test_a_file_that_is_not_utf8_is_a_violation_that_names_it(
+    capsys, tmp_path, monkeypatch, route
+):
+    bad = tmp_path / {"program": "bad.fllp", "control": "bad.ctl"}.get(route, "bad.alg")
+    bad.write_bytes(b"primary: false, true\n\xfe\n")
+    prog = tmp_path / "prog.fllp"
+    prog.write_text('use algebra "bad.alg".\np : true.\n' if route == "directive" else "p : true.\n")
+    argv = ["check", str(prog)]
+    if route == "program":
+        argv = ["check", str(bad)]
+    elif route == "flag":
+        argv += ["--algebra", str(bad)]
+    elif route == "env":
+        monkeypatch.setenv("FLLP_ALGEBRA", str(bad))
+    elif route == "control":
+        argv = ["surface", str(bad)]
+    reason = "not UTF-8 text, byte 0xfe at offset 21"
+    want = (f"error: line 1: cannot read algebra 'bad.alg' ({reason}: {bad}); the program's "
+            "grades and hedges are read against it, so its other statements wait\n"
+            if route == "directive" else f"error: [Errno {errno.EILSEQ}] {reason}: '{bad}'\n")
+    assert run(capsys, *argv) == (1, "", want)
