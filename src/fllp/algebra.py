@@ -455,10 +455,10 @@ def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOver
 
 
 def read_text(path: str | Path) -> str:
-    """A file's text.  A file that is not UTF-8 cannot be read, as a missing
-    one cannot: the ``OSError`` names its path."""
+    """A file's text, less one leading byte-order mark.  A file that is not
+    UTF-8 cannot be read, as a missing one cannot: the ``OSError`` names it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text, byte {exc.object[exc.start]:#04x} at offset {exc.start}"
         raise OSError(errno.EILSEQ, reason, str(path)) from None

@@ -12,6 +12,10 @@ minimum reading, ``<-l`` for the compensating one.  Bodies nest ``and_g``,
 ``and_l``, ``or`` (two or more parts each) and ``#hedge(...)`` around
 atoms.  Grades are spelled as truth literals and must not be the bottom
 constant, which would make the statement vacuous.
+
+A line that holds one fact alone and starts a statement is read in one
+regex match; every other line, and every one that match declines, goes
+through the token scanner and parser, which alone report violations.
 """
 
 from __future__ import annotations
@@ -210,17 +214,30 @@ def free_vars(node: Body | Atom) -> tuple[str, ...]:
 
 # Tokens, then ``\S`` for a stray character, whose group is empty; blanks
 # between matches are skipped.  A token's kind is its first character.
-_TOKEN_RE = re.compile(r'(%.*|<-[gl]|\?-|"[^"\n]*"|[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|[(),:.#])|\S')
+# ``_FACT_RE`` matches a line that holds one fact alone, spelled with the same
+# names and variables; only the token parser reports violations.
+_NAME, _VAR = "[a-z][a-z0-9_]*", "[A-Z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf'(%.*|<-[gl]|\?-|"[^"\n]*"|{_VAR}|{_NAME}|[(),:.#])|\S')
+_TERM = f"(?:{_VAR}|{_NAME})"
+_FACT_RE = re.compile(rf"\s*({_NAME})\s*(?:\(\s*({_TERM}(?:\s*,\s*{_TERM})*)\s*\))?"
+                      rf"\s*:\s*({_NAME}(?:\s+{_NAME})*)\s*\.\s*")
 _ARROWS = {"<-g": GODEL, "<-l": LUKA}
 
 
-def _scan(text: str, errors: list[str]) -> tuple[list[str], list[int]]:
+def _scan(text: str, errors: list[str], fact=None) -> tuple[list, list[int]]:
     """Token texts and their line numbers, closed by the empty ``end``
     token; comments are dropped and stray characters reported.  Only
-    ``\n`` ends a line: ``\r`` and the other blanks are whitespace."""
-    texts: list[str] = []
+    ``\n`` ends a line: ``\r`` and the other blanks are whitespace.  A line
+    that starts a statement (after nothing, a ``.`` or such a line) and that
+    ``fact(line, number)`` reads is one token instead: its ``Fact``."""
+    texts: list = []
     lines: list[int] = []
+    boundary = True
     for number, line in enumerate(text.split("\n"), 1):
+        if boundary and fact and (read := fact(line, number)):
+            texts.append(read)
+            lines.append(number)
+            continue
         toks = _TOKEN_RE.findall(line)
         if "" in toks:
             errors += [f"line {number}: unexpected character {m[0]!r}"
@@ -228,6 +245,8 @@ def _scan(text: str, errors: list[str]) -> tuple[list[str], list[int]]:
             toks = [t for t in toks if t]
         if toks and toks[-1][0] == "%":  # a comment runs to the end of its line
             toks.pop()
+        if toks:
+            boundary = toks[-1] == "."
         texts += toks
         lines += [number] * len(toks)
     lines.append(lines[-1] if lines else 1)
@@ -236,18 +255,20 @@ def _scan(text: str, errors: list[str]) -> tuple[list[str], list[int]]:
 
 
 class _Parser:
-    """Recursive descent over token texts closed by the empty ``end`` token,
-    so the current token ``tok`` always exists.  ``"a" <= tok < "{"`` holds
-    for names and ``"A" <= tok < "["`` for variables.  Variables are interned
-    by name and truth literals resolved once per parse."""
+    """Recursive descent over token texts (and facts read whole) closed by
+    the empty ``end`` token, so the current token ``tok`` always exists.
+    ``"a" <= tok < "{"`` holds for names and ``"A" <= tok < "["`` for
+    variables.  Variables are interned by name and truth literals resolved
+    once per parse."""
 
-    def __init__(self, texts: list[str], lines: list[int], domain: TruthDomain):
-        self.texts, self.lines, self.domain = texts, lines, domain
-        self.pos = 0
-        self.tok = texts[0]
-        self.depth = 0  # connectives and hedges open around the current body
+    def __init__(self, text: str, errors: list[str], domain: TruthDomain, facts: bool = False):
+        self.domain = domain
         self.variables: dict[str, Var] = {}
         self.grades: dict[str, int] = {}
+        self.texts, self.lines = _scan(text, errors, facts and self.fact)
+        self.pos = 0
+        self.tok = self.texts[0]
+        self.depth = 0  # connectives and hedges open around the current body
 
     def goto(self, pos: int) -> str:
         """Move to token ``pos``; returns the token left."""
@@ -275,6 +296,26 @@ class _Parser:
         while self.tok:
             if self.goto(self.pos + 1) == ".":
                 return
+
+    def fact(self, line: str, number: int) -> Fact | None:
+        """The one fact on ``line``, if ``statement`` reads it without a violation."""
+        m = _FACT_RE.fullmatch(line)
+        if m is None or m[1] in RESERVED_PREDICATES:
+            return None
+        pred, terms, words = m.groups()
+        literal = " ".join(words.split())
+        idx = self.grades.get(literal)
+        if idx is None:
+            try:
+                idx = self.grades[literal] = self.domain.parse_literal(literal)
+            except ValueError:
+                return None
+        if not idx:
+            return None
+        args = tuple(map(str.strip, terms.split(","))) if terms else ()
+        if terms and not terms.islower():  # a variable, interned as ``atom`` does
+            args = tuple(t if t >= "a" else self.variables.setdefault(t, Var(t)) for t in args)
+        return Fact(Atom(pred, args), idx, number)
 
     # statements ----------------------------------------------------------
 
@@ -386,12 +427,14 @@ def algebra_directive(text: str) -> str | None:
 
 def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> Program:
     errors: list[str] = []
-    parser = _Parser(*_scan(text, errors), domain)
+    parser = _Parser(text, errors, domain, facts=True)
     algebra_path: str | None = None
     statements: list[Statement] = []
     while parser.tok:
         try:
-            if parser.tok == "use" and parser.texts[parser.pos + 1] == "algebra":
+            if parser.tok.__class__ is Fact:  # a fact line, read in one match
+                statements.append(parser.goto(parser.pos + 1))
+            elif parser.tok == "use" and parser.texts[parser.pos + 1] == "algebra":
                 if parser.pos:
                     raise _Bail(
                         f"line {parser.lines[parser.pos]}: "
@@ -415,10 +458,9 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
 def parse_query(text: str, domain: TruthDomain) -> Body:
     """A query is a body with an optional ``?-`` prefix and trailing dot."""
     errors: list[str] = []
-    texts, lines = _scan(text, errors)
+    parser = _Parser(text, errors, domain)
     if errors:
         raise ParseError(errors)
-    parser = _Parser(texts, lines, domain)
     parser.skip("?-")
     try:
         body = parser.body()
@@ -451,48 +493,35 @@ def _canonical(st: Statement) -> Statement:
 def validate_program(
     program: Program, domain: TruthDomain, safe: bool = False
 ) -> list[str]:
-    problems: list[str] = []
-
+    """Arity conflicts, then statements repeated with another grade, then
+    (with ``safe``) loose variables, each in statement order."""
+    arity: list[str] = []
+    repeats: list[str] = []
+    loose: list[str] = []
     arities: dict[str, tuple[int, int]] = {}
-    for st in program.statements:
-        for atom in (st.atom,) if isinstance(st, Fact) else (st.head, *atoms_of(st.body)):
-            prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
-            if prev[0] != len(atom.args):
-                problems.append(
-                    f"line {st.line}: {atom.pred!r} used with arity {len(atom.args)}, "
-                    f"but line {prev[1]} uses arity {prev[0]}"
-                )
-
     grades: dict[Statement | Atom, tuple[int, int]] = {}
     for st in program.statements:
+        fact = st.__class__ is Fact
+        for atom in (st.atom,) if fact else (st.head, *atoms_of(st.body)):
+            prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
+            if prev[0] != len(atom.args):
+                arity.append(f"line {st.line}: {atom.pred!r} used with arity {len(atom.args)}, "
+                             f"but line {prev[1]} uses arity {prev[0]}")
         # a ground fact is its own key: renaming would rebuild it unchanged
-        ground = isinstance(st, Fact) and Var not in map(type, st.atom.args)
-        key = st.atom if ground else _canonical(st)
+        key = st.atom if fact and Var not in map(type, st.atom.args) else _canonical(st)
         prev = grades.setdefault(key, (st.tv, st.line))
         if prev[0] != st.tv:
-            problems.append(
-                f"line {st.line}: statement repeats line {prev[1]} with grade "
-                f"{domain.literal(st.tv)!r} instead of {domain.literal(prev[0])!r}"
-            )
-
-    if safe:
-        for st in program.statements:
-            if isinstance(st, Fact):
-                loose = free_vars(st.atom)
-                if loose:
-                    problems.append(
-                        f"line {st.line}: fact is not ground, "
-                        f"variable(s) {', '.join(loose)}"
-                    )
-                continue
-            body_vars = set(free_vars(st.body))
-            loose = tuple(v for v in free_vars(st.head) if v not in body_vars)
-            if loose:
-                problems.append(
-                    f"line {st.line}: rule is not range restricted, "
-                    f"variable(s) {', '.join(loose)} occur only in the head"
-                )
-    return problems
+            repeats.append(f"line {st.line}: statement repeats line {prev[1]} with grade "
+                           f"{domain.literal(st.tv)!r} instead of {domain.literal(prev[0])!r}")
+        if safe:
+            body_vars = () if fact else set(free_vars(st.body))
+            names = [v for v in free_vars(st.atom if fact else st.head) if v not in body_vars]
+            if names and fact:
+                loose.append(f"line {st.line}: fact is not ground, variable(s) {', '.join(names)}")
+            elif names:
+                loose.append(f"line {st.line}: rule is not range restricted, variable(s) "
+                             f"{', '.join(names)} occur only in the head")
+    return arity + repeats + loose
 
 
 # ---------------------------------------------------------------------------

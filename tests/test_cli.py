@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import errno
 import hashlib
 import io
@@ -498,6 +499,15 @@ def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
     assert sorted(set(unused) & set(loaded)) == []
 
 
+def test_every_module_and_test_parses_as_python_3_10():
+    """``pyproject.toml`` declares Python 3.10 and up, so no file may use
+    syntax of a later version."""
+    files = sorted([*(SRC / "fllp").glob("*.py"), *Path(__file__).parent.glob("*.py")])
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def _closure_text(domain) -> tuple[str, list[str]]:
     """Transitive closure over chains of 1 to 10 edges and 2x2 to 4x4
     grids (edges right and down), as one program with its statements
@@ -907,3 +917,37 @@ def test_a_file_that_is_not_utf8_is_a_violation_that_names_it(
             "grades and hedges are read against it, so its other statements wait\n"
             if route == "directive" else f"error: [Errno {errno.EILSEQ}] {reason}: '{bad}'\n")
     assert run(capsys, *argv) == (1, "", want)
+
+
+@pytest.mark.parametrize("route", ["program", "flag", "env", "directive", "control"])
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_leading_byte_order_mark_is_dropped(
+    capsys, samples_dir, tmp_path, monkeypatch, route, bad
+):
+    """A UTF-8 file that starts with a byte-order mark reads as the same file
+    without it, at every read site; a violation keeps its line number."""
+    if route == "program":
+        name, text = "prog.fllp", "p(a) : true.\n" + ("q @ : true.\n" if bad else "")
+    elif route == "control":
+        name, text = "heater.ctl", (samples_dir / "heater.ctl").read_text(encoding="utf-8")
+        text += "bogus line\n" if bad else ""
+    else:
+        name, text = "mine.alg", DEFAULT_ALGEBRA_CONFIG + ("bogus line\n" if bad else "")
+    prog = tmp_path / "prog.fllp"
+    if route != "program":
+        directive = 'use algebra "mine.alg".\n' if route == "directive" else ""
+        prog.write_text(directive + "p(a) : true.\n", encoding="utf-8")
+    argv = ["surface", str(tmp_path / name)] if route == "control" else ["check", str(prog)]
+    if route == "flag":
+        argv += ["--algebra", str(tmp_path / name)]
+    elif route == "env":
+        monkeypatch.setenv("FLLP_ALGEBRA", str(tmp_path / name))
+    shown = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / name).write_bytes(bom + text.encode("utf-8"))
+        shown.append(run(capsys, *argv))
+    assert shown[1] == shown[0]
+    assert shown[0][0] == (1 if bad else 0) and "\ufeff" not in shown[0][2]
+    if bad:
+        line = len(text.splitlines())
+        assert f"line {line}: " in shown[0][2], shown[0][2]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fllp import lang
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.lang import (
     Atom,
@@ -31,6 +35,7 @@ from fllp.lang import (
 )
 
 from randprog import random_program
+from strategies import programs
 
 GOOD = """\
 % staff appraisal
@@ -195,6 +200,81 @@ def test_statement_lines_are_exact(domain, text, lines):
     assert [st.line for st in program.statements] == lines
 
 
+# Lines that look like facts: near-miss names and terms, reserved heads,
+# literals that do not parse or are bottom, comments, two statements on a
+# line, a statement left open on an earlier line, odd blanks.  Each text
+# gives its statements as printed with their lines, or its violations.
+@pytest.mark.parametrize("text, want", [
+    ("p(aB) : true.", ["line 1: expected ), found 'B'"]),
+    ("p(c1B) : true.", ["line 1: expected ), found 'B'"]),
+    ("p(a b) : true.", ["line 1: expected ), found 'b'"]),
+    ("fooBar : true.", ["line 1: expected :, found 'Bar'"]),
+    ("or(a) : true.", ["line 1: 'or' is a connective, not a predicate"]),
+    ("and_g : true.", ["line 1: 'and_g' is a connective, not a predicate"]),
+    ("p : absfalse.", ["line 1: grade 'absfalse' would make the statement vacuous"]),
+    ("p : quite true.", ["line 1: unknown hedge 'quite' in truth literal 'quite true'"]),
+    ("p : true true.", ["line 1: unknown hedge 'true' in truth literal 'true true'"]),
+    ("p : verytrue.", ["line 1: truth literal must end in a primary name, got 'verytrue'"]),
+    ("p(a) : #very true.", ["line 1: expected a truth literal, found '#'"]),
+    ("p(a) :: true.", ["line 1: expected a truth literal, found ':'"]),
+    ("p() : true.", ["line 1: expected a constant or variable, found ')'"]),
+    ("p(a,) : true.", ["line 1: expected a constant or variable, found ')'"]),
+    ("p(,a) : true.", ["line 1: expected a constant or variable, found ','"]),
+    ("p(a)(b) : true.", ["line 1: expected :, found '('"]),
+    ("p(1) : true.", [
+        "line 1: unexpected character '1'", "line 1: expected a constant or variable, found ')'",
+    ]),
+    ("_p : true.", ["line 1: unexpected character '_'"]),
+    ("p(a) : true", ["line 1: expected ., found end of input"]),
+    ("p(a) : true..", ["line 1: expected a predicate name, found '.'"]),
+    ("p(a) : true\nq : true.", ["line 1: truth literal must end in a primary name, got 'true q'"]),
+    ("q(a) <-g\np(a) : true.", (["q(a) <-g p(a) : true."], [1])),
+    ('use algebra "x"\np : true.', ["line 2: expected ., found 'p'"]),
+    ('use algebra "x".\np : true.', (['use algebra "x".', "p : true."], [2])),
+    ("use : true.", (["use : true."], [1])),
+    ("use(algebra) : true.", (["use(algebra) : true."], [1])),
+    ("use algebra : true.", ["line 1: expected a quoted path, found ':'"]),
+    ("p(a) : true. q : true.", (["p(a) : true.", "q : true."], [1, 1])),
+    ("p(a) : true. % c", (["p(a) : true."], [1])),
+    ("p(a) : true.%c\nq : true.", (["p(a) : true.", "q : true."], [1, 2])),
+    ("p(a)\t:\tvery  true .\r", (["p(a) : very true."], [1])),
+    ("p(X, Y) : true.\nq(Y) : true.", (["p(X,Y) : true.", "q(Y) : true."], [1, 2])),
+    ("p(c1, Xb_1) : very more true.", (["p(c1,Xb_1) : very more true."], [1])),
+    ("p(Xb_1c) : true.", (["p(Xb_1c) : true."], [1])),
+    ("p(a) @\nq : true.", ["line 1: unexpected character '@'", "line 2: expected :, found 'q'"]),
+    ("p : true. @\nq : true.", ["line 1: unexpected character '@'"]),
+    ('p : true. "\nq : true.', ["line 1: unexpected character '\"'"]),
+    ("@\np : true.", ["line 1: unexpected character '@'"]),
+    ("p(a) : true.\n.\nq : true.", ["line 2: expected a predicate name, found '.'"]),
+    ("p(a) :\x0ctrue.\u2028", (["p(a) : true."], [1])),
+    ("p : true.\x0cq : true.", (["p : true.", "q : true."], [1, 1])),
+    ("p\u2028(a)\x85: true.\u00a0", (["p(a) : true."], [1])),
+    ("p : very\u2028true.", (["p : very true."], [1])),
+    ("p(a) : true.\n\n  \n% c\nq(b) : true.", (["p(a) : true.", "q(b) : true."], [1, 5])),
+    (
+        "p(a) : true .\nq(a) <-g p(a) : true.\nr : true.",
+        (["p(a) : true.", "q(a) <-g p(a) : true.", "r : true."], [1, 2, 3]),
+    ),
+    # stray characters are reported before every statement's violations
+    ("p(a b) : true.\nq : true.\nr @ : true.", [
+        "line 3: unexpected character '@'", "line 1: expected ), found 'b'",
+    ]),
+    ("or(a) : true.\np : absfalse.\nq(X) : very true.\n$", [
+        "line 4: unexpected character '$'",
+        "line 1: 'or' is a connective, not a predicate",
+        "line 2: grade 'absfalse' would make the statement vacuous",
+    ]),
+])
+def test_fact_like_lines_parse_as_pinned(domain, text, want):
+    try:
+        program = parse_program(text, domain)
+    except ParseError as exc:
+        assert list(exc.violations) == want
+        return
+    shown = pretty_print(program, domain).splitlines()
+    assert (shown, [st.line for st in program.statements]) == want
+
+
 @pytest.mark.parametrize("text, violation", [
     ("", "line 1: expected a body, found end of input"),
     ("p(X) q", "line 1: expected end of query, found 'q'"),
@@ -254,6 +334,70 @@ def test_pretty_print_round_trips_random_programs(vmpl, asym, seed):
         assert parse_program(pretty_print(program, domain), domain) == program
 
 
+# -- fact lines read in one match ---------------------------------------------
+
+def _parsed(text, domain):
+    """The program and its statement lines, or the violations."""
+    try:
+        program = parse_program(text, domain)
+    except ParseError as exc:
+        return list(exc.violations)
+    return program, [st.line for st in program.statements]
+
+
+def _same_without_the_fact_pattern(text, domain):
+    """``text`` parses as it does when every line goes through the token parser."""
+    with mock.patch.object(lang, "_FACT_RE", re.compile("(?!)")):
+        slow = _parsed(text, domain)
+    assert _parsed(text, domain) == slow
+
+
+# Near-miss fragments and whole fact lines, so that fuzzed lines often look
+# like facts: names that run into variables, digits, odd blanks, bottom.
+NEAR_MISSES = (
+    "aB", "c1", "Xb_1", "p(a) : true.\n", "q(X, c1) : very true.\n", "p : absfalse.",
+    "\t", "\r", "\x0c", "\u2028", "very true", "absfalse", " : ", "q(", "X, Y", "1",
+)
+
+
+@SHORT_RUN
+@given(st.lists(st.sampled_from(ALPHABET + NEAR_MISSES * 2), max_size=40).map("".join))
+def test_fuzzed_texts_parse_as_without_the_fact_pattern(domain, text):
+    _same_without_the_fact_pattern(text, domain)
+
+
+@settings(max_examples=100)
+@given(programs())
+def test_random_programs_parse_as_without_the_fact_pattern(drawn):
+    table, program = drawn
+    _same_without_the_fact_pattern(pretty_print(program, table.domain), table.domain)
+
+
+@SHORT_RUN
+@given(st.integers(0, 2**32))
+def test_randprog_programs_parse_as_without_the_fact_pattern(vmpl, asym, seed):
+    for _, domain, _ in (vmpl, asym):
+        _same_without_the_fact_pattern(
+            pretty_print(random_program(seed, domain, recursive=True), domain), domain
+        )
+
+
+def test_printed_facts_skip_the_token_parser(domain, monkeypatch):
+    """On printed programs the token parser reads each rule and no fact, so
+    a change to the printer's spacing or to the pattern cannot turn the
+    one-match path off unnoticed."""
+    calls = []
+    statement = lang._Parser.statement
+    monkeypatch.setattr(lang._Parser, "statement", lambda self: calls.append(1) or statement(self))
+    good = parse_program(GOOD + "p(X, c1, Xb_1) : probably true.\n", domain)
+    printed = [Program(good.statements, "x.alg")]
+    printed += [random_program(seed, domain, recursive=True) for seed in range(20)]
+    for program in printed:
+        calls.clear()
+        assert parse_program(pretty_print(program, domain), domain) == program
+        assert program.facts and len(calls) == len(program.rules)
+
+
 def test_parse_query_forms(domain):
     for text in ("p(X)", "?- p(X)", "p(X).", "?- p(X)."):
         assert parse_query(text, domain) == Atom("p", (Var("X"),))
@@ -282,6 +426,19 @@ def test_validate_repeated_statement_with_other_grade(domain):
     assert len(problems) == 1 and "repeats" in problems[0]
     same = parse_program("p(X) <-g q(X) : true.\np(Y) <-g q(Y) : true.\n", domain)
     assert validate_program(same, domain) == []
+
+
+def test_validate_lists_arity_then_repeats_then_loose_variables(domain):
+    text = ("r(X,Y) <-g q(X) : true.\np(a) : true.\np(a) : very true.\nq(a,b) : true.\n"
+            "p(X) : true.\nr(Z,W) <-g q(Z) : more true.\n")
+    assert validate_program(parse_program(text, domain), domain, safe=True) == [
+        "line 4: 'q' used with arity 2, but line 1 uses arity 1",
+        "line 3: statement repeats line 2 with grade 'very true' instead of 'true'",
+        "line 6: statement repeats line 1 with grade 'more true' instead of 'true'",
+        "line 1: rule is not range restricted, variable(s) Y occur only in the head",
+        "line 5: fact is not ground, variable(s) X",
+        "line 6: rule is not range restricted, variable(s) W occur only in the head",
+    ]
 
 
 def test_validate_safe_mode(domain):
