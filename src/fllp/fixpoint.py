@@ -13,19 +13,17 @@ Grounding instantiates variables over the program's constants (one fallback
 constant when there are none), but only where a body can be nonzero: a join
 finds the instances whose bodies have an alternative made of derivable
 atoms (every conjunction and hedge keeps bottom at bottom, so the others
-add nothing), and ``ground`` builds them as rules.  ``least_model`` works
-on atom ids: an instance is its head's id and its body atoms' ids, each
-rule is compiled once into a function of those ids and of an
-interpretation held as a list by id, and the join emits instances in that
-form.  Rounds are semi-naive: the first reads bottom everywhere, so it
-fires the facts and only the instances of rules nonzero there (one probe
-per rule tells), and each later one those with a body atom that rose in
-the round before, reading the interpretation the previous round left.
-The iterates ascend, so an instance not fired gives at most its head's
-value: every round, and so the round count, equals a full application's.
-The grounding counts the Herbrand base and the fact instances before
-building anything, then each rule instance as it is found, and stops at
-``GROUND_LIMIT``.
+add nothing), and ``ground`` builds them as rules.  A predicate is a name
+and an arity.  ``least_model`` has one path, which reads a ground program
+it is given as statements: each rule is compiled once into a function of
+an instance's atom ids and of an interpretation held as a list by id, and
+the join emits instances as those ids.  Rounds are semi-naive: the first
+reads bottom everywhere, so it fires the facts and only the instances of
+rules nonzero there (one probe per rule tells), and each later one those
+with a body atom that rose in the round before, reading what that round
+left.  The iterates ascend, so an instance not fired gives at most its
+head's value: every round, and so the round count, equals a full
+application's.  Grounding stops at ``GROUND_LIMIT`` (see ``_relevant_bindings``).
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .lang import (
     Body,
     Conj,
     Disj,
+    Fact,
     HedgeApp,
     Program,
     Rule,
@@ -59,6 +58,10 @@ GROUND_LIMIT = 10**6
 
 class GroundingLimitError(LimitError):
     subject, unit = "grounding", "instances"
+
+
+class JoinLimitError(GroundingLimitError):
+    subject, unit = "a rule body's join", "alternatives and plan steps"
 
 
 class Interpretation(dict):
@@ -84,48 +87,15 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
     return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
 
-def _instance(rule: Rule, names: tuple[str, ...], combo: tuple[str, ...]) -> Rule:
-    bind = functools.partial(_bind, env=dict(zip(names, combo)))
-    return Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
-
-
-def _frame(program: Program, limit: int) -> tuple[tuple[str, ...], int]:
-    """The universe, and the Herbrand base's size plus the fact instances,
-    which every grounding counts; refused up front when over ``limit``."""
-    consts = program.constants() or ("a",)
-    u = len(consts)
-    needed = sum(u**arity for arity in program.predicates().values())
-    needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
-    if needed > limit:
-        raise GroundingLimitError(needed, limit)
-    return consts, needed
-
-
-def _ground_facts(program: Program, consts: tuple[str, ...]) -> list[tuple[Atom, int]]:
-    facts: list[tuple[Atom, int]] = []
-    for st in program.facts:
-        names = free_vars(st.atom)
-        for combo in itertools.product(consts, repeat=len(names)):
-            facts.append((_bind(st.atom, dict(zip(names, combo))), st.tv))
-    return facts
-
-
 def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
     """Every fact instance, and the rule instances whose bodies can be nonzero
-    in the least model, by statement and then ``itertools.product`` order
-    over the sorted constants.
-
-    An instance is built once every atom of one of its body's alternatives
-    (see ``_alternatives``) is derivable: a fact above bottom or the head of
-    an instance built before.  Rule instances are counted as they are found
-    and refused as soon as they would take the total over ``limit``.
-    """
-    consts, needed = _frame(program, limit)
-    facts = _ground_facts(program, consts)
-    found, _ = _relevant_bindings(program.rules, consts, facts, needed, limit)
+    in the least model (see ``_relevant_bindings``), by statement and then
+    ``itertools.product`` order over the sorted constants."""
+    facts, found, _ = _relevant_bindings(program, limit)
     # sorted bindings are itertools.product order over the sorted universe
-    rules = [_instance(rule, _rule_vars(rule), binding)
-             for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)]
+    rules = [Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
+             for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)
+             for bind in (functools.partial(_bind, env=dict(zip(_rule_vars(rule), binding))),)]
     return GroundProgram(tuple(facts), tuple(rules))
 
 
@@ -147,25 +117,60 @@ def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
     return [alt for part in body.parts for alt in _alternatives(part)]
 
 
-def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict], dict]:
-    """Per rule, the bindings of its ``_rule_vars`` (constants) whose body has an
-    alternative made of derivable atoms, each mapped to its head and body atom ids; and the ids.
+def _join_steps(body: Body) -> int:
+    """The number of ``_alternatives`` of ``body`` plus the steps of their
+    join plans (``|alt|`` plans of ``|alt|`` steps each), counted without
+    expanding them and before repeated atoms merge, so an upper bound."""
+    done: list[tuple[int, int, int]] = []  # per part: alternatives, Σ|alt|, Σ|alt|²
+    for node in _postorder(body):
+        cls = node.__class__
+        if cls is Atom:
+            done.append((1, 1, 1))
+        elif cls is int:
+            done.append((int(node > 0), 0, 0))
+        elif cls is Disj:
+            done.append(tuple(map(sum, zip(*_pop(done, len(node.parts))))))
+        elif cls is Conj:
+            c, s, q = 1, 0, 0
+            for c2, s2, q2 in _pop(done, len(node.parts)):
+                c, s, q = c * c2, s * c2 + c * s2, q * c2 + 2 * s * s2 + c * q2
+            done.append((c, s, q))
+    return done[0][0] + done[0][2]
 
-    Semi-naive worklist join: each ground atom, once derivable, is matched
-    against every alternative atom with its predicate, and the rest of that
-    alternative is joined against the atoms made derivable before it,
-    through indexes keyed on the argument positions already bound.
-    Variables no atom of the alternative binds range over the universe.
-    Ground atoms are ``(pred, args)`` tuples; a binding under construction
-    is a list of variable slots followed by the rule's constants.
+
+def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], dict]:
+    """The fact instances; per rule, the bindings of its ``_rule_vars``
+    (constants) whose body has an alternative made of derivable atoms, each
+    mapped to its head and body atom ids; and the ids.
+
+    The Herbrand base's size and the fact instances are counted first, then
+    each rule instance as it is found, all refused past ``limit``; so is a
+    body whose alternatives and join plans would take more steps, before
+    either is built.  Semi-naive worklist join: each ground atom, once
+    derivable, is matched against every alternative atom with its
+    predicate, and the rest of that alternative is joined against the atoms
+    made derivable before it, through indexes keyed on the argument
+    positions already bound.  Variables no atom of the alternative binds
+    range over the universe.  Ground atoms are ``(pred, args)`` tuples, and
+    a predicate is its name and arity; a binding under construction is a
+    list of variable slots followed by the rule's constants.
     """
+    universe = program.constants() or ("a",)
+    u, rules = len(universe), program.rules
+    needed = sum(u**arity for _, arity in {(a.pred, len(a.args)) for a in program.atoms()})
+    needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
+    if needed > limit:
+        raise GroundingLimitError(needed, limit)
+    facts = [(_bind(st.atom, dict(zip(names, combo))), st.tv)
+             for st in program.facts for names in (free_vars(st.atom),)
+             for combo in itertools.product(universe, repeat=len(names))]
     found: list[dict] = [{} for _ in rules]
     queue = list(dict.fromkeys((a.pred, a.args) for a, tv in facts if tv))
     derivable = set(queue)
     ids = {atom: i for i, atom in enumerate(queue)}
-    # pred -> bound argument positions -> (their getter, their values -> ground args)
-    indexes: dict[str, dict[tuple[int, ...], tuple]] = {}
-    triggers: dict[str, list] = {}
+    # (pred, arity) -> bound argument positions -> (their getter, their values -> ground args)
+    indexes: dict[tuple[str, int], dict[tuple[int, ...], tuple]] = {}
+    triggers: dict[tuple[str, int], list] = {}
 
     def emitter(found_r: dict, free: tuple[int, ...], binding, head, leaves):
         """``done(env)``: record each instance ``env`` completes over its ``free`` slots."""
@@ -204,6 +209,8 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
         return run
 
     for r, rule in enumerate(rules):
+        if (steps := _join_steps(rule.body)) > limit:
+            raise JoinLimitError(steps, limit)
         names = _rule_vars(rule)
         slots = {name: i for i, name in enumerate(names)}
         template: list = [None] * len(names)
@@ -239,9 +246,10 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
                 for pred, pos, key, assign, check in reversed(plan[1:]):
                     idx = indexes.setdefault(pred, {}).setdefault(pos, (_getter(pos), {}))[1]
                     run = step(idx, _getter(key), assign, check, run)
-                triggers.setdefault(first.pred, []).append((template, *plan[0][1:], run))
+                triggers.setdefault(plan[0][0], []).append((template, *plan[0][1:], run))
 
     for pred, args in queue:  # grows while it is walked
+        pred = pred, len(args)
         for get, idx in indexes.get(pred, {}).values():
             idx.setdefault(get(args), []).append(args)
         for template, positions, key, assign, check, run in triggers.get(pred, ()):
@@ -252,7 +260,7 @@ def _relevant_bindings(rules, universe, facts, needed, limit) -> tuple[list[dict
                 env[s] = args[p]
             if not check or all(args[p] == env[s] for p, s in check):
                 run(env)
-    return found, ids
+    return facts, found, ids
 
 
 def _getter(slots):
@@ -281,7 +289,7 @@ def _step(atom: Atom, slot, bound: set[int]) -> tuple:
             fresh.add(s)
             assign.append((p, s))
     bound |= fresh
-    return atom.pred, tuple(positions), tuple(key), tuple(assign), tuple(check)
+    return (atom.pred, len(atom.args)), tuple(positions), tuple(key), tuple(assign), tuple(check)
 
 
 def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTable) -> int:
@@ -289,35 +297,30 @@ def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTa
     return value(body, interp.__getitem__, table.columns, table.domain.n)
 
 
-def _compile(rule: Rule, columns, n: int, cache: dict) -> tuple:
+def _compile(rule: Rule, columns, n: int) -> tuple:
     """``grade(I, L)``: the head grade of an instance of ``rule`` under the
     interpretation ``I`` (a list by atom id) when ``L`` holds its body atoms'
-    ids; and those atoms.  ``cache`` maps postfix op lists (None for an atom, a
-    grade's index, a hedge's name, a connective's kind or "or" and part count;
-    the rule grade is a last conjunct) to functions, nesting calls as bodies do."""
-    nodes = _postorder(rule.body)
-    ops = tuple(None if c is Atom else x if c is int else x.hedge if c is HedgeApp
-                else ("or" if c is Disj else x.kind, len(x.parts))
-                for x in nodes for c in (x.__class__,)) + (rule.tv, (rule.kind, 2))
-    if (grade := cache.get(ops)) is None:
-        done, count = [], itertools.count()
-        for op in ops:
-            if op is None:
-                done.append(lambda I, L, k=next(count): I[L[k]])
-            elif op.__class__ is int:
-                done.append(lambda I, L, v=op: v)
-            elif op.__class__ is str:
-                done.append(lambda I, L, col=columns[op], f=done.pop(): col[f(I, L)])
+    ids; and those atoms.  The rule grade is a last conjunct, and each node
+    becomes a function that calls its parts', nesting as the body does."""
+    nodes = _postorder(Conj(rule.kind, (rule.body, rule.tv)))
+    done, count = [], itertools.count()
+    for x in nodes:
+        cls = x.__class__
+        if cls is Atom:
+            done.append(lambda I, L, k=next(count): I[L[k]])
+        elif cls is int:
+            done.append(lambda I, L, v=x: v)
+        elif cls is HedgeApp:
+            done.append(lambda I, L, col=columns[x.hedge], f=done.pop(): col[f(I, L)])
+        else:
+            fs = _pop(done, len(x.parts))
+            fold = max if cls is Disj else min if x.kind == GODEL else (
+                lambda vs: max(sum(vs) - (len(vs) - 1) * n, 0))
+            if len(fs) == 2:
+                done.append(lambda I, L, f=fs[0], g=fs[1], fold=fold: fold((f(I, L), g(I, L))))
             else:
-                fs = _pop(done, op[1])
-                fold = max if op[0] == "or" else min if op[0] == GODEL else (
-                    lambda vs: max(sum(vs) - (len(vs) - 1) * n, 0))
-                if len(fs) == 2:
-                    done.append(lambda I, L, f=fs[0], g=fs[1], fold=fold: fold((f(I, L), g(I, L))))
-                else:
-                    done.append(lambda I, L, fs=fs, fold=fold: fold([f(I, L) for f in fs]))
-        grade = cache[ops] = done[0]
-    return grade, [x for x in nodes if x.__class__ is Atom]
+                done.append(lambda I, L, fs=fs, fold=fold: fold([f(I, L) for f in fs]))
+    return done[0], [x for x in nodes if x.__class__ is Atom]
 
 
 def least_model(
@@ -328,31 +331,24 @@ def least_model(
     gp: GroundProgram | None = None,
 ) -> tuple[Interpretation, int]:
     """Least model and the number of consequence-operator rounds taken to
-    settle on it, over ``gp`` when given, else over the relevant instances
-    of ``program``.  Both modes run the same engine."""
+    settle on it, over the relevant instances of ``program``, or of ``gp``'s
+    facts and rules read as statements when given: an instance whose body
+    is bottom gives its head bottom, so dropping it changes neither the
+    model nor the rounds.  Both modes run the same engine."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown evaluation mode: {mode!r}")
-    columns, n, cache = table.columns, table.domain.n, {}
-    if gp is None:
-        consts, needed = _frame(program, limit)
-        facts = _ground_facts(program, consts)
-        found, ids = _relevant_bindings(program.rules, consts, facts, needed, limit)
-        instances, fired = [], []
-        for rule, bindings in zip(program.rules, found):
-            grade, atoms = _compile(rule, columns, n, cache)
-            # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
-            if bindings and grade((0,), (0,) * len(atoms)):
-                fired += range(len(instances), len(instances) + len(bindings))
-            instances += [(head, grade, leaves) for head, leaves in bindings.values()]
-        facts = [((a.pred, a.args), tv) for a, tv in facts]
-    else:
-        ids, instances, facts = {}, [], gp.facts
-        for rule in gp.rules:
-            grade, leaves = _compile(rule, columns, n, cache)
-            instances.append((ids.setdefault(rule.head, len(ids)), grade,
-                              tuple([ids.setdefault(a, len(ids)) for a in leaves])))
-        fired = list(range(len(instances)))
-    facts = [(ids.setdefault(a, len(ids)), lambda I, L, tv=tv: tv, ()) for a, tv in facts if tv]
+    if gp is not None:
+        program = Program(tuple(Fact(atom, tv) for atom, tv in gp.facts) + gp.rules)
+    columns, n = table.columns, table.domain.n
+    facts, found, ids = _relevant_bindings(program, limit)
+    instances, fired = [], []
+    for rule, bindings in zip(program.rules, found):
+        grade, atoms = _compile(rule, columns, n)
+        # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
+        if bindings and grade((0,), (0,) * len(atoms)):
+            fired += range(len(instances), len(instances) + len(bindings))
+        instances += [(head, grade, leaves) for head, leaves in bindings.values()]
+    facts = [(ids[a.pred, a.args], lambda I, L, tv=tv: tv, ()) for a, tv in facts if tv]
     fired += range(len(instances), len(instances) + len(facts))
     instances += facts
     triggers: list[list[int]] = [[] for _ in ids]
@@ -368,9 +364,8 @@ def least_model(
             g = grade(interp, leaves)
             if g > interp[head] and g > raised.get(head, 0):
                 raised[head] = g
-        if not raised:  # ids are keyed by ground atoms, or by (pred, args) when built here
-            return Interpretation((k if gp else Atom(*k), v)
-                                  for k, v in zip(ids, interp) if v), rounds
+        if not raised:
+            return Interpretation((Atom(*k), v) for k, v in zip(ids, interp) if v), rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
         for a, g in raised.items():

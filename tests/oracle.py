@@ -4,7 +4,8 @@ The full grounding instantiates every statement over the program's
 constants (one fallback constant when there are none): facts in program
 order, then rules in program order, each over ``itertools.product`` of the
 sorted constants for its variables in first-occurrence order, head first.
-The Herbrand base is every atom of every predicate, predicates by name.
+The Herbrand base is every atom of every predicate, a predicate being a
+name and an arity, sorted by name and then arity.
 ``tp`` is one application of the consequence operator and ``iterate_tp``
 iterates it from the empty interpretation.  Interpretations are plain
 dicts holding nonzero grades only.  ``conj`` is a rule's conjunction and
@@ -58,17 +59,15 @@ def _envs(atoms, consts):
 def ground(program) -> Grounding:
     """Every instance of every statement, and the Herbrand base."""
     consts = universe(program)
-    facts, rules, arities = [], [], {}
-    for st in program.statements:
-        for atom in _atoms(st):
-            arities.setdefault(atom.pred, len(atom.args))
+    facts, rules = [], []
+    preds = {(atom.pred, len(atom.args)) for st in program.statements for atom in _atoms(st)}
     for st in program.facts:
         facts += [(_bind(st.atom, env), st.tv) for env in _envs([st.atom], consts)]
     for rule in program.rules:
         for env in _envs(_atoms(rule), consts):
             body = map_atoms(rule.body, lambda atom, env=env: _bind(atom, env))
             rules.append(Rule(_bind(rule.head, env), rule.kind, body, rule.tv))
-    base = [Atom(pred, combo) for pred, arity in sorted(arities.items())
+    base = [Atom(pred, combo) for pred, arity in sorted(preds)
             for combo in itertools.product(consts, repeat=arity)]
     return Grounding(tuple(facts), tuple(rules), tuple(base))
 

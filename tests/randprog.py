@@ -106,6 +106,29 @@ def random_program(seed: int, domain, recursive: bool = False) -> Program:
     return Program(tuple(statements))
 
 
+def mixed_arity_program(seed: int, domain, recursive: bool = False) -> Program:
+    """Facts and rules over ``p`` and ``q``, each name used at arities 0 to
+    2 alike; rule heads are ``q`` and bodies read ``p`` unless ``recursive``."""
+    rng = random.Random(seed)
+    n = domain.n
+    hedges = list(domain.algebra.extended_order())
+    terms = (Const("a"), Const("b"), Var("X"), Var("Y"))
+
+    def atom(preds: str) -> Atom:
+        return Atom(rng.choice(preds), tuple(rng.choice(terms) for _ in range(rng.randint(0, 2))))
+
+    statements: list = [Fact(atom("pq"), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 3)):
+        leaves = [atom("pq" if recursive else "p") for _ in range(rng.randint(1, 3))]
+        parts = tuple(HedgeApp(rng.choice(hedges), a) if rng.random() < 0.3 else a for a in leaves)
+        body = parts[0] if len(parts) == 1 else rng.choice(
+            (Disj(parts), Conj(GODEL, parts), Conj(LUKA, parts)))
+        head = atom("pq" if recursive else "q")
+        statements.append(Rule(head, rng.choice((GODEL, LUKA)), body, rng.randint(1, n)))
+    rng.shuffle(statements)
+    return Program(tuple(statements))
+
+
 def random_control_text(seed: int, domain) -> str:
     """A complete random control file over the given domain."""
     rng = random.Random(seed)

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -437,11 +438,17 @@ def test_model_grounding_cap(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def _cap_memory() -> None:
+    """Limit the child's address space to 1 GB, so that a run a resource
+    limit failed to stop dies with a ``MemoryError`` instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def _fllp(*argv, hash_seed="0", timeout=60, stdin=None):
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     return subprocess.run(
-        [sys.executable, "-m", "fllp", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout, input=stdin,
+        [sys.executable, "-m", "fllp", *argv], capture_output=True, text=True, env=env,
+        timeout=timeout, input=stdin, preexec_fn=_cap_memory,
     )
 
 
@@ -565,6 +572,34 @@ def test_model_grounding_cap_is_refused_without_building(tmp_path):
     prog.write_text(CAPPED)
     proc = _fllp("model", str(prog), timeout=20)
     assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+def test_model_reads_one_name_at_two_arities_as_two_predicates(capsys, tmp_path):
+    prog = tmp_path / "mixed.fllp"
+    prog.write_text("p(a) : true.\nq(X) <-g p(X,b) : true.\n")
+    assert run(capsys, "model", str(prog)) == (0, "p(a) : true (v33)\niterations: 2\n", "")
+    assert run(capsys, "check", str(prog)) == (
+        1, "", "error: line 2: 'p' used with arity 2, but line 1 uses arity 1\n")
+
+
+def _disjunctions(k: int) -> str:
+    """One fact, and a rule whose body has 2**k alternatives of k atoms."""
+    parts = ",".join(f"or(a{i},b{i})" for i in range(k))
+    return f"a0 : true.\nh <-g and_g({parts}) : true.\n"
+
+
+def test_model_refuses_a_body_with_too_many_alternatives(tmp_path):
+    prog = tmp_path / "wide.fllp"
+    prog.write_text(_disjunctions(16))
+    start = time.perf_counter()
+    proc = _fllp("model", str(prog), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: a rule body's join needs at least 16842752 alternatives"
+                           " and plan steps, over the limit of 1000000\n")
+    assert time.perf_counter() - start < 5.0
+    prog.write_text(_disjunctions(10))
+    proc = _fllp("model", str(prog), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a0 : true (v33)\niterations: 2\n", "")
 
 
 def test_model_delta_iterations_do_not_depend_on_hashing(tmp_path):

@@ -30,7 +30,7 @@ def _compiled(kind: str, parts: int):
     """Head grade of a rule whose body conjoins ``parts`` atoms under ``kind``,
     with the unit ``N`` as its grade."""
     body = Conj(kind, tuple(Atom(f"p{k}") for k in range(parts)))
-    return _compile(Rule(Atom("h"), kind, body, N), {}, N, {})[0]
+    return _compile(Rule(Atom("h"), kind, body, N), {}, N)[0]
 
 
 FOLDS = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from fllp import fixpoint
-from fllp.algebra import GODEL
+from fllp.algebra import GODEL, LUKA
 from fllp.control import compile_control, parse_control_file
 from fllp.fixpoint import (
     GroundingLimitError,
@@ -26,6 +26,7 @@ from fllp.lang import (
     Disj,
     Fact,
     Grade,
+    HedgeApp,
     Program,
     Rule,
     Var,
@@ -37,7 +38,7 @@ from fllp.solver import SolveOptions, solve
 
 import oracle
 from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS, SAMPLE_ANSWERS
-from randprog import random_algebra, random_program
+from randprog import mixed_arity_program, random_algebra, random_program
 from strategies import programs
 
 CHAIN10 = "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in range(10)) + (
@@ -233,6 +234,51 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
         "p(a)", "p(b)", "r(a)", "r(b)",
     ]
     _check_against_the_oracle(program, table)
+
+
+def test_one_name_at_two_arities_is_two_predicates(domain, table):
+    """``p/1`` and ``p/2`` are apart in the join, in the Herbrand base the
+    grounding counts up front, and in the model, as in the oracle."""
+    for seed in range(300):
+        program = mixed_arity_program(seed, domain, recursive=seed % 2 == 1)
+        _check_against_the_oracle(program, table)
+        full = oracle.ground(program)
+        before = len(full.base) + len(full.facts)
+        with pytest.raises(GroundingLimitError) as err:
+            ground(program, limit=before - 1)
+        assert err.value.needed == before, seed
+
+
+def test_a_body_is_refused_before_its_alternatives_are_expanded(domain, table, monkeypatch):
+    # and_g(or(a0,b0), ..., or(a15,b15)) has 2**16 alternatives of 16 atoms
+    parts = ",".join(f"or(a{i},b{i})" for i in range(16))
+    program = parse_program(f"a0 : true.\nh <-g and_g({parts}) : true.\n", domain)
+    monkeypatch.setattr(fixpoint, "_alternatives", None)  # never reached
+    for grounding in (lambda: least_model(program, table), lambda: ground(program)):
+        with pytest.raises(fixpoint.JoinLimitError) as err:
+            grounding()
+        assert (err.value.needed, err.value.limit) == (2**16 + 2**16 * 16**2, 10**6)
+
+
+P, Q, R, S, T, U, V, W = (Atom(name) for name in "pqrstuvw")
+JOIN_STEP_BODIES = {
+    "atom": P,
+    "hedged-conjunction": Conj(GODEL, (P, HedgeApp("very", Q))),
+    "grade-leaves": Disj((P, Conj(LUKA, (Q, R)), Grade(3), Grade(0))),
+    "nested": Conj(LUKA, (Disj((P, Q)), Disj((R, S, T)), Disj((Conj(GODEL, (U, V)), W)))),
+}
+
+
+@pytest.mark.parametrize("shape", JOIN_STEP_BODIES)
+def test_join_steps_count_the_alternatives_and_their_plans(shape):
+    body = JOIN_STEP_BODIES[shape]
+    alts = fixpoint._alternatives(body)
+    assert fixpoint._join_steps(body) == len(alts) + sum(len(alt) ** 2 for alt in alts)
+
+
+def test_join_steps_count_repeated_atoms_before_they_merge():
+    # the alternatives are (p,), (p, r), (q, p) and (q, r): 4 + 1 + 4 + 4 + 4 merged
+    assert fixpoint._join_steps(Conj(GODEL, (Disj((P, Q)), Disj((P, R))))) == 4 + 4 * 2**2
 
 
 # Shapes the join handles apart, which ``strategies.programs`` does not all

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -45,7 +46,7 @@ from expected import (
     TRACE_PROGRAM,
     TRACE_THRESHOLD,
 )
-from randprog import random_program
+from randprog import mixed_arity_program, random_program
 from strategies import bodies, programs, random_table
 
 
@@ -57,6 +58,21 @@ def test_sample_programs(samples_dir, name):
     assert not result.depth_exhausted
     assert sorted({a.value for a in result.answers}) == [want]
     assert all(a.bindings == (("X", Const(const)),) for a in result.answers)
+
+
+def test_one_name_at_two_arities_answers_as_the_least_model(domain, table):
+    # Every ground atom of p and q at arities 0 to 2, so each model atom is
+    # asked and so is an atom of the same name at every other arity.
+    for seed in range(100):
+        program = mixed_arity_program(seed, domain)
+        model, _ = least_model(program, table)
+        consts = oracle.universe(program)
+        for pred, arity in itertools.product("pq", range(3)):
+            for args in itertools.product(consts, repeat=arity):
+                atom = Atom(pred, args)
+                result = solve(program, table, atom, SolveOptions(best=True))
+                got = max((a.value for a in result.answers), default=0)
+                assert not result.depth_exhausted and got == model[atom], (seed, atom)
 
 
 def test_exhaustive_mode_finds_the_same_answers(samples_dir):
