@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .algebra import GODEL, TruthDomain, format_value, record
-from .fixpoint import least_model
+from .fixpoint import _least_ids
 from .inverse import InverseMappingTable
 from .lang import (
     MAX_NESTING,
@@ -81,8 +81,7 @@ def _parse_label(
 
 def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     problems: list[str] = []
-    inputs: tuple[str, ...] | None = None
-    outputs: tuple[str, ...] | None = None
+    points_of: dict[str, tuple[str, ...]] = {}  # "inputs"/"outputs" -> points
     rules: list[ControlRule] = []
     sat: dict[tuple[str, str], tuple[int, int]] = {}  # -> (grade, line)
 
@@ -97,14 +96,9 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
                 problems.append(f"line {lineno}: {key} declares no points")
             problems += [f"line {lineno}: point {p!r} declared twice"
                          for p, k in Counter(points).items() if k > 1]
-            if key == "inputs":
-                if inputs is not None:
-                    problems.append(f"line {lineno}: inputs declared twice")
-                inputs = points
-            else:
-                if outputs is not None:
-                    problems.append(f"line {lineno}: outputs declared twice")
-                outputs = points
+            if key in points_of:
+                problems.append(f"line {lineno}: {key} declared twice")
+            points_of[key] = points
             continue
         if line.startswith("rule:"):
             rest = line[len("rule:"):]
@@ -153,12 +147,8 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
             continue
         problems.append(f"line {lineno}: cannot make sense of {line!r}")
 
-    if inputs is None:
-        problems.append("no inputs: line")
-        inputs = ()
-    if outputs is None:
-        problems.append("no outputs: line")
-        outputs = ()
+    problems += [f"no {key}: line" for key in ("inputs", "outputs") if key not in points_of]
+    inputs, outputs = points_of.get("inputs", ()), points_of.get("outputs", ())
     overlap = sorted(set(inputs) & set(outputs))
     if overlap:
         problems.append(f"point(s) {', '.join(overlap)} declared on both sides")
@@ -173,14 +163,10 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     for (pred, point), (_, ln) in sat.items():
         if point not in declared:
             problems.append(f"line {ln}: undeclared point {point!r}")
-    for pred in cs.input_preds:
-        for point in dict.fromkeys(inputs):
-            if (pred, point) not in sat:
-                problems.append(f"no sat row for input term {pred!r} at {point!r}")
-    for pred in cs.output_preds:
-        for point in dict.fromkeys(outputs):
-            if (pred, point) not in sat:
-                problems.append(f"no sat row for output term {pred!r} at {point!r}")
+    for side, preds, points in (("input", cs.input_preds, inputs),
+                                ("output", cs.output_preds, outputs)):
+        problems += [f"no sat row for {side} term {pred!r} at {point!r}" for pred in preds
+                     for point in dict.fromkeys(points) if (pred, point) not in sat]
 
     if problems:
         raise ParseError(problems)
@@ -220,30 +206,23 @@ def goodness_surface(
     program: Program | None = None,
 ) -> dict[tuple[str, str], int]:
     """Grade of ``good(x, y)`` for every input point x and output point y,
-    read off the least model of the compiled program."""
+    read off the least model of the compiled program in one pass."""
     if program is None:
         program = compile_control(cs)
-    model, _ = least_model(program, table)
-    return {
-        (x, y): model[Atom(GOOD, (x, y))]
-        for x in cs.input_points
-        for y in cs.output_points
-    }
+    ids, grades, _ = _least_ids(program, table)
+    surface = {(x, y): 0 for x in cs.input_points for y in cs.output_points}
+    for (pred, args), v in zip(ids, grades):
+        if pred == GOOD and args in surface:
+            surface[args] = v
+    return surface
 
 
 def recommend(
     cs: ControlSystem, surface: dict[tuple[str, str], int]
 ) -> dict[str, tuple[str, int]]:
     """Best output point per input point; earliest declared wins ties."""
-    out: dict[str, tuple[str, int]] = {}
-    for x in cs.input_points:
-        best = cs.output_points[0]
-        best_v = surface[(x, best)]
-        for y in cs.output_points[1:]:
-            if surface[(x, y)] > best_v:
-                best, best_v = y, surface[(x, y)]
-        out[x] = (best, best_v)
-    return out
+    best = {x: max(cs.output_points, key=lambda y: surface[(x, y)]) for x in cs.input_points}
+    return {x: (y, surface[(x, y)]) for x, y in best.items()}  # max keeps the first of the best
 
 
 def format_surface(

@@ -15,24 +15,30 @@ finds the instances whose bodies have an alternative made of derivable
 atoms (every conjunction and hedge keeps bottom at bottom, so the others
 add nothing), and ``ground`` builds them as rules.  A predicate is a name
 and an arity.  ``least_model`` has one path, which reads a ground program
-it is given as statements: each rule is compiled once into a function of
-an instance's atom ids and of an interpretation held as a list by id, and
-the join emits instances as those ids.  Rounds are semi-naive: the first
-reads bottom everywhere, so it fires the facts and only the instances of
-rules nonzero there (one probe per rule tells), and each later one those
-with a body atom that rose in the round before, reading what that round
-left.  The iterates ascend, so an instance not fired gives at most its
+it is given as statements.  The join interns ground atoms as ids and emits
+each instance as the ids of its head and body atoms; a matched atom's id
+rides along in the binding.  Each rule is compiled once into a function
+grading a batch of its instances over an interpretation held as a list by
+id.  Rounds are semi-naive: the first reads bottom everywhere, so it fires
+the facts and only the instances of rules nonzero there (one probe per
+rule tells), and each later one those with a body atom that rose in the
+round before, reading what that round left, each rule's share as one
+batch.  The iterates ascend, so an instance not fired gives at most its
 head's value: every round, and so the round count, equals a full
-application's.  Grounding stops at ``GROUND_LIMIT`` (see ``_relevant_bindings``).
+application's.  Grounding stops at ``GROUND_LIMIT`` instances and
+``JOIN_LIMIT`` join steps (see ``_relevant_bindings``).
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import functools
+import heapq
 import itertools
 import operator
 
-from .algebra import GODEL, LimitError, format_value, record
+from .algebra import GODEL, LUKA, LimitError, format_value, record
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -54,6 +60,7 @@ from .lang import (
 )
 
 GROUND_LIMIT = 10**6
+JOIN_LIMIT = 10**6
 
 
 class GroundingLimitError(LimitError):
@@ -144,73 +151,59 @@ def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], 
     mapped to its head and body atom ids; and the ids.
 
     The Herbrand base's size and the fact instances are counted first, then
-    each rule instance as it is found, all refused past ``limit``; so is a
-    body whose alternatives and join plans would take more steps, before
-    either is built.  Semi-naive worklist join: each ground atom, once
-    derivable, is matched against every alternative atom with its
+    each rule instance as it is found, all refused past ``limit``; the
+    steps of the program's alternatives and join plans, past ``JOIN_LIMIT``
+    and before any is built.  Semi-naive worklist join: each ground atom,
+    once derivable, is matched against every alternative atom with its
     predicate, and the rest of that alternative is joined against the atoms
     made derivable before it, through indexes keyed on the argument
     positions already bound.  Variables no atom of the alternative binds
     range over the universe.  Ground atoms are ``(pred, args)`` tuples, and
     a predicate is its name and arity; a binding under construction is a
-    list of variable slots followed by the rule's constants.
-    """
+    list of variable slots, the rule's constants, and one slot per body
+    atom, which its match fills with the atom's id."""
     universe = program.constants() or ("a",)
     u, rules = len(universe), program.rules
     needed = sum(u**arity for _, arity in {(a.pred, len(a.args)) for a in program.atoms()})
     needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
     if needed > limit:
         raise GroundingLimitError(needed, limit)
+    if (steps := sum(_join_steps(rule.body) for rule in rules)) > JOIN_LIMIT:
+        raise JoinLimitError(steps, JOIN_LIMIT)
     facts = [(_bind(st.atom, dict(zip(names, combo))), st.tv)
              for st in program.facts for names in (free_vars(st.atom),)
              for combo in itertools.product(universe, repeat=len(names))]
     found: list[dict] = [{} for _ in rules]
-    queue = list(dict.fromkeys((a.pred, a.args) for a, tv in facts if tv))
-    derivable = set(queue)
-    ids = {atom: i for i, atom in enumerate(queue)}
-    # (pred, arity) -> bound argument positions -> (their getter, their values -> ground args)
-    indexes: dict[tuple[str, int], dict[tuple[int, ...], tuple]] = {}
-    triggers: dict[tuple[str, int], list] = {}
+    ids = {a: i for i, a in enumerate(dict.fromkeys((a.pred, a.args) for a, tv in facts if tv))}
+    queue = [((pred, len(args)), args, i) for (pred, args), i in ids.items()]
+    derivable = set(ids.values())
+    # (pred, arity) -> bound argument positions -> (their getter, their values -> [(args, id)])
+    indexes: dict[tuple[str, int], dict[tuple[int, ...], tuple]] = collections.defaultdict(dict)
+    triggers: dict[tuple[str, int], list] = collections.defaultdict(list)
 
-    def emitter(found_r: dict, free: tuple[int, ...], binding, head, leaves):
-        """``done(env)``: record each instance ``env`` completes over its ``free`` slots."""
-        pred, head_args = head
-
-        def add(env: list) -> None:
-            nonlocal needed
-            key = binding(env)
-            if key in found_r:
-                return
-            needed += 1
-            if needed > limit:
-                raise GroundingLimitError(needed, limit)
-            atom = (pred, head_args(env))
-            found_r[key] = (ids.setdefault(atom, len(ids)), tuple(
-                [ids.setdefault((p, args(env)), len(ids)) for p, args in leaves]))
-            if atom not in derivable:
-                derivable.add(atom)
-                queue.append(atom)
-
-        def done(env: list) -> None:
-            for combo in itertools.product(universe, repeat=len(free)):
-                for s, c in zip(free, combo):
-                    env[s] = c
-                add(env)
-        return done if free else add
-
-    def step(idx: dict, key, assign, check, then):
-        """Match one more atom through ``idx``, then go on with ``then(env)``."""
-        def run(env: list) -> None:
-            for args in idx.get(key(env), ()):
+    def walk(plan: list, env: list, add, entries) -> None:
+        """Match ``plan``, its first atom against ``entries`` and each next one
+        through its index, ids into their slots, then ``add(env)``; in a loop."""
+        todo, n = [iter(entries)], len(plan)  # per atom matched so far, its candidates left
+        while todo:
+            k = len(todo)
+            _, _, _, assign, check, at = plan[k - 1]
+            for args, i in todo[-1]:
                 for p, s in assign:
                     env[s] = args[p]
                 if not check or all(args[p] == env[s] for p, s in check):
-                    then(env)
-        return run
+                    env[at] = i
+                    if k == n:
+                        add(env)
+                    else:
+                        _, idx, key, _, _, _ = plan[k]
+                        todo.append(iter(idx.get(key(env), ())))
+                        break
+            else:
+                todo.pop()
 
+    anything = {(): [((c,), c) for c in universe]}  # for a variable no atom binds: c, "id" c
     for r, rule in enumerate(rules):
-        if (steps := _join_steps(rule.body)) > limit:
-            raise JoinLimitError(steps, limit)
         names = _rule_vars(rule)
         slots = {name: i for i, name in enumerate(names)}
         template: list = [None] * len(names)
@@ -224,43 +217,82 @@ def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], 
                 template.append(term)
             return slots[key]
 
-        head = (rule.head.pred, _getter([slot(a) for a in rule.head.args]))
-        leaves = [(a.pred, _getter([slot(t) for t in a.args])) for a in atoms_of(rule.body)]
-        binding = _getter(range(len(names)))
+        head = [slot(a) for a in rule.head.args]
+        body = list(atoms_of(rule.body))
+        leaves = [(a.pred, _getter([slot(t) for t in a.args])) for a in body]
+        at = {a: len(template) + k for k, a in reversed(list(enumerate(body)))}  # id slots
+        template += [None] * len(body)
+        # no binding getter: the binding is the head's arguments, every variable in order
+        binding = None if head == list(range(len(names))) else _getter(range(len(names)))
         for alt in _alternatives(rule.body):
-            consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, str)}
-            bound = {slot(a) for atom in alt for a in atom.args}
-            free = tuple(s for s in range(len(names)) if s not in bound)
-            done = emitter(found[r], free, binding, head, leaves)
-            if not alt:
-                done(list(template))
-            for i, first in enumerate(alt):
-                seen = set(consts)
-                plan = [_step(first, slot, seen)]
-                rest = list(alt[:i] + alt[i + 1 :])
-                while rest:
-                    best = max(rest, key=lambda a: sum(slot(t) in seen for t in a.args))
-                    rest.remove(best)
-                    plan.append(_step(best, slot, seen))
-                run = done
-                for pred, pos, key, assign, check in reversed(plan[1:]):
-                    idx = indexes.setdefault(pred, {}).setdefault(pos, (_getter(pos), {}))[1]
-                    run = step(idx, _getter(key), assign, check, run)
-                triggers.setdefault(plan[0][0], []).append((template, *plan[0][1:], run))
+            bound, inside = {slot(a) for atom in alt for a in atom.args}, set(alt)
 
-    for pred, args in queue:  # grows while it is walked
-        pred = pred, len(args)
-        for get, idx in indexes.get(pred, {}).values():
-            idx.setdefault(get(args), []).append(args)
-        for template, positions, key, assign, check, run in triggers.get(pred, ()):
-            env = list(template)
-            if any(args[p] != env[s] for p, s in zip(positions, key)):
-                continue
-            for p, s in assign:
-                env[s] = args[p]
-            if not check or all(args[p] == env[s] for p, s in check):
-                run(env)
+            def add(env: list, found_r=found[r], binding=binding, pred=rule.head.pred,
+                    head_args=_getter(head), key=(rule.head.pred, len(head)),
+                    leaf_ids=_getter([at[a] for a in body]),
+                    outside=[(at[a], *leaf) for a, leaf in zip(body, leaves) if a not in inside]):
+                """Record the instance ``env`` completes; intern the other body atoms first."""
+                nonlocal needed
+                args = head_args(env)
+                h = ids.setdefault((pred, args), len(ids))
+                for s, p, get in outside:
+                    env[s] = ids.setdefault((p, get(env)), len(ids))
+                instance = h, leaf_ids(env)
+                if found_r.setdefault(binding(env) if binding else args, instance) is not instance:
+                    return
+                needed += 1
+                if needed > limit:
+                    raise GroundingLimitError(needed, limit)
+                if h not in derivable:
+                    derivable.add(h)
+                    queue.append((key, args, h))
+
+            free = [(None, anything, _getter(()), ((0, s),), (), s)
+                    for s in range(len(names)) if s not in bound]
+            if not alt:
+                walk(free, list(template), add, anything[()]) if free else add(list(template))
+            consts = {slot(a) for atom in alt for a in atom.args if isinstance(a, str)}
+            for first, plan in zip(alt, _plans(alt, slot, consts, indexes, at)):
+                triggers[first.pred, len(first.args)].append((plan + free, template, add))
+
+    for pred, args, i in queue:  # grows while it is walked
+        for get, idx in indexes[pred].values():
+            idx.setdefault(get(args), []).append((args, i))
+        for plan, template, add in triggers[pred]:
+            get, _, key = plan[0][:3]
+            if get(args) == key(template):  # the constants of the first atom
+                walk(plan, list(template), add, ((args, i),))
     return facts, found, ids
+
+
+def _plans(alt: tuple[Atom, ...], slot, consts: set[int], indexes: dict, at: dict):
+    """Per first atom of ``alt``, its join plan as ``_step``s: next, the atom
+    with the most argument positions bound, the earliest on ties, from a
+    heap of those counts that a step updates only where it fills a slot."""
+    describe = functools.cache(lambda j, bound: _step(alt[j], slot, bound, indexes, at))
+    slots = [[slot(t) for t in atom.args] for atom in alt]
+    uses: dict[int, list[int]] = {}  # slot -> its atoms, once per argument position
+    for j, ss in enumerate(slots):
+        for s in ss:
+            uses.setdefault(s, []).append(j)
+    start = [sum(s in consts for s in ss) for ss in slots]
+    for first in range(len(alt)):
+        seen, count, plan = set(consts), start[:], []
+        heap = [(-c, j) for j, c in enumerate(start)] + [(float("-inf"), first)]
+        heapq.heapify(heap)
+        while heap:
+            c, j = heapq.heappop(heap)
+            if count[j] is None or -c < count[j]:
+                continue  # done, or counted again since
+            plan.append(describe(j, tuple(s for s in slots[j] if s in seen)))
+            count[j] = None
+            for s in set(slots[j]) - seen:
+                seen.add(s)
+                for k in uses[s]:
+                    if count[k] is not None:
+                        count[k] += 1
+                        heapq.heappush(heap, (-count[k], k))
+        yield plan
 
 
 def _getter(slots):
@@ -271,11 +303,10 @@ def _getter(slots):
     return operator.itemgetter(*slots) if slots else lambda seq: ()
 
 
-def _step(atom: Atom, slot, bound: set[int]) -> tuple:
-    """How to match ``atom`` once the slots in ``bound`` hold values: the
-    argument positions that must equal those slots, the slots the other
-    positions fill, and repeated fresh variables to compare; ``bound`` then
-    gains the filled slots."""
+def _step(atom: Atom, slot, bound: tuple[int, ...], indexes: dict, at: dict) -> tuple:
+    """How ``walk`` matches ``atom`` once its slots in ``bound`` hold values:
+    the index on the positions bound (its getter, its entries by value), their
+    slots' getter, the slots the others fill, repeats to compare, its id's slot."""
     positions, key, assign, check = [], [], [], []
     fresh: set[int] = set()
     for p, arg in enumerate(atom.args):
@@ -288,8 +319,9 @@ def _step(atom: Atom, slot, bound: set[int]) -> tuple:
         else:
             fresh.add(s)
             assign.append((p, s))
-    bound |= fresh
-    return (atom.pred, len(atom.args)), tuple(positions), tuple(key), tuple(assign), tuple(check)
+    pos = tuple(positions)
+    get, idx = indexes[atom.pred, len(atom.args)].setdefault(pos, (_getter(pos), {}))
+    return get, idx, _getter(key), tuple(assign), tuple(check), at[atom]
 
 
 def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTable) -> int:
@@ -297,29 +329,40 @@ def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTa
     return value(body, interp.__getitem__, table.columns, table.domain.n)
 
 
+_FOLDS = {  # two columns of part grades into one, pairwise
+    "or": lambda a, b: [x if x > y else y for x, y in zip(a, b)],
+    GODEL: lambda a, b: [x if x < y else y for x, y in zip(a, b)],
+    LUKA: lambda a, b: [x + y for x, y in zip(a, b)],  # then cut, clamped at 0
+}
+
+
 def _compile(rule: Rule, columns, n: int) -> tuple:
-    """``grade(I, L)``: the head grade of an instance of ``rule`` under the
-    interpretation ``I`` (a list by atom id) when ``L`` holds its body atoms'
-    ids; and those atoms.  The rule grade is a last conjunct, and each node
-    becomes a function that calls its parts', nesting as the body does."""
+    """``grade(I, Ls)``: the head grades of the instances of ``rule`` whose
+    body atoms' ids are the tuples in ``Ls``, under the interpretation ``I``
+    (a list by atom id); and those atoms.  The rule grade is a last
+    conjunct, and each node grades the whole batch at once: an atom reads a
+    column of grades, a hedge maps it, a connective folds its parts'."""
     nodes = _postorder(Conj(rule.kind, (rule.body, rule.tv)))
     done, count = [], itertools.count()
     for x in nodes:
         cls = x.__class__
         if cls is Atom:
-            done.append(lambda I, L, k=next(count): I[L[k]])
+            done.append(lambda I, Ls, k=next(count): [I[L[k]] for L in Ls])
         elif cls is int:
-            done.append(lambda I, L, v=x: v)
+            done.append(lambda I, Ls, v=x: [v] * len(Ls))
         elif cls is HedgeApp:
-            done.append(lambda I, L, col=columns[x.hedge], f=done.pop(): col[f(I, L)])
+            done.append(lambda I, Ls, c=columns[x.hedge], f=done.pop(): [c[v] for v in f(I, Ls)])
         else:
             fs = _pop(done, len(x.parts))
-            fold = max if cls is Disj else min if x.kind == GODEL else (
-                lambda vs: max(sum(vs) - (len(vs) - 1) * n, 0))
-            if len(fs) == 2:
-                done.append(lambda I, L, f=fs[0], g=fs[1], fold=fold: fold((f(I, L), g(I, L))))
-            else:
-                done.append(lambda I, L, fs=fs, fold=fold: fold([f(I, L) for f in fs]))
+            fold = _FOLDS["or" if cls is Disj else x.kind]
+            cut = (len(fs) - 1) * n if fold is _FOLDS[LUKA] else 0
+
+            def node(I, Ls, fs=fs, fold=fold, cut=cut):
+                vs = fs[0](I, Ls)
+                for f in fs[1:]:
+                    vs = fold(vs, f(I, Ls))
+                return [v - cut if v > cut else 0 for v in vs] if cut else vs
+            done.append(node)
     return done[0], [x for x in nodes if x.__class__ is Atom]
 
 
@@ -334,43 +377,61 @@ def least_model(
     settle on it, over the relevant instances of ``program``, or of ``gp``'s
     facts and rules read as statements when given: an instance whose body
     is bottom gives its head bottom, so dropping it changes neither the
-    model nor the rounds.  Both modes run the same engine."""
+    model nor the rounds.  Both modes run the same engine, which interns
+    atoms as ids and grades each rule's fired instances as one batch."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown evaluation mode: {mode!r}")
     if gp is not None:
         program = Program(tuple(Fact(atom, tv) for atom, tv in gp.facts) + gp.rules)
+    ids, interp, rounds = _least_ids(program, table, limit)
+    atoms = map(Atom._make, itertools.compress(ids, interp))
+    return Interpretation(zip(atoms, itertools.compress(interp, interp))), rounds
+
+
+def _least_ids(program: Program, table: InverseMappingTable, limit: int = GROUND_LIMIT) -> tuple:
+    """``least_model`` by atom id: the ids, the grades by id, and the rounds;
+    instances are numbered by rule, their heads and body atom ids side by side."""
     columns, n = table.columns, table.domain.n
     facts, found, ids = _relevant_bindings(program, limit)
-    instances, fired = [], []
+    heads, leaves, batches, fired = [], [], [], []
     for rule, bindings in zip(program.rules, found):
-        grade, atoms = _compile(rule, columns, n)
-        # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
-        if bindings and grade((0,), (0,) * len(atoms)):
-            fired += range(len(instances), len(instances) + len(bindings))
-        instances += [(head, grade, leaves) for head, leaves in bindings.values()]
-    facts = [(ids[a.pred, a.args], lambda I, L, tv=tv: tv, ()) for a, tv in facts if tv]
-    fired += range(len(instances), len(instances) + len(facts))
-    instances += facts
-    triggers: list[list[int]] = [[] for _ in ids]
-    for i, (_, _, leaves) in enumerate(instances):
-        for a in leaves:
+        if bindings:
+            grade, atoms = _compile(rule, columns, n)
+            lo = len(heads)
+            heads += [h for h, _ in bindings.values()]
+            leaves += [L for _, L in bindings.values()]
+            batches.append((lo, len(heads), grade))
+            # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
+            if grade((0,), [(0,) * len(atoms)])[0]:
+                fired += range(lo, len(heads))
+    triggers: list[list[int]] = [[] for _ in ids]  # atom id -> the instances reading it
+    for i, L in enumerate(leaves):
+        for a in L:
             triggers[a].append(i)
-    interp, raised = [0] * len(ids), {}
+    interp = [0] * len(ids)
+    graded = [([ids[a.pred, a.args] for a, tv in facts if tv], [tv for _, tv in facts if tv])]
     # only interned atoms rise, each at most n times
     rounds, cap = 1, len(ids) * (n + 1) + 1
     while True:
-        for i in fired:
-            head, grade, leaves = instances[i]
-            g = grade(interp, leaves)
-            if g > interp[head] and g > raised.get(head, 0):
-                raised[head] = g
+        for lo, hi, grade in batches:
+            a, b = bisect.bisect_left(fired, lo), bisect.bisect_left(fired, hi)
+            if b - a == hi - lo:
+                graded.append((heads[lo:hi], grade(interp, leaves[lo:hi])))
+            elif a < b:
+                mine = fired[a:b]
+                graded.append(([heads[i] for i in mine], grade(interp, [leaves[i] for i in mine])))
+        raised = []
+        for hs, gs in graded:
+            for h, g in zip(hs, gs):
+                if g > interp[h]:
+                    interp[h] = g
+                    raised.append(h)
         if not raised:
-            return Interpretation((Atom(*k), v) for k, v in zip(ids, interp) if v), rounds
+            return ids, interp, rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
-        for a, g in raised.items():
-            interp[a] = g
-        fired, rounds, raised = {i for a in raised for i in triggers[a]}, rounds + 1, {}
+        fired = sorted(set(itertools.chain.from_iterable(map(triggers.__getitem__, set(raised)))))
+        rounds, graded = rounds + 1, []
 
 
 def dump_model(model: Interpretation, domain) -> list[str]:

@@ -602,6 +602,29 @@ def test_model_refuses_a_body_with_too_many_alternatives(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "a0 : true (v33)\niterations: 2\n", "")
 
 
+def test_model_bounds_the_join_steps_of_the_whole_program(tmp_path):
+    """Four bodies, each under the join limit, are refused together."""
+    parts = ",".join(f"or(a{i},b{i})" for i in range(12))
+    prog = tmp_path / "four.fllp"
+    rules = "".join(f"h{k} <-g and_g({parts}) : true.\n" for k in range(4))
+    prog.write_text(f"a0 : true.\n{rules}")
+    start = time.perf_counter()
+    proc = _fllp("model", str(prog), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: a rule body's join needs at least {4 * 593920} alternatives"
+                           " and plan steps, over the limit of 1000000\n")
+    assert time.perf_counter() - start < 5.0
+
+
+def test_model_plans_a_long_conjunction_in_quadratic_time(tmp_path):
+    """400 atoms make 400 plans of 400 steps; a cubic planner took 16 s."""
+    prog = tmp_path / "long.fllp"
+    prog.write_text(f"a0 : true.\nh <-g and_g({', '.join(f'a{i}' for i in range(400))}) : true.\n")
+    proc = _fllp("model", str(prog), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "a0 : true (v33)\niterations: 2\n"
+
+
 def test_model_delta_iterations_do_not_depend_on_hashing(tmp_path):
     prog = tmp_path / "chain.fllp"
     prog.write_text(

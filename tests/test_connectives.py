@@ -2,9 +2,10 @@
 
 ``lang.value`` over grade leaves values bodies for the solver's bounds,
 ``solver._fold`` folds a goal word's resolved parts, and ``fixpoint._compile``
-grades rule instances in the least model, by a two-part path and an n-part
-one.  Each must obey the t-norm laws, agree with the others and with the
-oracle, and be residuated with its implicator.
+grades rule instances in the least model, each connective folding the
+columns of its parts' grades over a batch of instances.  Each must obey the
+t-norm laws, agree with the others and with the oracle, and be residuated
+with its implicator.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ FOLDS = {
     "value": lambda kind, *vs: value(Conj(kind, vs), None, {}, N),
     "fold": lambda kind, *vs: functools.reduce(
         lambda acc, v: _fold(Conj(kind, ()), acc, v, N), vs, N),
-    "compiled": lambda kind, *vs: _compiled(kind, len(vs))(vs, range(len(vs))),
+    "compiled": lambda kind, *vs: _compiled(kind, len(vs))(vs, [range(len(vs))])[0],
 }
 
 

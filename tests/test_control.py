@@ -293,6 +293,21 @@ def test_random_surfaces_match_the_least_model(seed, table):
         assert model[Atom("good", (Const(x), Const(y)))] == v
 
 
+def test_the_surface_is_exactly_the_declared_grid(table):
+    """A ``sat`` row may grade an input term at an output point, and the
+    model then holds ``good`` atoms off the grid; the surface keeps only
+    the grid, every cell of it, each at its least-model grade."""
+    text = ("inputs: t1 t2\noutputs: p1 p2 p3\nrule: cold => strong\n"
+            "sat cold t1 true\nsat cold t2 very true\nsat cold p2 true\n"
+            "sat strong p1 true\nsat strong p2 more true\nsat strong p3 true\n")
+    cs = parse_control_file(text, table.domain)
+    surface = goodness_surface(cs, table)
+    model, _ = least_model(compile_control(cs), table)
+    assert model[Atom("good", ("p2", "p1"))] > 0  # off the grid
+    assert list(surface) == [(x, y) for x in ("t1", "t2") for y in ("p1", "p2", "p3")]
+    assert surface == {(x, y): model[Atom("good", (x, y))] for x, y in surface}
+
+
 # Control-file words: mostly well placed, now and then misplaced or wrong.
 NOISE = ("inputs:", "outputs:", "rule:", "sat", "=>", "conf", "%", ":", "\u00e9", "\r", "good",
          "and_g", "t1", "p1", "cold", "strong", "very", "true")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import collections
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fllp import fixpoint
 from fllp.algebra import GODEL, LUKA
@@ -33,6 +35,7 @@ from fllp.lang import (
     load_program,
     parse_program,
     parse_query,
+    value,
 )
 from fllp.solver import SolveOptions, solve
 
@@ -281,6 +284,63 @@ def test_join_steps_count_repeated_atoms_before_they_merge():
     assert fixpoint._join_steps(Conj(GODEL, (Disj((P, Q)), Disj((P, R))))) == 4 + 4 * 2**2
 
 
+def test_the_join_steps_are_bounded_per_program(domain, table, monkeypatch):
+    """Each body's 8 alternatives of 3 atoms take 8 + 8 * 3**2 steps: under
+    the join limit one by one, over it together."""
+    parts = ",".join(f"or(a{i},b{i})" for i in range(3))
+    rules = "".join(f"h{k} <-g and_g({parts}) : true.\n" for k in range(3))
+    program = parse_program(f"a0 : true.\n{rules}", domain)
+    monkeypatch.setattr(fixpoint, "JOIN_LIMIT", 239)
+    for grounding in (lambda: least_model(program, table), lambda: ground(program)):
+        with pytest.raises(fixpoint.JoinLimitError) as err:
+            grounding()
+        assert (err.value.needed, err.value.limit) == (240, 239)
+    monkeypatch.setattr(fixpoint, "JOIN_LIMIT", 240)
+    assert least_model(program, table) == ({Atom("a0"): 33}, 2)
+
+
+def test_a_join_plan_of_any_length_is_walked_in_a_loop(domain, table):
+    """With every atom of a 300-atom conjunction derivable, the join walks
+    plans of up to 300 steps, within 150 frames of the caller's."""
+    atoms = [f"a{i}" for i in range(300)]
+    text = "".join(f"{a} : true.\n" for a in atoms) + f"h <-g and_g({', '.join(atoms)}) : true.\n"
+    program = parse_program(text, domain)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        model, rounds = least_model(program, table)
+    finally:
+        sys.setrecursionlimit(before)
+    assert (model[Atom("h")], rounds) == (33, 3)
+
+
+def test_join_plans_take_the_most_bound_atom_next():
+    """After its first atom, each plan takes the atom with the most argument
+    positions bound, the earliest on ties: the greedy order, step by step."""
+    rng = random.Random(0)
+    terms = (Var("X"), Var("Y"), Var("Z"), Var("W"), Const("a"), Const("b"))
+    for _ in range(400):
+        atoms = [Atom(rng.choice("pq"), tuple(rng.choice(terms) for _ in range(rng.randint(0, 3))))
+                 for _ in range(rng.randint(1, 8))]
+        alt = tuple(dict.fromkeys(atoms))
+        slots: dict = {}
+        slot = lambda term: slots.setdefault(term, len(slots))  # noqa: E731
+        consts = {slot(t) for atom in alt for t in atom.args if isinstance(t, str)}
+        at = {atom: j for j, atom in enumerate(alt)}
+        plans = fixpoint._plans(alt, slot, consts, collections.defaultdict(dict), at)
+        for first, plan in zip(alt, plans):
+            order, rest = [first], [a for a in alt if a != first]
+            seen = consts | set(map(slot, first.args))
+            while rest:
+                order.append(max(rest, key=lambda a: sum(slot(t) in seen for t in a.args)))
+                rest.remove(order[-1])
+                seen |= set(map(slot, order[-1].args))
+            assert [step[-1] for step in plan] == [at[atom] for atom in order]
+
+
 # Shapes the join handles apart, which ``strategies.programs`` does not all
 # draw: source, then what grounding counts before the join (the Herbrand base
 # and the fact instances), then that plus the relevant rule instances.
@@ -329,14 +389,29 @@ def test_each_relevant_instance_is_evaluated_once(monkeypatch, samples_dir, tabl
     instances = len(ground(program).rules)
     compile_, calls = fixpoint._compile, []
 
-    def counted(*args):
+    def counted(*args):  # each batch grades the instances whose body atom ids it lists
         grade, atoms = compile_(*args)
-        return lambda I, L: calls.append(L) or grade(I, L), atoms
+        return lambda I, Ls: calls.extend(Ls) or grade(I, Ls), atoms
 
     monkeypatch.setattr(fixpoint, "_compile", counted)
     _, rounds = least_model(program, table)
     assert instances > len(program.rules) and rounds == 3
     assert instances <= len(calls) <= instances + len(program.rules)
+
+
+@settings(max_examples=100)
+@given(programs(), st.randoms(use_true_random=False))
+def test_a_rule_grades_each_instance_of_a_batch_as_value_does(case, rng):
+    table, program = case
+    n = table.domain.n
+    for rule in program.rules:
+        grade, atoms = fixpoint._compile(rule, table.columns, n)
+        interp = [rng.randint(0, n) for _ in range(6)]
+        instances = [{atom: rng.randrange(6) for atom in atoms} for _ in range(rng.randint(1, 4))]
+        got = grade(interp, [tuple(ids[atom] for atom in atoms) for ids in instances])
+        whole = Conj(rule.kind, (rule.body, rule.tv))
+        assert got == [value(whole, lambda atom: interp[ids[atom]], table.columns, n)
+                       for ids in instances]
 
 
 @settings(max_examples=150)
