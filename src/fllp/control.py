@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .algebra import GODEL, TruthDomain, format_value, record
-from .fixpoint import _least_ids
+from .fixpoint import least_model
 from .inverse import InverseMappingTable
 from .lang import (
     MAX_NESTING,
@@ -209,11 +209,10 @@ def goodness_surface(
     read off the least model of the compiled program in one pass."""
     if program is None:
         program = compile_control(cs)
-    ids, grades, _ = _least_ids(program, table)
     surface = {(x, y): 0 for x in cs.input_points for y in cs.output_points}
-    for (pred, args), v in zip(ids, grades):
-        if pred == GOOD and args in surface:
-            surface[args] = v
+    for atom, v in least_model(program, table)[0].items():
+        if atom.pred == GOOD and atom.args in surface:
+            surface[atom.args] = v
     return surface
 
 

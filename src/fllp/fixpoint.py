@@ -68,7 +68,7 @@ class GroundingLimitError(LimitError):
 
 
 class JoinLimitError(GroundingLimitError):
-    subject, unit = "a rule body's join", "alternatives and plan steps"
+    subject, unit = "joining the rule bodies", "alternatives and plan steps"
 
 
 class Interpretation(dict):
@@ -222,12 +222,11 @@ def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], 
         leaves = [(a.pred, _getter([slot(t) for t in a.args])) for a in body]
         at = {a: len(template) + k for k, a in reversed(list(enumerate(body)))}  # id slots
         template += [None] * len(body)
-        # no binding getter: the binding is the head's arguments, every variable in order
-        binding = None if head == list(range(len(names))) else _getter(range(len(names)))
         for alt in _alternatives(rule.body):
             bound, inside = {slot(a) for atom in alt for a in atom.args}, set(alt)
 
-            def add(env: list, found_r=found[r], binding=binding, pred=rule.head.pred,
+            def add(env: list, found_r=found[r], binding=_getter(range(len(names))),
+                    pred=rule.head.pred,
                     head_args=_getter(head), key=(rule.head.pred, len(head)),
                     leaf_ids=_getter([at[a] for a in body]),
                     outside=[(at[a], *leaf) for a, leaf in zip(body, leaves) if a not in inside]):
@@ -238,7 +237,7 @@ def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], 
                 for s, p, get in outside:
                     env[s] = ids.setdefault((p, get(env)), len(ids))
                 instance = h, leaf_ids(env)
-                if found_r.setdefault(binding(env) if binding else args, instance) is not instance:
+                if found_r.setdefault(binding(env), instance) is not instance:
                     return
                 needed += 1
                 if needed > limit:
@@ -269,7 +268,8 @@ def _plans(alt: tuple[Atom, ...], slot, consts: set[int], indexes: dict, at: dic
     """Per first atom of ``alt``, its join plan as ``_step``s: next, the atom
     with the most argument positions bound, the earliest on ties, from a
     heap of those counts that a step updates only where it fills a slot."""
-    describe = functools.cache(lambda j, bound: _step(alt[j], slot, bound, indexes, at))
+    describe = functools.cache(lambda j, bound, first: _step(
+        alt[j], slot, bound, {} if first else indexes[alt[j].pred, len(alt[j].args)], at))
     slots = [[slot(t) for t in atom.args] for atom in alt]
     uses: dict[int, list[int]] = {}  # slot -> its atoms, once per argument position
     for j, ss in enumerate(slots):
@@ -284,7 +284,7 @@ def _plans(alt: tuple[Atom, ...], slot, consts: set[int], indexes: dict, at: dic
             c, j = heapq.heappop(heap)
             if count[j] is None or -c < count[j]:
                 continue  # done, or counted again since
-            plan.append(describe(j, tuple(s for s in slots[j] if s in seen)))
+            plan.append(describe(j, tuple(s for s in slots[j] if s in seen), j == first))
             count[j] = None
             for s in set(slots[j]) - seen:
                 seen.add(s)
@@ -305,8 +305,10 @@ def _getter(slots):
 
 def _step(atom: Atom, slot, bound: tuple[int, ...], indexes: dict, at: dict) -> tuple:
     """How ``walk`` matches ``atom`` once its slots in ``bound`` hold values:
-    the index on the positions bound (its getter, its entries by value), their
-    slots' getter, the slots the others fill, repeats to compare, its id's slot."""
+    the index on the positions bound, from ``indexes`` by positions (its
+    getter, its entries by value), their slots' getter, the slots the others
+    fill, repeats to compare, its id's slot.  A plan's first atom is matched
+    by the arriving atom itself, so its index is a throwaway one."""
     positions, key, assign, check = [], [], [], []
     fresh: set[int] = set()
     for p, arg in enumerate(atom.args):
@@ -320,7 +322,7 @@ def _step(atom: Atom, slot, bound: tuple[int, ...], indexes: dict, at: dict) -> 
             fresh.add(s)
             assign.append((p, s))
     pos = tuple(positions)
-    get, idx = indexes[atom.pred, len(atom.args)].setdefault(pos, (_getter(pos), {}))
+    get, idx = indexes.setdefault(pos, (_getter(pos), {}))
     return get, idx, _getter(key), tuple(assign), tuple(check), at[atom]
 
 
@@ -383,16 +385,9 @@ def least_model(
         raise ValueError(f"unknown evaluation mode: {mode!r}")
     if gp is not None:
         program = Program(tuple(Fact(atom, tv) for atom, tv in gp.facts) + gp.rules)
-    ids, interp, rounds = _least_ids(program, table, limit)
-    atoms = map(Atom._make, itertools.compress(ids, interp))
-    return Interpretation(zip(atoms, itertools.compress(interp, interp))), rounds
-
-
-def _least_ids(program: Program, table: InverseMappingTable, limit: int = GROUND_LIMIT) -> tuple:
-    """``least_model`` by atom id: the ids, the grades by id, and the rounds;
-    instances are numbered by rule, their heads and body atom ids side by side."""
     columns, n = table.columns, table.domain.n
     facts, found, ids = _relevant_bindings(program, limit)
+    # instances numbered by rule: their head ids and body atom ids side by side
     heads, leaves, batches, fired = [], [], [], []
     for rule, bindings in zip(program.rules, found):
         if bindings:
@@ -414,11 +409,8 @@ def _least_ids(program: Program, table: InverseMappingTable, limit: int = GROUND
     rounds, cap = 1, len(ids) * (n + 1) + 1
     while True:
         for lo, hi, grade in batches:
-            a, b = bisect.bisect_left(fired, lo), bisect.bisect_left(fired, hi)
-            if b - a == hi - lo:
-                graded.append((heads[lo:hi], grade(interp, leaves[lo:hi])))
-            elif a < b:
-                mine = fired[a:b]
+            mine = fired[bisect.bisect_left(fired, lo):bisect.bisect_left(fired, hi)]
+            if mine:
                 graded.append(([heads[i] for i in mine], grade(interp, [leaves[i] for i in mine])))
         raised = []
         for hs, gs in graded:
@@ -427,7 +419,8 @@ def _least_ids(program: Program, table: InverseMappingTable, limit: int = GROUND
                     interp[h] = g
                     raised.append(h)
         if not raised:
-            return ids, interp, rounds
+            atoms = map(Atom._make, itertools.compress(ids, interp))
+            return Interpretation(zip(atoms, itertools.compress(interp, interp))), rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
         fired = sorted(set(itertools.chain.from_iterable(map(triggers.__getitem__, set(raised)))))

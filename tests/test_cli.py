@@ -594,7 +594,7 @@ def test_model_refuses_a_body_with_too_many_alternatives(tmp_path):
     start = time.perf_counter()
     proc = _fllp("model", str(prog), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: a rule body's join needs at least 16842752 alternatives"
+    assert proc.stderr == ("error: joining the rule bodies needs at least 16842752 alternatives"
                            " and plan steps, over the limit of 1000000\n")
     assert time.perf_counter() - start < 5.0
     prog.write_text(_disjunctions(10))
@@ -611,8 +611,8 @@ def test_model_bounds_the_join_steps_of_the_whole_program(tmp_path):
     start = time.perf_counter()
     proc = _fllp("model", str(prog), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (f"error: a rule body's join needs at least {4 * 593920} alternatives"
-                           " and plan steps, over the limit of 1000000\n")
+    assert proc.stderr == (f"error: joining the rule bodies needs at least {4 * 593920}"
+                           " alternatives and plan steps, over the limit of 1000000\n")
     assert time.perf_counter() - start < 5.0
 
 
