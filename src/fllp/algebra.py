@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import errno
 import functools
+import re
+import sys
 from collections import namedtuple
 from pathlib import Path
 from typing import Iterable
@@ -28,6 +30,9 @@ BOTTOM_NAME = "absfalse"
 MIDDLE_NAME = "middle"
 TOP_NAME = "abstrue"
 RESERVED_NAMES = frozenset({BOTTOM_NAME, MIDDLE_NAME, TOP_NAME})
+
+# A name a program can write: a predicate, a constant or a hedge.
+NAME_PATTERN = "[a-z][a-z0-9_]*"
 
 # The conjunctions of rules and bodies on domain indices, Gödel's min(i, j)
 # and Łukasiewicz's max(i + j - n, 0), each residuated with its implication
@@ -73,20 +78,21 @@ class DomainLimitError(LimitError):
 
 
 def record(name: str, fields: str, defaults: tuple = (), compared: int | None = None):
-    """Base class for an immutable record: a ``namedtuple`` that equals only
-    records of its own class (never a plain tuple), on its first
-    ``compared`` fields (all when None), and hashes the same fields.
-    Subclasses set ``__slots__ = ()``.
+    """An immutable record type of its caller's module: a ``namedtuple``
+    that equals only records of its own type (never a plain tuple), on its
+    first ``compared`` fields (all when None), and hashes the same fields.
+    A ``namedtuple`` already has no ``__dict__``, so only a record with
+    methods subclasses the type, and declares empty ``__slots__``.
 
     With every field compared, hashing is ``tuple.__hash__`` itself.
     """
-    base = namedtuple(name, fields, defaults=defaults)
-    eq = _fields_equal(len(base._fields) if compared is None else compared)
-    base.__eq__ = eq
-    base.__ne__ = lambda s, o: not eq(s, o)
+    cls = namedtuple(name, fields, defaults=defaults, module=sys._getframe(1).f_globals["__name__"])
+    eq = _fields_equal(len(cls._fields) if compared is None else compared)
+    cls.__eq__ = eq
+    cls.__ne__ = lambda s, o: not eq(s, o)
     if compared is not None:
-        base.__hash__ = lambda s: hash(s[:compared])
-    return base
+        cls.__hash__ = lambda s: hash(s[:compared])
+    return cls
 
 
 @functools.cache
@@ -97,25 +103,17 @@ def _fields_equal(n: int):
     return eval(f"lambda s, o: o.__class__ is s.__class__ and {same}")
 
 
-class HedgeDecl(record("HedgeDecl", "name positive_class rank")):
-    """A declared hedge.  ``positive_class`` is True for the strengthening
-    class; a higher ``rank`` modifies more strongly within its class."""
+# A declared hedge.  ``positive_class`` is True for the strengthening
+# class; a higher ``rank`` modifies more strongly within its class.
+HedgeDecl = record("HedgeDecl", "name positive_class rank")
 
-    __slots__ = ()
-
-
-class HedgeAlgebraSpec(record(
+# Raw, unvalidated description of an algebra.  ``hedges`` is a tuple of
+# ``HedgeDecl``.  ``positivity`` maps an ordered pair ``(modifier, target)``
+# to True when the modifier is positive (amplifying) with respect to the
+# target.  It must classify every ordered pair of declared hedges.
+HedgeAlgebraSpec = record(
     "HedgeAlgebraSpec", "negative_primary positive_primary hedges positivity limit"
-)):
-    """Raw, unvalidated description of an algebra.
-
-    ``hedges`` is a tuple of :class:`HedgeDecl`.  ``positivity`` maps an
-    ordered pair ``(modifier, target)`` to True when the modifier is
-    positive (amplifying) with respect to the target.  It must classify
-    every ordered pair of declared hedges.
-    """
-
-    __slots__ = ()
+)
 
 
 class HedgeAlgebra:
@@ -242,6 +240,8 @@ def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
         if d.name in seen:
             problems.append(f"duplicate hedge name {d.name!r}")
         seen.add(d.name)
+        if not re.fullmatch(NAME_PATTERN, d.name):
+            problems.append(f"hedge name {d.name!r} must match {NAME_PATTERN} to be written")
         if d.name in prim or d.name in RESERVED_NAMES:
             problems.append(f"hedge name {d.name!r} collides with a primary or reserved word")
         if d.rank < 1:
@@ -356,10 +356,8 @@ def format_value(domain: TruthDomain, index: int) -> str:
 #   inverse: <hedge> <truth literal> -> <truth literal>     (optional override)
 
 
-class InverseOverride(record("InverseOverride", "hedge source target line")):
-    """An ``inverse:`` row; ``source`` and ``target`` are truth literals."""
-
-    __slots__ = ()
+# An ``inverse:`` row; ``source`` and ``target`` are truth literals.
+InverseOverride = record("InverseOverride", "hedge source target line")
 
 
 def parse_algebra_config(text: str) -> tuple[HedgeAlgebraSpec, tuple[InverseOverride, ...]]:

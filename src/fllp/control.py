@@ -42,10 +42,9 @@ GOOD = "good"
 _RESERVED = (GOOD, *RESERVED_PREDICATES)
 
 
-class ControlRule(record(
+ControlRule = record(
     "ControlRule", "in_hedges in_pred out_hedges out_pred conf line", defaults=(0,)
-)):
-    __slots__ = ()
+)
 
 
 class ControlSystem(record("ControlSystem", "input_points output_points rules sat")):

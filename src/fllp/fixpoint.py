@@ -78,10 +78,8 @@ class Interpretation(dict):
         return 0
 
 
-class GroundProgram(record("GroundProgram", "facts rules")):
-    """``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances (line 0)."""
-
-    __slots__ = ()
+# ``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances (line 0).
+GroundProgram = record("GroundProgram", "facts rules")
 
 
 def _bind(atom: Atom, env: dict[str, str]) -> Atom:

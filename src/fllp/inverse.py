@@ -35,11 +35,9 @@ class InverseTableError(InputError):
     """An inverse table that breaks the mapping conditions."""
 
 
-class InverseMappingTable(record("InverseMappingTable", "domain columns")):
-    """One monotone index map per hedge, aligned with the domain order:
-    ``columns`` maps each hedge name to a tuple of domain indices."""
-
-    __slots__ = ()
+# One monotone index map per hedge, aligned with the domain order:
+# ``columns`` maps each hedge name to a tuple of domain indices.
+InverseMappingTable = record("InverseMappingTable", "domain columns")
 
 
 # Cells where a weakening hedge cancels the value's innermost hedge while

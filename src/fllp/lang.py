@@ -20,6 +20,7 @@ through the token scanner and parser, which alone report violations.
 
 from __future__ import annotations
 
+import functools
 import re
 from itertools import islice
 from pathlib import Path
@@ -28,6 +29,7 @@ from typing import Iterator, Union
 from .algebra import (
     GODEL,
     LUKA,
+    NAME_PATTERN,
     InputError,
     TruthDomain,
     format_value,  # re-exported
@@ -63,40 +65,19 @@ Grade = int
 Term = Union[Var, str]
 
 
-class Atom(record("Atom", "pred args", defaults=((),))):
-    """``args`` is a tuple of terms."""
-
-    __slots__ = ()
-
-
-class Conj(record("Conj", "kind parts")):
-    """``kind`` is GODEL or LUKA; ``parts`` is a tuple of bodies."""
-
-    __slots__ = ()
-
-
-class Disj(record("Disj", "parts")):
-    __slots__ = ()
-
-
-class HedgeApp(record("HedgeApp", "hedge body")):
-    __slots__ = ()
-
-
+# ``args`` is a tuple of terms.
+Atom = record("Atom", "pred args", defaults=((),))
+# ``kind`` is GODEL or LUKA; ``parts`` is a tuple of bodies.
+Conj = record("Conj", "kind parts")
+Disj = record("Disj", "parts")
+HedgeApp = record("HedgeApp", "hedge body")
 Body = Union[Atom, Conj, Disj, HedgeApp, int]  # an int is a grade, never parsed
 
 
 # The source line of a statement, and the source of a program, are not
 # part of their identity.
-
-class Fact(record("Fact", "atom tv line", defaults=(0,), compared=2)):
-    __slots__ = ()
-
-
-class Rule(record("Rule", "head kind body tv line", defaults=(0,), compared=4)):
-    __slots__ = ()
-
-
+Fact = record("Fact", "atom tv line", defaults=(0,), compared=2)
+Rule = record("Rule", "head kind body tv line", defaults=(0,), compared=4)
 Statement = Union[Fact, Rule]
 
 
@@ -126,11 +107,12 @@ class Program(record(
 
     def atoms(self) -> Iterator[Atom]:
         for st in self.statements:
-            if isinstance(st, Fact):
-                yield st.atom
-            else:
-                yield st.head
-                yield from atoms_of(st.body)
+            yield from statement_atoms(st)
+
+
+def statement_atoms(st: Statement) -> tuple[Atom, ...]:
+    """A fact's atom, or a rule's head and then its body atoms."""
+    return (st.atom,) if st.__class__ is Fact else (st.head, *atoms_of(st.body))
 
 
 def _postorder(body: Body) -> list[Body]:
@@ -216,7 +198,7 @@ def free_vars(node: Body | Atom) -> tuple[str, ...]:
 # between matches are skipped.  A token's kind is its first character.
 # ``_FACT_RE`` matches a line that holds one fact alone, spelled with the same
 # names and variables; only the token parser reports violations.
-_NAME, _VAR = "[a-z][a-z0-9_]*", "[A-Z][A-Za-z0-9_]*"
+_NAME, _VAR = NAME_PATTERN, "[A-Z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf'(%.*|<-[gl]|\?-|"[^"\n]*"|{_VAR}|{_NAME}|[(),:.#])|\S')
 _TERM = f"(?:{_VAR}|{_NAME})"
 _FACT_RE = re.compile(rf"\s*({_NAME})\s*(?:\(\s*({_TERM}(?:\s*,\s*{_TERM})*)\s*\))?"
@@ -264,7 +246,7 @@ class _Parser:
     def __init__(self, text: str, errors: list[str], domain: TruthDomain, facts: bool = False):
         self.domain = domain
         self.variables: dict[str, Var] = {}
-        self.grades: dict[str, int] = {}
+        self.literal = functools.cache(domain.parse_literal)  # errors are not cached
         self.texts, self.lines = _scan(text, errors, facts and self.fact)
         self.pos = 0
         self.tok = self.texts[0]
@@ -303,13 +285,10 @@ class _Parser:
         if m is None or m[1] in RESERVED_PREDICATES:
             return None
         pred, terms, words = m.groups()
-        literal = " ".join(words.split())
-        idx = self.grades.get(literal)
-        if idx is None:
-            try:
-                idx = self.grades[literal] = self.domain.parse_literal(literal)
-            except ValueError:
-                return None
+        try:
+            idx = self.literal(" ".join(words.split()))
+        except ValueError:
+            return None
         if not idx:
             return None
         args = tuple(map(str.strip, terms.split(","))) if terms else ()
@@ -396,12 +375,10 @@ class _Parser:
             self._fail("a truth literal")
         self.goto(pos)
         literal = " ".join(texts[start:pos])
-        idx = self.grades.get(literal)
-        if idx is None:
-            try:
-                idx = self.grades[literal] = self.domain.parse_literal(literal)
-            except ValueError as exc:
-                raise _Bail(f"line {self.lines[start]}: {exc}") from None
+        try:
+            idx = self.literal(literal)
+        except ValueError as exc:
+            raise _Bail(f"line {self.lines[start]}: {exc}") from None
         if idx == 0:
             raise _Bail(
                 f"line {self.lines[start]}: grade {literal!r} would make the statement vacuous"
@@ -502,7 +479,7 @@ def validate_program(
     grades: dict[Statement | Atom, tuple[int, int]] = {}
     for st in program.statements:
         fact = st.__class__ is Fact
-        for atom in (st.atom,) if fact else (st.head, *atoms_of(st.body)):
+        for atom in statement_atoms(st):
             prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
             if prev[0] != len(atom.args):
                 arity.append(f"line {st.line}: {atom.pred!r} used with arity {len(atom.args)}, "

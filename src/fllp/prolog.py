@@ -17,7 +17,8 @@ import itertools
 
 from .algebra import GODEL
 from .inverse import InverseMappingTable
-from .lang import Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var, atoms_of
+from .lang import (Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var,
+                   atoms_of, statement_atoms)
 
 QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
@@ -81,8 +82,7 @@ def _compile_rule(rule: Rule, abbr: dict[str, str]) -> str:
 
 
 def compile_program(program: Program, table: InverseMappingTable) -> str:
-    _refuse_helpers((st, atom) for st in program.statements for atom in
-                    ((st.atom,) if isinstance(st, Fact) else (st.head, *atoms_of(st.body))))
+    _refuse_helpers((st, atom) for st in program.statements for atom in statement_atoms(st))
     domain = table.domain
     algebra = domain.algebra
     n = domain.n

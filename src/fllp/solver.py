@@ -81,16 +81,9 @@ class SolveOptions:
             raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
 
 
-class ComputedAnswer(record("ComputedAnswer", "value bindings")):
-    """``bindings`` pairs query variables with terms."""
-
-    __slots__ = ()
-
-
-class SolveResult(record(
-    "SolveResult", "answers depth_exhausted trace", defaults=(False, ())
-)):
-    __slots__ = ()
+# ``bindings`` pairs query variables with terms.
+ComputedAnswer = record("ComputedAnswer", "value bindings")
+SolveResult = record("SolveResult", "answers depth_exhausted trace", defaults=(False, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -665,6 +665,18 @@ def test_domain_checks_inverse_rows_it_does_not_print(capsys, tmp_path):
     ]
 
 
+def test_domain_refuses_a_hedge_name_no_program_can_write(capsys, tmp_path):
+    # ``#Very(...)`` would not parse, and ``fllp compile`` would spell the
+    # hedge as a Prolog variable, matching the rows of every hedge
+    config = tmp_path / "upper.alg"
+    config.write_text("primary: false, true\nhedge: Very class=+ rank=1\n"
+                      "hedge: little class=- rank=1\npositive: Very -> Very, little\n"
+                      "positive: little -> Very, little\nlimit: 1\n")
+    assert run(capsys, "domain", "--algebra", str(config)) == (
+        1, "", "error: hedge name 'Very' must match [a-z][a-z0-9_]* to be written\n"
+    )
+
+
 def test_hedgeless_algebra_with_a_huge_limit_lists_five_values(tmp_path):
     config = tmp_path / "plain.alg"
     config.write_text("primary: false, true\nlimit: 100000000\n")

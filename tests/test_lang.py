@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fllp
 from fllp import lang
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG
 from fllp.lang import (
@@ -509,14 +512,36 @@ def test_statement_lines_and_program_source_are_not_identity():
     assert Program(statements, "x.alg") != Program(statements, None)
 
 
-def test_records_are_immutable():
-    atom = Atom("p", (Const("a"),))
-    with pytest.raises(AttributeError):
-        atom.pred = "q"
-    with pytest.raises(AttributeError):
-        atom.extra = 1
-    with pytest.raises(AttributeError):
-        Fact(atom, 3).line = 2
+# Every record type of the package, by the module that declares it.
+RECORD_TYPES = [(module, name) for module, names in {
+    "fllp.algebra": "HedgeDecl HedgeAlgebraSpec InverseOverride",
+    "fllp.inverse": "InverseMappingTable",
+    "fllp.lang": "Var Atom Conj Disj HedgeApp Fact Rule Program",
+    "fllp.fixpoint": "GroundProgram",
+    "fllp.solver": "ComputedAnswer SolveResult",
+    "fllp.control": "ControlRule ControlSystem",
+}.items() for name in names.split()]
+
+
+@pytest.mark.parametrize("module, name", RECORD_TYPES, ids=[f"{m}.{n}" for m, n in RECORD_TYPES])
+def test_records_are_immutable(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    assert cls.__module__ == module
+    record = cls(*range(len(cls._fields)))
+    with pytest.raises(AttributeError):  # no ``__dict__``
+        record.extra = 1
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_every_record_type_is_checked():
+    found = set()
+    for info in pkgutil.iter_modules(fllp.__path__):
+        if info.name != "__main__":
+            found.update(obj for obj in vars(importlib.import_module(f"fllp.{info.name}")).values()
+                         if isinstance(obj, type) and hasattr(obj, "_fields"))
+    assert sorted((c.__module__, c.__name__) for c in found) == sorted(RECORD_TYPES)
 
 
 def test_record_repr_and_construction():
