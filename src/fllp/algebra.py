@@ -231,6 +231,9 @@ def build_algebra(spec: HedgeAlgebraSpec) -> HedgeAlgebra:
             problems.append("primary names must be non-empty")
         elif p in RESERVED_NAMES:
             problems.append(f"primary name {p!r} is reserved")
+        elif not all(re.fullmatch(NAME_PATTERN, word) for word in p.split()):
+            problems.append(
+                f"primary name {p!r} must be words matching {NAME_PATTERN} to be written")
     if prim[0] == prim[1]:
         problems.append(f"primaries must differ, both are {prim[0]!r}")
 

@@ -2,15 +2,15 @@
 
 A query is turned into a goal word: a body of the program language whose
 atoms are open or resolved to their grades (plain ints), rewritten step
-by step.  Each step picks the leftmost open atom and either replaces it with
-a matching fact's grade, unfolds it through a matching rule (the rule
-body joined with the rule grade under the rule's own conjunction), or
-grades it bottom when nothing in the program matches.  A statement's head
-variables are bound to the atom's terms, so only the variables a rule
-body adds get fresh ``~tag`` names, and the substitution grows only when
-a goal variable is bound.  When no atoms remain the word's value, hedges
-going through the inverse mapping, is a computed answer together with the
-bindings of the query variables.
+by step.  Each step picks the leftmost open atom and pushes one branch per
+rewrite: a matching fact's grade, a matching rule's body (joined with the
+rule grade under the rule's own conjunction), and, taken last, a bottom
+grade, when nothing in the program matches the atom or it is open inside a
+disjunction.  A statement's head variables are bound to the atom's terms,
+so only the variables a rule body adds get fresh ``~tag`` names, and the
+substitution grows only when a goal variable is bound.  When no atoms
+remain the word's value, hedges going through the inverse mapping, is a
+computed answer together with the bindings of the query variables.
 
 One bound prunes the search.  Every connective and hedge column is
 monotone, so a node that must reach ``want`` gives each part a least
@@ -102,38 +102,33 @@ def _need(node, want: int, rest: int, columns, n: int) -> int:
     return min(want + n - rest, n + 1) if want else 0
 
 
-def _all_below_top(program: Program, table: InverseMappingTable) -> bool:
-    """True when no atom can ever be graded with the top value: no fact has
-    it, and no rule reaches it from atoms below it."""
-    n = table.domain.n
-    return all(f.tv < n for f in program.facts) and all(
-        value(Conj(r.kind, (r.body, r.tv)), lambda atom: n - 1, table.columns, n) < n
-        for r in program.rules
-    )
-
-
 # (program, table, thresholded, prepared) for the last program solved, so
 # that a REPL session, which passes one program to every query, prepares it once.
 _last: tuple = (None, None, None, None)
 
 
 def _prepare(program: Program, table: InverseMappingTable, thresholded: bool) -> tuple[int, dict]:
-    """``cap``, the value of an open atom (``n``, or under a threshold ``n - 1``
-    when :func:`_all_below_top`), and entries ``(pos, statement, head, tagged,
-    bound, key, local)`` by the head's predicate, and by ``(pred, c)`` for a
-    first argument ``c``, ``None`` for a variable: the statement's value at
-    ``cap``, its best-first rank and its rule body's own variables."""
+    """``cap``, the value of an open atom, and entries ``(pos, statement, head,
+    tagged, bound, key, local)`` by the head's predicate, and by ``(pred, c)``
+    for a first argument ``c``, ``None`` for a variable: the statement's value
+    at ``cap``, its best-first rank and its rule body's own variables.  Under
+    a threshold ``cap`` is ``n - 1`` when no statement reaches ``n`` from atoms
+    at ``n - 1``, so no atom is ever graded top; else it is ``n``."""
     global _last
     if _last[:3] != (program, table, thresholded):  # the same objects compare at once
         n = table.domain.n
-        cap = n - 1 if thresholded and _all_below_top(program, table) else n
+        for cap in (n - 1, n) if thresholded else (n,):
+            bounds = [st.tv if isinstance(st, Fact) else value(
+                Conj(st.kind, (st.body, st.tv)), lambda atom: cap, table.columns, n
+            ) for st in program.statements]
+            if n not in bounds:
+                break
         by_head: dict = {}
-        for pos, st in enumerate(program.statements):
+        for pos, (st, bound) in enumerate(zip(program.statements, bounds)):
             if isinstance(st, Fact):
-                head, bound, key, local = st.atom, st.tv, (-st.tv, 0, 0, pos), ()
+                head, key, local = st.atom, (-st.tv, 0, 0, pos), ()
             else:
                 head, key = st.head, (-st.tv, 1, 0 if st.kind == GODEL else 1, pos)
-                bound = value(Conj(st.kind, (st.body, st.tv)), lambda atom: cap, table.columns, n)
                 local = tuple(v for v in free_vars(st.body) if v not in free_vars(head))
             tagged = not isinstance(st, Fact) or any(isinstance(a, Var) for a in head.args)
             first = head.args[0] if head.args else None
@@ -361,45 +356,34 @@ def solve(
                 replacement = Conj(st.kind, (body, st.tv))
             branches.append((pos if opts.exhaustive else key, replacement, s2, bound))
 
-        if not unifiable:
-            if need > 0:
-                if opts.trace:
-                    trace.append(f"[{depth}] cut {format_atom(atom)} (nothing matches)")
-                continue
+        if not branches and (unifiable or need):
             if opts.trace:
-                trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
-            stack.append((0, 0, up, subst, depth, None))
-            pushed += depth + len(subst)
-            continue
-        if not branches:
-            if opts.trace:
-                trace.append(f"[{depth}] cut {format_atom(atom)} (below bound)")
+                why = "below bound" if unifiable else "nothing matches"
+                trace.append(f"[{depth}] cut {format_atom(atom)} ({why})")
             continue
         if opts.depth and depth >= opts.depth and any(b[1].__class__ is Conj for b in branches):
             exhausted = True  # the depth counts rule unfoldings: facts stay
             if opts.trace:
                 trace.append(f"[{depth}] depth limit at {format_atom(atom)}")
             branches = [b for b in branches if b[1].__class__ is int]
-
-        # An open atom inside a disjunction may also be taken at bottom.  That
-        # releases its variables, so a sibling disjunct can still bind them to
-        # something the facts for this atom would have ruled out.  Anywhere
-        # else a bottom grade annihilates the whole branch and is never worth
-        # a detour.
-        if up[5] and any(isinstance(a, Var) for a in atom.args):
-            note0 = None
-            if opts.trace:
-                note0 = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
-            stack.append((0, 0, up, subst, depth, note0))
-            pushed += depth + len(subst)
-        elif not branches:
-            continue
-
         branches.sort(key=lambda b: b[0])
+
+        # A bottom grade is one more branch, taken last: the grade of an atom
+        # that nothing matches, and a choice for an open atom inside a
+        # disjunction.  That releases its variables, so a sibling disjunct can
+        # still bind them to something the facts for this atom would have
+        # ruled out; anywhere else a bottom grade annihilates the whole branch.
+        if not unifiable or up[5] and any(isinstance(a, Var) for a in atom.args):
+            if opts.trace and not unifiable:  # noted at selection: the search limit may come first
+                trace.append(f"[{depth}] {format_atom(atom)} graded bottom")
+            branches.append((None, 0, subst, 0))
         for key, replacement, s2, bound in reversed(branches):
             note = None
             if opts.trace:
-                note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
+                if key is not None:
+                    note = f"[{depth}] {format_atom(atom)} -> {format_word(replacement, s2)}"
+                elif unifiable:
+                    note = f"[{depth}] {format_atom(atom)} graded bottom (open choice)"
             d = depth + (replacement.__class__ is Conj)
             stack.append((replacement, bound, up, s2, d, note))
             pushed += d + len(s2)

@@ -377,3 +377,10 @@ DOMAIN_INVERSE_SHA256 = {
     "seed-58": "eb0daa8f3196d4d53f7a9aefed91f551e7b7bb44c06f5001f0f88e1adb5f7123",
     "seed-59": "5132cd2c8b682a137994f8058266eea1f0e51a17c6d06586644c713c867bc6b4",
 }
+
+
+# Solve count and sha256 of ``tracegrid.grid_digest(100)``: every traced
+# search of the randprog grid (traces, answers, depth flags and the traces
+# left at a lowered search limit), recorded before a bottom grade became
+# one more branch of the solver's push loop.
+TRACE_GRID_100 = (1144, "8fadfab28e6d89a849d47128c24ca56619e68332aa7c6d2635c2750e966a63d4")

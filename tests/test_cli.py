@@ -677,6 +677,20 @@ def test_domain_refuses_a_hedge_name_no_program_can_write(capsys, tmp_path):
     )
 
 
+def test_domain_refuses_a_primary_name_no_program_can_write(capsys, tmp_path):
+    # ``p(a) : True.`` would not parse, so only the three constants could
+    # grade a program on this algebra; a primary of several words is checked
+    # word by word
+    config = tmp_path / "upper.alg"
+    config.write_text("primary: False, so True\nhedge: very class=+ rank=1\n"
+                      "hedge: little class=- rank=1\npositive: very -> very, little\n"
+                      "positive: little -> very, little\nlimit: 1\n")
+    assert run(capsys, "domain", "--algebra", str(config)) == (1, "", (
+        "error: primary name 'False' must be words matching [a-z][a-z0-9_]* to be written\n"
+        "error: primary name 'so True' must be words matching [a-z][a-z0-9_]* to be written\n"
+    ))
+
+
 def test_hedgeless_algebra_with_a_huge_limit_lists_five_values(tmp_path):
     config = tmp_path / "plain.alg"
     config.write_text("primary: false, true\nlimit: 100000000\n")
