@@ -231,9 +231,11 @@ def _stdin_queries():
 
 def _cmd_query(args) -> int:
     from .lang import parse_query
-    from .solver import SearchLimitError, SolveOptions, format_answer, solve
+    from .solver import SearchLimitError, format_answer, solve
     program, table = _load(args)
-    opts = SolveOptions(
+    # solve reads only these five fields; a namespace, unlike SolveOptions,
+    # needs no dataclasses import, and the parser admits no negative --depth
+    opts = SimpleNamespace(
         depth=args.depth,
         threshold=None if args.threshold is None else _parse_grade(table.domain, args.threshold),
         best=args.best,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .algebra import GODEL, LimitError, format_value, record
 from .inverse import InverseMappingTable
@@ -67,18 +66,32 @@ class SearchLimitError(LimitError):
     trace: tuple[str, ...] = ()
 
 
-# A dataclass, not a record: perfbench/tracing.py calls dataclasses.replace on it.
-@dataclass(frozen=True)
-class SolveOptions:
-    depth: int | None = 64  # None or 0: unlimited
-    threshold: int | None = None
-    best: bool = False
-    exhaustive: bool = False
-    trace: bool = False
+def __getattr__(name: str):
+    """``SolveOptions``, a frozen dataclass built on first use (PEP 562) and
+    cached in the module, so that importing the solver, and so ``fllp
+    query``, loads no ``dataclasses``.  It is a dataclass, not a record,
+    because perfbench/tracing.py calls ``dataclasses.replace`` on it;
+    :func:`solve` reads only its five fields."""
+    if name != "SolveOptions":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in globals():  # solve calls this directly for its default
+        return globals()[name]
+    from dataclasses import dataclass
 
-    def __post_init__(self):
-        if self.depth is not None and self.depth < 0:
-            raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
+    class SolveOptions:
+        __qualname__ = "SolveOptions"
+        depth: int | None = 64  # None or 0: unlimited
+        threshold: int | None = None
+        best: bool = False
+        exhaustive: bool = False
+        trace: bool = False
+
+        def __post_init__(self):
+            if self.depth is not None and self.depth < 0:
+                raise ValueError(f"depth must be None or 0 or more, not {self.depth}")
+
+    globals()[name] = cls = dataclass(frozen=True)(SolveOptions)
+    return cls
 
 
 # ``bindings`` pairs query variables with terms.
@@ -284,7 +297,7 @@ def solve(
     options: SolveOptions | None = None,
 ) -> SolveResult:
     """Answers to ``query``; raises :class:`SearchLimitError` past ``SEARCH_LIMIT``."""
-    opts = options or SolveOptions()
+    opts = __getattr__("SolveOptions")() if options is None else options
     columns, n = table.columns, table.domain.n
     # Open atoms are valued at the greatest grade they can reach, or at n
     # without a threshold, where a cut word still ends in a bottom answer.

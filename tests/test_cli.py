@@ -328,6 +328,46 @@ def test_query_trace_goes_to_the_answer_stream(capsys, samples_dir):
     assert out.splitlines()[-1].startswith("answer: ")
 
 
+# the four option mixes differ on this program: depth 3 runs out, a threshold
+# drops the bottom answers, best keeps one answer per Y, exhaustive reorders
+PARITY = """\
+p(X,Y) <-g and_g(e(X,Z), p(Z,Y)) : true.
+p(X,Y) <-g e(X,Y) : very true.
+e(a,c) : little true.
+e(a,b) : true.
+e(b,c) : very true.
+e(c,d) : more true.
+"""
+
+
+@pytest.mark.parametrize("sample, query", [("hotel.fllp", "su_ho(X)"), (None, "p(a,Y)")])
+def test_query_flags_match_the_library_options(capsys, samples_dir, tmp_path, sample, query):
+    """``fllp query`` passes its flags to ``solve`` as the fields of
+    ``SolveOptions``: for each option mix of the trace grid it prints the
+    library's trace lines and answers and exits 2 just when the depth ran out."""
+    from fllp.lang import load_program, parse_query
+    from fllp.solver import format_answer, solve
+    from tracegrid import _options
+
+    path = samples_dir / sample if sample else tmp_path / "parity.fllp"
+    if not sample:
+        path.write_text(PARITY, encoding="utf-8")
+    program, table = load_program(path)
+    outs = set()
+    for opts in _options(table.domain.n):
+        flags = ["--depth", str(opts.depth), *["--best"] * opts.best,
+                 *["--exhaustive"] * opts.exhaustive, *["--trace"] * opts.trace]
+        if opts.threshold is not None:
+            flags += ["--threshold", f"v{opts.threshold}"]
+        result = solve(program, table, parse_query(query, table.domain), opts)
+        answers = [format_answer(table.domain, a) for a in result.answers] or ["no answers."]
+        code, out, _ = run(capsys, "query", str(path), "-q", query, *flags)
+        assert out.splitlines() == [*result.trace, *answers]
+        assert code == (2 if result.depth_exhausted else 0)
+        outs.add(out)
+    assert sample or len(outs) == 4
+
+
 def test_query_out_file(capsys, samples_dir, tmp_path):
     target = tmp_path / "answers.txt"
     code, out, _ = run(
@@ -477,8 +517,8 @@ def test_package_root_loads_only_the_algebra_layers():
     (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "dataclasses"]),
     (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver", "dataclasses"]),
     (["surface", "heater.ctl"], ["fllp.prolog", "fllp.solver", "dataclasses"]),
-    # query loads dataclasses for SolveOptions
-    (["query", "hotel.fllp", "-q", "su_ho(X)"], ["fllp.control", "fllp.fixpoint", "fllp.prolog"]),
+    (["query", "hotel.fllp", "-q", "su_ho(X)"],
+     ["fllp.control", "fllp.fixpoint", "fllp.prolog", "dataclasses", "inspect"]),
     (["--help"], ["fllp.lang", "dataclasses"]),
     (["query", "--help"], ["fllp.lang", "dataclasses"]),
 ])
@@ -504,6 +544,21 @@ def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
     exit_code, loaded = json.loads(proc.stderr)
     assert exit_code == 0 and proc.stdout
     assert sorted(set(unused) & set(loaded)) == []
+
+
+def test_solver_import_builds_no_dataclass():
+    """``SolveOptions`` is built on first use, so ``import fllp.solver``
+    loads neither ``dataclasses`` nor the ``inspect`` it imports."""
+    code = (
+        "import sys, fllp.solver\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_module_and_test_parses_as_python_3_10():

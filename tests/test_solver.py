@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -148,10 +149,30 @@ def test_search_limit_stops_left_recursion(domain, table, monkeypatch, head):
     assert solve(program, table, query, SolveOptions(depth=20)).answers
 
 
-def test_negative_depth_is_rejected():
+def test_negative_depth_is_rejected(samples_dir):
+    """``SolveOptions`` is built on first use but is the frozen dataclass
+    ``fllp.solver.SolveOptions``: its fields, defaults, depth check and repr
+    hold, ``dataclasses.replace`` works on it, and ``solve`` defaults to it."""
     with pytest.raises(ValueError, match="depth"):
         SolveOptions(depth=-3)
     assert SolveOptions(depth=0).depth == 0 and SolveOptions(depth=None).depth is None
+    assert dataclasses.is_dataclass(SolveOptions) and solver.SolveOptions is SolveOptions
+    assert solver.SolveOptions is solver.__getattr__("SolveOptions")
+    assert [(f.name, f.default) for f in dataclasses.fields(SolveOptions)] == [
+        ("depth", 64), ("threshold", None), ("best", False), ("exhaustive", False), ("trace", False),
+    ]
+    assert repr(SolveOptions()) == (
+        "SolveOptions(depth=64, threshold=None, best=False, exhaustive=False, trace=False)"
+    )
+    assert (SolveOptions.__module__, SolveOptions.__qualname__) == ("fllp.solver", "SolveOptions")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolveOptions().depth = 3
+    assert replace(SolveOptions(best=True), trace=True) == SolveOptions(best=True, trace=True)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        solver.no_such_name
+    program, table = load_program(samples_dir / "hotel.fllp")
+    query = parse_query("su_ho(X)", table.domain)
+    assert solve(program, table, query) == solve(program, table, query, SolveOptions())
 
 
 def test_depth_zero_means_unlimited(samples_dir):
