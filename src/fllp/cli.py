@@ -12,8 +12,8 @@ The algebra is taken from ``--algebra``, else from the program's own
 
 Exit codes: 0 on success and after ``--help``, 1 for usage, parse or
 validation problems, 2 when resources ran out (truth-domain or grounding
-cap, search limit, or a depth-limited search that may have missed
-answers).
+cap, join budget, search limit, or a depth-limited search that may have
+missed answers).
 """
 
 from __future__ import annotations
@@ -39,47 +39,18 @@ from .inverse import build_inverse_table
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
 
-# One row per subcommand: its help, its positional (name, help) or (), and its
-# options as (flags, metavar, default, help).  An option without a metavar is
-# a switch; the metavar N takes a count, 0 or more, and one in braces lists
-# the choices.  The rows drive parsing, usage errors and --help.
-_HELP = ("-h --help", None, None, "show this help message and exit")
-_ALGEBRA = ("--algebra", "FILE", None, "algebra config file")
-_OUT = ("--out", "FILE", None, "write to FILE instead of stdout")
-_PROGRAM = ("program", "program file")
-_COMMAND_LINE = {
-    "domain": ("print the truth domain", (), [
-        _ALGEBRA, ("--inverse", None, False, "also print inverse mappings"), _OUT]),
-    "check": ("parse and validate a program", _PROGRAM, [
-        _ALGEBRA, ("--safe", None, False, "require ground facts and range-restricted rules")]),
-    "query": ("answer queries top-down", _PROGRAM, [
-        _ALGEBRA, ("-q --query", "QUERY", None, "query; omit for a REPL on stdin"),
-        ("--depth", "N", 64, "rule unfoldings per branch, 0 for unlimited (default 64)"),
-        ("--threshold", "GRADE", None, "only answers at or above this grade ('probably true' or v30)"),
-        ("--best", None, False, "best answer per binding only"),
-        ("--exhaustive", None, False, "explore statements in program order instead of best-first"),
-        ("--trace", None, False, "print resolution steps"), _OUT]),
-    "model": ("compute the least model bottom-up", _PROGRAM, [
-        _ALGEBRA, ("--mode", "{naive,delta}", "naive",
-                   "accepted for compatibility; both run the same engine"), _OUT]),
-    "surface": ("evaluate a control file", ("control", "control file"), [_ALGEBRA, _OUT]),
-    "compile": ("emit plain clause text", _PROGRAM, [
-        _ALGEBRA, ("-q --query", "QUERY", None, "also emit this query"), _OUT]),
-}
-
-
 def _exit(command: str | None, error: str = ""):
     """Exit 1 after the usage of ``command`` (None: of fllp itself) and the
     usage ``error``, or 0 after its help: a line per subcommand or argument."""
     prog = f"fllp {command}" if command else "fllp"
-    _, positional, options = _COMMAND_LINE[command] if command else ("", (), [])
+    _, _, positional, options = _COMMAND_LINE[command] if command else (None, "", (), [])
     words = [f"[{opt[0].split()[0]}{' ' + opt[1] if opt[1] else ''}]" for opt in (_HELP, *options)]
     words += positional[:1] if command else ["{" + ",".join(_COMMAND_LINE) + "} ..."]
     usage = f"usage: {prog} {' '.join(words)}\n"
     if error:
         sys.stderr.write(f"{usage}{prog}: error: {error}\n")
         raise SystemExit(1)
-    rows = [] if command else [(name, row[0]) for name, row in _COMMAND_LINE.items()]
+    rows = [] if command else [(name, row[1]) for name, row in _COMMAND_LINE.items()]
     rows += [positional] if positional else []
     rows += [(f"{', '.join(opt[0].split())} {opt[1] or ''}", opt[3]) for opt in (_HELP, *options)]
     sys.stdout.write(usage + "\n" + "".join(f"  {left:<22} {text}\n" for left, text in rows))
@@ -98,7 +69,7 @@ def _parse_args(argv) -> SimpleNamespace:
         _exit(None, "the following arguments are required: command" if command is None else
               f"argument command: invalid choice: {command!r} "
               f"(choose from {', '.join(map(repr, _COMMAND_LINE))})")
-    _, positional, options = _COMMAND_LINE[command]
+    _, _, positional, options = _COMMAND_LINE[command]
     flags = {flag: opt for opt in (_HELP, *options) for flag in opt[0].split()}
 
     def option(arg):  # None for a positional, else the option (None: unknown) and its value
@@ -233,15 +204,9 @@ def _cmd_query(args) -> int:
     from .lang import parse_query
     from .solver import SearchLimitError, format_answer, solve
     program, table = _load(args)
-    # solve reads only these five fields; a namespace, unlike SolveOptions,
-    # needs no dataclasses import, and the parser admits no negative --depth
-    opts = SimpleNamespace(
-        depth=args.depth,
-        threshold=None if args.threshold is None else _parse_grade(table.domain, args.threshold),
-        best=args.best,
-        exhaustive=args.exhaustive,
-        trace=args.trace,
-    )
+    # solve reads its five options off args; the parser admits no negative --depth
+    if args.threshold is not None:
+        args.threshold = _parse_grade(table.domain, args.threshold)
     # -q is a one-line session whose error ends the run; in the REPL an error
     # is reported and only a limit fails the session.  Answers go to stdout as
     # each query is read, or to --out: under -q if any, in the REPL at the end.
@@ -252,7 +217,7 @@ def _cmd_query(args) -> int:
         lines: tuple[str, ...] = ()
         failure = None
         try:
-            result = solve(program, table, parse_query(line, table.domain), opts)
+            result = solve(program, table, parse_query(line, table.domain), args)
         except SearchLimitError as exc:  # a search stopped at its limit still shows its trace so far
             lines, failure = exc.trace, exc
         except (LimitError, ValueError) as exc:
@@ -309,20 +274,39 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "domain": _cmd_domain,
-    "check": _cmd_check,
-    "query": _cmd_query,
-    "model": _cmd_model,
-    "surface": _cmd_surface,
-    "compile": _cmd_compile,
+# One row per subcommand: its handler, help, positional (name, help) or (), and
+# options as (flags, metavar, default, help).  An option without a metavar is a
+# switch; the metavar N takes a count, 0 or more, and one in braces lists the
+# choices.  The rows drive dispatch, parsing, usage errors and --help.
+_HELP = ("-h --help", None, None, "show this help message and exit")
+_ALGEBRA = ("--algebra", "FILE", None, "algebra config file")
+_OUT = ("--out", "FILE", None, "write to FILE instead of stdout")
+_PROGRAM = ("program", "program file")
+_COMMAND_LINE = {
+    "domain": (_cmd_domain, "print the truth domain", (), [
+        _ALGEBRA, ("--inverse", None, False, "also print inverse mappings"), _OUT]),
+    "check": (_cmd_check, "parse and validate a program", _PROGRAM, [
+        _ALGEBRA, ("--safe", None, False, "require ground facts and range-restricted rules")]),
+    "query": (_cmd_query, "answer queries top-down", _PROGRAM, [
+        _ALGEBRA, ("-q --query", "QUERY", None, "query; omit for a REPL on stdin"),
+        ("--depth", "N", 64, "rule unfoldings per branch, 0 for unlimited (default 64)"),
+        ("--threshold", "GRADE", None, "only answers at or above this grade ('probably true' or v30)"),
+        ("--best", None, False, "best answer per binding only"),
+        ("--exhaustive", None, False, "explore statements in program order instead of best-first"),
+        ("--trace", None, False, "print resolution steps"), _OUT]),
+    "model": (_cmd_model, "compute the least model bottom-up", _PROGRAM, [
+        _ALGEBRA, ("--mode", "{naive,delta}", "naive",
+                   "accepted for compatibility; both run the same engine"), _OUT]),
+    "surface": (_cmd_surface, "evaluate a control file", ("control", "control file"), [_ALGEBRA, _OUT]),
+    "compile": (_cmd_compile, "emit plain clause text", _PROGRAM, [
+        _ALGEBRA, ("-q --query", "QUERY", None, "also emit this query"), _OUT]),
 }
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMAND_LINE[args.command][0](args)
     except (LimitError, OSError, ValueError) as exc:
         return _errors(exc)
 

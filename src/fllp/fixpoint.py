@@ -92,11 +92,11 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
     return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
 
-def ground(program: Program, limit: int = GROUND_LIMIT) -> GroundProgram:
+def ground(program: Program) -> GroundProgram:
     """Every fact instance, and the rule instances whose bodies can be nonzero
     in the least model (see ``_relevant_bindings``), by statement and then
     ``itertools.product`` order over the sorted constants."""
-    facts, found, _ = _relevant_bindings(program, limit)
+    facts, found, _ = _relevant_bindings(program)
     # sorted bindings are itertools.product order over the sorted universe
     rules = [Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
              for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)
@@ -143,16 +143,17 @@ def _join_steps(body: Body) -> int:
     return done[0][0] + done[0][2]
 
 
-def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], dict]:
+def _relevant_bindings(program: Program) -> tuple[list, list[dict], dict]:
     """The fact instances; per rule, the bindings of its ``_rule_vars``
     (constants) whose body has an alternative made of derivable atoms, each
     mapped to its head and body atom ids; and the ids.
 
     The Herbrand base's size and the fact instances are counted first, then
-    each rule instance as it is found, all refused past ``limit``; the
-    steps of the program's alternatives and join plans, past ``JOIN_LIMIT``
-    and before any is built.  Semi-naive worklist join: each ground atom,
-    once derivable, is matched against every alternative atom with its
+    each rule instance as it is found, all refused past ``GROUND_LIMIT``;
+    the steps of the program's alternatives and join plans, past
+    ``JOIN_LIMIT`` and before any is built.  Both caps are read when
+    grounding runs.  Semi-naive worklist join: each ground atom, once
+    derivable, is matched against every alternative atom with its
     predicate, and the rest of that alternative is joined against the atoms
     made derivable before it, through indexes keyed on the argument
     positions already bound.  Variables no atom of the alternative binds
@@ -161,7 +162,7 @@ def _relevant_bindings(program: Program, limit: int) -> tuple[list, list[dict], 
     list of variable slots, the rule's constants, and one slot per body
     atom, which its match fills with the atom's id."""
     universe = program.constants() or ("a",)
-    u, rules = len(universe), program.rules
+    u, rules, limit = len(universe), program.rules, GROUND_LIMIT
     needed = sum(u**arity for _, arity in {(a.pred, len(a.args)) for a in program.atoms()})
     needed += sum(u ** len(free_vars(f.atom)) for f in program.facts)
     if needed > limit:
@@ -370,7 +371,6 @@ def least_model(
     program: Program,
     table: InverseMappingTable,
     mode: str = "naive",
-    limit: int = GROUND_LIMIT,
     gp: GroundProgram | None = None,
 ) -> tuple[Interpretation, int]:
     """Least model and the number of consequence-operator rounds taken to
@@ -384,7 +384,7 @@ def least_model(
     if gp is not None:
         program = Program(tuple(Fact(atom, tv) for atom, tv in gp.facts) + gp.rules)
     columns, n = table.columns, table.domain.n
-    facts, found, ids = _relevant_bindings(program, limit)
+    facts, found, ids = _relevant_bindings(program)
     # instances numbered by rule: their head ids and body atom ids side by side
     heads, leaves, batches, fired = [], [], [], []
     for rule, bindings in zip(program.rules, found):

@@ -4,11 +4,11 @@ import ast
 import errno
 import hashlib
 import io
-import json
 import os
 import random
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -22,12 +22,14 @@ from fllp.cli import main
 from fllp.fixpoint import least_model
 from fllp.lang import MAX_NESTING, parse_program, pretty_print
 
+import nodecount
 from conftest import ASYM_CONFIG, shape_config
 from expected import DOMAIN_INVERSE_SHA256, DOMAIN_LITERALS, L1_DOMAIN_LITERALS
 from randprog import random_program
 
 RECURSIVE = "p(a) : little true.\np(X) <-g #very(p(X)) : abstrue.\n"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # six chained q atoms over eleven constants: 1,771,572 base atoms
 CAPPED = "\n".join(
@@ -492,6 +494,42 @@ def _fllp(*argv, hash_seed="0", timeout=60, stdin=None):
     )
 
 
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README's ``## heading``."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(f"\n## {heading}\n")[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_quick_tour_prints_what_it_shows(monkeypatch):
+    """Each ``$ fllp ...`` of the Quick tour, run as ``python -m fllp`` from
+    the repository root, prints exactly the lines under it; a trailing
+    ``| head -N`` or ``| tail -N`` keeps its first or last N lines."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("FLLP_ALGEBRA", raising=False)
+    examples = _readme_block("Quick tour", "sh").strip().split("\n\n")
+    assert len(examples) == 5
+    for example in examples:
+        command, *shown = example.splitlines()
+        words = shlex.split(command.removeprefix("$ "))
+        cut = words.index("|") if "|" in words else len(words)
+        assert words[0] == "fllp" and words[cut + 1:cut + 2] in ([], ["head"], ["tail"])
+        proc = _fllp(*words[1:cut])
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        lines = proc.stdout.splitlines()
+        if cut < len(words):
+            n = int(words[cut + 2].removeprefix("-"))
+            lines = lines[:n] if words[cut + 1] == "head" else lines[-n:]
+        assert lines == shown, command
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    names: dict = {}
+    exec(compile(_readme_block("Library", "python"), "README.md", "exec"), names)
+    assert names["best"] == 28
+    assert capsys.readouterr().out == "little probably true\n"
+
+
 def test_package_root_loads_only_the_algebra_layers():
     code = (
         "import sys, fllp\n"
@@ -511,6 +549,14 @@ def test_package_root_loads_only_the_algebra_layers():
     ]))
 
 
+# the AST nodes of the fllp modules each command compiles (tests/nodecount.py),
+# at most; a change that raises a bound names it and the reason in CHANGES.md
+COMPILED_NODES = {
+    "domain": 7_770, "check": 12_087, "query": 15_477, "model": 16_149, "surface": 18_098,
+    "compile": 13_277, "--help": 7_770,
+}
+
+
 @pytest.mark.parametrize("argv, unused", [
     (["domain"], ["fllp.lang", "dataclasses"]),
     (["check", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "dataclasses"]),
@@ -522,28 +568,13 @@ def test_package_root_loads_only_the_algebra_layers():
     (["--help"], ["fllp.lang", "dataclasses"]),
     (["query", "--help"], ["fllp.lang", "dataclasses"]),
 ])
-def test_subcommands_load_only_the_layers_they_run(samples_dir, argv, unused):
+def test_subcommands_load_only_the_layers_they_run(argv, unused):
     # no command line parser library either: argparse costs gettext and locale
     unused = [*unused, "argparse", "gettext", "locale"]
-    argv = [str(samples_dir / a) if a.endswith((".fllp", ".ctl")) else a for a in argv]
-    code = (
-        "import json, sys\n"
-        "from fllp.cli import main\n"
-        "try:\n"
-        f"    code = main({argv!r})\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        f"loaded = [m for m in sys.modules if m.startswith('fllp.') or m in {unused!r}]\n"
-        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    exit_code, loaded = json.loads(proc.stderr)
-    assert exit_code == 0 and proc.stdout
+    exit_code, out, loaded, files = nodecount.run(argv)
+    assert exit_code == 0 and out
     assert sorted(set(unused) & set(loaded)) == []
+    assert sum(map(nodecount.nodes, files.values())) <= COMPILED_NODES[argv[0]]
 
 
 def test_solver_import_builds_no_dataclass():
@@ -985,8 +1016,9 @@ PARSES = [
 @pytest.mark.parametrize("argv, want", PARSES)
 def test_the_command_line_parses_as_pinned(capsys, monkeypatch, argv, want):
     seen = []
-    for name in cli._COMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+    for name, row in cli._COMMAND_LINE.items():  # each row's handler only records its args
+        monkeypatch.setitem(cli._COMMAND_LINE, name,
+                            (lambda args: seen.append(vars(args)) or 0, *row[1:]))
     if isinstance(want, dict):
         assert main(argv) == 0
         assert seen == [{"command": argv[0], **DEFAULT_FIELDS[argv[0]], **want}]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fllp import fixpoint
 from fllp.algebra import GODEL, LUKA
+from fllp.cli import main
 from fllp.control import compile_control, parse_control_file
 from fllp.fixpoint import (
     GroundingLimitError,
@@ -131,15 +132,32 @@ def test_grounding_universe_and_base(domain):
     assert ground(bare).facts == ((Atom("s", ("a",)), 22),)
 
 
-def test_grounding_limit_is_checked_before_expansion(domain):
+def test_grounding_limit_is_checked_before_expansion(domain, monkeypatch):
     src = "p(A,B,C,D) <-g and_g(q(A,B), q(C,D)) : true.\nq(a,b) : true.\nq(b,c) : true.\n"
     program = parse_program(src, domain)
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", 50)
     with pytest.raises(GroundingLimitError) as err:
-        ground(program, limit=50)  # 81 + 9 base atoms and 2 facts
+        ground(program)  # 81 + 9 base atoms and 2 facts
     assert (err.value.needed, err.value.limit) == (92, 50)
     # the four pairs of q facts, of the oracle's 81 instances
-    assert len(ground(program, limit=1000).rules) == 4
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", 1000)
+    assert len(ground(program).rules) == 4
     assert len(oracle.ground(program).rules) == 81
+
+
+def test_the_grounding_cap_is_read_when_grounding_runs(samples_dir, monkeypatch, capsys):
+    """``GROUND_LIMIT`` is read by each grounding, not bound at import, as
+    ``JOIN_LIMIT`` is: the hotel sample's six base atoms are over a cap of 3."""
+    path = samples_dir / "hotel.fllp"
+    program, table = load_program(path)
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", 3)
+    for grounding in (lambda: least_model(program, table), lambda: ground(program)):
+        with pytest.raises(GroundingLimitError) as err:
+            grounding()
+        assert err.value.limit == 3
+    assert main(["model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: grounding needs at least ") and "limit of 3" in err
 
 
 def test_eval_ground_body_forms(domain, table):
@@ -198,24 +216,27 @@ def test_relevant_grounding_agrees_with_full_grounding(seed, algebra, domain, ta
     _check_against_the_oracle(random_program(seed, domain, recursive=seed % 2 == 1), table)
 
 
-def test_relevant_grounding_counts_only_instances_built(domain, table):
+def test_relevant_grounding_counts_only_instances_built(domain, table, monkeypatch):
     program = parse_program(CHAIN10, domain)
     full = oracle.ground(program)  # 242 base atoms, 10 facts, 1,452 rules
     assert len(full.base) + len(full.facts) + len(full.rules) > 1000
-    assert len(ground(program, limit=1000).rules) == 55
-    model, _ = least_model(program, table, limit=1000)
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", 1000)
+    assert len(ground(program).rules) == 55
+    model, _ = least_model(program, table)
     assert sum(1 for atom, v in model.items() if v and atom.pred == "path") == 55
     # the base and the facts fit under 300, the 55 relevant instances do not
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", 300)
     with pytest.raises(GroundingLimitError) as err:
-        least_model(program, table, limit=300)
+        least_model(program, table)
     assert err.value.needed > 300 and err.value.limit == 300
 
 
-def test_grounding_limit_crossed_in_the_join_names_the_first_instance_over(domain, table):
+def test_grounding_limit_crossed_in_the_join_names_the_first_instance_over(
+        domain, table, monkeypatch):
     program = parse_program(CHAIN10, domain)  # 242 base atoms and 10 facts: 252
     for limit in (252, 300):
-        for grounding in (lambda: least_model(program, table, limit=limit),
-                          lambda: ground(program, limit)):
+        monkeypatch.setattr(fixpoint, "GROUND_LIMIT", limit)
+        for grounding in (lambda: least_model(program, table), lambda: ground(program)):
             with pytest.raises(GroundingLimitError) as err:
                 grounding()
             assert (err.value.needed, err.value.limit) == (limit + 1, limit)
@@ -239,7 +260,7 @@ def test_relevant_grounding_handles_grades_and_loose_variables(domain, table):
     _check_against_the_oracle(program, table)
 
 
-def test_one_name_at_two_arities_is_two_predicates(domain, table):
+def test_one_name_at_two_arities_is_two_predicates(domain, table, monkeypatch):
     """``p/1`` and ``p/2`` are apart in the join, in the Herbrand base the
     grounding counts up front, and in the model, as in the oracle."""
     for seed in range(300):
@@ -247,8 +268,9 @@ def test_one_name_at_two_arities_is_two_predicates(domain, table):
         _check_against_the_oracle(program, table)
         full = oracle.ground(program)
         before = len(full.base) + len(full.facts)
-        with pytest.raises(GroundingLimitError) as err:
-            ground(program, limit=before - 1)
+        with monkeypatch.context() as patched, pytest.raises(GroundingLimitError) as err:
+            patched.setattr(fixpoint, "GROUND_LIMIT", before - 1)
+            ground(program)
         assert err.value.needed == before, seed
 
 
@@ -367,14 +389,15 @@ JOIN_SHAPES = {
 
 
 @pytest.mark.parametrize("shape", JOIN_SHAPES)
-def test_join_shapes_agree_with_the_oracle_and_count_exactly(shape, domain, table):
+def test_join_shapes_agree_with_the_oracle_and_count_exactly(shape, domain, table, monkeypatch):
     source, before, total = JOIN_SHAPES[shape]
     program = parse_program(source, domain) if isinstance(source, str) else source
     _check_against_the_oracle(program, table)
-    assert len(ground(program, limit=total).rules) == total - before
+    monkeypatch.setattr(fixpoint, "GROUND_LIMIT", total)
+    assert len(ground(program).rules) == total - before
     for limit, needed in ((before - 1, before), (total - 1, total)):
-        for grounding in (lambda: least_model(program, table, limit=limit),
-                          lambda: ground(program, limit)):
+        monkeypatch.setattr(fixpoint, "GROUND_LIMIT", limit)
+        for grounding in (lambda: least_model(program, table), lambda: ground(program)):
             with pytest.raises(GroundingLimitError) as err:
                 grounding()
             assert (err.value.needed, err.value.limit) == (needed, limit)
