@@ -11,9 +11,10 @@ grades for the terms at each point:
     sat cold t10 very true
     sat strong p100 more true
 
-Each rule becomes a graded rule over a two-place ``good`` predicate whose
-body conjoins the hedged input and output atoms, and each membership row
-becomes a graded fact.  The least model of that program grades every
+Parsing builds the program the file means.  Each rule becomes a Gödel rule
+over a two-place ``good`` predicate, graded by its confidence, whose body
+conjoins the hedged input and output atoms, and each membership row above
+bottom becomes a graded fact.  The least model of that program grades every
 input/output pair with how well the pairing honours the rule base; reading
 the best output per input off that surface gives the controller.
 """
@@ -29,6 +30,7 @@ from .lang import (
     MAX_NESTING,
     RESERVED_PREDICATES,
     Atom,
+    Body,
     Conj,
     Fact,
     HedgeApp,
@@ -41,32 +43,17 @@ from .lang import (
 GOOD = "good"
 _RESERVED = (GOOD, *RESERVED_PREDICATES)
 
-
-ControlRule = record(
-    "ControlRule", "in_hedges in_pred out_hedges out_pred conf line", defaults=(0,)
-)
+# ``program`` is what the file means: its rules in file order, then its facts.
+ControlSystem = record("ControlSystem", "input_points output_points program")
 
 
-class ControlSystem(record("ControlSystem", "input_points output_points rules sat")):
-    """``sat`` holds ``(pred, point, grade)`` rows in file order."""
-
-    __slots__ = ()
-
-    @property
-    def input_preds(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(r.in_pred for r in self.rules))
-
-    @property
-    def output_preds(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(r.out_pred for r in self.rules))
-
-
-def _parse_label(
-    words: list[str], domain: TruthDomain, line: int, problems: list[str]
-) -> tuple[tuple[str, ...], str]:
+def _parse_side(
+    words: list[str], var: Var, domain: TruthDomain, line: int, problems: list[str]
+) -> tuple[str, Body]:
+    """A rule side's term, and its hedged atom over ``var``."""
     if not words:
         problems.append(f"line {line}: empty rule side")
-        return (), ""
+        words = [""]
     *hedges, pred = words
     if len(hedges) > MAX_NESTING:
         problems.append(f"line {line}: rule side nested more than {MAX_NESTING} levels deep")
@@ -75,14 +62,20 @@ def _parse_label(
             problems.append(f"line {line}: unknown hedge {h!r}")
     if pred in _RESERVED:
         problems.append(f"line {line}: {pred!r} cannot be used as a term name")
-    return tuple(hedges), pred
+    body = Atom(pred, (var,))
+    for h in reversed(hedges):
+        body = HedgeApp(h, body)
+    return pred, body
 
 
 def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     problems: list[str] = []
     points_of: dict[str, tuple[str, ...]] = {}  # "inputs"/"outputs" -> points
-    rules: list[ControlRule] = []
+    rules: list[Rule] = []
+    in_terms: dict[str, None] = {}  # the terms of each side, by first use
+    out_terms: dict[str, None] = {}
     sat: dict[tuple[str, str], tuple[int, int]] = {}  # -> (grade, line)
+    x, y = Var("X"), Var("Y")
 
     for lineno, raw in enumerate(text.split("\n"), start=1):  # as ``lang._scan`` does
         line = " ".join(raw.split("%", 1)[0].split())
@@ -114,13 +107,15 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
                     problems.append(f"line {lineno}: {exc}")
                 if conf == 0:
                     problems.append(f"line {lineno}: confidence at bottom is vacuous")
-            in_h, in_p = _parse_label(left.split(), domain, lineno, problems)
-            out_h, out_p = _parse_label(right.split(), domain, lineno, problems)
+            in_p, in_body = _parse_side(left.split(), x, domain, lineno, problems)
+            out_p, out_body = _parse_side(right.split(), y, domain, lineno, problems)
             if in_p and out_p and in_p == out_p:
                 problems.append(
                     f"line {lineno}: {in_p!r} appears on both sides of a rule"
                 )
-            rules.append(ControlRule(in_h, in_p, out_h, out_p, conf, lineno))
+            in_terms[in_p] = out_terms[out_p] = None
+            body = Conj(GODEL, (in_body, out_body))
+            rules.append(Rule(Atom(GOOD, (x, y)), GODEL, body, conf, line=lineno))
             continue
         if line.startswith("sat "):
             parts = line.split()
@@ -154,49 +149,29 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     if not rules:
         problems.append("no rule: lines")
 
-    cs = ControlSystem(
-        inputs, outputs, tuple(rules), tuple((p, x, g) for (p, x), (g, _) in sat.items())
-    )
-
     declared = set(inputs) | set(outputs)
     for (pred, point), (_, ln) in sat.items():
         if point not in declared:
             problems.append(f"line {ln}: undeclared point {point!r}")
-    for side, preds, points in (("input", cs.input_preds, inputs),
-                                ("output", cs.output_preds, outputs)):
-        problems += [f"no sat row for {side} term {pred!r} at {point!r}" for pred in preds
+    for side, terms, points in (("input", in_terms, inputs), ("output", out_terms, outputs)):
+        problems += [f"no sat row for {side} term {pred!r} at {point!r}" for pred in terms
                      for point in dict.fromkeys(points) if (pred, point) not in sat]
 
     if problems:
         raise ParseError(problems)
-    return cs
-
-
-def _wrap(hedges: tuple[str, ...], atom: Atom):
-    body = atom
-    for h in reversed(hedges):
-        body = HedgeApp(h, body)
-    return body
+    # bottom-graded facts say nothing
+    facts = [Fact(Atom(pred, (point,)), g) for (pred, point), (g, _) in sat.items() if g]
+    return ControlSystem(inputs, outputs, Program((*rules, *facts), source="<control>"))
 
 
 def compile_control(cs: ControlSystem, kind: str = GODEL) -> Program:
-    """The graded program whose least model is the goodness surface."""
-    statements: list = []
-    x, y = Var("X"), Var("Y")
-    for r in cs.rules:
-        body = Conj(
-            GODEL,
-            (
-                _wrap(r.in_hedges, Atom(r.in_pred, (x,))),
-                _wrap(r.out_hedges, Atom(r.out_pred, (y,))),
-            ),
-        )
-        statements.append(Rule(Atom(GOOD, (x, y)), kind, body, r.conf, line=r.line))
-    for pred, point, grade in cs.sat:
-        if grade == 0:
-            continue  # bottom-graded facts say nothing
-        statements.append(Fact(Atom(pred, (point,)), grade))
-    return Program(tuple(statements), source="<control>")
+    """The graded program whose least model is the goodness surface, its
+    rules graded with the ``kind`` conjunction."""
+    if kind == GODEL:
+        return cs.program
+    statements = tuple(s._replace(kind=kind) if s.__class__ is Rule else s
+                       for s in cs.program.statements)
+    return cs.program._replace(statements=statements)
 
 
 def goodness_surface(
@@ -207,7 +182,7 @@ def goodness_surface(
     """Grade of ``good(x, y)`` for every input point x and output point y,
     read off the least model of the compiled program in one pass."""
     if program is None:
-        program = compile_control(cs)
+        program = cs.program
     surface = {(x, y): 0 for x in cs.input_points for y in cs.output_points}
     for atom, v in least_model(program, table)[0].items():
         if atom.pred == GOOD and atom.args in surface:

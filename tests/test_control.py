@@ -14,9 +14,12 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
-from fllp.lang import MAX_NESTING, Atom, Const, Fact, ParseError, Rule
+from fllp.lang import (
+    MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var, format_body,
+)
 
 from expected import HEATER_PICKS, HEATER_SURFACE
+from randprog import random_control_text
 
 
 @pytest.fixture(scope="module")
@@ -28,26 +31,29 @@ def heater(samples_dir, table):
 def test_parse_heater(heater):
     assert heater.input_points == ("t15", "t20", "t25")
     assert heater.output_points == ("p0", "p50", "p100")
-    assert len(heater.rules) == 2
-    strong = heater.rules[0]
-    assert strong.in_hedges == ("very",) and strong.in_pred == "cold"
-    assert strong.out_hedges == ("very",) and strong.out_pred == "strong"
-    assert strong.conf == 41
-    weak = heater.rules[1]
-    assert weak.in_hedges == () and weak.conf == 44  # confidence defaults to top
-    assert heater.input_preds == ("cold", "warm")
-    assert heater.output_preds == ("strong", "weak")
+    assert [(format_body(r.body), r.kind, r.tv, r.line) for r in heater.program.rules] == [
+        ("and_g(#very(cold(X)),#very(strong(Y)))", GODEL, 41, 5),
+        ("and_g(warm(X),weak(Y))", GODEL, 44, 6),  # confidence defaults to top
+    ]
 
 
 def test_compiled_program_shape(heater):
-    program = compile_control(heater)
-    assert len(program.rules) == 2
-    rule = program.rules[0]
-    assert isinstance(rule, Rule) and rule.kind == GODEL
-    assert rule.head == Atom("good", (rule.head.args[0], rule.head.args[1]))
-    # absfalse sat rows carry no information and produce no facts
-    assert len(program.facts) == 8
-    assert all(isinstance(f, Fact) and f.tv > 0 for f in program.facts)
+    x, y = Var("X"), Var("Y")
+    good = Atom("good", (x, y))
+    rules = (
+        Rule(good, GODEL, Conj(GODEL, (HedgeApp("very", Atom("cold", (x,))),
+                                       HedgeApp("very", Atom("strong", (y,))))), 41),
+        Rule(good, GODEL, Conj(GODEL, (Atom("warm", (x,)), Atom("weak", (y,)))), 44),
+    )
+    # one fact per sat row above bottom, in first-row order
+    facts = tuple(Fact(Atom(pred, (point,)), tv) for pred, point, tv in (
+        ("cold", "t15", 41), ("cold", "t20", 30), ("warm", "t20", 30), ("warm", "t25", 41),
+        ("strong", "p50", 30), ("strong", "p100", 41), ("weak", "p0", 41), ("weak", "p50", 30),
+    ))
+    godel, luka = compile_control(heater), compile_control(heater, LUKA)
+    assert godel.statements == rules + facts
+    assert luka.statements == tuple(r._replace(kind=LUKA) for r in rules) + facts
+    assert [r.line for r in godel.rules] == [r.line for r in luka.rules] == [5, 6]
 
 
 def test_goodness_surface_and_recommendations(heater, table):
@@ -191,6 +197,25 @@ def test_point_declaration_violations_are_listed_exactly(domain, text, violation
     assert err.value.violations == violations
 
 
+def test_missing_sat_rows_list_input_terms_then_output_terms_by_first_use(domain):
+    text = ("inputs: i1 i2\noutputs: o1 o2\n"
+            "rule: warm => weak\nrule: cold =>\nrule: very warm => strong\nrule: cold => weak\n"
+            "sat warm i1 true\nsat weak o2 true\n")
+    with pytest.raises(ParseError) as err:
+        parse_control_file(text, domain)
+    assert err.value.violations == (
+        "line 4: empty rule side",
+        "no sat row for input term 'warm' at 'i2'",
+        "no sat row for input term 'cold' at 'i1'",
+        "no sat row for input term 'cold' at 'i2'",
+        "no sat row for output term 'weak' at 'o1'",
+        "no sat row for output term '' at 'o1'",
+        "no sat row for output term '' at 'o2'",
+        "no sat row for output term 'strong' at 'o1'",
+        "no sat row for output term 'strong' at 'o2'",
+    )
+
+
 def test_points_spelled_like_variables_stay_constants(table):
     # compile_control builds its rules over the variables X and Y
     text = """\
@@ -259,33 +284,11 @@ def test_zero_grade_sat_rows_are_legal_but_silent(heater):
     assert ("cold", "t20") in graded
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_random_surfaces_match_the_least_model(seed, table):
-    rng = random.Random(seed)
-    domain = table.domain
-    ni, no = rng.randint(1, 3), rng.randint(1, 3)
-    inputs = tuple(f"i{k}" for k in range(ni))
-    outputs = tuple(f"o{k}" for k in range(no))
-    in_preds = tuple(f"a{k}" for k in range(rng.randint(1, 2)))
-    out_preds = tuple(f"b{k}" for k in range(rng.randint(1, 2)))
-    hedges = ("", "very ", "more ", "probably ", "little ")
-    lines = [f"inputs: {' '.join(inputs)}", f"outputs: {' '.join(outputs)}"]
-    for a in in_preds:
-        for b in out_preds:
-            conf = ""
-            if rng.random() < 0.5:
-                conf = f" conf {domain.literal(rng.randint(1, domain.n))}"
-            lines.append(
-                f"rule: {rng.choice(hedges)}{a} => {rng.choice(hedges)}{b}{conf}"
-            )
-    for pred, points in ((p, inputs) for p in in_preds):
-        for x in points:
-            lines.append(f"sat {pred} {x} {domain.literal(rng.randint(0, domain.n))}")
-    for pred in out_preds:
-        for y in outputs:
-            lines.append(f"sat {pred} {y} {domain.literal(rng.randint(0, domain.n))}")
-    cs = parse_control_file("\n".join(lines) + "\n", domain)
-    kind = rng.choice((GODEL, LUKA))
+@pytest.mark.parametrize("k", range(20))
+def test_random_surfaces_match_the_least_model(k, table):
+    seed = 20 + k  # acceptance 12 draws seeds 0-19
+    cs = parse_control_file(random_control_text(seed, table.domain), table.domain)
+    kind = random.Random(seed).choice((GODEL, LUKA))
     program = compile_control(cs, kind)
     surface = goodness_surface(cs, table, program)
     model, _ = least_model(program, table)

@@ -519,7 +519,7 @@ RECORD_TYPES = [(module, name) for module, names in {
     "fllp.lang": "Var Atom Conj Disj HedgeApp Fact Rule Program",
     "fllp.fixpoint": "GroundProgram",
     "fllp.solver": "ComputedAnswer SolveResult",
-    "fllp.control": "ControlRule ControlSystem",
+    "fllp.control": "ControlSystem",
 }.items() for name in names.split()]
 
 
