@@ -72,7 +72,7 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
     problems: list[str] = []
     points_of: dict[str, tuple[str, ...]] = {}  # "inputs"/"outputs" -> points
     rules: list[Rule] = []
-    in_terms: dict[str, None] = {}  # the terms of each side, by first use
+    in_terms: dict[str, None] = {}  # the terms of each side, by first use; '' for none
     out_terms: dict[str, None] = {}
     sat: dict[tuple[str, str], tuple[int, int]] = {}  # -> (grade, line)
     x, y = Var("X"), Var("Y")
@@ -154,7 +154,7 @@ def parse_control_file(text: str, domain: TruthDomain) -> ControlSystem:
         if point not in declared:
             problems.append(f"line {ln}: undeclared point {point!r}")
     for side, terms, points in (("input", in_terms, inputs), ("output", out_terms, outputs)):
-        problems += [f"no sat row for {side} term {pred!r} at {point!r}" for pred in terms
+        problems += [f"no sat row for {side} term {pred!r} at {point!r}" for pred in terms if pred
                      for point in dict.fromkeys(points) if (pred, point) not in sat]
 
     if problems:

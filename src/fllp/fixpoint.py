@@ -13,20 +13,21 @@ Grounding instantiates variables over the program's constants (one fallback
 constant when there are none), but only where a body can be nonzero: a join
 finds the instances whose bodies have an alternative made of derivable
 atoms (every conjunction and hedge keeps bottom at bottom, so the others
-add nothing), and ``ground`` builds them as rules.  A predicate is a name
-and an arity.  ``least_model`` has one path, which reads a ground program
-it is given as statements.  The join interns ground atoms as ids and emits
-each instance as the ids of its head and body atoms; a matched atom's id
-rides along in the binding.  Each rule is compiled once into a function
-grading a batch of its instances over an interpretation held as a list by
-id.  Rounds are semi-naive: the first reads bottom everywhere, so it fires
-the facts and only the instances of rules nonzero there (one probe per
-rule tells), and each later one those with a body atom that rose in the
-round before, reading what that round left, each rule's share as one
-batch.  The iterates ascend, so an instance not fired gives at most its
-head's value: every round, and so the round count, equals a full
-application's.  Grounding stops at ``GROUND_LIMIT`` instances and
-``JOIN_LIMIT`` join steps (see ``_relevant_bindings``).
+add nothing), and ``ground`` builds them as rules.  A grounding is a
+``Program``, its fact instances and then its rule instances, so
+``least_model`` has one path for a program and for a grounding it is given.
+A predicate is a name and an arity.  The join interns ground atoms as ids
+and emits each instance as the ids of its head and body atoms; a matched
+atom's id rides along in the binding.  Each rule is compiled once into a
+function grading a batch of its instances over an interpretation held as a
+list by id.  Rounds are semi-naive: the first reads bottom everywhere, so
+it fires the facts and only the instances of rules nonzero there (one probe
+per rule tells), and each later one those with a body atom that rose in the
+round before, reading what that round left, each rule's share as one batch.
+The iterates ascend, so an instance not fired gives at most its head's
+value: every round, and so the round count, equals a full application's.
+Grounding stops at ``GROUND_LIMIT`` instances and ``JOIN_LIMIT`` join steps
+(see ``_relevant_bindings``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import heapq
 import itertools
 import operator
 
-from .algebra import GODEL, LUKA, LimitError, format_value, record
+from .algebra import GODEL, LUKA, LimitError, format_value
 from .inverse import InverseMappingTable
 from .lang import (
     Atom,
@@ -78,10 +79,6 @@ class Interpretation(dict):
         return 0
 
 
-# ``facts`` holds ``(atom, grade)`` pairs, ``rules`` ground instances (line 0).
-GroundProgram = record("GroundProgram", "facts rules")
-
-
 def _bind(atom: Atom, env: dict[str, str]) -> Atom:
     """``atom`` with the constants of ``env`` in place of its variables."""
     return Atom(atom.pred, tuple(env[a.name] if isinstance(a, Var) else a for a in atom.args))
@@ -92,16 +89,17 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
     return tuple(dict.fromkeys(free_vars(rule.head) + free_vars(rule.body)))
 
 
-def ground(program: Program) -> GroundProgram:
-    """Every fact instance, and the rule instances whose bodies can be nonzero
-    in the least model (see ``_relevant_bindings``), by statement and then
-    ``itertools.product`` order over the sorted constants."""
+def ground(program: Program) -> Program:
+    """The program of every fact instance, as a ``Fact``, and then the rule
+    instances whose bodies can be nonzero in the least model (see
+    ``_relevant_bindings``), by statement and then ``itertools.product``
+    order over the sorted constants; every line is 0."""
     facts, found, _ = _relevant_bindings(program)
     # sorted bindings are itertools.product order over the sorted universe
     rules = [Rule(bind(rule.head), rule.kind, map_atoms(rule.body, bind), rule.tv)
              for rule, bindings in zip(program.rules, found) for binding in sorted(bindings)
              for bind in (functools.partial(_bind, env=dict(zip(_rule_vars(rule), binding))),)]
-    return GroundProgram(tuple(facts), tuple(rules))
+    return Program((*(Fact(atom, tv) for atom, tv in facts), *rules))
 
 
 def _alternatives(body: Body) -> list[tuple[Atom, ...]]:
@@ -371,18 +369,18 @@ def least_model(
     program: Program,
     table: InverseMappingTable,
     mode: str = "naive",
-    gp: GroundProgram | None = None,
+    gp: Program | None = None,
 ) -> tuple[Interpretation, int]:
     """Least model and the number of consequence-operator rounds taken to
-    settle on it, over the relevant instances of ``program``, or of ``gp``'s
-    facts and rules read as statements when given: an instance whose body
-    is bottom gives its head bottom, so dropping it changes neither the
-    model nor the rounds.  Both modes run the same engine, which interns
-    atoms as ids and grades each rule's fired instances as one batch."""
+    settle on it, over the relevant instances of ``program``, or of ``gp``
+    in its place when given (``ground``'s program, say): an instance whose
+    body is bottom gives its head bottom, so dropping it changes neither
+    the model nor the rounds.  Both modes run the same engine, which
+    interns atoms as ids and grades each rule's fired instances as one
+    batch."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown evaluation mode: {mode!r}")
-    if gp is not None:
-        program = Program(tuple(Fact(atom, tv) for atom, tv in gp.facts) + gp.rules)
+    program = program if gp is None else gp
     columns, n = table.columns, table.domain.n
     facts, found, ids = _relevant_bindings(program)
     # instances numbered by rule: their head ids and body atom ids side by side

@@ -9,19 +9,19 @@ leads to one inverse mapping per hedge.  These mappings are required to
   2. be monotone over the whole domain, and
   3. shrink pointwise as the hedge grows in the extended order.
 
-They are not unique.  The builder below derives the positive half of each
-column by index shifting inside hedge families, with the three constants
-as fixed points.  The shift construction tracks hedge chains faithfully
-but can lose monotonicity on algebras whose positivity matrix makes deep
-chains alternate direction; when its result fails validation, the builder
-falls back to positive halves interpolated through three anchor points
-(the ends and the cancellation cell), which satisfy the conditions on
-every algebra.  Either way one mirror completes the columns: negation
-sends domain index ``i`` to ``n - i``, and each negative half is the
-reflected positive half of the hedge's opposite-class peer.  Applications
-can replace individual cells through ``inverse:`` override rows in the
-algebra config; two rows that give one cell different targets are
-rejected, and a table whose cells the rows changed is validated again.
+They are not unique.  The shift construction, ``_shift_columns``, derives
+the positive half of each column by index shifting inside hedge families,
+with the three constants as fixed points.  It tracks hedge chains
+faithfully but can lose monotonicity on algebras whose positivity matrix
+makes deep chains alternate direction; when its result fails validation,
+``build_inverse_table`` falls back to positive halves interpolated through
+three anchor points (the ends and the cancellation cell), which satisfy
+the conditions on every algebra.  Either way one mirror completes the
+columns: negation sends domain index ``i`` to ``n - i``, and each negative
+half is the reflected positive half of the hedge's opposite-class peer.
+Applications can replace individual cells through ``inverse:`` override
+rows in the algebra config; two rows that give one cell different targets
+are rejected, and a table whose cells the rows changed is validated again.
 """
 
 from __future__ import annotations
@@ -60,66 +60,57 @@ _REFERENCE_CELLS = {
 }
 
 
-class _Builder:
-    """The shift construction, on the positive half of each column: over
-    the hedge strings of the positive terms, ascending, which ``index``
-    maps to their domain indices W + 1 to n - 1."""
+def _shift_columns(domain: TruthDomain) -> dict[str, list[int]]:
+    """The shift construction: per hedge, its column with the positive half
+    and the constants filled in, the cells below W left for :func:`_mirror`.
+    The positive half runs over the hedge strings of the positive terms,
+    ascending, which ``index`` maps to their domain indices W + 1 to n - 1."""
+    alg, w, n = domain.algebra, domain.middle_index, domain.n
+    index = dict(zip(alg.terms(True), range(w + 1, n)))
+    p, q, low, high = len(alg.plus_hedges), len(alg.minus_hedges), w + 1, n - 1
+    # Chain direction over each single-hedge positive term; chains over the
+    # bare primary always ascend.
+    direction = {0: 1}
+    for h in alg.extended_order():
+        direction[alg.e_index(h)] = alg.direction(alg.flip(h, None), h)
 
-    def __init__(self, domain: TruthDomain):
-        self.alg = alg = domain.algebra
-        self.w, self.n = w, n = domain.middle_index, domain.n
-        self.index = dict(zip(alg.terms(True), range(w + 1, n)))
-        self.p, self.q = len(alg.plus_hedges), len(alg.minus_hedges)
-        # Chain direction over each single-hedge positive term; chains over
-        # the bare primary always ascend.
-        self._dir = {0: 1}
-        for h in alg.extended_order():
-            self._dir[alg.e_index(h)] = alg.direction(alg.flip(h, None), h)
+    def mk(hedges: tuple[str, ...]) -> int:
+        """Index of the positive term keeping only the innermost ``limit``
+        hedges, so degenerate limits stay in range."""
+        return index[hedges[-alg.limit:] if alg.limit else ()]
 
-    def column(self, hedge: str) -> list[int]:
-        """``hedge``'s column with the positive half and the constants
-        filled in; the cells below W are left for :func:`_mirror`."""
-        r = self.alg.e_index(hedge)
-        w, n = self.w, self.n
-        return [0] * w + [w, *(self._invert_positive(r, x) for x in self.index), n]
-
-    def _invert_positive(self, r: int, x: tuple[str, ...]) -> int:
-        """Image of the positive term with hedge string ``x``.  Bounded
-        domains have no room for images at W or 1; those are pulled to the
-        nearest positive term, index W + 1 or n - 1."""
-        alg = self.alg
-        low, high = self.w + 1, self.n - 1
+    def invert_positive(r: int, x: tuple[str, ...]) -> int:
+        """Image under the hedge of extended index ``r`` of the positive term
+        with hedge string ``x``.  Bounded domains have no room for images at
+        W or 1; those are pulled to the nearest positive term, index W + 1
+        or n - 1."""
         if not x:
-            m = min(self.p, self.q)
+            m = min(p, q)
             if -m <= r <= m:
-                return self._mk((alg.hedge_by_e_index(-r),)) if r else self.index[()]
+                return mk((alg.hedge_by_e_index(-r),)) if r else index[()]
             return low if r > 0 else high
         s = alg.e_index(x[-1])  # innermost hedge
         sigma = x[:-1]
         if r == s:
             cell = None
-            if (self.p, self.q, alg.limit, len(sigma)) == (2, 2, 2, 1):
+            if (p, q, alg.limit, len(sigma)) == (2, 2, 2, 1):
                 cell = _REFERENCE_CELLS.get((r, alg.e_index(sigma[0])))
-            return self.index[tuple(map(alg.hedge_by_e_index, cell or ()))]
+            return index[tuple(map(alg.hedge_by_e_index, cell or ()))]
         d = s - r
-        if d < -self.q:
+        if d < -q:
             return low
-        if d > self.p:
+        if d > p:
             return high
         hd = alg.hedge_by_e_index(d)
-        if self._dir[s] == self._dir[d]:
-            return self._mk(sigma + (hd,))
+        if direction[s] == direction[d]:
+            return mk(sigma + (hd,))
         if not sigma:
-            return self._mk((hd,))
+            return mk((hd,))
         t = alg.e_index(sigma[-1])  # hedge adjacent to the cancelled one
-        delta = alg.hedge_by_e_index(max(-self.q, min(self.p, -t)))
-        return self._mk((delta, hd))
+        return mk((alg.hedge_by_e_index(max(-q, min(p, -t))), hd))
 
-    def _mk(self, hedges: tuple[str, ...]) -> int:
-        """Index of the positive term keeping only the innermost ``limit``
-        hedges, so degenerate limits stay in range."""
-        limit = self.alg.limit
-        return self.index[hedges[-limit:] if limit else ()]
+    return {h: [0] * w + [w, *(invert_positive(r, x) for x in index), n]
+            for h in alg.extended_order() for r in [alg.e_index(h)]}
 
 
 def _mirror(domain: TruthDomain, columns: dict[str, list[int]]) -> dict[str, list[int]]:
@@ -173,8 +164,7 @@ def build_inverse_table(
     alg = domain.algebra
     if not alg.plus_hedges or not alg.minus_hedges:
         raise InverseTableError(["inverse tables need at least one hedge in each class"])
-    builder = _Builder(domain)
-    columns = _mirror(domain, {h: builder.column(h) for h in alg.extended_order()})
+    columns = _mirror(domain, _shift_columns(domain))
     valid = not validate_inverse_table(InverseMappingTable(domain, columns))
     if not valid:
         columns = _mirror(domain, _anchored_columns(domain))

@@ -52,12 +52,7 @@ class ParseError(InputError):
     """A program, query or control file that does not parse or validate."""
 
 
-class Var(record("Var", "name")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return self.name
-
+Var = record("Var", "name")
 
 # A constant is its name, and a grade leaf (a resolved atom) its index.
 Const = str
@@ -267,7 +262,7 @@ class _Parser:
 
     def _fail(self, wanted: str) -> None:
         found = repr(self.tok) if self.tok else "end of input"
-        raise _Bail(f"line {self.lines[self.pos]}: expected {wanted}, found {found}")
+        raise ParseError([f"line {self.lines[self.pos]}: expected {wanted}, found {found}"])
 
     def expect(self, text: str) -> None:
         if self.tok != text:
@@ -316,7 +311,8 @@ class _Parser:
         if not "a" <= pred < "{":
             self._fail("a predicate name")
         if head and pred in RESERVED_PREDICATES:
-            raise _Bail(f"line {self.lines[self.pos]}: {pred!r} is a connective, not a predicate")
+            raise ParseError(
+                [f"line {self.lines[self.pos]}: {pred!r} is a connective, not a predicate"])
         args: list[Term] = []
         if texts[pos] == "(":
             variables = self.variables
@@ -343,7 +339,7 @@ class _Parser:
         if tok != "#" and tok not in RESERVED_PREDICATES:
             return self.atom()
         if self.depth == MAX_NESTING:
-            raise _Bail(f"line {line}: body nested more than {MAX_NESTING} levels deep")
+            raise ParseError([f"line {line}: body nested more than {MAX_NESTING} levels deep"])
         self.goto(self.pos + 1)
         if tok == "#":
             hedge = self.tok
@@ -351,7 +347,7 @@ class _Parser:
                 self._fail("a hedge name")
             self.goto(self.pos + 1)
             if not self.domain.algebra.has_hedge(hedge):
-                raise _Bail(f"line {line}: unknown hedge {hedge!r}")
+                raise ParseError([f"line {line}: unknown hedge {hedge!r}"])
         self.expect("(")
         self.depth += 1
         parts = [self.body()]
@@ -362,7 +358,7 @@ class _Parser:
         if tok == "#":
             return HedgeApp(hedge, parts[0])
         if len(parts) < 2:
-            raise _Bail(f"line {line}: {tok!r} needs at least two parts")
+            raise ParseError([f"line {line}: {tok!r} needs at least two parts"])
         if tok == "or":
             return Disj(tuple(parts))
         return Conj(GODEL if tok == "and_g" else LUKA, tuple(parts))
@@ -378,16 +374,12 @@ class _Parser:
         try:
             idx = self.literal(literal)
         except ValueError as exc:
-            raise _Bail(f"line {self.lines[start]}: {exc}") from None
+            raise ParseError([f"line {self.lines[start]}: {exc}"]) from None
         if idx == 0:
-            raise _Bail(
+            raise ParseError([
                 f"line {self.lines[start]}: grade {literal!r} would make the statement vacuous"
-            )
+            ])
         return idx
-
-
-class _Bail(Exception):
-    pass
 
 
 def algebra_directive(text: str) -> str | None:
@@ -413,10 +405,10 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
                 statements.append(parser.goto(parser.pos + 1))
             elif parser.tok == "use" and parser.texts[parser.pos + 1] == "algebra":
                 if parser.pos:
-                    raise _Bail(
+                    raise ParseError([
                         f"line {parser.lines[parser.pos]}: "
                         "algebra directive must precede all statements"
-                    )
+                    ])
                 parser.goto(parser.pos + 2)
                 if parser.tok[:1] != '"':
                     parser._fail("a quoted path")
@@ -424,8 +416,8 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
                 parser.expect(".")
             else:
                 statements.append(parser.statement())
-        except _Bail as exc:
-            errors.append(str(exc))
+        except ParseError as exc:
+            errors += exc.violations
             parser.sync_to_dot()
     if errors:
         raise ParseError(errors)
@@ -439,13 +431,10 @@ def parse_query(text: str, domain: TruthDomain) -> Body:
     if errors:
         raise ParseError(errors)
     parser.skip("?-")
-    try:
-        body = parser.body()
-        parser.skip(".")
-        if parser.tok:
-            parser._fail("end of query")
-    except _Bail as exc:
-        raise ParseError([str(exc)]) from None
+    body = parser.body()
+    parser.skip(".")
+    if parser.tok:
+        parser._fail("end of query")
     return body
 
 
@@ -507,7 +496,7 @@ def validate_program(
 def format_atom(atom: Atom) -> str:
     if not atom.args:
         return atom.pred
-    return f"{atom.pred}({','.join(str(a) for a in atom.args)})"
+    return f"{atom.pred}({','.join(a if a.__class__ is str else a.name for a in atom.args)})"
 
 
 def format_body(body: Body) -> str:

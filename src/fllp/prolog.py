@@ -48,7 +48,7 @@ def _hedge_atoms(algebra) -> dict[str, str]:
 
 
 def _args(atom: Atom, extra: str) -> str:
-    return ",".join([str(a) for a in atom.args] + [extra])
+    return ",".join([a if a.__class__ is str else a.name for a in atom.args] + [extra])
 
 
 def _emit(body: Body, goals: list[str], fresh, abbr: dict[str, str], sink: str | None = None) -> str:

@@ -7,7 +7,8 @@ what it pays before doing any work.  Each subcommand runs on a sample in a
 fresh interpreter, and every ``fllp`` module it loaded, the package's
 ``__init__.py`` included, is counted with ``ast.walk``.
 
-Run directly to print each command's total and its modules:
+Run directly to print each command's total and its modules, and then the
+lines of the package's source (what ``cat src/fllp/*.py | wc -l`` counts):
 
     PYTHONPATH=src python tests/nodecount.py
 """
@@ -60,12 +61,18 @@ def nodes(path: str | Path) -> int:
     return sum(1 for _ in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))))
 
 
+def source_lines() -> int:
+    """The lines of every module of the ``fllp`` package."""
+    return sum(p.read_text(encoding="utf-8").count("\n") for p in ROOT.glob("src/fllp/*.py"))
+
+
 def main() -> None:
     for name, argv in COMMANDS.items():
         counts = {m: nodes(f) for m, f in sorted(run(argv)[3].items())}
         print(f"{name}: {sum(counts.values()):,}")
         for module, count in counts.items():
             print(f"  {module} {count:,}")
+    print(f"src/fllp lines: {source_lines():,}")
 
 
 if __name__ == "__main__":

@@ -209,8 +209,6 @@ def test_missing_sat_rows_list_input_terms_then_output_terms_by_first_use(domain
         "no sat row for input term 'cold' at 'i1'",
         "no sat row for input term 'cold' at 'i2'",
         "no sat row for output term 'weak' at 'o1'",
-        "no sat row for output term '' at 'o1'",
-        "no sat row for output term '' at 'o2'",
         "no sat row for output term 'strong' at 'o1'",
         "no sat row for output term 'strong' at 'o2'",
     )

@@ -65,16 +65,18 @@ def _is_subsequence(short, long) -> bool:
 
 
 def _check_against_the_oracle(program, table) -> None:
-    """Over ``program`` and over ``ground``'s instances, the least model and
-    its round count are the oracle's iterated T_P over the full grounding;
-    and ``ground`` keeps the oracle's facts, a subsequence of its rules, and
-    every rule instance whose body is nonzero in that model."""
+    """Over ``program`` and over ``ground``'s program, passed as ``gp=`` and
+    as the program, the least model and its round count are the oracle's
+    iterated T_P over the full grounding; and ``ground`` keeps the oracle's
+    facts, a subsequence of its rules, and every rule instance whose body is
+    nonzero in that model."""
     full = oracle.ground(program)
     want = oracle.iterate_tp(full, table)
     relevant = ground(program)
     assert least_model(program, table, mode="delta") == want
     assert least_model(program, table, gp=relevant) == want
-    assert relevant.facts == full.facts
+    assert least_model(relevant, table) == want
+    assert relevant.facts == tuple(Fact(atom, tv) for atom, tv in full.facts)
     assert _is_subsequence(relevant.rules, full.rules)
     kept = set(relevant.rules)
     assert all(rule in kept for rule in full.rules if oracle.body_value(rule, table, want[0]))
@@ -122,14 +124,15 @@ def test_grounding_universe_and_base(domain):
     program = parse_program("p(X) : true.\nq(a,b) : true.\n", domain)
     assert oracle.universe(program) == ("a", "b")
     # the open fact grounds over the whole universe
-    assert sorted(f"{a.pred}({a.args[0]})" for a, _ in ground(program).facts if a.pred == "p") == [
+    facts = ground(program).facts
+    assert sorted(f"{a.pred}({a.args[0]})" for a, _, _ in facts if a.pred == "p") == [
         "p(a)", "p(b)",
     ]
     assert [a.pred for a in oracle.ground(program).base] == ["p", "p", "q", "q", "q", "q"]
 
     bare = parse_program("r(X) <-g s(X) : true.\ns(X) : middle.\n", domain)
     assert oracle.universe(bare) == ("a",)
-    assert ground(bare).facts == ((Atom("s", ("a",)), 22),)
+    assert [(a, tv) for a, tv, _ in ground(bare).facts] == [(Atom("s", ("a",)), 22)]
 
 
 def test_grounding_limit_is_checked_before_expansion(domain, monkeypatch):

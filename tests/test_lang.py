@@ -517,7 +517,6 @@ RECORD_TYPES = [(module, name) for module, names in {
     "fllp.algebra": "HedgeDecl HedgeAlgebraSpec InverseOverride",
     "fllp.inverse": "InverseMappingTable",
     "fllp.lang": "Var Atom Conj Disj HedgeApp Fact Rule Program",
-    "fllp.fixpoint": "GroundProgram",
     "fllp.solver": "ComputedAnswer SolveResult",
     "fllp.control": "ControlSystem",
 }.items() for name in names.split()]
