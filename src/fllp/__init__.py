@@ -2,11 +2,13 @@
 
 Each layer is its own module: ``algebra`` (hedge algebras, truth domains,
 their configs and the two conjunctions' names), ``inverse`` (hedge mapping
-tables), ``lang`` (programs), ``solver`` (top-down queries), ``fixpoint``
+tables), ``program`` (the program model), ``lang`` (program syntax,
+validation and loading), ``solver`` (top-down queries), ``fixpoint``
 (least models), ``control`` (controller tables), ``prolog`` (clause text)
-and ``cli``, the one place that combines them.  Import names from the module
-that defines them; the root re-exports only the algebra and table
-builders, so ``import fllp`` loads no program layer.
+and ``cli``, the one place that combines them, with ``usage`` for its
+usage errors and help.  Import names from the module that defines them;
+the root re-exports only the algebra and table builders, so ``import
+fllp`` loads no program layer.
 """
 
 from .algebra import (

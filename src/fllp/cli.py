@@ -4,7 +4,8 @@ Subcommands: ``domain`` prints the truth scale (and, on request, the
 inverse hedge mappings), ``check`` parses and validates a program,
 ``query`` answers queries top-down (one-shot or as a small REPL),
 ``model`` computes the least model bottom-up, ``surface`` evaluates a
-control file, and ``compile`` emits plain clause text.
+control file, and ``compile`` emits plain clause text.  Usage errors and
+help screens are drawn by ``usage``, loaded only to report one.
 
 The algebra is taken from ``--algebra``, else from the program's own
 ``use algebra`` directive, else from the file named by the
@@ -32,29 +33,17 @@ from .algebra import (
     read_algebra_config,
     read_text,
 )
-from .inverse import build_inverse_table
+from .inverse import build_inverse_table, load_inverse_table
 # lang, fixpoint, solver, prolog and control load only in the subcommands
-# that run them.
+# that run them, and usage only when a usage error or help is reported.
 
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
 
 def _exit(command: str | None, error: str = ""):
-    """Exit 1 after the usage of ``command`` (None: of fllp itself) and the
-    usage ``error``, or 0 after its help: a line per subcommand or argument."""
-    prog = f"fllp {command}" if command else "fllp"
-    _, _, positional, options = _COMMAND_LINE[command] if command else (None, "", (), [])
-    words = [f"[{opt[0].split()[0]}{' ' + opt[1] if opt[1] else ''}]" for opt in (_HELP, *options)]
-    words += positional[:1] if command else ["{" + ",".join(_COMMAND_LINE) + "} ..."]
-    usage = f"usage: {prog} {' '.join(words)}\n"
-    if error:
-        sys.stderr.write(f"{usage}{prog}: error: {error}\n")
-        raise SystemExit(1)
-    rows = [] if command else [(name, row[1]) for name, row in _COMMAND_LINE.items()]
-    rows += [positional] if positional else []
-    rows += [(f"{', '.join(opt[0].split())} {opt[1] or ''}", opt[3]) for opt in (_HELP, *options)]
-    sys.stdout.write(usage + "\n" + "".join(f"  {left:<22} {text}\n" for left, text in rows))
-    raise SystemExit(0)
+    """Exit after a usage error or the help of ``command`` (see ``usage.report``)."""
+    from .usage import report
+    report(command, error)
 
 
 def _parse_args(argv) -> SimpleNamespace:
@@ -255,7 +244,6 @@ def _cmd_model(args) -> int:
 
 def _cmd_surface(args) -> int:
     from .control import format_surface, goodness_surface, parse_control_file
-    from .lang import load_inverse_table
     table = load_inverse_table(args.algebra, _env_algebra())
     cs = parse_control_file(read_text(args.control), table.domain)
     surface = goodness_surface(cs, table)

@@ -26,7 +26,7 @@ from collections import Counter
 from .algebra import GODEL, TruthDomain, format_value, record
 from .fixpoint import least_model
 from .inverse import InverseMappingTable
-from .lang import (
+from .program import (
     MAX_NESTING,
     RESERVED_PREDICATES,
     Atom,

@@ -41,7 +41,7 @@ import operator
 
 from .algebra import GODEL, LUKA, LimitError, format_value
 from .inverse import InverseMappingTable
-from .lang import (
+from .program import (
     Atom,
     Body,
     Conj,

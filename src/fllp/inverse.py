@@ -26,9 +26,11 @@ are rejected, and a table whose cells the rows changed is validated again.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterable
 
-from .algebra import InputError, InverseOverride, TruthDomain, record
+from .algebra import (InputError, InverseOverride, TruthDomain, load_algebra_config,
+                      read_algebra_config, record)
 
 
 class InverseTableError(InputError):
@@ -197,6 +199,20 @@ def build_inverse_table(
     if violations:
         raise InverseTableError(violations)
     return table
+
+
+def load_inverse_table(*paths: str | Path | None) -> InverseMappingTable:
+    """The table of the algebra that applies (see ``read_algebra_config``)
+    for a command that also reads a program or control file, so each
+    violation of a config file is prefixed with its path."""
+    text, path = read_algebra_config(*paths)
+    try:
+        _, domain, overrides = load_algebra_config(text)
+        return build_inverse_table(domain, overrides)
+    except InputError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {v}" for v in exc.violations) from None
 
 
 def validate_inverse_table(table: InverseMappingTable) -> list[str]:

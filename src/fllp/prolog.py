@@ -17,8 +17,8 @@ import itertools
 
 from .algebra import GODEL
 from .inverse import InverseMappingTable
-from .lang import (Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var,
-                   atoms_of, statement_atoms)
+from .program import (Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var,
+                      atoms_of, statement_atoms)
 
 QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each

@@ -38,7 +38,7 @@ from bisect import bisect_left
 
 from .algebra import GODEL, LimitError, format_value, record
 from .inverse import InverseMappingTable
-from .lang import (
+from .program import (
     Atom,
     Body,
     Conj,

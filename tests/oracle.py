@@ -21,7 +21,7 @@ import itertools
 from collections import namedtuple
 
 from fllp.algebra import GODEL
-from fllp.lang import Atom, Fact, Rule, Var, map_atoms, value
+from fllp.program import Atom, Fact, Rule, Var, map_atoms, value
 
 Grounding = namedtuple("Grounding", "facts rules base")
 

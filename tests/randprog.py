@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from fllp.algebra import GODEL, LUKA, HedgeAlgebraSpec, HedgeDecl, build_algebra, enumerate_domain
-from fllp.lang import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
+from fllp.program import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
 
 CONSTS = ("a", "b", "c")
 BODY_VARS = ("Z", "W")

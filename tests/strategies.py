@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fllp.algebra import GODEL, LUKA
 from fllp.inverse import build_inverse_table
-from fllp.lang import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
+from fllp.program import Atom, Conj, Const, Disj, Fact, HedgeApp, Program, Rule, Var
 
 from randprog import random_algebra
 

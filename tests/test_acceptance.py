@@ -17,7 +17,8 @@ from fllp.cli import main
 from fllp.control import compile_control, goodness_surface, parse_control_file
 from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table, validate_inverse_table
-from fllp.lang import Atom, Conj, Const, load_program, parse_query, value
+from fllp.lang import load_program, parse_query
+from fllp.program import Atom, Conj, Const, value
 from fllp.prolog import compile_program, compile_query
 from fllp.solver import SolveOptions, _need, solve
 

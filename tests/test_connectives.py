@@ -1,6 +1,6 @@
 """The two conjunctions as the engines run them.
 
-``lang.value`` over grade leaves values bodies for the solver's bounds,
+``program.value`` over grade leaves values bodies for the solver's bounds,
 ``solver._fold`` folds a goal word's resolved parts, and ``fixpoint._compile``
 grades rule instances in the least model, each connective folding the
 columns of its parts' grades over a batch of instances.  Each must obey the
@@ -16,7 +16,7 @@ import pytest
 
 from fllp.algebra import GODEL, LUKA
 from fllp.fixpoint import _compile
-from fllp.lang import Atom, Conj, Rule, value
+from fllp.program import Atom, Conj, Rule, value
 from fllp.solver import _fold
 
 import oracle

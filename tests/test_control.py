@@ -14,7 +14,7 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
-from fllp.lang import (
+from fllp.program import (
     MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var, format_body,
 )
 

@@ -22,22 +22,8 @@ from fllp.fixpoint import (
     least_model,
 )
 from fllp.inverse import build_inverse_table
-from fllp.lang import (
-    Atom,
-    Conj,
-    Const,
-    Disj,
-    Fact,
-    Grade,
-    HedgeApp,
-    Program,
-    Rule,
-    Var,
-    load_program,
-    parse_program,
-    parse_query,
-    value,
-)
+from fllp.lang import load_program, parse_program, parse_query
+from fllp.program import Atom, Conj, Const, Disj, Fact, Grade, HedgeApp, Program, Rule, Var, value
 from fllp.solver import SolveOptions, solve
 
 import oracle

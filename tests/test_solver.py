@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fllp import solver
 from fllp.algebra import GODEL, LUKA
 from fllp.fixpoint import least_model
-from fllp.lang import (
+from fllp.lang import load_program, parse_program, parse_query
+from fllp.program import (
     Atom,
     Conj,
     Const,
@@ -20,10 +21,7 @@ from fllp.lang import (
     HedgeApp,
     Program,
     Rule,
-    load_program,
     map_atoms,
-    parse_program,
-    parse_query,
     value,
 )
 from fllp.solver import (

@@ -22,7 +22,7 @@ import hashlib
 from fllp import solver
 from fllp.algebra import DEFAULT_ALGEBRA_CONFIG, load_algebra_config
 from fllp.inverse import build_inverse_table
-from fllp.lang import Atom, Var
+from fllp.program import Atom, Var
 
 from randprog import mixed_arity_program, random_algebra, random_program
 
