@@ -1,14 +1,14 @@
 """Logic programming with linguistic truth values and hedge connectives.
 
-Each layer is its own module: ``algebra`` (hedge algebras, truth domains,
-their configs and the two conjunctions' names), ``inverse`` (hedge mapping
-tables), ``program`` (the program model), ``lang`` (program syntax,
-validation and loading), ``solver`` (top-down queries), ``fixpoint``
-(least models), ``control`` (controller tables), ``prolog`` (clause text)
-and ``cli``, the one place that combines them, with ``usage`` for its
-usage errors and help.  Import names from the module that defines them;
-the root re-exports only the algebra and table builders, so ``import
-fllp`` loads no program layer.
+One module per layer: ``algebra`` (hedge algebras, truth domains, configs,
+the conjunctions' names), ``inverse`` (hedge mapping tables), ``program``
+(the program model), ``lang`` (syntax, loading), ``validate`` (program
+checks), ``solver`` (top-down queries; ``trace`` prints traced goals),
+``fixpoint`` (least models), ``control`` (controller tables), ``prolog``
+(clause text), and ``cli``, which combines them, with ``repl`` (queries),
+``usage`` (usage errors, help) and ``__main__`` (one command per process,
+cyclic collector off).  Import names from their module: the root re-exports
+only the algebra and table builders, so ``import fllp`` loads no program layer.
 """
 
 from .algebra import (

@@ -5,7 +5,8 @@ inverse hedge mappings), ``check`` parses and validates a program,
 ``query`` answers queries top-down (one-shot or as a small REPL),
 ``model`` computes the least model bottom-up, ``surface`` evaluates a
 control file, and ``compile`` emits plain clause text.  Usage errors and
-help screens are drawn by ``usage``, loaded only to report one.
+help screens are drawn by ``usage``, loaded only to report one, and
+``query`` runs in ``repl``, loaded only by it.
 
 The algebra is taken from ``--algebra``, else from the program's own
 ``use algebra`` directive, else from the file named by the
@@ -25,17 +26,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .algebra import (
-    LimitError,
-    TruthDomain,
-    format_value,
-    load_algebra_config,
-    read_algebra_config,
-    read_text,
-)
-from .inverse import build_inverse_table, load_inverse_table
+from .algebra import LimitError, format_value, read_text
+from .inverse import load_config
 # lang, fixpoint, solver, prolog and control load only in the subcommands
-# that run them, and usage only when a usage error or help is reported.
+# that run them, as do validate (check) and repl (query), and usage only
+# when a usage error or help is reported.
 
 ENV_ALGEBRA = "FLLP_ALGEBRA"
 
@@ -137,24 +132,12 @@ def _load(args) -> tuple:
     return load_program(args.program, args.algebra, _env_algebra())
 
 
-def _parse_grade(domain: TruthDomain, text: str) -> int:
-    m = re.fullmatch(r"v(\d+)", text.strip())
-    if m:
-        idx = int(m.group(1))
-        if idx > domain.n:
-            raise ValueError(f"v{idx} is outside the domain (max v{domain.n})")
-        return idx
-    return domain.parse_literal(text)
-
-
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_domain(args) -> int:
-    config, _ = read_algebra_config(args.algebra, _env_algebra())
-    algebra, domain, overrides = load_algebra_config(config)
+    # inverse: rows are checked by building the table, even when it is not printed
+    algebra, domain, table = load_config(args.algebra, _env_algebra(), inverse=args.inverse)
     lines = [format_value(domain, i) for i in range(len(domain))]
-    if args.inverse or overrides:  # building the table checks the inverse: rows
-        table = build_inverse_table(domain, overrides)
     if args.inverse:
         for decl in algebra.spec.hedges:
             lines.append("")
@@ -178,58 +161,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _stdin_queries():
-    """REPL lines: one query per line, empty lines skipped, quit/exit to leave."""
-    prompt = "?- " if sys.stdin.isatty() else ""
-    try:
-        while (line := input(prompt).strip()) not in ("quit", "exit", "quit.", "exit."):
-            if line:
-                yield line
-    except EOFError:
-        return
-
-
 def _cmd_query(args) -> int:
-    from .lang import parse_query
-    from .solver import SearchLimitError, format_answer, solve
-    program, table = _load(args)
-    # solve reads its five options off args; the parser admits no negative --depth
-    if args.threshold is not None:
-        args.threshold = _parse_grade(table.domain, args.threshold)
-    # -q is a one-line session whose error ends the run; in the REPL an error
-    # is reported and only a limit fails the session.  Answers go to stdout as
-    # each query is read, or to --out: under -q if any, in the REPL at the end.
-    one_shot = args.query is not None
-    code = 0
-    written: list[str] = []
-    for line in [args.query] if one_shot else _stdin_queries():
-        lines: tuple[str, ...] = ()
-        failure = None
-        try:
-            result = solve(program, table, parse_query(line, table.domain), args)
-        except SearchLimitError as exc:  # a search stopped at its limit still shows its trace so far
-            lines, failure = exc.trace, exc
-        except (LimitError, ValueError) as exc:
-            failure = exc
-        else:
-            answers = [format_answer(table.domain, a) for a in result.answers]
-            lines = (*result.trace, *(answers or ["no answers."]))
-            if result.depth_exhausted:
-                print("warning: depth limit reached, the answer set may be incomplete",
-                      file=sys.stderr)
-                code = 2
-        if failure is not None:  # reported first, so a failed --out write cannot hide it
-            status = _errors(failure)
-            if one_shot or status == 2:
-                code = status
-        text = "".join(f"{shown}\n" for shown in lines)
-        if args.out and not one_shot:
-            written.append(text)
-        elif text:
-            _emit(text, args.out)
-    if args.out and not one_shot:
-        _emit("".join(written), args.out)
-    return code
+    from .repl import run
+    return run(args)
 
 
 def _cmd_model(args) -> int:
@@ -244,7 +178,7 @@ def _cmd_model(args) -> int:
 
 def _cmd_surface(args) -> int:
     from .control import format_surface, goodness_surface, parse_control_file
-    table = load_inverse_table(args.algebra, _env_algebra())
+    _, _, table = load_config(args.algebra, _env_algebra())
     cs = parse_control_file(read_text(args.control), table.domain)
     surface = goodness_surface(cs, table)
     _emit(format_surface(cs, table.domain, surface), args.out)
@@ -297,7 +231,3 @@ def main(argv=None) -> int:
         return _COMMAND_LINE[args.command][0](args)
     except (LimitError, OSError, ValueError) as exc:
         return _errors(exc)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

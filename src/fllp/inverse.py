@@ -201,18 +201,19 @@ def build_inverse_table(
     return table
 
 
-def load_inverse_table(*paths: str | Path | None) -> InverseMappingTable:
-    """The table of the algebra that applies (see ``read_algebra_config``)
-    for a command that also reads a program or control file, so each
-    violation of a config file is prefixed with its path."""
+def load_config(*paths: str | Path | None, inverse: bool = True) -> tuple:
+    """``(algebra, domain, table)`` of the algebra that applies (see
+    ``read_algebra_config``), ``table`` None unless ``inverse`` or the config's
+    ``inverse:`` rows ask for one; a config file's violations name its path."""
     text, path = read_algebra_config(*paths)
     try:
-        _, domain, overrides = load_algebra_config(text)
-        return build_inverse_table(domain, overrides)
+        algebra, domain, overrides = load_algebra_config(text)
+        table = build_inverse_table(domain, overrides) if inverse or overrides else None
     except InputError as exc:
         if path is None:
             raise
         raise type(exc)(f"{path}: {v}" for v in exc.violations) from None
+    return algebra, domain, table
 
 
 def validate_inverse_table(table: InverseMappingTable) -> list[str]:

@@ -4,8 +4,8 @@ A program is a tuple of statements in source order: graded facts and
 rules whose bodies nest conjunctions (``Conj``, of either kind),
 disjunctions (``Disj``) and hedge applications (``HedgeApp``) around
 atoms.  The engines read programs through this module alone; ``lang``
-holds the syntax that turns text into them, their validation and their
-loading.  Bodies are walked by one post-order loop, so words of any depth
+holds the syntax that turns text into them and their loading, and
+``validate`` their validation.  Bodies are walked by one post-order loop, so words of any depth
 can be copied (``map_atoms``) and printed (``format_body``); ``value``
 folds a body over the truth domain for both engines.
 """

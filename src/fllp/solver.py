@@ -49,7 +49,6 @@ from .program import (
     Term,
     Var,
     format_atom,
-    format_body,
     free_vars,
     map_atoms,
     value,
@@ -63,7 +62,10 @@ class SearchLimitError(LimitError):
     """``trace`` holds the lines traced before the search gave up."""
 
     subject, unit = "the search", "entries"
-    trace: tuple[str, ...] = ()
+
+    def __init__(self, needed: int, limit: int, trace: tuple[str, ...] = ()):
+        super().__init__(needed, limit)
+        self.trace = trace
 
 
 def __getattr__(name: str):
@@ -257,36 +259,6 @@ def _next(node: Body, up: tuple, leaf, columns, n: int) -> tuple:
         up, node = _frame(word, lefts, acc, rights[1:], above, leaf, columns, n), rights[0]
 
 
-def _plug(node: Body, up: tuple) -> Body:
-    """The whole goal word with ``node`` in the hole of ``up``, entries rebuilt
-    inner ones first, in a loop so that words of any depth plug."""
-    built: dict[int, Body] = {}
-    todo = [(node, up, None)]
-    while todo:
-        node, up, stop = todo[-1]
-        frames = []
-        while up is not stop and up[0] is not None:
-            frames.append(up)
-            up = up[6]
-        inner = [p for f in frames for p in f[1] if p.__class__ is tuple and id(p) not in built]
-        if inner:
-            todo += inner
-            continue
-        for word, lefts, _, rights, *_ in frames:
-            if word.__class__ is HedgeApp:
-                node = HedgeApp(word.hedge, node)
-            else:
-                parts = tuple(built[id(p)] if p.__class__ is tuple else p for p in lefts)
-                node = word._replace(parts=parts + (node,) + rights)
-        built[id(todo.pop())] = node
-    return node
-
-
-def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
-    s = subst or {}
-    return format_body(map_atoms(word, lambda a: subst_atom(a, s)))
-
-
 # ---------------------------------------------------------------------------
 # search
 
@@ -310,7 +282,8 @@ def solve(
     bound = value(query, leaf, columns, n)
     if opts.threshold and bound < floor:
         return SolveResult((), False, ())
-    if opts.trace:
+    if opts.trace:  # only a traced solve compiles the goal-word printer
+        from .trace import _plug, format_word
         trace.append(f"goal {format_word(query)}")
 
     fresh = itertools.count(1)
@@ -321,10 +294,8 @@ def solve(
     pushed = 0
 
     while stack:
-        if pushed > SEARCH_LIMIT:
-            err = SearchLimitError(pushed, SEARCH_LIMIT)
-            err.trace = tuple(trace)
-            raise err
+        if pushed > SEARCH_LIMIT:  # raised unnamed: a name in this frame would make a cycle
+            raise SearchLimitError(pushed, SEARCH_LIMIT, tuple(trace))
         focus, bound, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)

@@ -132,8 +132,7 @@ def test_config_violations_name_their_file_beside_a_program(
         if route != "directive":
             got = run(capsys, "surface", str(samples_dir / "heater.ctl"), *flag)
             assert got == (1, "", f"error: {bad}: {violation}\n")
-            # without a program or control file the config's own lines suffice
-            assert run(capsys, "domain", *flag) == (1, "", f"error: {violation}\n")
+            assert run(capsys, "domain", *flag) == (1, "", f"error: {bad}: {violation}\n")
 
 
 def test_check_reports_ok(capsys, samples_dir):
@@ -553,33 +552,41 @@ def test_package_root_loads_only_the_algebra_layers():
 # the AST nodes of the fllp modules each command compiles (tests/nodecount.py),
 # at most; a change that raises a bound names it and the reason in CHANGES.md
 COMPILED_NODES = {
-    "domain": 7_456, "check": 11_688, "query": 15_078, "model": 15_729, "surface": 14_569,
-    "compile": 12_888, "--help": 7_766,
+    "domain": 7_006, "check": 11_289, "query": 14_287, "query --trace": 14_601, "model": 14_759,
+    "surface": 14_119, "compile": 11_918, "--help": 7_316,
 }
 # the lines of src/fllp/*.py (tests/nodecount.py), at most, under the same rule
-SOURCE_LINES = 2_908
+SOURCE_LINES = 2_943
+# validate runs only under check, repl only under query, trace only under --trace
+_NOT_RUN = ["fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate", "dataclasses"]
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (["domain"], ["fllp.lang", "fllp.program", "fllp.usage", "dataclasses"]),
-    (["check", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "fllp.usage", "dataclasses"]),
-    (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", "fllp.usage", "dataclasses"]),
-    (["model", "hotel.fllp"],
-     ["fllp.control", "fllp.prolog", "fllp.solver", "fllp.usage", "dataclasses"]),
-    (["surface", "heater.ctl"],
-     ["fllp.lang", "fllp.prolog", "fllp.solver", "fllp.usage", "dataclasses"]),
+    (["domain"], ["fllp.lang", "fllp.program", *_NOT_RUN]),
+    (["check", "hotel.fllp"],
+     ["fllp.fixpoint", "fllp.solver", "fllp.repl", "fllp.trace", "fllp.usage", "dataclasses"]),
+    (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", *_NOT_RUN]),
+    (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
+    (["surface", "heater.ctl"], ["fllp.lang", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
     (["query", "hotel.fllp", "-q", "su_ho(X)"],
-     ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.usage", "dataclasses", "inspect"]),
-    (["--help"], ["fllp.lang", "fllp.program", "dataclasses"]),
-    (["query", "--help"], ["fllp.lang", "fllp.program", "dataclasses"]),
+     ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.trace", "fllp.usage",
+      "fllp.validate", "dataclasses", "inspect"]),
+    (["--help"], ["fllp.lang", "fllp.program", "fllp.repl", "fllp.trace", "fllp.validate",
+                  "dataclasses"]),
+    (["query", "--help"], ["fllp.lang", "fllp.program", "fllp.repl", "fllp.trace",
+                           "fllp.validate", "dataclasses"]),
+    (["query", "hotel.fllp", "-q", "su_ho(X)", "--trace"],
+     ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.usage", "fllp.validate",
+      "dataclasses", "inspect"]),
 ])
 def test_subcommands_load_only_the_layers_they_run(argv, unused):
     # no command line parser library either: argparse costs gettext and locale
     unused = [*unused, "argparse", "gettext", "locale"]
-    exit_code, out, loaded, files = nodecount.run(argv)
+    exit_code, out, loaded, files, _ = nodecount.run(argv)
     assert exit_code == 0 and out
     assert sorted(set(unused) & set(loaded)) == []
-    assert sum(map(nodecount.nodes, files.values())) <= COMPILED_NODES[argv[0]]
+    key = "query --trace" if "--trace" in argv else argv[0]
+    assert sum(map(nodecount.nodes, files.values())) <= COMPILED_NODES[key]
 
 
 def test_the_package_source_stays_within_its_lines():
@@ -739,7 +746,7 @@ def test_conflicting_inverse_rows_exit_one(capsys, tmp_path):
                       "inverse: very true -> more little true\n")
     code, out, err = run(capsys, "domain", "--inverse", "--algebra", str(config))
     assert (code, out) == (1, "")
-    assert err == (f"error: line {first + 1}: inverse 'very' of 'true' already set to "
+    assert err == (f"error: {config}: line {first + 1}: inverse 'very' of 'true' already set to "
                    f"'probably little true' on line {first}\n")
 
 
@@ -747,9 +754,9 @@ def test_domain_checks_inverse_rows_it_does_not_print(capsys, tmp_path):
     config = tmp_path / "rows.alg"
     config.write_text(DEFAULT_ALGEBRA_CONFIG + "inverse: very tru -> true\n")
     for argv in (("domain",), ("domain", "--inverse")):
-        assert run(capsys, *argv, "--algebra", str(config)) == (
-            1, "", "error: line 17: truth literal must end in a primary name, got 'tru'\n"
-        ), argv
+        assert run(capsys, *argv, "--algebra", str(config)) == (1, "", (
+            f"error: {config}: line 17: truth literal must end in a primary name, got 'tru'\n"
+        )), argv
     # without rows no table is built, so a one-class algebra still lists its domain
     config.write_text("primary: false, true\nhedge: very class=+ rank=1\n"
                       "positive: very -> very\nlimit: 1\n")
@@ -768,7 +775,7 @@ def test_domain_refuses_a_hedge_name_no_program_can_write(capsys, tmp_path):
                       "hedge: little class=- rank=1\npositive: Very -> Very, little\n"
                       "positive: little -> Very, little\nlimit: 1\n")
     assert run(capsys, "domain", "--algebra", str(config)) == (
-        1, "", "error: hedge name 'Very' must match [a-z][a-z0-9_]* to be written\n"
+        1, "", f"error: {config}: hedge name 'Very' must match [a-z][a-z0-9_]* to be written\n"
     )
 
 
@@ -781,8 +788,9 @@ def test_domain_refuses_a_primary_name_no_program_can_write(capsys, tmp_path):
                       "hedge: little class=- rank=1\npositive: very -> very, little\n"
                       "positive: little -> very, little\nlimit: 1\n")
     assert run(capsys, "domain", "--algebra", str(config)) == (1, "", (
-        "error: primary name 'False' must be words matching [a-z][a-z0-9_]* to be written\n"
-        "error: primary name 'so True' must be words matching [a-z][a-z0-9_]* to be written\n"
+        f"error: {config}: primary name 'False' must be words matching [a-z][a-z0-9_]* to be "
+        f"written\nerror: {config}: primary name 'so True' must be words matching "
+        "[a-z][a-z0-9_]* to be written\n"
     ))
 
 

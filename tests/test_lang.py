@@ -18,7 +18,6 @@ from fllp.lang import (
     parse_program,
     parse_query,
     pretty_print,
-    validate_program,
 )
 from fllp.program import (
     Atom,
@@ -38,6 +37,7 @@ from fllp.program import (
     free_vars,
     map_atoms,
 )
+from fllp.validate import validate_program
 
 from randprog import random_program
 from strategies import programs
@@ -460,6 +460,14 @@ def test_validate_safe_mode(domain):
     assert len(problems) == 2
     assert "not ground" in problems[0]
     assert "range restricted" in problems[1]
+
+
+def test_lang_still_names_validate_program():
+    # perfbench/tracing.py imports validate_program from lang, which loads
+    # it on first use (test_cli checks which commands never do)
+    assert lang.validate_program is validate_program
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        lang.nothing
 
 
 def test_formatting(domain):

@@ -5,9 +5,10 @@ import pytest
 from fllp.algebra import GODEL, LUKA, load_algebra_config
 from fllp.fixpoint import least_model
 from fllp.inverse import build_inverse_table
-from fllp.lang import load_program, parse_program, parse_query, validate_program
+from fllp.lang import load_program, parse_program, parse_query
 from fllp.program import Atom, Conj, Disj, HedgeApp, ParseError, Program, Rule, Var
 from fllp.prolog import compile_program, compile_query
+from fllp.validate import validate_program
 
 from expected import (
     CONNECTIVE_CLAUSES,

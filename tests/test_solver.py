@@ -29,12 +29,12 @@ from fllp.solver import (
     SolveOptions,
     _need,
     _next,
-    _plug,
     _prepare,
     _root,
     format_answer,
     solve,
 )
+from fllp.trace import _plug
 
 import oracle
 from expected import (
