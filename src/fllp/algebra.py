@@ -308,9 +308,9 @@ class TruthDomain:
     def __init__(self, algebra: HedgeAlgebra, literals: Iterable[str]):
         self.algebra = algebra
         self._literals = tuple(literals)
-        self._index = {s: i for i, s in enumerate(self._literals)}
+        self.index = {s: i for i, s in enumerate(self._literals)}
         self.n = len(self._literals) - 1
-        self.middle_index = self._index[MIDDLE_NAME]
+        self.middle_index = self.index[MIDDLE_NAME]
 
     def __len__(self) -> int:
         return len(self._literals)
@@ -326,11 +326,11 @@ class TruthDomain:
         literal is read word by word only to say why: it is empty, does not
         end in a primary, holds an unknown hedge or is over the limit.
         """
-        index = self._index.get(text)  # as written: a primary may hold blanks
+        index = self.index.get(text)  # as written: a primary may hold blanks
         if index is not None:
             return index
         words = text.split()
-        index = self._index.get(" ".join(words))
+        index = self.index.get(" ".join(words))
         if index is not None:
             return index
         if not words:

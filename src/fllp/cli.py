@@ -150,14 +150,14 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .lang import ParseError, validate_program
+    from .program import ParseError
+    from .validate import validate_program
     program, table = _load(args)
     problems = validate_program(program, table.domain, safe=args.safe)
     if problems:
         raise ParseError(problems)
-    n_facts = len(program.facts)
     n_rules = len(program.rules)
-    print(f"ok: {n_facts} fact(s), {n_rules} rule(s)")
+    print(f"ok: {len(program.statements) - n_rules} fact(s), {n_rules} rule(s)")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Surface syntax for graded logic programs: scanning, parsing, printing
-and loading (``validate`` checks what parses).
+"""Surface syntax for graded logic programs: scanning, parsing and loading
+(``validate`` checks what parses, and ``printer`` prints it).
 
 A program is a sequence of statements over atoms built from lowercase
 constants and uppercase variables:
@@ -15,11 +15,11 @@ atoms.  Grades are spelled as truth literals and must not be the bottom
 constant, which would make the statement vacuous.  The records a program
 parses into are those of ``program``.
 
-A line that starts a statement and holds one fact spelled as
-``pretty_print`` writes it (``p(a,X) : very true.``, no blanks inside the
-brackets, one around the colon and between grade words) is read in one
-regex match; every other line, and every one that match declines, goes
-through the token scanner and parser, which alone report violations.
+Facts are read in one pass of a regex over the whole text: a line that
+starts a statement and holds one fact as ``pretty_print`` writes it
+(``p(a,X) : very true.``) becomes its ``Fact`` there.  The token scanner
+and parser see only the text between such lines, and alone report
+violations.
 """
 
 from __future__ import annotations
@@ -29,21 +29,25 @@ import re
 from itertools import islice
 from pathlib import Path
 
-# Const and format_value are re-exported: perfbench/ imports them from here.
+# Const, format_atom and format_value are re-exported: perfbench/ imports them here.
 from .algebra import GODEL, LUKA, NAME_PATTERN, TruthDomain, format_value, read_text
 from .inverse import InverseMappingTable, load_config
 from .program import (
     MAX_NESTING, RESERVED_PREDICATES, Atom, Body, Conj, Const, Disj, Fact, HedgeApp, ParseError,
-    Program, Rule, Statement, Term, Var, format_atom, format_body,
+    Program, Rule, Statement, Term, Var, format_atom,
 )
 
 
 def __getattr__(name: str):
-    """``validate_program`` from ``validate`` (PEP 562), for perfbench/tracing.py."""
-    if name != "validate_program":
+    """``pretty_print`` and ``validate_program`` (PEP 562), from modules no
+    command that parses loads: perfbench/ imports them from here."""
+    if name == "pretty_print":
+        from .printer import pretty_print as found
+    elif name == "validate_program":
+        from .validate import validate_program as found
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .validate import validate_program
-    return validate_program
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -51,48 +55,73 @@ def __getattr__(name: str):
 
 # Tokens, then ``\S`` for a stray character, whose group is empty; blanks
 # between matches are skipped.  A token's kind is its first character.
-# ``_FACT_RE`` matches a line that holds one fact alone as ``pretty_print``
-# writes it, trailing blanks (a CRLF's ``\r``) allowed; only the token
-# parser reports violations.
+# ``_FACT_RE`` matches, anywhere in a text, a line that holds one fact alone
+# as ``pretty_print`` writes it, under a head that is no connective, with
+# trailing blanks (a CRLF's ``\r``) and its newline.  Its groups are the
+# predicate, the terms and the grade words; its repeats are possessive, as
+# no name or blank it gave back could start what follows.
 _NAME, _VAR = NAME_PATTERN, "[A-Z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf'(%.*|<-[gl]|\?-|"[^"\n]*"|{_VAR}|{_NAME}|[(),:.#])|\S')
-_TERM = f"(?:{_VAR}|{_NAME})"
-_FACT_RE = re.compile(rf"({_NAME})(?:\(({_TERM}(?:,{_TERM})*)\))? : ({_NAME}(?: {_NAME})*)\.\s*")
+_WORD, _TERM = f"{_NAME}+", f"(?:{_VAR}+|{_NAME}+)"
+_FACT_RE = re.compile(
+    rf"^(?!(?:{'|'.join(RESERVED_PREDICATES)})[( ])({_WORD})(?:\(({_TERM}(?:,{_TERM})*+)\))? "
+    rf": ({_WORD}(?: {_WORD})*+)\.[^\S\n]*+(?:\n|\Z)", re.M)
 _ARROWS = {"<-g": GODEL, "<-l": LUKA}
+# ``_record(Fact, (atom, tv, line))`` is ``Fact(atom, tv, line)`` without the
+# record's Python ``__new__``, which would cost reading 10,000 facts 15%
+_record = tuple.__new__
 
 
-def _scan(text: str, errors: list[str], fact=None) -> tuple[list, list[int]]:
+def _scan(text: str, errors: list[str], parser: _Parser | None = None) -> tuple[list, list[int]]:
     """Token texts and their line numbers, closed by the empty ``end``
     token; comments are dropped and stray characters reported.  Only
-    ``\n`` ends a line: ``\r`` and the other blanks are whitespace.  A line
-    that starts a statement (after nothing, a ``.`` or such a line) and that
-    ``fact(line, number)`` reads is one token instead: its ``Fact``."""
+    ``\n`` ends a line: ``\r`` and the other blanks are whitespace.  With a
+    ``parser``, a ``_FACT_RE`` line that starts a statement (after nothing,
+    a ``.`` or such a line) with a grade above bottom is read in place, and
+    each run of them is one token, the list of their ``Fact``s."""
     texts: list = []
     lines: list[int] = []
-    boundary = True
-    for number, line in enumerate(text.split("\n"), 1):
-        if boundary and fact and (read := fact(line, number)):
-            texts.append(read)
-            lines.append(number)
-            continue
-        toks = _TOKEN_RE.findall(line)
-        if "" in toks:
-            errors += [f"line {number}: unexpected character {m[0]!r}"
-                       for m in _TOKEN_RE.finditer(line) if m[1] is None]
-            toks = [t for t in toks if t]
-        if toks and toks[-1][0] == "%":  # a comment runs to the end of its line
-            toks.pop()
-        if toks:
-            boundary = toks[-1] == "."
-        texts += toks
-        lines += [number] * len(toks)
+    # the text before each fact line and the line's groups, then the rest and no line
+    parts = _FACT_RE.split(text) if parser else [text]
+    parts += (None, None, None)
+    index = parser.domain.index if parser else {}
+    it = iter(parts)
+    number, run, held = 1, None, ""
+    for gap, pred, terms, words in zip(it, it, it, it):
+        if held or gap:
+            for number, line in enumerate((held + gap).split("\n"), number):
+                toks = _TOKEN_RE.findall(line)
+                if "" in toks:
+                    errors += [f"line {number}: unexpected character {m[0]!r}"
+                               for m in _TOKEN_RE.finditer(line) if m[1] is None]
+                    toks = [t for t in toks if t]
+                if toks and toks[-1][0] == "%":  # a comment runs to the end of its line
+                    toks.pop()
+                texts += toks
+                lines += [number] * len(toks)
+            if texts and texts[-1] is not run:  # tokens end a run
+                run = None
+            held = ""
+        idx = index.get(words)
+        if idx and (run is not None or not texts or texts[-1] == "."):
+            if run is None:
+                run = []
+                texts.append(run)
+                lines.append(number)
+            args = tuple(terms.split(",")) if terms else ()
+            if terms and not terms.islower():  # a variable, interned as ``atom`` does
+                args = tuple(t if t >= "a" else parser.variables.setdefault(t, Var(t)) for t in args)
+            run.append(_record(Fact, (_record(Atom, (pred, args)), idx, number)))
+            number += 1
+        elif pred:  # lexed with the text after it, spelled again from its groups
+            held = f"{pred}({terms}) : {words}.\n" if terms else f"{pred} : {words}.\n"
     lines.append(lines[-1] if lines else 1)
     texts.append("")
     return texts, lines
 
 
 class _Parser:
-    """Recursive descent over token texts (and facts read whole) closed by
+    """Recursive descent over token texts (and runs of facts) closed by
     the empty ``end`` token, so the current token ``tok`` always exists.
     ``"a" <= tok < "{"`` holds for names and ``"A" <= tok < "["`` for
     variables.  Variables are interned by name and truth literals resolved
@@ -102,7 +131,7 @@ class _Parser:
         self.domain = domain
         self.variables: dict[str, Var] = {}
         self.literal = functools.cache(domain.parse_literal)  # errors are not cached
-        self.texts, self.lines = _scan(text, errors, facts and self.fact)
+        self.texts, self.lines = _scan(text, errors, self if facts else None)
         self.pos = 0
         self.tok = self.texts[0]
         self.depth = 0  # connectives and hedges open around the current body
@@ -133,23 +162,6 @@ class _Parser:
         while self.tok:
             if self.goto(self.pos + 1) == ".":
                 return
-
-    def fact(self, line: str, number: int) -> Fact | None:
-        """The one fact on ``line``, if ``statement`` reads it without a violation."""
-        m = _FACT_RE.fullmatch(line)
-        if m is None or m[1] in RESERVED_PREDICATES:
-            return None
-        pred, terms, words = m.groups()
-        try:
-            idx = self.literal(words)  # one blank apart, as ``grade`` joins them
-        except ValueError:
-            return None
-        if not idx:
-            return None
-        args = tuple(terms.split(",")) if terms else ()
-        if terms and not terms.islower():  # a variable, interned as ``atom`` does
-            args = tuple(t if t >= "a" else self.variables.setdefault(t, Var(t)) for t in args)
-        return Fact(Atom(pred, args), idx, number)
 
     # statements ----------------------------------------------------------
 
@@ -261,8 +273,8 @@ def parse_program(text: str, domain: TruthDomain, source: str = "<string>") -> P
     statements: list[Statement] = []
     while parser.tok:
         try:
-            if parser.tok.__class__ is Fact:  # a fact line, read in one match
-                statements.append(parser.goto(parser.pos + 1))
+            if parser.tok.__class__ is list:  # a run of fact lines, read in place
+                statements += parser.goto(parser.pos + 1)
             elif parser.tok == "use" and parser.texts[parser.pos + 1] == "algebra":
                 if parser.pos:
                     raise ParseError([
@@ -296,25 +308,6 @@ def parse_query(text: str, domain: TruthDomain) -> Body:
     if parser.tok:
         parser._fail("end of query")
     return body
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-def pretty_print(program: Program, domain: TruthDomain) -> str:
-    lines: list[str] = []
-    if program.algebra_path is not None:
-        lines.append(f'use algebra "{program.algebra_path}".')
-    for st in program.statements:
-        if isinstance(st, Fact):
-            lines.append(f"{format_atom(st.atom)} : {domain.literal(st.tv)}.")
-        else:
-            arrow = "<-g" if st.kind == GODEL else "<-l"
-            lines.append(
-                f"{format_atom(st.head)} {arrow} {format_body(st.body)} "
-                f": {domain.literal(st.tv)}."
-            )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

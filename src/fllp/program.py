@@ -4,10 +4,11 @@ A program is a tuple of statements in source order: graded facts and
 rules whose bodies nest conjunctions (``Conj``, of either kind),
 disjunctions (``Disj``) and hedge applications (``HedgeApp``) around
 atoms.  The engines read programs through this module alone; ``lang``
-holds the syntax that turns text into them and their loading, and
-``validate`` their validation.  Bodies are walked by one post-order loop, so words of any depth
-can be copied (``map_atoms``) and printed (``format_body``); ``value``
-folds a body over the truth domain for both engines.
+holds the syntax that turns text into them and their loading,
+``validate`` their validation and ``printer`` their text.  Bodies are
+walked by one post-order loop, so words of any depth can be copied
+(``map_atoms``) and printed; ``value`` folds a body over the truth domain
+for both engines.
 """
 
 from __future__ import annotations
@@ -166,16 +167,3 @@ def format_atom(atom: Atom) -> str:
     if not atom.args:
         return atom.pred
     return f"{atom.pred}({','.join(a if a.__class__ is str else a.name for a in atom.args)})"
-
-
-def format_body(body: Body) -> str:
-    done: list[str] = []
-    for node in _postorder(body):
-        if node.__class__ is HedgeApp:
-            done.append(f"#{node.hedge}({done.pop()})")
-        elif node.__class__ is Conj or node.__class__ is Disj:
-            name = "or" if node.__class__ is Disj else "and_g" if node.kind == GODEL else "and_l"
-            done.append(f"{name}({','.join(_pop(done, len(node.parts)))})")
-        else:
-            done.append(f"v{node}" if node.__class__ is int else format_atom(node))
-    return done[0]

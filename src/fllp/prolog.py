@@ -82,11 +82,25 @@ def _compile_rule(rule: Rule, abbr: dict[str, str]) -> str:
 
 
 def compile_program(program: Program, table: InverseMappingTable) -> str:
-    _refuse_helpers((st, atom) for st in program.statements for atom in statement_atoms(st))
     domain = table.domain
     algebra = domain.algebra
     n = domain.n
     abbr = _hedge_atoms(algebra)
+    uses: list = []  # the (statement, atom) pairs that may compile onto a helper
+    clauses: list[str] = []
+    for st in program.statements:
+        if st.__class__ is Fact:
+            pred, args = atom = st.atom
+            if pred in HELPERS:
+                uses.append((st, atom))
+            try:  # the terms are constants, their names, unless one is a variable
+                clauses.append(f"{pred}({','.join((*args, str(st.tv)))}).")
+            except TypeError:
+                clauses.append(f"{pred}({_args(atom, str(st.tv))}).")
+        else:
+            uses += [(st, atom) for atom in statement_atoms(st)]
+            clauses.append(_compile_rule(st, abbr))
+    _refuse_helpers(uses)
 
     lines = [
         f"% Graded logic program over a {len(domain)} value linguistic scale.",
@@ -116,12 +130,7 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
         for h in decl_order:
             lines.append(f"inv_map({abbr[h]},{i},{table.columns[h][i]}).")
     lines.append("")
-
-    for st in program.statements:
-        if isinstance(st, Fact):
-            lines.append(f"{st.atom.pred}({_args(st.atom, str(st.tv))}).")
-        else:
-            lines.append(_compile_rule(st, abbr))
+    lines += clauses
     lines.append("")
     return "\n".join(lines)
 

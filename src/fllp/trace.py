@@ -3,7 +3,8 @@
 
 from __future__ import annotations
 
-from .program import Body, HedgeApp, Term, format_body, map_atoms
+from .printer import format_body
+from .program import Body, HedgeApp, Term, map_atoms
 from .solver import subst_atom
 
 

@@ -10,13 +10,12 @@ from .program import (
 
 
 def _canonical(st: Statement) -> Statement:
-    """The statement with variables renamed by first occurrence, grade dropped."""
-    names: dict[str, Var] = {}
+    """The statement with each variable numbered by first occurrence, grade dropped."""
+    numbers: dict[Var, int] = {}
 
     def rename(atom: Atom) -> Atom:
         return Atom(atom.pred, tuple(
-            names.setdefault(a.name, Var(f"V{len(names)}")) if isinstance(a, Var) else a
-            for a in atom.args
+            numbers.setdefault(a, len(numbers)) if a.__class__ is Var else a for a in atom.args
         ))
 
     if isinstance(st, Fact):
@@ -32,22 +31,31 @@ def validate_program(
     arity: list[str] = []
     repeats: list[str] = []
     loose: list[str] = []
-    arities: dict[str, tuple[int, int]] = {}
-    grades: dict[Statement | Atom, tuple[int, int]] = {}
+    arities: dict[str, tuple[int, int]] = {}  # each predicate's first arity, and its line
+    first: dict[Statement | Atom, Statement] = {}  # the first statement of each key
     for st in program.statements:
         fact = st.__class__ is Fact
-        for atom in statement_atoms(st):
+        if fact:  # its one atom, without a walk
+            atom = st.atom
+            prev = arities.get(atom.pred) or arities.setdefault(atom.pred, (len(atom.args), st.line))
+            atoms = () if prev[0] == len(atom.args) else (atom,)  # a conflict, reported below
+            try:  # constants, which are strs and all that ``str.join`` takes, make a ground
+                "".join(atom.args)  # fact, its own key: renaming would rebuild it unchanged
+                key = atom
+            except TypeError:  # a variable
+                key = _canonical(st)
+        else:
+            atoms, key = statement_atoms(st), _canonical(st)
+        for atom in atoms:
             prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
             if prev[0] != len(atom.args):
                 arity.append(f"line {st.line}: {atom.pred!r} used with arity {len(atom.args)}, "
                              f"but line {prev[1]} uses arity {prev[0]}")
-        # a ground fact is its own key: renaming would rebuild it unchanged
-        key = st.atom if fact and Var not in map(type, st.atom.args) else _canonical(st)
-        prev = grades.setdefault(key, (st.tv, st.line))
-        if prev[0] != st.tv:
-            repeats.append(f"line {st.line}: statement repeats line {prev[1]} with grade "
-                           f"{domain.literal(st.tv)!r} instead of {domain.literal(prev[0])!r}")
-        if safe:
+        prev = first.setdefault(key, st)
+        if prev.tv != st.tv:
+            repeats.append(f"line {st.line}: statement repeats line {prev.line} with grade "
+                           f"{domain.literal(st.tv)!r} instead of {domain.literal(prev.tv)!r}")
+        if safe and key.__class__ is not Atom:  # a ground fact holds no variable
             body_vars = () if fact else set(free_vars(st.body))
             names = [v for v in free_vars(st.atom if fact else st.head) if v not in body_vars]
             if names and fact:

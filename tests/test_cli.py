@@ -552,29 +552,31 @@ def test_package_root_loads_only_the_algebra_layers():
 # the AST nodes of the fllp modules each command compiles (tests/nodecount.py),
 # at most; a change that raises a bound names it and the reason in CHANGES.md
 COMPILED_NODES = {
-    "domain": 7_006, "check": 11_289, "query": 14_287, "query --trace": 14_601, "model": 14_759,
-    "surface": 14_119, "compile": 11_918, "--help": 7_316,
+    "domain": 7_006, "check": 11_178, "query": 14_112, "query --trace": 14_753, "model": 14_584,
+    "surface": 13_960, "compile": 11_827, "--help": 7_316,
 }
 # the lines of src/fllp/*.py (tests/nodecount.py), at most, under the same rule
-SOURCE_LINES = 2_943
-# validate runs only under check, repl only under query, trace only under --trace
-_NOT_RUN = ["fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate", "dataclasses"]
+SOURCE_LINES = 2_979
+# validate runs only under check, repl only under query, trace and printer only
+# under --trace
+_NOT_RUN = ["fllp.printer", "fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate",
+            "dataclasses"]
 
 
 @pytest.mark.parametrize("argv, unused", [
     (["domain"], ["fllp.lang", "fllp.program", *_NOT_RUN]),
-    (["check", "hotel.fllp"],
-     ["fllp.fixpoint", "fllp.solver", "fllp.repl", "fllp.trace", "fllp.usage", "dataclasses"]),
+    (["check", "hotel.fllp"], ["fllp.fixpoint", "fllp.printer", "fllp.solver", "fllp.repl",
+                               "fllp.trace", "fllp.usage", "dataclasses"]),
     (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", *_NOT_RUN]),
     (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
     (["surface", "heater.ctl"], ["fllp.lang", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
     (["query", "hotel.fllp", "-q", "su_ho(X)"],
-     ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.trace", "fllp.usage",
-      "fllp.validate", "dataclasses", "inspect"]),
-    (["--help"], ["fllp.lang", "fllp.program", "fllp.repl", "fllp.trace", "fllp.validate",
-                  "dataclasses"]),
-    (["query", "--help"], ["fllp.lang", "fllp.program", "fllp.repl", "fllp.trace",
-                           "fllp.validate", "dataclasses"]),
+     ["fllp.control", "fllp.fixpoint", "fllp.printer", "fllp.prolog", "fllp.trace",
+      "fllp.usage", "fllp.validate", "dataclasses", "inspect"]),
+    (["--help"], ["fllp.lang", "fllp.printer", "fllp.program", "fllp.repl", "fllp.trace",
+                  "fllp.validate", "dataclasses"]),
+    (["query", "--help"], ["fllp.lang", "fllp.printer", "fllp.program", "fllp.repl",
+                           "fllp.trace", "fllp.validate", "dataclasses"]),
     (["query", "hotel.fllp", "-q", "su_ho(X)", "--trace"],
      ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.usage", "fllp.validate",
       "dataclasses", "inspect"]),
@@ -792,6 +794,27 @@ def test_domain_refuses_a_primary_name_no_program_can_write(capsys, tmp_path):
         f"written\nerror: {config}: primary name 'so True' must be words matching "
         "[a-z][a-z0-9_]* to be written\n"
     ))
+
+
+VMPL = (ROOT / "samples" / "vmpl.alg").read_text()
+
+
+# the sample config without its primaries, with them twice, and with its
+# strongest hedge spelled like the positive primary
+@pytest.mark.parametrize("text, violation", [
+    (VMPL.replace("primary: false, true\n", ""), "missing 'primary:' declaration"),
+    (VMPL + "primary: false, true\n", "line 18: duplicate primary declaration"),
+    (re.sub(r"\bvery\b", "true", VMPL),
+     "hedge name 'true' collides with a primary or reserved word"),
+])
+def test_domain_refuses_a_config_without_one_pair_of_distinct_names(
+    capsys, tmp_path, text, violation
+):
+    config = tmp_path / "vmpl.alg"
+    config.write_text(text)
+    assert run(capsys, "domain", "--algebra", str(config)) == (
+        1, "", f"error: {config}: {violation}\n"
+    )
 
 
 def test_hedgeless_algebra_with_a_huge_limit_lists_five_values(tmp_path):

@@ -14,8 +14,9 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
+from fllp.printer import format_body
 from fllp.program import (
-    MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var, format_body,
+    MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var,
 )
 
 from expected import HEATER_PICKS, HEATER_SURFACE

@@ -33,10 +33,10 @@ from fllp.program import (
     Var,
     atoms_of,
     format_atom,
-    format_body,
     free_vars,
     map_atoms,
 )
+from fllp.printer import format_body
 from fllp.validate import validate_program
 
 from randprog import random_program
@@ -388,6 +388,33 @@ def test_randprog_programs_parse_as_without_the_fact_pattern(vmpl, asym, seed):
         )
 
 
+# The edges of reading fact lines in one pass over the whole text: a last
+# line without its newline, blank and comment lines inside a run of facts,
+# fact-shaped lines that continue a statement, a fact after the directive,
+# CRLF files and a violation after 10,000 fact lines.
+@pytest.mark.parametrize("text", [
+    "p(a) : true.\nq(b) : very true.",
+    "p(a) : true.\n\n   \n% c\nq(b) : true.\n\r\n\t% d\nr : more true.\n",
+    "q(a) <-g\np(a) : true.\nr(a) : true.\n",
+    "q(X) <-g and_g(p(X),\nr(X)) :\nvery true.\np(a) : true.\n",
+    "q(X) <-l #very(p(X))\np(a) : true.\nr(a) : true.\n",
+    'use algebra "x".\np(a) : true.\nq(b) : true.\n',
+    'use algebra "x". p(a) : true.\nq(b) : true.\n',
+    "p(a) : true.\r\nq(X) <-g p(X) : very true.\r\nr(b,c) : more true.\r\n",
+    "p(a) : true.\r\np(b) : absfalse.\r\nq : true.\r",
+    "".join(f"p(c{i}) : true.\n" for i in range(10_000)) + "q(a) :: true.\nr(b) : true.\n",
+])
+def test_whole_text_fact_scan_edges_parse_as_without_the_fact_pattern(domain, text):
+    _same_without_the_fact_pattern(text, domain)
+
+
+def test_a_violation_after_ten_thousand_fact_lines_keeps_its_line(domain):
+    text = "".join(f"p(c{i}) : true.\n" for i in range(10_000)) + "q(a) :: true.\nr(b) : true."
+    assert _parsed(text, domain) == ["line 10001: expected a truth literal, found ':'"]
+    program, lines = _parsed(text.replace("::", ":"), domain)
+    assert lines == list(range(1, 10_003))
+
+
 def test_printed_facts_skip_the_token_parser(domain, monkeypatch):
     """On printed programs the token parser reads each rule and no fact, so
     a change to the printer's spacing or to the pattern cannot turn the
@@ -460,6 +487,56 @@ def test_validate_safe_mode(domain):
     assert len(problems) == 2
     assert "not ground" in problems[0]
     assert "range restricted" in problems[1]
+
+
+# Facts and rules mixed: arity conflicts between facts and between facts
+# and rules, a ground fact repeated with another grade, non-ground facts
+# and rules repeated under renaming, and loose variables.
+MIXED = """\
+p(a) : true.
+p(a,b) : very true.
+q(X) <-g and_g(p(X,Y), #very(r(X))) : true.
+r(a) : true.
+r(X,Y) <-g q(X) : more true.
+p(a) : very true.
+s(X) : true.
+s(Y) : very true.
+s(b) : true.
+s(b) : little true.
+t(X) <-l q(X) : true.
+t(Y) <-l q(Y) : true.
+u(X,Z) <-g q(X) : true.
+u(Y,W) <-g q(Y) : very true.
+v(X) : probably true.
+p(a,b) : very true.
+q(X,Y) : true.
+"""
+MIXED_VIOLATIONS = [
+    "line 2: 'p' used with arity 2, but line 1 uses arity 1",
+    "line 3: 'p' used with arity 2, but line 1 uses arity 1",
+    "line 5: 'r' used with arity 2, but line 3 uses arity 1",
+    "line 16: 'p' used with arity 2, but line 1 uses arity 1",
+    "line 17: 'q' used with arity 2, but line 3 uses arity 1",
+    "line 6: statement repeats line 1 with grade 'very true' instead of 'true'",
+    "line 8: statement repeats line 7 with grade 'very true' instead of 'true'",
+    "line 10: statement repeats line 9 with grade 'little true' instead of 'true'",
+    "line 14: statement repeats line 13 with grade 'very true' instead of 'true'",
+]
+MIXED_LOOSE = [
+    "line 5: rule is not range restricted, variable(s) Y occur only in the head",
+    "line 7: fact is not ground, variable(s) X",
+    "line 8: fact is not ground, variable(s) Y",
+    "line 13: rule is not range restricted, variable(s) Z occur only in the head",
+    "line 14: rule is not range restricted, variable(s) W occur only in the head",
+    "line 15: fact is not ground, variable(s) X",
+    "line 17: fact is not ground, variable(s) X, Y",
+]
+
+
+def test_validate_pins_every_violation_of_facts_and_rules_mixed(domain):
+    program = parse_program(MIXED, domain)
+    assert validate_program(program, domain) == MIXED_VIOLATIONS
+    assert validate_program(program, domain, safe=True) == MIXED_VIOLATIONS + MIXED_LOOSE
 
 
 def test_lang_still_names_validate_program():
