@@ -3,11 +3,11 @@
 One module per layer: ``algebra`` (hedge algebras, truth domains, configs,
 the conjunctions' names), ``inverse`` (hedge mapping tables), ``program``
 (the program model), ``lang`` (syntax, loading), ``validate`` (program
-checks), ``printer`` (program text), ``solver`` (top-down queries;
-``trace`` prints traced goals), ``fixpoint`` (least models), ``control``
-(controller tables), ``prolog`` (clause text), and ``cli``, which
-combines them, with ``repl`` (queries), ``usage`` (usage errors, help)
-and ``__main__`` (one command per process, cyclic collector off).  Import names from their module: the root re-exports
+checks), ``solver`` (top-down queries; ``trace`` prints traced goals),
+``fixpoint`` (least models), ``control`` (controller tables), ``prolog``
+(clause text), and ``cli``, which combines them, with ``repl`` (queries),
+``usage`` (usage errors, help) and ``__main__`` (one command per process,
+cyclic collector off).  Import names from their module: the root re-exports
 only the algebra and table builders, so ``import fllp`` loads no program layer.
 """
 

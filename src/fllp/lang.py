@@ -1,5 +1,5 @@
-"""Surface syntax for graded logic programs: scanning, parsing and loading
-(``validate`` checks what parses, and ``printer`` prints it).
+"""Surface syntax for graded logic programs: scanning, parsing, printing
+and loading (``validate`` checks what parses).
 
 A program is a sequence of statements over atoms built from lowercase
 constants and uppercase variables:
@@ -29,25 +29,21 @@ import re
 from itertools import islice
 from pathlib import Path
 
-# Const, format_atom and format_value are re-exported: perfbench/ imports them here.
+# Const and format_value are re-exported: perfbench/ imports them from here.
 from .algebra import GODEL, LUKA, NAME_PATTERN, TruthDomain, format_value, read_text
 from .inverse import InverseMappingTable, load_config
 from .program import (
     MAX_NESTING, RESERVED_PREDICATES, Atom, Body, Conj, Const, Disj, Fact, HedgeApp, ParseError,
-    Program, Rule, Statement, Term, Var, format_atom,
+    Program, Rule, Statement, Term, Var, format_atom, format_body,
 )
 
 
 def __getattr__(name: str):
-    """``pretty_print`` and ``validate_program`` (PEP 562), from modules no
-    command that parses loads: perfbench/ imports them from here."""
-    if name == "pretty_print":
-        from .printer import pretty_print as found
-    elif name == "validate_program":
-        from .validate import validate_program as found
-    else:
+    """``validate_program`` from ``validate`` (PEP 562), for perfbench/tracing.py."""
+    if name != "validate_program":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return found
+    from .validate import validate_program
+    return validate_program
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +54,14 @@ def __getattr__(name: str):
 # ``_FACT_RE`` matches, anywhere in a text, a line that holds one fact alone
 # as ``pretty_print`` writes it, under a head that is no connective, with
 # trailing blanks (a CRLF's ``\r``) and its newline.  Its groups are the
-# predicate, the terms and the grade words; its repeats are possessive, as
-# no name or blank it gave back could start what follows.
+# predicate, the terms and the grade: one class of names and blanks, a
+# quarter faster than a repeat of words, that only a literal makes a grade.
 _NAME, _VAR = NAME_PATTERN, "[A-Z][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf'(%.*|<-[gl]|\?-|"[^"\n]*"|{_VAR}|{_NAME}|[(),:.#])|\S')
-_WORD, _TERM = f"{_NAME}+", f"(?:{_VAR}+|{_NAME}+)"
+_TERM = f"(?:{_NAME}|{_VAR})"
 _FACT_RE = re.compile(
-    rf"^(?!(?:{'|'.join(RESERVED_PREDICATES)})[( ])({_WORD})(?:\(({_TERM}(?:,{_TERM})*+)\))? "
-    rf": ({_WORD}(?: {_WORD})*+)\.[^\S\n]*+(?:\n|\Z)", re.M)
+    rf"^(?!(?:{'|'.join(RESERVED_PREDICATES)})[( ])({_NAME})(?:\(({_TERM}(?:,{_TERM})*)\))? "
+    r": ([a-z][a-z0-9_ ]*)\.[^\S\n]*(?:\n|\Z)", re.M)
 _ARROWS = {"<-g": GODEL, "<-l": LUKA}
 # ``_record(Fact, (atom, tv, line))`` is ``Fact(atom, tv, line)`` without the
 # record's Python ``__new__``, which would cost reading 10,000 facts 15%
@@ -110,7 +106,8 @@ def _scan(text: str, errors: list[str], parser: _Parser | None = None) -> tuple[
                 lines.append(number)
             args = tuple(terms.split(",")) if terms else ()
             if terms and not terms.islower():  # a variable, interned as ``atom`` does
-                args = tuple(t if t >= "a" else parser.variables.setdefault(t, Var(t)) for t in args)
+                variables = parser.variables
+                args = tuple(t if t >= "a" else variables.setdefault(t, Var(t)) for t in args)
             run.append(_record(Fact, (_record(Atom, (pred, args)), idx, number)))
             number += 1
         elif pred:  # lexed with the text after it, spelled again from its groups
@@ -308,6 +305,25 @@ def parse_query(text: str, domain: TruthDomain) -> Body:
     if parser.tok:
         parser._fail("end of query")
     return body
+
+
+# ---------------------------------------------------------------------------
+# printing
+
+def pretty_print(program: Program, domain: TruthDomain) -> str:
+    lines: list[str] = []
+    if program.algebra_path is not None:
+        lines.append(f'use algebra "{program.algebra_path}".')
+    for st in program.statements:
+        if isinstance(st, Fact):
+            lines.append(f"{format_atom(st.atom)} : {domain.literal(st.tv)}.")
+        else:
+            arrow = "<-g" if st.kind == GODEL else "<-l"
+            lines.append(
+                f"{format_atom(st.head)} {arrow} {format_body(st.body)} "
+                f": {domain.literal(st.tv)}."
+            )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

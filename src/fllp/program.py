@@ -4,11 +4,10 @@ A program is a tuple of statements in source order: graded facts and
 rules whose bodies nest conjunctions (``Conj``, of either kind),
 disjunctions (``Disj``) and hedge applications (``HedgeApp``) around
 atoms.  The engines read programs through this module alone; ``lang``
-holds the syntax that turns text into them and their loading,
-``validate`` their validation and ``printer`` their text.  Bodies are
-walked by one post-order loop, so words of any depth can be copied
-(``map_atoms``) and printed; ``value`` folds a body over the truth domain
-for both engines.
+holds the syntax that turns text into them and their loading, and
+``validate`` their validation.  Bodies are walked by one post-order loop, so words of any depth
+can be copied (``map_atoms``) and printed (``format_body``); ``value``
+folds a body over the truth domain for both engines.
 """
 
 from __future__ import annotations
@@ -85,6 +84,15 @@ class Program(record(
 def statement_atoms(st: Statement) -> tuple[Atom, ...]:
     """A fact's atom, or a rule's head and then its body atoms."""
     return (st.atom,) if st.__class__ is Fact else (st.head, *atoms_of(st.body))
+
+
+def ground(atom: Atom) -> bool:
+    """Whether no term of ``atom`` is a variable: ``str.join`` takes only strs, constants."""
+    try:
+        "".join(atom.args)
+    except TypeError:
+        return False
+    return True
 
 
 def _postorder(body: Body) -> list[Body]:
@@ -167,3 +175,16 @@ def format_atom(atom: Atom) -> str:
     if not atom.args:
         return atom.pred
     return f"{atom.pred}({','.join(a if a.__class__ is str else a.name for a in atom.args)})"
+
+
+def format_body(body: Body) -> str:
+    done: list[str] = []
+    for node in _postorder(body):
+        if node.__class__ is HedgeApp:
+            done.append(f"#{node.hedge}({done.pop()})")
+        elif node.__class__ is Conj or node.__class__ is Disj:
+            name = "or" if node.__class__ is Disj else "and_g" if node.kind == GODEL else "and_l"
+            done.append(f"{name}({','.join(_pop(done, len(node.parts)))})")
+        else:
+            done.append(f"v{node}" if node.__class__ is int else format_atom(node))
+    return done[0]

@@ -18,7 +18,7 @@ import itertools
 from .algebra import GODEL
 from .inverse import InverseMappingTable
 from .program import (Atom, Body, Conj, Disj, Fact, HedgeApp, ParseError, Program, Rule, Var,
-                      atoms_of, statement_atoms)
+                      atoms_of, ground)
 
 QUERY_VAR = "Truth_value"
 HELPERS = ("and_godel", "and_luka", "or_godel", "inv_map")  # three places each
@@ -48,23 +48,30 @@ def _hedge_atoms(algebra) -> dict[str, str]:
 
 
 def _args(atom: Atom, extra: str) -> str:
+    if ground(atom):  # constants are their names
+        return ",".join((*atom.args, extra))
     return ",".join([a if a.__class__ is str else a.name for a in atom.args] + [extra])
 
 
-def _emit(body: Body, goals: list[str], fresh, abbr: dict[str, str], sink: str | None = None) -> str:
+def _emit(body: Body, goals: list[str], fresh, abbr: dict[str, str], named: list[Atom],
+          sink: str | None = None) -> str:
+    """The goals of ``body`` go on ``goals``, and its atoms named like a
+    helper on ``named``; returns the variable or index holding its grade."""
     if body.__class__ is int:  # a grade leaf is its index
         return str(body)
     if isinstance(body, Atom):
+        if body.pred in HELPERS:
+            named.append(body)
         v = sink or next(fresh)
         goals.append(f"{body.pred}({_args(body, v)})")
         return v
     if isinstance(body, HedgeApp):
-        cv = _emit(body.body, goals, fresh, abbr)
+        cv = _emit(body.body, goals, fresh, abbr, named)
         v = sink or next(fresh)
         goals.append(f"inv_map({abbr[body.hedge]},{cv},{v})")
         return v
     op = "or_godel" if isinstance(body, Disj) else "and_godel" if body.kind == GODEL else "and_luka"
-    parts = [_emit(p, goals, fresh, abbr) for p in body.parts]
+    parts = [_emit(p, goals, fresh, abbr, named) for p in body.parts]
     acc = parts[0]
     for i, nxt in enumerate(parts[1:]):
         last = i == len(parts) - 2
@@ -74,10 +81,10 @@ def _emit(body: Body, goals: list[str], fresh, abbr: dict[str, str], sink: str |
     return acc
 
 
-def _compile_rule(rule: Rule, abbr: dict[str, str]) -> str:
+def _compile_rule(rule: Rule, abbr: dict[str, str], named: list[Atom]) -> str:
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []
-    _emit(Conj(rule.kind, (rule.body, rule.tv)), goals, fresh, abbr, sink="_TV0")
+    _emit(Conj(rule.kind, (rule.body, rule.tv)), goals, fresh, abbr, named, sink="_TV0")
     return f"{rule.head.pred}({_args(rule.head, '_TV0')}) :- {', '.join(goals)}."
 
 
@@ -86,20 +93,19 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
     algebra = domain.algebra
     n = domain.n
     abbr = _hedge_atoms(algebra)
+    tvs = [str(i) for i in range(n + 1)]
     uses: list = []  # the (statement, atom) pairs that may compile onto a helper
     clauses: list[str] = []
     for st in program.statements:
         if st.__class__ is Fact:
-            pred, args = atom = st.atom
-            if pred in HELPERS:
+            atom = st.atom
+            if atom.pred in HELPERS:
                 uses.append((st, atom))
-            try:  # the terms are constants, their names, unless one is a variable
-                clauses.append(f"{pred}({','.join((*args, str(st.tv)))}).")
-            except TypeError:
-                clauses.append(f"{pred}({_args(atom, str(st.tv))}).")
+            clauses.append(f"{atom.pred}({_args(atom, tvs[st.tv])}).")
         else:
-            uses += [(st, atom) for atom in statement_atoms(st)]
-            clauses.append(_compile_rule(st, abbr))
+            named = [st.head]
+            clauses.append(_compile_rule(st, abbr, named))
+            uses += [(st, atom) for atom in named]
     _refuse_helpers(uses)
 
     lines = [
@@ -136,11 +142,12 @@ def compile_program(program: Program, table: InverseMappingTable) -> str:
 
 
 def compile_query(query: Body, table: InverseMappingTable) -> str:
-    named = any(Var(QUERY_VAR) in atom.args for atom in atoms_of(query))
-    _refuse_helpers(((None, atom) for atom in atoms_of(query)),
-                    (f"query variable {QUERY_VAR} would name the answer grade",) if named else ())
     abbr = _hedge_atoms(table.domain.algebra)
     fresh = (f"_TV{k}" for k in itertools.count(1))
     goals: list[str] = []
-    _emit(query, goals, fresh, abbr, sink=QUERY_VAR)
+    named: list[Atom] = []
+    _emit(query, goals, fresh, abbr, named, sink=QUERY_VAR)
+    answer = any(Var(QUERY_VAR) in atom.args for atom in atoms_of(query))
+    _refuse_helpers([(None, atom) for atom in named],
+                    (f"query variable {QUERY_VAR} would name the answer grade",) if answer else ())
     return f"?- {', '.join(goals)}."

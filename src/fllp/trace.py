@@ -3,8 +3,7 @@
 
 from __future__ import annotations
 
-from .printer import format_body
-from .program import Body, HedgeApp, Term, map_atoms
+from .program import Body, HedgeApp, Term, format_body, map_atoms
 from .solver import subst_atom
 
 

@@ -4,16 +4,16 @@ and loose variables.  Only ``fllp check`` loads this module."""
 from __future__ import annotations
 
 from .algebra import TruthDomain
-from .program import (
-    Atom, Fact, Program, Rule, Statement, Var, free_vars, map_atoms, statement_atoms,
-)
+from .program import Atom, Fact, Program, Rule, Statement, Var, free_vars, ground, map_atoms
 
 
-def _canonical(st: Statement) -> Statement:
-    """The statement with each variable numbered by first occurrence, grade dropped."""
+def _canonical(st: Statement, atoms: list[Atom]) -> Statement:
+    """The statement with each variable numbered by first occurrence, grade
+    dropped; its atoms go on ``atoms`` in ``statement_atoms`` order."""
     numbers: dict[Var, int] = {}
 
     def rename(atom: Atom) -> Atom:
+        atoms.append(atom)
         return Atom(atom.pred, tuple(
             numbers.setdefault(a, len(numbers)) if a.__class__ is Var else a for a in atom.args
         ))
@@ -35,21 +35,16 @@ def validate_program(
     first: dict[Statement | Atom, Statement] = {}  # the first statement of each key
     for st in program.statements:
         fact = st.__class__ is Fact
-        if fact:  # its one atom, without a walk
-            atom = st.atom
-            prev = arities.get(atom.pred) or arities.setdefault(atom.pred, (len(atom.args), st.line))
-            atoms = () if prev[0] == len(atom.args) else (atom,)  # a conflict, reported below
-            try:  # constants, which are strs and all that ``str.join`` takes, make a ground
-                "".join(atom.args)  # fact, its own key: renaming would rebuild it unchanged
-                key = atom
-            except TypeError:  # a variable
-                key = _canonical(st)
+        if fact and ground(st.atom):  # its own key: renaming would rebuild it unchanged
+            atoms = (key := st.atom,)
         else:
-            atoms, key = statement_atoms(st), _canonical(st)
+            atoms = []
+            key = _canonical(st, atoms)
         for atom in atoms:
-            prev = arities.setdefault(atom.pred, (len(atom.args), st.line))
-            if prev[0] != len(atom.args):
-                arity.append(f"line {st.line}: {atom.pred!r} used with arity {len(atom.args)}, "
+            n = len(atom.args)
+            prev = arities.get(atom.pred) or arities.setdefault(atom.pred, (n, st.line))
+            if prev[0] != n:
+                arity.append(f"line {st.line}: {atom.pred!r} used with arity {n}, "
                              f"but line {prev[1]} uses arity {prev[0]}")
         prev = first.setdefault(key, st)
         if prev.tv != st.tv:

@@ -14,9 +14,8 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
-from fllp.printer import format_body
 from fllp.program import (
-    MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var,
+    MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var, format_body,
 )
 
 from expected import HEATER_PICKS, HEATER_SURFACE

@@ -33,10 +33,10 @@ from fllp.program import (
     Var,
     atoms_of,
     format_atom,
+    format_body,
     free_vars,
     map_atoms,
 )
-from fllp.printer import format_body
 from fllp.validate import validate_program
 
 from randprog import random_program
@@ -391,9 +391,11 @@ def test_randprog_programs_parse_as_without_the_fact_pattern(vmpl, asym, seed):
 # The edges of reading fact lines in one pass over the whole text: a last
 # line without its newline, blank and comment lines inside a run of facts,
 # fact-shaped lines that continue a statement, a fact after the directive,
-# CRLF files and a violation after 10,000 fact lines.
+# CRLF files, grades with blanks no literal has, and a violation after
+# 10,000 fact lines.
 @pytest.mark.parametrize("text", [
     "p(a) : true.\nq(b) : very true.",
+    "p(a) : very  true.\nq(b) : true .\nr(c) : very true .\ns : true.\nt : very true",
     "p(a) : true.\n\n   \n% c\nq(b) : true.\n\r\n\t% d\nr : more true.\n",
     "q(a) <-g\np(a) : true.\nr(a) : true.\n",
     "q(X) <-g and_g(p(X),\nr(X)) :\nvery true.\np(a) : true.\n",
