@@ -77,13 +77,13 @@ class Program(record(
         return tuple(sorted({a for atom in self.atoms() for a in atom.args if isinstance(a, str)}))
 
     def atoms(self) -> Iterator[Atom]:
+        """Each fact's atom, and each rule's head and then its body atoms."""
         for st in self.statements:
-            yield from statement_atoms(st)
-
-
-def statement_atoms(st: Statement) -> tuple[Atom, ...]:
-    """A fact's atom, or a rule's head and then its body atoms."""
-    return (st.atom,) if st.__class__ is Fact else (st.head, *atoms_of(st.body))
+            if st.__class__ is Fact:
+                yield st.atom
+            else:
+                yield st.head
+                yield from atoms_of(st.body)
 
 
 def ground(atom: Atom) -> bool:

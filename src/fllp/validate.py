@@ -9,7 +9,7 @@ from .program import Atom, Fact, Program, Rule, Statement, Var, free_vars, groun
 
 def _canonical(st: Statement, atoms: list[Atom]) -> Statement:
     """The statement with each variable numbered by first occurrence, grade
-    dropped; its atoms go on ``atoms`` in ``statement_atoms`` order."""
+    dropped; its atoms go on ``atoms`` in ``Program.atoms`` order."""
     numbers: dict[Var, int] = {}
 
     def rename(atom: Atom) -> Atom:
