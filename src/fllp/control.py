@@ -174,17 +174,11 @@ def compile_control(cs: ControlSystem, kind: str = GODEL) -> Program:
     return cs.program._replace(statements=statements)
 
 
-def goodness_surface(
-    cs: ControlSystem,
-    table: InverseMappingTable,
-    program: Program | None = None,
-) -> dict[tuple[str, str], int]:
+def goodness_surface(cs: ControlSystem, table: InverseMappingTable) -> dict[tuple[str, str], int]:
     """Grade of ``good(x, y)`` for every input point x and output point y,
-    read off the least model of the compiled program in one pass."""
-    if program is None:
-        program = cs.program
+    read off the least model of ``cs.program`` in one pass."""
     surface = {(x, y): 0 for x in cs.input_points for y in cs.output_points}
-    for atom, v in least_model(program, table)[0].items():
+    for atom, v in least_model(cs.program, table)[0].items():
         if atom.pred == GOOD and atom.args in surface:
             surface[atom.args] = v
     return surface

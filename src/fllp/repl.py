@@ -45,25 +45,25 @@ def run(args) -> int:
     code = 0
     written: list[str] = []
     for line in [args.query] if one_shot else _stdin_queries():
-        lines: tuple[str, ...] = ()
-        failure = None
+        result = failure = None
         try:
             result = solve(program, table, parse_query(line, table.domain), args)
-        except SearchLimitError as exc:  # a search stopped at its limit still shows its trace so far
-            lines, failure = exc.trace, exc
+        except SearchLimitError as exc:  # a stopped search hands back what it built
+            result, failure = exc.result, exc
         except (LimitError, ValueError) as exc:
             failure = exc
-        else:
-            answers = [format_answer(table.domain, a) for a in result.answers]
-            lines = (*result.trace, *(answers or ["no answers."]))
-            if result.depth_exhausted:
-                print("warning: depth limit reached, the answer set may be incomplete",
-                      file=sys.stderr)
-                code = 2
         if failure is not None:  # reported first, so a failed --out write cannot hide it
             status = _errors(failure)
             if one_shot or status == 2:
                 code = status
+        lines = ()
+        if result is not None:
+            if result.depth_exhausted:
+                print("warning: depth limit reached, the answer set may be incomplete",
+                      file=sys.stderr)
+                code = 2
+            answers = [format_answer(table.domain, a) for a in result.answers]
+            lines = (*result.trace, *(answers or ([] if failure else ["no answers."])))
         text = "".join(f"{shown}\n" for shown in lines)
         if args.out and not one_shot:
             written.append(text)

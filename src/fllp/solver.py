@@ -28,8 +28,8 @@ that cannot reach it, and cuts the atom when nothing matches it; a
 threshold of 0 bounds nothing.  Pruned search thus returns exactly the
 answers of unpruned search that pass the threshold, in the same order.
 Each state pushed counts its depth plus its substitution's bindings; past
-``SEARCH_LIMIT`` such entries :class:`SearchLimitError` ends left
-recursion and cycles that no depth bound stops.
+``SEARCH_LIMIT`` such entries the search stops, which ends left recursion
+and cycles that no depth bound stops, and hands back what it built.
 """
 from __future__ import annotations
 
@@ -59,13 +59,13 @@ SEARCH_LIMIT = 8 * 10**6
 
 
 class SearchLimitError(LimitError):
-    """``trace`` holds the lines traced before the search gave up."""
+    """``result``: the :class:`SolveResult` built before the search stopped."""
 
     subject, unit = "the search", "entries"
 
-    def __init__(self, needed: int, limit: int, trace: tuple[str, ...] = ()):
+    def __init__(self, needed: int, limit: int, result):
         super().__init__(needed, limit)
-        self.trace = trace
+        self.result = result
 
 
 def __getattr__(name: str):
@@ -98,7 +98,7 @@ def __getattr__(name: str):
 
 # ``bindings`` pairs query variables with terms.
 ComputedAnswer = record("ComputedAnswer", "value bindings")
-SolveResult = record("SolveResult", "answers depth_exhausted trace", defaults=(False, ()))
+SolveResult = record("SolveResult", "answers depth_exhausted trace")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,8 @@ def solve(
     query: Body,
     options: SolveOptions | None = None,
 ) -> SolveResult:
-    """Answers to ``query``; raises :class:`SearchLimitError` past ``SEARCH_LIMIT``."""
+    """Answers to ``query``; a search stopped past ``SEARCH_LIMIT`` entries raises
+    :class:`SearchLimitError` with those it built, each a sound lower bound."""
     opts = __getattr__("SolveOptions")() if options is None else options
     columns, n = table.columns, table.domain.n
     # Open atoms are valued at the greatest grade they can reach, or at n
@@ -293,9 +294,7 @@ def solve(
     stack: list[tuple] = [(query, bound, _root(floor), {}, 0, None)]
     pushed = 0
 
-    while stack:
-        if pushed > SEARCH_LIMIT:  # raised unnamed: a name in this frame would make a cycle
-            raise SearchLimitError(pushed, SEARCH_LIMIT, tuple(trace))
+    while stack and pushed <= SEARCH_LIMIT:
         focus, bound, up, subst, depth, note = stack.pop()
         if note is not None and opts.trace:
             trace.append(note)
@@ -380,7 +379,10 @@ def solve(
             if prev is None or a.value > prev.value:
                 best[shown] = a
         answers = sorted(best.values(), key=lambda a: -a.value)
-    return SolveResult(tuple(answers), exhausted, tuple(trace))
+    result = SolveResult(tuple(answers), exhausted, tuple(trace))
+    if stack:  # raised unnamed: a name in this frame would make a cycle
+        raise SearchLimitError(pushed, SEARCH_LIMIT, result)
+    return result
 
 
 def format_answer(domain, answer: ComputedAnswer) -> str:

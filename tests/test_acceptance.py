@@ -246,7 +246,7 @@ def test_12_control_reduction(capsys, samples_dir, table):
             cs = parse_control_file(random_control_text(seed, domain), domain)
             kind = GODEL if seed % 2 == 0 else LUKA
             program = compile_control(cs, kind)
-            surface = goodness_surface(cs, table, program)
+            surface = goodness_surface(cs._replace(program=program), table)
             model, _ = least_model(program, table)
             for (x, y), v in surface.items():
                 assert model[Atom("good", (Const(x), Const(y)))] == v, (seed, x, y)

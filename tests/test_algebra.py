@@ -279,6 +279,10 @@ def test_build_algebra_rejects_bad_specs():
         build_algebra(HedgeAlgebraSpec("false", "true", decls[:1], {}, 2))
     with pytest.raises(AlgebraError, match="must differ"):
         build_algebra(HedgeAlgebraSpec("same", "same", (), {}, 1))
+    # only a library spec reaches this: the config parser refuses an empty name first
+    with pytest.raises(AlgebraError) as err:
+        build_algebra(HedgeAlgebraSpec("", "true", (), {}, 1))
+    assert err.value.violations == ("primary names must be non-empty",)
 
 
 def test_limit_zero_domain_is_the_five_constants_and_primaries():

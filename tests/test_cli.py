@@ -259,11 +259,42 @@ def test_query_trace_survives_the_search_limit(capsys, monkeypatch, tmp_path):
     lines = out.splitlines()
     assert code == 2 and err.startswith("error: the search needs at least")
     assert lines[:2] == ["goal p(X)", "[0] p(X) -> v33"]
-    assert lines[-1].startswith("[") and "answer" not in out
+    # the trace, then one answer for each answer it computed
+    traced = sum(line.startswith(("goal ", "[")) for line in lines)
+    computed = sum(" computed v" in line for line in lines[:traced])
+    assert lines[traced - 1].startswith("[") and 0 < computed == len(lines) - traced
+    assert all(line.startswith("answer: X=a ; tv=") for line in lines[traced:])
     monkeypatch.setattr("sys.stdin", io.StringIO("p(X)\np(X)\n"))
     code, repl, err = run(capsys, *argv)
     assert code == 2 and err.count("error: the search needs at least") == 2
     assert repl == out * 2
+
+
+def _left_recursive_chain(edges: int) -> str:
+    return "".join([*(f"edge(n{i},n{i + 1}) : true.\n" for i in range(edges)),
+                    "path(X,Y) <-g edge(X,Y) : true.\n",
+                    "path(X,Y) <-g and_g(path(X,Z), edge(Z,Y)) : true.\n"])
+
+
+def test_a_stopped_search_prints_the_answers_it_computed(capsys, monkeypatch, tmp_path):
+    # Left recursion under a threshold ends only at the search limit; each
+    # answer computed before it is a sound lower bound, so it is printed too.
+    prog, dest = tmp_path / "chain.fllp", tmp_path / "answers.txt"
+    prog.write_text(_left_recursive_chain(2))
+    argv = ("query", str(prog), "--depth", "0", "--threshold", "v1")
+    want = "answer: X=n1 ; tv=true (v33)\nanswer: X=n2 ; tv=true (v33)\n"
+    for best in ((), ("--best",)):
+        code, out, err = run(capsys, *argv, *best, "-q", "path(n0,X)")
+        assert (code, out) == (2, want)
+        assert re.fullmatch(r"error: the search needs at least \d+ entries, "
+                            r"over the limit of 8000000\n", err)
+        monkeypatch.setattr("sys.stdin", io.StringIO("path(n0,X)\n"))
+        assert run(capsys, *argv, *best) == (2, want, err)
+        assert run(capsys, *argv, *best, "-q", "path(n0,X)", "--out", str(dest)) == (2, "", err)
+        assert dest.read_text(encoding="utf-8") == want
+    prog.write_text(_left_recursive_chain(20))
+    code, out, _ = run(capsys, *argv, "-q", "path(n0,X)")
+    assert (code, out) == (2, "".join(f"answer: X=n{i} ; tv=true (v33)\n" for i in range(1, 21)))
 
 
 def test_query_unlimited_depth_answers_a_900_edge_chain(capsys, tmp_path):
@@ -553,11 +584,11 @@ def test_package_root_loads_only_the_algebra_layers():
 # the AST nodes of the fllp modules each command compiles (tests/nodecount.py),
 # at most; a change that raises a bound names it and the reason in CHANGES.md
 COMPILED_NODES = {
-    "domain": 7_006, "check": 11_414, "query": 14_403, "query --trace": 14_717, "model": 14_875,
-    "surface": 14_123, "compile": 12_181, "--help": 7_316,
+    "domain": 7_006, "check": 11_414, "query": 14_396, "query --trace": 14_710, "model": 14_875,
+    "surface": 14_105, "compile": 12_181, "--help": 7_316,
 }
 # the lines of src/fllp/*.py (tests/nodecount.py), at most, under the same rule
-SOURCE_LINES = 2_980
+SOURCE_LINES = 2_976
 # validate runs only under check, repl only under query, trace only under --trace
 _NOT_RUN = ["fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate", "dataclasses"]
 

@@ -81,8 +81,8 @@ def test_luka_compilation_matches_when_confidence_is_top(table):
     sat fast o2 more true
     """
     cs = parse_control_file(text, table.domain)
-    godel = goodness_surface(cs, table, compile_control(cs, GODEL))
-    luka = goodness_surface(cs, table, compile_control(cs, LUKA))
+    godel = goodness_surface(cs._replace(program=compile_control(cs, GODEL)), table)
+    luka = goodness_surface(cs._replace(program=compile_control(cs, LUKA)), table)
     assert godel == luka  # a top-graded rule makes both weights neutral
 
 
@@ -288,7 +288,7 @@ def test_random_surfaces_match_the_least_model(k, table):
     cs = parse_control_file(random_control_text(seed, table.domain), table.domain)
     kind = random.Random(seed).choice((GODEL, LUKA))
     program = compile_control(cs, kind)
-    surface = goodness_surface(cs, table, program)
+    surface = goodness_surface(cs._replace(program=program), table)
     model, _ = least_model(program, table)
     for (x, y), v in surface.items():
         assert model[Atom("good", (Const(x), Const(y)))] == v

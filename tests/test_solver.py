@@ -21,6 +21,7 @@ from fllp.program import (
     HedgeApp,
     Program,
     Rule,
+    Var,
     map_atoms,
     value,
 )
@@ -47,7 +48,7 @@ from expected import (
     TRACE_THRESHOLD,
 )
 from randprog import mixed_arity_program, random_program
-from strategies import bodies, programs, random_table
+from strategies import PREDS, bodies, programs, random_table
 import tracegrid
 
 
@@ -299,6 +300,40 @@ def test_threshold_pruning_is_exact(case, exhaustive, data):
             pruned = solve(program, table, query, replace(opts, threshold=t))
             assert _shown(pruned.answers) == _shown(a for a in plain.answers if a.value >= t)
             assert plain.depth_exhausted or not pruned.depth_exhausted
+
+
+@settings(max_examples=150)
+@given(programs(), st.sampled_from(sorted(PREDS)), st.integers(50, 3000))
+def test_a_stopped_search_hands_back_sound_answers(case, pred, limit):
+    # Part (iii): every computed answer is a sound lower bound.  So a search
+    # stopped at its limit hands back the first answers of a longer search,
+    # each graded at most as the least model grades every ground instance
+    # of its bindings over the program's constants.
+    table, program = case
+    query = Atom(pred, tuple(Var(v) for v in ("X", "Y")[:PREDS[pred]]))
+    opts = SolveOptions(depth=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SEARCH_LIMIT", limit)
+        try:
+            solve(program, table, query, opts)
+            return  # finished within the limit
+        except SearchLimitError as exc:
+            stopped = exc.result.answers
+        mp.setattr(solver, "SEARCH_LIMIT", 20 * limit)
+        try:
+            longer = solve(program, table, query, opts).answers
+        except SearchLimitError as exc:
+            longer = exc.result.answers
+    assert longer[:len(stopped)] == stopped
+    model, _ = least_model(program, table)
+    constants = program.constants()
+    for answer in stopped:
+        terms = [t for _, t in answer.bindings]
+        names = sorted({t.name for t in terms if t.__class__ is Var})
+        for consts in itertools.product(constants, repeat=len(names)):
+            env = dict(zip(names, consts))
+            args = tuple(env[t.name] if t.__class__ is Var else t for t in terms)
+            assert answer.value <= model.get(Atom(pred, args), 0), (answer, args)
 
 
 def test_all_below_top(domain, table):

@@ -68,7 +68,7 @@ def grid_digest(seeds: int) -> tuple[int, str]:
                     try:
                         shown = _shown(solver.solve(program, table, query, opts))
                     except solver.SearchLimitError as err:
-                        shown = ("limit", err.trace)
+                        shown = ("limit", err.result.trace)
                     digest.update(repr((seed, pred, arity, k, shown)).encode())
                     solves += 1
     finally:
