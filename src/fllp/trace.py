@@ -1,17 +1,28 @@
 """The goal words of traced top-down search, rebuilt from the zipper
-(``solver``) and printed; ``solve`` loads this module only to trace."""
+(``solver``) for printing; ``solve`` loads this module only to trace.
+The search shares each rule's word among its unfoldings, so a word is
+rebuilt through the ``env`` its unfolding binds."""
 
 from __future__ import annotations
 
-from .program import Body, HedgeApp, Term, format_body, map_atoms
-from .solver import subst_atom
+from .program import Atom, Body, HedgeApp, Term, Var, map_atoms
+from .solver import walk
 
 
-def _plug(node: Body, up: tuple) -> Body:
-    """The whole goal word with ``node`` in the hole of ``up``, entries rebuilt
-    inner ones first, in a loop so that words of any depth plug."""
+def _rename(word: Body, env: dict, subst: dict[str, Term]) -> Body:
+    """Copy of ``word`` with each variable read through ``env`` and walked
+    through ``subst``."""
+    return map_atoms(word, lambda a: Atom(a.pred, tuple(
+        walk(env[t.name] if t.__class__ is Var else t, subst) for t in a.args)))
+
+
+def _plug(node: Body, env: dict, up: tuple, subst: dict[str, Term]) -> Body:
+    """The whole goal word under ``subst`` with ``node``, whose word ``env``
+    binds, in the hole of ``up``: each frame's open parts are renamed through
+    its own ``env``, and entries rebuilt inner ones first, in a loop so that
+    words of any depth plug."""
     built: dict[int, Body] = {}
-    todo = [(node, up, None)]
+    todo = [(_rename(node, env, subst), up, None)]
     while todo:
         node, up, stop = todo[-1]
         frames = []
@@ -22,16 +33,12 @@ def _plug(node: Body, up: tuple) -> Body:
         if inner:
             todo += inner
             continue
-        for word, lefts, _, rights, *_ in frames:
+        for word, lefts, _, rights, _, _, _, _, env, _ in frames:
             if word.__class__ is HedgeApp:
                 node = HedgeApp(word.hedge, node)
             else:
                 parts = tuple(built[id(p)] if p.__class__ is tuple else p for p in lefts)
+                rights = tuple(_rename(p, env, subst) for p in rights)
                 node = word._replace(parts=parts + (node,) + rights)
         built[id(todo.pop())] = node
     return node
-
-
-def format_word(word: Body, subst: dict[str, Term] | None = None) -> str:
-    s = subst or {}
-    return format_body(map_atoms(word, lambda a: subst_atom(a, s)))

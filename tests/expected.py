@@ -384,3 +384,9 @@ DOMAIN_INVERSE_SHA256 = {
 # left at a lowered search limit), recorded before a bottom grade became
 # one more branch of the solver's push loop.
 TRACE_GRID_100 = (1144, "8fadfab28e6d89a849d47128c24ca56619e68332aa7c6d2635c2750e966a63d4")
+
+
+# sha256 of the traces of ``path(nI,Y)``, I = 0..10, on the 10-edge chain of
+# ``test_solver.CHAIN10`` under ``--best --depth 0 --threshold v1``,
+# recorded when each rule unfolding still copied its body.
+CHAIN10_TRACE = "ab3dc0ae49fd2ab499212cc5ef4e551dad5c6ae53c922121ef3e7758b35c0a45"

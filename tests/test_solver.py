@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -22,16 +23,19 @@ from fllp.program import (
     Program,
     Rule,
     Var,
+    _postorder,
     map_atoms,
     value,
 )
 from fllp.solver import (
     SearchLimitError,
     SolveOptions,
+    _fold,
     _need,
     _next,
     _prepare,
     _root,
+    _rows,
     format_answer,
     solve,
 )
@@ -39,6 +43,7 @@ from fllp.trace import _plug
 
 import oracle
 from expected import (
+    CHAIN10_TRACE,
     HEDGE_VERY_BOUND,
     RULE_LUKA_BOUND,
     SAMPLE_ANSWERS,
@@ -444,6 +449,29 @@ def _resolve_leftmost(word, grade):
 
 @settings(max_examples=150)
 @given(_goal_words(), st.data())
+def test_rows_fold_the_parts_right_of_a_hole(case, data):
+    # Composing a frame's folded parts with its row is folding them with the
+    # open parts on the hole's right valued at cap; for and_l this rests on
+    # clamping the sum once at 0.
+    table, word, _ = case
+    columns, n = table.columns, table.domain.n
+    cap = data.draw(st.integers(0, n))
+    leaf = lambda atom: cap
+    rows = _rows((word,), cap, columns, n)
+    nodes = [node for node in _postorder(word) if node.__class__ in (Conj, Disj)]
+    assert sorted(rows) == sorted(map(id, nodes))
+    for node in nodes:
+        assert len(rows[id(node)]) == len(node.parts)
+        for r, (v, grades) in enumerate(rows[id(node)]):
+            last = node.parts[len(node.parts) - r:]
+            assert grades == all(part.__class__ is int for part in last)
+            for acc in range(n + 1):
+                folded = value(node._replace(parts=(Grade(acc),) + last), leaf, columns, n)
+                assert _fold(node, acc, v, n) == folded, (node, r, acc)
+
+
+@settings(max_examples=150)
+@given(_goal_words(), st.data())
 def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     # At every open atom in turn, the hole's need decides each grade the way
     # valuing the whole word does; this rests on monotone hedge columns.
@@ -452,14 +480,15 @@ def test_frame_need_cuts_exactly_like_the_whole_word(case, data):
     table, word, floor = case
     columns, n = table.columns, table.domain.n
     leaf = lambda w: n  # open atoms at top
-    sel, up, grade = _next(word, _root(floor), leaf, columns, n)
+    rows = _rows((word,), n, columns, n)
+    sel, up, grade = _next(word, {}, _root(floor, {}), rows, {}, columns, n)
     while sel is not None:
-        assert _plug(sel, up) == word
+        assert _plug(sel, {}, up, {}) == word
         for g in range(n + 1):
-            assert (g >= up[4]) == (value(_plug(Grade(g), up), leaf, columns, n) >= floor)
+            assert (g >= up[4]) == (value(_plug(Grade(g), None, up, {}), leaf, columns, n) >= floor)
         grade = Grade(data.draw(st.integers(0, n)))
         word = _resolve_leftmost(word, grade)
-        sel, up, grade = _next(grade, up, leaf, columns, n)
+        sel, up, grade = _next(grade, None, up, rows, {}, columns, n)
     assert grade == value(word, leaf, columns, n)
 
 
@@ -470,10 +499,40 @@ def test_plug_rebuilds_parts_nested_in_skipped_parts(table):
     columns, n = table.columns, table.domain.n
     p = Atom("p")
     word = Conj(LUKA, (Conj(GODEL, (HedgeApp("more", p), HedgeApp("very", p))), p))
-    leaf = lambda w: n
-    sel, up, _ = _next(word, _root(1), leaf, columns, n)
-    sel, up, _ = _next(Grade(30), up, leaf, columns, n)
-    sel, up, _ = _next(Grade(20), up, leaf, columns, n)
+    rows = _rows((word,), n, columns, n)
+    sel, up, _ = _next(word, {}, _root(1, {}), rows, {}, columns, n)
+    sel, up, _ = _next(Grade(30), None, up, rows, {}, columns, n)
+    sel, up, _ = _next(Grade(20), None, up, rows, {}, columns, n)
     assert sel == p and any(part.__class__ is tuple for part in up[1])
     inner = Conj(GODEL, (HedgeApp("more", Grade(30)), HedgeApp("very", Grade(20))))
-    assert _plug(sel, up) == Conj(LUKA, (inner, p))
+    assert _plug(sel, {}, up, {}) == Conj(LUKA, (inner, p))
+
+
+CHAIN10 = "".join(
+    f"edge(n{i},n{i + 1}) : {('true', 'very true', 'more true')[i % 3]}.\n" for i in range(10)
+) + "path(X,Y) <-g edge(X,Y) : abstrue.\n" \
+    "path(X,Y) <-l and_g(edge(X,Z), #more(path(Z,Y))) : abstrue.\n"
+
+
+def test_unfoldings_share_their_rule_words(domain, table, monkeypatch):
+    # An unfolding binds an environment to its rule's word, built once per
+    # program, so a prepared program's search builds no connective or hedge;
+    # traced, it prints what it printed when each unfolding copied its body.
+    program = parse_program(CHAIN10, domain)
+    queries = [parse_query(f"path(n{i},Y)", domain) for i in range(11)]
+    opts = SolveOptions(best=True, depth=0, threshold=1)
+    solve(program, table, queries[0], opts)
+    built = []
+    for cls in (Conj, Disj, HedgeApp):
+        monkeypatch.setattr(cls, "__new__", staticmethod(
+            lambda c, *args, new=cls.__new__: built.append(c) or new(c, *args)))
+    answers = [a for query in queries for a in solve(program, table, query, opts).answers]
+    assert built == [] and len(answers) == 55
+    Conj(GODEL, ())
+    assert built == [Conj]  # the count sees a construction
+    monkeypatch.undo()
+    digest = hashlib.sha256()
+    for query in queries:
+        trace = solve(program, table, query, replace(opts, trace=True)).trace
+        digest.update("\n".join(trace).encode() + b"\n\n")
+    assert digest.hexdigest() == CHAIN10_TRACE
