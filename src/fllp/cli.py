@@ -13,9 +13,9 @@ The algebra is taken from ``--algebra``, else from the program's own
 ``FLLP_ALGEBRA`` environment variable, else the built-in default.
 
 Exit codes: 0 on success and after ``--help``, 1 for usage, parse or
-validation problems, 2 when resources ran out (truth-domain or grounding
-cap, join budget, search limit, or a depth-limited search that may have
-missed answers).
+validation problems and output that cannot be written, 2 when resources
+ran out (truth-domain or grounding cap, join budget, search limit, or a
+depth-limited search that may have missed answers).
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def _parse_args(argv) -> SimpleNamespace:
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:  # started with its stdout closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(text)
 
@@ -157,7 +159,7 @@ def _cmd_check(args) -> int:
     if problems:
         raise ParseError(problems)
     n_rules = len(program.rules)
-    print(f"ok: {len(program.statements) - n_rules} fact(s), {n_rules} rule(s)")
+    _emit(f"ok: {len(program.statements) - n_rules} fact(s), {n_rules} rule(s)\n", None)
     return 0
 
 
@@ -226,8 +228,8 @@ _COMMAND_LINE = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
-    try:
+    try:  # parsing writes a help screen, and that write may fail like any other
+        args = _parse_args(argv)
         return _COMMAND_LINE[args.command][0](args)
     except (LimitError, OSError, ValueError) as exc:
         return _errors(exc)

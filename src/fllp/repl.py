@@ -3,6 +3,7 @@ this module only to run it."""
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 
@@ -23,10 +24,15 @@ def _parse_grade(domain: TruthDomain, text: str) -> int:
 
 
 def _stdin_queries():
-    """REPL lines: one query per line, empty lines skipped, quit/exit to leave."""
+    """REPL lines: one query per line, empty lines skipped, quit/exit or the end
+    of stdin to leave.  ``input`` flushes the answers so far before each read;
+    with stdout closed (answers go to ``--out``) it cannot run, so stdin is read."""
+    if sys.stdin is None:  # started with its stdin closed
+        raise OSError("standard input is closed")
     prompt = "?- " if sys.stdin.isatty() else ""
+    lines = iter(sys.stdin) if sys.stdout is None else map(input, itertools.repeat(prompt))
     try:
-        while (line := input(prompt).strip()) not in ("quit", "exit", "quit.", "exit."):
+        while (line := next(lines, "quit").strip()) not in ("quit", "exit", "quit.", "exit."):
             if line:
                 yield line
     except EOFError:

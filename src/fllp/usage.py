@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import _COMMAND_LINE, _HELP
+from .cli import _COMMAND_LINE, _HELP, _emit
 
 
 def report(command: str | None, error: str = ""):
@@ -26,5 +26,5 @@ def report(command: str | None, error: str = ""):
     rows = [positional] if positional else [] if command else [
         (name, row[1]) for name, row in _COMMAND_LINE.items()]
     rows += [(f"{', '.join(opt[0].split())} {opt[1] or ''}", opt[3]) for opt in (_HELP, *options)]
-    sys.stdout.write(usage + "\n" + "".join(f"  {left:<22} {text}\n" for left, text in rows))
+    _emit(usage + "\n" + "".join(f"  {left:<22} {text}\n" for left, text in rows), None)
     raise SystemExit(0)

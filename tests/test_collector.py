@@ -100,23 +100,26 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path):
 
 def test_python_m_fllp_and_the_script_run_without_the_collector():
     # runpy.run_module with alter_sys runs fllp/__main__.py as ``python -m fllp``
-    # does; the script calls ``fllp.__main__.run`` (pyproject.toml)
-    code = (
-        "import gc, runpy, sys\n"
-        "sys.argv = ['fllp', 'domain']\n"
-        "try:\n"
-        "    runpy.run_module('fllp', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    print('python -m fllp:', exc.code, gc.isenabled(), file=sys.stderr)\n"
-        "gc.enable()\n"
-        "from fllp.__main__ import run\n"
-        f"sys.argv = ['fllp', 'check', {HOTEL!r}]\n"
-        "print('run():', run(), gc.isenabled(), file=sys.stderr)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(nodecount.ROOT / "src")),
-    )
-    assert proc.stderr.splitlines() == ["python -m fllp: 0 False", "run(): 0 False"]
+    # does; the script calls ``fllp.__main__.run`` (pyproject.toml).  Either
+    # ends the process itself, so an atexit handler reads the collector's state
+    # and the process's exit status carries the command's code.
+    entries = {
+        "python -m fllp": "sys.argv = ['fllp', 'domain']\n"
+                          "runpy.run_module('fllp', run_name='__main__', alter_sys=True)\n",
+        "run()": "from fllp.__main__ import run\n"
+                 f"sys.argv = ['fllp', 'check', {str(nodecount.ROOT / 'missing.fllp')!r}]\n"
+                 "run()\n",
+    }
+    for entry, body in entries.items():
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('collector on:', gc.isenabled(), file=sys.stderr))\n"
+                + body + "print('not reached', file=sys.stderr)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(nodecount.ROOT / "src")),
+        )
+        assert proc.returncode == (0 if entry == "python -m fllp" else 1), entry
+        assert proc.stderr.splitlines()[-1:] == ["collector on: False"], entry
+        assert "not reached" not in proc.stderr
     pyproject = (nodecount.ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert '\nfllp = "fllp.__main__:run"\n' in pyproject

@@ -1,5 +1,6 @@
 """``pairs.summarise`` on canned run lines: medians, quartiles, pairs won,
-bounds and the gain claim rule."""
+bounds and the gain claim rule; ``pairs.summarise_spawns`` on canned spawn
+times: minimum and median per command and side."""
 
 from __future__ import annotations
 
@@ -53,3 +54,28 @@ def test_a_claim_needs_ten_pairs_and_a_gap_wider_than_the_parents_spread():
     few = pairs.summarise(_lines(jobs_per_s=[10.0] * 9), _lines(jobs_per_s=[11.0] * 9),
                           END_TO_END[:1])
     assert (few[0]["won"], few[0]["claim"]) == (9, False)
+
+
+def test_summarise_spawns_reads_minimum_and_median_per_command_and_side():
+    times = {
+        ("python -c pass", "parent"): [(0.040, 0.039), (0.038, 0.037), (0.045, 0.041)],
+        ("python -c pass", "change"): [(0.039, 0.038), (0.050, 0.036), (0.037, 0.040)],
+        ("fllp check", "parent"): [(0.060, 0.058), (0.062, 0.061)],
+    }
+    rows = pairs.summarise_spawns(times)
+    assert [(r["command"], r["side"], r["spawns"]) for r in rows] == [
+        ("python -c pass", "parent", 3), ("python -c pass", "change", 3), ("fllp check", "parent", 2)]
+    assert rows[0]["wall"] == pytest.approx((0.038, 0.040))
+    assert rows[0]["cpu"] == pytest.approx((0.037, 0.039))
+    assert rows[1]["wall"] == pytest.approx((0.037, 0.039))  # minimum and median of one side
+    assert rows[1]["cpu"] == pytest.approx((0.036, 0.038))
+    assert rows[2]["wall"] == pytest.approx((0.060, 0.061))  # an even count's median averages
+    table = pairs.format_spawns(rows).splitlines()
+    assert table[1].split() == ["python", "-c", "pass", "parent", "3", "38.0", "40.0", "37.0", "39.0"]
+
+
+def test_spawn_commands_cover_a_bare_interpreter_and_every_nodecount_command(tmp_path):
+    commands = pairs.spawn_commands(tmp_path)
+    assert commands["python -c pass"] == ["-c", "pass"]
+    assert list(commands)[1:] == [f"fllp {name}" for name in pairs.nodecount.COMMANDS]
+    assert commands["fllp check"] == ["-m", "fllp", "check", str(tmp_path / "samples" / "hotel.fllp")]
