@@ -14,8 +14,8 @@ The algebra is taken from ``--algebra``, else from the program's own
 
 Exit codes: 0 on success and after ``--help``, 1 for usage, parse or
 validation problems and output that cannot be written, 2 when resources
-ran out (truth-domain or grounding cap, join budget, search limit, or a
-depth-limited search that may have missed answers).
+ran out (truth-domain, grounding or surface cap, join budget, search limit,
+or a depth-limited search that may have missed answers).
 """
 
 from __future__ import annotations
@@ -139,14 +139,14 @@ def _load(args) -> tuple:
 def _cmd_domain(args) -> int:
     # inverse: rows are checked by building the table, even when it is not printed
     algebra, domain, table = load_config(args.algebra, _env_algebra(), inverse=args.inverse)
-    lines = [format_value(domain, i) for i in range(len(domain))]
+    labels = [format_value(domain, i) for i in range(len(domain))]
+    lines = labels.copy()
     if args.inverse:
         for decl in algebra.spec.hedges:
             lines.append("")
             lines.append(f"inverse {decl.name}:")
-            col = table.columns[decl.name]
-            for i in range(len(domain)):
-                lines.append(f"  {format_value(domain, i)} -> {format_value(domain, col[i])}")
+            lines += [f"  {label} -> {labels[j]}"
+                      for label, j in zip(labels, table.columns[decl.name])]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

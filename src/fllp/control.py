@@ -17,14 +17,16 @@ conjoins the hedged input and output atoms, and each membership row above
 bottom becomes a graded fact.  The least model of that program grades every
 input/output pair with how well the pairing honours the rule base; reading
 the best output per input off that surface gives the controller.
+No rule body reads ``good``, a reserved term name, so that least model is
+the facts' consequences in one step: ``goodness_surface`` values each rule
+side once per point, and each rule once per distinct pair of side values.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .algebra import GODEL, TruthDomain, format_value, record
-from .fixpoint import least_model
+from .algebra import GODEL, LimitError, TruthDomain, format_value, record
 from .inverse import InverseMappingTable
 from .program import (
     MAX_NESTING,
@@ -38,10 +40,21 @@ from .program import (
     Program,
     Rule,
     Var,
+    atoms_of,
+    value,
 )
 
 GOOD = "good"
 _RESERVED = (GOOD, *RESERVED_PREDICATES)
+
+# Most rule instances one surface may weigh, counted as the relevant
+# grounding would build them; read when a surface is computed.
+SURFACE_LIMIT = 10**6
+
+
+class SurfaceLimitError(LimitError):
+    subject, unit = "the surface", "rule instances"
+
 
 # ``program`` is what the file means: its rules in file order, then its facts.
 ControlSystem = record("ControlSystem", "input_points output_points program")
@@ -175,13 +188,36 @@ def compile_control(cs: ControlSystem, kind: str = GODEL) -> Program:
 
 
 def goodness_surface(cs: ControlSystem, table: InverseMappingTable) -> dict[tuple[str, str], int]:
-    """Grade of ``good(x, y)`` for every input point x and output point y,
-    read off the least model of ``cs.program`` in one pass."""
-    surface = {(x, y): 0 for x in cs.input_points for y in cs.output_points}
-    for atom, v in least_model(cs.program, table)[0].items():
-        if atom.pred == GOOD and atom.args in surface:
-            surface[atom.args] = v
-    return surface
+    """Grade of ``good(x, y)`` in the least model of ``cs.program`` for every
+    input point x and output point y: the best, over the rules whose terms
+    grade x and y above bottom, of the rule's instance there.  The instances
+    are counted first, refused past ``SURFACE_LIMIT``."""
+    columns, n, outputs = table.columns, table.domain.n, cs.output_points
+    grade = {(f.atom.pred, f.atom.args[0]): f.tv for f in cs.program.facts}
+
+    def graded(side: Body, points: tuple[str, ...]) -> list[tuple[int, str]]:
+        """The points, by position, where the term of ``side`` is above bottom."""
+        pred = next(atoms_of(side)).pred
+        return [(i, p) for i, p in enumerate(points) if (pred, p) in grade]
+
+    rules = [(rule, *map(graded, rule.body.parts, (cs.input_points, outputs)))
+             for rule in cs.program.rules]
+    if (needed := sum(len(xs) * len(ys) for _, xs, ys in rules)) > SURFACE_LIMIT:
+        raise SurfaceLimitError(needed, SURFACE_LIMIT)
+    grid = [[0] * len(outputs) for _ in cs.input_points]
+    for rule, *points in rules:
+        xs, ys = [[(i, value(side, lambda atom, p=p: grade[atom.pred, p], columns, n))
+                   for i, p in ps] for side, ps in zip(rule.body.parts, points)]
+        rows: dict[int, list[int]] = {}  # input side value -> its instances' grades by output
+        for i, a in xs:
+            if a not in rows:
+                weigh = {b: value(Conj(rule.kind, (Conj(rule.body.kind, (a, b)), rule.tv)),
+                                  None, columns, n) for b in {b for _, b in ys}}
+                rows[a] = [0] * len(outputs)
+                for j, b in ys:
+                    rows[a][j] = weigh[b]
+            grid[i] = list(map(max, grid[i], rows[a]))
+    return {(x, y): v for x, cells in zip(cs.input_points, grid) for y, v in zip(outputs, cells)}
 
 
 def recommend(

@@ -586,11 +586,11 @@ def test_package_root_loads_only_the_algebra_layers():
 # the AST nodes of the fllp modules each command compiles (tests/nodecount.py),
 # at most; a change that raises a bound names it and the reason in CHANGES.md
 COMPILED_NODES = {
-    "domain": 7_020, "check": 11_428, "query": 14_599, "query --trace": 14_989, "model": 14_889,
-    "surface": 14_119, "compile": 12_195, "--help": 7_328,
+    "domain": 7_015, "check": 11_423, "query": 14_594, "query --trace": 14_984, "model": 14_884,
+    "surface": 10_529, "compile": 12_190, "--help": 7_323,
 }
 # the lines of src/fllp/*.py (tests/nodecount.py), at most, under the same rule
-SOURCE_LINES = 3_021
+SOURCE_LINES = 3_057
 # validate runs only under check, repl only under query, trace only under --trace
 _NOT_RUN = ["fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate", "dataclasses"]
 
@@ -601,7 +601,8 @@ _NOT_RUN = ["fllp.repl", "fllp.trace", "fllp.usage", "fllp.validate", "dataclass
      ["fllp.fixpoint", "fllp.solver", "fllp.repl", "fllp.trace", "fllp.usage", "dataclasses"]),
     (["compile", "hotel.fllp"], ["fllp.fixpoint", "fllp.solver", *_NOT_RUN]),
     (["model", "hotel.fllp"], ["fllp.control", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
-    (["surface", "heater.ctl"], ["fllp.lang", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
+    (["surface", "heater.ctl"],
+     ["fllp.fixpoint", "fllp.lang", "fllp.prolog", "fllp.solver", *_NOT_RUN]),
     (["query", "hotel.fllp", "-q", "su_ho(X)"],
      ["fllp.control", "fllp.fixpoint", "fllp.prolog", "fllp.trace", "fllp.usage",
       "fllp.validate", "dataclasses", "inspect"]),
@@ -974,19 +975,31 @@ def test_surface_rule_side_nesting_is_capped(capsys, tmp_path):
             assert out.splitlines()[-1].startswith("recommend i -> o at ")
 
 
-def test_surface_counts_the_base_it_does_not_build(tmp_path):
-    # 1,002 points: good/2 alone has 1,004,004 base atoms, so the grounding
-    # is refused before any instance is found.
+def _wide_control(path: Path, rules: list[str]) -> Path:
+    """501 input and 501 output points, each graded true by its side's term."""
     k = 501
     lines = ["inputs: " + " ".join(f"i{j}" for j in range(k)),
-             "outputs: " + " ".join(f"o{j}" for j in range(k)), "rule: a => b"]
+             "outputs: " + " ".join(f"o{j}" for j in range(k)), *rules]
     lines += [f"sat a i{j} true" for j in range(k)] + [f"sat b o{j} true" for j in range(k)]
-    ctl = tmp_path / "wide.ctl"
-    ctl.write_text("\n".join(lines) + "\n")
-    proc = _fllp("surface", str(ctl))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_surface_counts_the_instances_it_weighs(tmp_path):
+    # one rule over 501 × 501 graded points: 251,001 instances, under the cap
+    proc = _fllp("surface", str(_wide_control(tmp_path / "one.ctl", ["rule: a => b"])))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + 501 + 501
+    assert lines[0].split() == ["input", *(f"o{j}" for j in range(501))]
+    assert all(line.split() == [f"i{j}", *["v33"] * 501] for j, line in enumerate(lines[1:502]))
+    assert lines[502:] == [f"recommend i{j} -> o0 at true (v33)" for j in range(501)]
+    # four rules over the same grid: 1,004,004 instances, refused before any is weighed
+    rules = ["rule: a => b", "rule: very a => b", "rule: a => very b", "rule: very a => very b"]
+    proc = _fllp("surface", str(_wide_control(tmp_path / "four.ctl", rules)))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: grounding needs at least 1007010 instances, over the limit of 1000000\n"
+        "error: the surface needs at least 1004004 rule instances, over the limit of 1000000\n"
     )
 
 

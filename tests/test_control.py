@@ -5,8 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fllp.algebra import GODEL, LUKA, InputError, LimitError
+from fllp import control
+from fllp.algebra import (
+    DEFAULT_ALGEBRA_CONFIG, GODEL, LUKA, InputError, LimitError, load_algebra_config,
+)
+from fllp.cli import main
 from fllp.control import (
+    SurfaceLimitError,
     compile_control,
     format_surface,
     goodness_surface,
@@ -14,6 +19,7 @@ from fllp.control import (
     recommend,
 )
 from fllp.fixpoint import least_model
+from fllp.inverse import build_inverse_table
 from fllp.program import (
     MAX_NESTING, Atom, Conj, Const, Fact, HedgeApp, ParseError, Rule, Var, format_body,
 )
@@ -307,6 +313,76 @@ def test_the_surface_is_exactly_the_declared_grid(table):
     assert model[Atom("good", ("p2", "p1"))] > 0  # off the grid
     assert list(surface) == [(x, y) for x in ("t1", "t2") for y in ("p1", "p2", "p3")]
     assert surface == {(x, y): model[Atom("good", (x, y))] for x, y in surface}
+
+
+def _matches_the_least_model(cs, table) -> dict[tuple[str, str], int]:
+    """The surface, checked cell by cell against the least model under both
+    rule weightings; the Gödel one is returned."""
+    for kind in (LUKA, GODEL):
+        program = compile_control(cs, kind)
+        surface = goodness_surface(cs._replace(program=program), table)
+        model, _ = least_model(program, table)
+        assert surface == {(x, y): model[Atom("good", (x, y))] for x, y in surface}, kind
+    return surface
+
+
+def test_a_term_may_be_the_input_of_one_rule_and_the_output_of_another(table):
+    # each side reads its own term's rows at its own side's points
+    text = ("inputs: t1 t2\noutputs: p1 p2\nrule: cold => very strong conf more true\n"
+            "rule: probably strong => cold\n"
+            "sat cold t1 very true\nsat cold t2 little true\n"
+            "sat cold p1 true\nsat cold p2 absfalse\n"
+            "sat strong p1 probably true\nsat strong p2 true\nsat strong t1 absfalse\n"
+            "sat strong t2 very true\n")
+    surface = _matches_the_least_model(parse_control_file(text, table.domain), table)
+    assert surface[("t2", "p1")] > 0 and surface[("t1", "p2")] > 0
+
+
+def test_a_cell_is_the_best_over_rules_on_the_same_terms(table):
+    text = ("inputs: t1 t2\noutputs: p1 p2\nrule: cold => strong conf probably true\n"
+            "rule: cold => strong conf very true\nrule: cold => strong conf little true\n"
+            "sat cold t1 true\nsat cold t2 more true\nsat strong p1 very true\n"
+            "sat strong p2 probably true\n")
+    cs = parse_control_file(text, table.domain)
+    surface = _matches_the_least_model(cs, table)
+    alone = [goodness_surface(cs._replace(program=cs.program._replace(statements=(
+        rule, *cs.program.facts))), table) for rule in cs.program.rules]
+    assert surface == {cell: max(s[cell] for s in alone) for cell in surface}
+    assert len({s[("t1", "p1")] for s in alone}) == 3  # the confidences differ there
+
+
+def test_an_instance_whose_hedged_side_is_bottom_is_counted_and_weighs_nothing(monkeypatch):
+    # an inverse: row sends 'very' of 'very very false' to absfalse
+    config = DEFAULT_ALGEBRA_CONFIG + "inverse: very very very false -> absfalse\n"
+    _, domain, overrides = load_algebra_config(config)
+    table = build_inverse_table(domain, overrides)
+    text = ("inputs: t1 t2\noutputs: p1\nrule: very cold => strong\n"
+            "sat cold t1 very very false\nsat cold t2 true\nsat strong p1 true\n")
+    cs = parse_control_file(text, domain)
+    surface = _matches_the_least_model(cs, table)
+    assert surface[("t1", "p1")] == 0 < surface[("t2", "p1")]
+    monkeypatch.setattr(control, "SURFACE_LIMIT", 1)
+    with pytest.raises(SurfaceLimitError) as err:
+        goodness_surface(cs, table)
+    assert (err.value.needed, err.value.limit) == (2, 1)  # t1's instance is one of the two
+
+
+def test_the_surface_cap_is_read_when_a_surface_is_computed(heater, table, samples_dir,
+                                                            monkeypatch, capsys):
+    """``SURFACE_LIMIT`` is read by each surface, as ``GROUND_LIMIT`` is by each
+    grounding: the heater's two rules have 2 × 2 graded points each, 8 in all,
+    and a surface over the cap is refused before any side is valued."""
+    monkeypatch.setattr(control, "SURFACE_LIMIT", 8)
+    assert goodness_surface(heater, table) == HEATER_SURFACE
+    monkeypatch.setattr(control, "SURFACE_LIMIT", 7)
+    monkeypatch.setattr(control, "value", None)  # nothing is valued
+    with pytest.raises(SurfaceLimitError) as err:
+        goodness_surface(heater, table)
+    assert (err.value.needed, err.value.limit) == (8, 7)
+    assert main(["surface", str(samples_dir / "heater.ctl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the surface needs at least 8 rule instances, over the limit of 7\n"
 
 
 # Control-file words: mostly well placed, now and then misplaced or wrong.
