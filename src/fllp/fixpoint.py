@@ -18,12 +18,13 @@ add nothing), and ``ground`` builds them as rules.  A grounding is a
 ``least_model`` has one path for a program and for a grounding it is given.
 A predicate is a name and an arity.  The join interns ground atoms as ids
 and emits each instance as the ids of its head and body atoms; a matched
-atom's id rides along in the binding.  Each rule is compiled once into a
-function grading a batch of its instances over an interpretation held as a
-list by id.  Rounds are semi-naive: the first reads bottom everywhere, so
+atom's id rides along in the binding.  A fired instance is valued with
+``program.value``, as top-down search values bodies: its rule's body and
+grade as one conjunction, its atoms read by id from an interpretation held
+as a list.  Rounds are semi-naive: the first reads bottom everywhere, so
 it fires the facts and only the instances of rules nonzero there (one probe
 per rule tells), and each later one those with a body atom that rose in the
-round before, reading what that round left, each rule's share as one batch.
+round before, reading what that round left.
 The iterates ascend, so an instance not fired gives at most its head's
 value: every round, and so the round count, equals a full application's.
 Grounding stops at ``GROUND_LIMIT`` instances and ``JOIN_LIMIT`` join steps
@@ -32,14 +33,13 @@ Grounding stops at ``GROUND_LIMIT`` instances and ``JOIN_LIMIT`` join steps
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import heapq
 import itertools
 import operator
 
-from .algebra import GODEL, LUKA, LimitError, format_value
+from .algebra import LimitError, format_value
 from .inverse import InverseMappingTable
 from .program import (
     Atom,
@@ -328,43 +328,6 @@ def eval_ground_body(body: Body, interp: Interpretation, table: InverseMappingTa
     return value(body, interp.__getitem__, table.columns, table.domain.n)
 
 
-_FOLDS = {  # two columns of part grades into one, pairwise
-    "or": lambda a, b: [x if x > y else y for x, y in zip(a, b)],
-    GODEL: lambda a, b: [x if x < y else y for x, y in zip(a, b)],
-    LUKA: lambda a, b: [x + y for x, y in zip(a, b)],  # then cut, clamped at 0
-}
-
-
-def _compile(rule: Rule, columns, n: int) -> tuple:
-    """``grade(I, Ls)``: the head grades of the instances of ``rule`` whose
-    body atoms' ids are the tuples in ``Ls``, under the interpretation ``I``
-    (a list by atom id); and those atoms.  The rule grade is a last
-    conjunct, and each node grades the whole batch at once: an atom reads a
-    column of grades, a hedge maps it, a connective folds its parts'."""
-    nodes = _postorder(Conj(rule.kind, (rule.body, rule.tv)))
-    done, count = [], itertools.count()
-    for x in nodes:
-        cls = x.__class__
-        if cls is Atom:
-            done.append(lambda I, Ls, k=next(count): [I[L[k]] for L in Ls])
-        elif cls is int:
-            done.append(lambda I, Ls, v=x: [v] * len(Ls))
-        elif cls is HedgeApp:
-            done.append(lambda I, Ls, c=columns[x.hedge], f=done.pop(): [c[v] for v in f(I, Ls)])
-        else:
-            fs = _pop(done, len(x.parts))
-            fold = _FOLDS["or" if cls is Disj else x.kind]
-            cut = (len(fs) - 1) * n if fold is _FOLDS[LUKA] else 0
-
-            def node(I, Ls, fs=fs, fold=fold, cut=cut):
-                vs = fs[0](I, Ls)
-                for f in fs[1:]:
-                    vs = fold(vs, f(I, Ls))
-                return [v - cut if v > cut else 0 for v in vs] if cut else vs
-            done.append(node)
-    return done[0], [x for x in nodes if x.__class__ is Atom]
-
-
 def least_model(
     program: Program,
     table: InverseMappingTable,
@@ -376,50 +339,52 @@ def least_model(
     in its place when given (``ground``'s program, say): an instance whose
     body is bottom gives its head bottom, so dropping it changes neither
     the model nor the rounds.  Both modes run the same engine, which
-    interns atoms as ids and grades each rule's fired instances as one
-    batch."""
+    interns atoms as ids and values each fired instance with ``value``."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown evaluation mode: {mode!r}")
     program = program if gp is None else gp
     columns, n = table.columns, table.domain.n
     facts, found, ids = _relevant_bindings(program)
-    # instances numbered by rule: their head ids and body atom ids side by side
-    heads, leaves, batches, fired = [], [], [], []
+    # per instance: its head id, its body atom ids and its rule's word, the
+    # rule grade as a last conjunct
+    heads, leaves, words, fired = [], [], [], []
     for rule, bindings in zip(program.rules, found):
-        if bindings:
-            grade, atoms = _compile(rule, columns, n)
-            lo = len(heads)
-            heads += [h for h, _ in bindings.values()]
-            leaves += [L for _, L in bindings.values()]
-            batches.append((lo, len(heads), grade))
-            # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
-            if grade((0,), [(0,) * len(atoms)])[0]:
-                fired += range(lo, len(heads))
+        word = Conj(rule.kind, (rule.body, rule.tv))
+        # round 1 reads bottom everywhere: only a rule nonzero there can raise a head
+        if bindings and value(word, lambda atom: 0, columns, n):
+            fired += range(len(heads), len(heads) + len(bindings))
+        heads += [h for h, _ in bindings.values()]
+        leaves += [L for _, L in bindings.values()]
+        words += [word] * len(bindings)
     triggers: list[list[int]] = [[] for _ in ids]  # atom id -> the instances reading it
     for i, L in enumerate(leaves):
         for a in L:
             triggers[a].append(i)
     interp = [0] * len(ids)
-    graded = [([ids[a.pred, a.args] for a, tv in facts if tv], [tv for _, tv in facts if tv])]
+
+    def leaf(atom: Atom) -> int:
+        """The grade of the instance's next body atom: ``value`` reads them
+        in ``atoms_of`` order, the order of its ids in ``leaves``."""
+        return interp[next_id()]
+
+    graded = [(ids[a.pred, a.args], tv) for a, tv in facts if tv]
     # only interned atoms rise, each at most n times
     rounds, cap = 1, len(ids) * (n + 1) + 1
     while True:
-        for lo, hi, grade in batches:
-            mine = fired[bisect.bisect_left(fired, lo):bisect.bisect_left(fired, hi)]
-            if mine:
-                graded.append(([heads[i] for i in mine], grade(interp, [leaves[i] for i in mine])))
+        for i in fired:
+            next_id = iter(leaves[i]).__next__
+            graded.append((heads[i], value(words[i], leaf, columns, n)))
         raised = []
-        for hs, gs in graded:
-            for h, g in zip(hs, gs):
-                if g > interp[h]:
-                    interp[h] = g
-                    raised.append(h)
+        for h, g in graded:
+            if g > interp[h]:
+                interp[h] = g
+                raised.append(h)
         if not raised:
             atoms = map(Atom._make, itertools.compress(ids, interp))
             return Interpretation(zip(atoms, itertools.compress(interp, interp))), rounds
         if rounds > cap:
             raise RuntimeError("consequence operator failed to settle")
-        fired = sorted(set(itertools.chain.from_iterable(map(triggers.__getitem__, set(raised)))))
+        fired = set(itertools.chain.from_iterable(map(triggers.__getitem__, set(raised))))
         rounds, graded = rounds + 1, []
 
 

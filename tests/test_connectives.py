@@ -1,11 +1,9 @@
 """The two conjunctions as the engines run them.
 
-``program.value`` over grade leaves values bodies for the solver's bounds,
-``solver._fold`` folds a goal word's resolved parts, and ``fixpoint._compile``
-grades rule instances in the least model, each connective folding the
-columns of its parts' grades over a batch of instances.  Each must obey the
-t-norm laws, agree with the others and with the oracle, and be residuated
-with its implicator.
+``program.value`` values bodies for the solver's bounds and grades rule
+instances in the least model, and ``solver._fold`` folds a goal word's
+resolved parts.  Each must obey the t-norm laws, agree with the other and
+with the oracle, and be residuated with its implicator.
 """
 from __future__ import annotations
 
@@ -15,8 +13,7 @@ from itertools import chain, product
 import pytest
 
 from fllp.algebra import GODEL, LUKA
-from fllp.fixpoint import _compile
-from fllp.program import Atom, Conj, Rule, value
+from fllp.program import Conj, value
 from fllp.solver import _fold
 
 import oracle
@@ -25,20 +22,10 @@ N = 44
 GRID = range(0, N + 1, 4)
 KINDS = (GODEL, LUKA)
 
-
-@functools.cache
-def _compiled(kind: str, parts: int):
-    """Head grade of a rule whose body conjoins ``parts`` atoms under ``kind``,
-    with the unit ``N`` as its grade."""
-    body = Conj(kind, tuple(Atom(f"p{k}") for k in range(parts)))
-    return _compile(Rule(Atom("h"), kind, body, N), {}, N)[0]
-
-
 FOLDS = {
     "value": lambda kind, *vs: value(Conj(kind, vs), None, {}, N),
     "fold": lambda kind, *vs: functools.reduce(
         lambda acc, v: _fold(Conj(kind, ()), acc, v, N), vs, N),
-    "compiled": lambda kind, *vs: _compiled(kind, len(vs))(vs, [range(len(vs))])[0],
 }
 
 
@@ -83,7 +70,7 @@ def test_adjointness_on_a_grid(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_engines_agree_with_the_oracle(kind):
-    # three and four parts take the compiled rule's n-part path
+    # three and four parts take value's n-part folds
     cases = chain(product(range(N + 1), repeat=2), product(GRID, repeat=3),
                   product(GRID[::3], repeat=4))
     for parts in cases:

@@ -23,13 +23,15 @@ from fllp.fixpoint import (
 )
 from fllp.inverse import build_inverse_table
 from fllp.lang import load_program, parse_program, parse_query
-from fllp.program import Atom, Conj, Const, Disj, Fact, Grade, HedgeApp, Program, Rule, Var, value
+from fllp.program import (
+    Atom, Conj, Const, Disj, Fact, Grade, HedgeApp, Program, Rule, Var, atoms_of, value,
+)
 from fllp.solver import SolveOptions, solve
 
 import oracle
 from expected import EMPLOYEE_MODEL, EMPLOYEE_ROUNDS, SAMPLE_ANSWERS
 from randprog import mixed_arity_program, random_algebra, random_program
-from strategies import programs
+from strategies import bodies, programs, random_table
 
 CHAIN10 = "".join(f"edge(n{i},n{i + 1}) : true.\n" for i in range(10)) + (
     "path(X,Y) <-g edge(X,Y) : abstrue.\n"
@@ -399,31 +401,33 @@ def test_each_relevant_instance_is_evaluated_once(monkeypatch, samples_dir, tabl
     control = parse_control_file((samples_dir / "heater.ctl").read_text(), table.domain)
     program = compile_control(control)
     instances = len(ground(program).rules)
-    compile_, calls = fixpoint._compile, []
+    value_, calls = fixpoint.value, []
 
-    def counted(*args):  # each batch grades the instances whose body atom ids it lists
-        grade, atoms = compile_(*args)
-        return lambda I, Ls: calls.extend(Ls) or grade(I, Ls), atoms
+    def counted(body, leaf, columns, n):  # each instance, and each rule's probe, values once
+        calls.append(body)
+        return value_(body, leaf, columns, n)
 
-    monkeypatch.setattr(fixpoint, "_compile", counted)
+    monkeypatch.setattr(fixpoint, "value", counted)
     _, rounds = least_model(program, table)
     assert instances > len(program.rules) and rounds == 3
     assert instances <= len(calls) <= instances + len(program.rules)
 
 
-@settings(max_examples=100)
-@given(programs(), st.randoms(use_true_random=False))
-def test_a_rule_grades_each_instance_of_a_batch_as_value_does(case, rng):
-    table, program = case
-    n = table.domain.n
-    for rule in program.rules:
-        grade, atoms = fixpoint._compile(rule, table.columns, n)
-        interp = [rng.randint(0, n) for _ in range(6)]
-        instances = [{atom: rng.randrange(6) for atom in atoms} for _ in range(rng.randint(1, 4))]
-        got = grade(interp, [tuple(ids[atom] for atom in atoms) for ids in instances])
-        whole = Conj(rule.kind, (rule.body, rule.tv))
-        assert got == [value(whole, lambda atom: interp[ids[atom]], table.columns, n)
-                       for ids in instances]
+@settings(max_examples=200)
+@given(st.integers(0, 11), st.data())
+def test_value_reads_each_atom_occurrence_in_atoms_of_order(seed, data):
+    """``least_model`` lists an instance's body atom ids in ``atoms_of``
+    order and hands ``value`` a leaf that reads the next one per call, so
+    ``value`` must call ``leaf`` once per atom occurrence, repeats
+    included, in that order."""
+    table = random_table(seed)
+    body, n = data.draw(bodies(table)), table.domain.n
+    grade = {atom: data.draw(st.integers(0, n)) for atom in atoms_of(body)}
+    seen: list[Atom] = []
+    want = value(body, lambda atom: seen.append(atom) or grade[atom], table.columns, n)
+    assert seen == list(atoms_of(body))
+    grades = iter([grade[atom] for atom in atoms_of(body)])
+    assert value(body, lambda atom: next(grades), table.columns, n) == want
 
 
 @settings(max_examples=150)
